@@ -195,6 +195,7 @@ def cmd_protocol(args) -> int:
         "fidelity": result.fidelity_to_target,
         "leading_p": result.leading_order.p,
         "leading_gain": result.leading_order.gain,
+        "leakage": result.leakage,
         "conditional_state": state_to_jsonable(result.conditional_state),
     }
     _write(dumps(doc) + "\n", args.out)
@@ -305,19 +306,18 @@ def parse_campaign_file(text: str, seed_override: Optional[int] = None) -> Campa
     if scheme == "amplified" or cp.has_section("protocol"):
         if not cp.has_section("protocol"):
             raise ValidationError("missing field: protocol.alpha")
+        # _optional also covers an absent [herald] section: has_option is
+        # False there, so every field falls back to its default
         herald = HeraldModel(
             read_efficiency=_parse_float(
-                _optional(cp, "herald", "read_efficiency", "1") if cp.has_section("herald") else "1",
-                "herald.read_efficiency",
+                _optional(cp, "herald", "read_efficiency", "1"), "herald.read_efficiency"
             ),
             dark_count=_parse_float(
-                _optional(cp, "herald", "dark_count", "0") if cp.has_section("herald") else "0",
-                "herald.dark_count",
+                _optional(cp, "herald", "dark_count", "0"), "herald.dark_count"
             ),
-            mode=(_optional(cp, "herald", "mode", "A").strip() if cp.has_section("herald") else "A"),
+            mode=_optional(cp, "herald", "mode", "A").strip(),
             resolving=_parse_bool(
-                _optional(cp, "herald", "resolving", "true") if cp.has_section("herald") else "true",
-                "herald.resolving",
+                _optional(cp, "herald", "resolving", "true"), "herald.resolving"
             ),
         )
         protocol = ProtocolConfig(

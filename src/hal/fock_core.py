@@ -26,7 +26,6 @@ DEFAULT_CUTOFF = 12
 #: Default ceiling on probability mass lost to truncation.
 TAIL_THRESHOLD = 1e-10
 
-_NORM_TOL = 1e-12
 _HERMITIAN_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-9
 

@@ -128,28 +128,54 @@ def _sector_block(total: int, theta: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _assembled_matrix(cutoff: int, theta: float) -> np.ndarray:
-    """Beam-splitter matrix on the truncated two-mode basis.
+def _sectors(cutoff: int) -> Tuple[Tuple[int, int, np.ndarray], ...]:
+    """The total-occupation sectors of the truncated two-mode basis.
 
-    Sectors with total occupation <= cutoff are exactly unitary; higher
-    sectors keep only the rows/columns inside the cutoff, so the assembled
-    matrix is sub-unitary there (the deficit is the reported leakage).
+    Entry `total` is (lo, hi, idx): the mode-A occupations lo..hi that fit
+    inside the cutoff and their flat basis indices. Sectors with total <=
+    cutoff are complete; higher ones keep only the states inside the cutoff,
+    so the beam splitter is sub-unitary there (the deficit is the reported
+    leakage).
     """
     d = cutoff + 1
-    out = np.zeros((d * d, d * d))
+    sectors = []
     for total in range(2 * cutoff + 1):
-        block = _sector_block(total, theta)
-        m_lo, m_hi = max(0, total - cutoff), min(total, cutoff)
-        ms = np.arange(m_lo, m_hi + 1)  # sector basis is ordered by m, so ms indexes block rows
+        lo, hi = max(0, total - cutoff), min(total, cutoff)
+        ms = np.arange(lo, hi + 1)
         idx = ms * d + (total - ms)
-        out[np.ix_(idx, idx)] = block[np.ix_(ms, ms)]
-    return out
+        idx.setflags(write=False)
+        sectors.append((lo, hi, idx))
+    return tuple(sectors)
 
 
 def beam_splitter_matrix(cutoff: int, bs: BeamSplitter, inverse: bool = False) -> np.ndarray:
-    """The (sub-)unitary matrix applied by :func:`apply_beam_splitter`."""
-    w = _assembled_matrix(cutoff, bs.theta)
-    return w.T.copy() if inverse else w.copy()
+    """The (sub-)unitary matrix applied by :func:`apply_beam_splitter`.
+
+    Assembled from the sector blocks on every call and not cached: it has
+    (cutoff+1)**4 entries.
+    """
+    d = cutoff + 1
+    w = np.zeros((d * d, d * d))
+    for total, (lo, hi, idx) in enumerate(_sectors(cutoff)):
+        w[np.ix_(idx, idx)] = _sector_block(total, bs.theta)[lo : hi + 1, lo : hi + 1]
+    return w.T if inverse else w
+
+
+def _split_amplitudes(amp: np.ndarray, cutoff: int, theta: float, inverse: bool) -> np.ndarray:
+    """Beam splitter on a two-mode amplitude vector, one sector at a time.
+
+    Only sectors that hold amplitude are visited, so the blocks of empty
+    sectors are never built.
+    """
+    d = cutoff + 1
+    nonzero = np.flatnonzero(amp)
+    sectors = _sectors(cutoff)
+    out = np.zeros_like(amp)
+    for total in np.unique(nonzero // d + nonzero % d):
+        lo, hi, idx = sectors[total]
+        block = _sector_block(int(total), theta)[lo : hi + 1, lo : hi + 1]
+        out[idx] = (block.T if inverse else block) @ amp[idx]
+    return out
 
 
 def apply_beam_splitter(
@@ -160,6 +186,9 @@ def apply_beam_splitter(
     return_leakage: bool = False,
 ):
     """Apply the beam splitter to a two-mode state.
+
+    Pure states are transformed sector by sector; density operators through
+    the assembled :func:`beam_splitter_matrix`.
 
     Parameters
     ----------
@@ -184,14 +213,12 @@ def apply_beam_splitter(
     """
     if state.mode_count != 2:
         raise ShapeError("apply_beam_splitter requires a two-mode state")
-    w = _assembled_matrix(state.cutoff, bs.theta)
-    if inverse:
-        w = w.T
     if isinstance(state, PureState):
-        out = w @ state.amplitudes
+        out = _split_amplitudes(state.amplitudes, state.cutoff, bs.theta, inverse)
         leakage = float(np.vdot(state.amplitudes, state.amplitudes).real - np.vdot(out, out).real)
         result: State = PureState(out, state.cutoff, 2)
     elif isinstance(state, DensityOperator):
+        w = beam_splitter_matrix(state.cutoff, bs, inverse)
         mat = w @ state.matrix @ w.T
         leakage = float(np.trace(state.matrix).real - np.trace(mat).real)
         result = DensityOperator(mat, state.cutoff, 2)
@@ -247,51 +274,63 @@ def project_number(state: State, mode: str, n: int) -> Tuple[float, State]:
     raise ValidationError("state must be a PureState or DensityOperator")
 
 
+def herald_operator(amp: np.ndarray, weights: np.ndarray, mode: str) -> np.ndarray:
+    """sum_n w(n) <n|_read |psi><psi| |n>_read for a two-mode amplitude matrix.
+
+    amp[m, n] is the amplitude of |m>_A |n>_B. Returns the unnormalized
+    operator on the other mode, M^T diag(w) M* with M the amplitude matrix
+    oriented read mode first; its trace is the outcome probability.
+    """
+    m = amp if _mode_axis(mode) == 0 else amp.T
+    return (m.T * weights) @ m.conj()
+
+
+def _herald_outcome(
+    state: State, weights: np.ndarray, mode: str, name: str
+) -> Tuple[float, DensityOperator]:
+    if state.mode_count != 2:
+        raise ShapeError(f"herald_{name} requires a two-mode state")
+    if isinstance(state, PureState):
+        blocks = herald_operator(state.as_two_mode_matrix() / state.norm(), weights, mode)
+    elif isinstance(state, DensityOperator):
+        d = state.cutoff + 1
+        r4 = state.matrix.reshape(d, d, d, d)  # (m, n, m', n')
+        if _mode_axis(mode) == 0:
+            blocks = np.einsum("n,nanb->ab", weights, r4)
+        else:
+            blocks = np.einsum("n,anbn->ab", weights, r4)
+    else:
+        raise ValidationError("state must be a PureState or DensityOperator")
+    prob = float(np.trace(blocks).real)
+    if prob < IMPOSSIBLE_PROBABILITY:
+        raise ImpossibleOutcomeError(
+            f"herald {name.replace('_', '-')} has probability {prob:.3e}", prob
+        )
+    return prob, DensityOperator(blocks / prob, state.cutoff, 1)
+
+
 def herald_click(state: State, model: HeraldModel) -> Tuple[float, DensityOperator]:
     """Click POVM of the herald detector on the read mode.
 
     The POVM element is diagonal in the read mode's occupation with weights
     from :meth:`HeraldModel.click_weights`; the no-click element is its
-    complement, so the pair is complete by construction. Returns the click
-    probability and the conditional reduced state of the other mode.
+    complement, so the pair is complete by construction. A pure input is
+    normalized first. Returns the click probability and the conditional
+    reduced state of the other mode.
 
     Raises
     ------
     ImpossibleOutcomeError
         If the click probability is below 1e-300.
     """
-    if state.mode_count != 2:
-        raise ShapeError("herald_click requires a two-mode state")
-    rho = to_density(state) if isinstance(state, PureState) else state
-    d = rho.cutoff + 1
-    axis = _mode_axis(model.mode)
-    w = model.click_weights(rho.cutoff)
-    r4 = rho.matrix.reshape(d, d, d, d)
-    if axis == 0:
-        # sum_n w(n) <n|_A rho |n>_A
-        blocks = np.einsum("n,nanb->ab", w, r4)
-    else:
-        blocks = np.einsum("n,anbn->ab", w, r4)
-    prob = float(np.trace(blocks).real)
-    if prob < IMPOSSIBLE_PROBABILITY:
-        raise ImpossibleOutcomeError(f"herald click has probability {prob:.3e}", prob)
-    return prob, DensityOperator(blocks / prob, rho.cutoff, 1)
+    return _herald_outcome(state, model.click_weights(state.cutoff), model.mode, "click")
 
 
 def herald_no_click(state: State, model: HeraldModel) -> Tuple[float, DensityOperator]:
     """Complementary no-click outcome of :func:`herald_click`."""
-    if state.mode_count != 2:
-        raise ShapeError("herald_no_click requires a two-mode state")
-    rho = to_density(state) if isinstance(state, PureState) else state
-    d = rho.cutoff + 1
-    axis = _mode_axis(model.mode)
-    w = 1.0 - model.click_weights(rho.cutoff)
-    r4 = rho.matrix.reshape(d, d, d, d)
-    blocks = np.einsum("n,nanb->ab", w, r4) if axis == 0 else np.einsum("n,anbn->ab", w, r4)
-    prob = float(np.trace(blocks).real)
-    if prob < IMPOSSIBLE_PROBABILITY:
-        raise ImpossibleOutcomeError(f"herald no-click has probability {prob:.3e}", prob)
-    return prob, DensityOperator(blocks / prob, rho.cutoff, 1)
+    return _herald_outcome(
+        state, 1.0 - model.click_weights(state.cutoff), model.mode, "no_click"
+    )
 
 
 @lru_cache(maxsize=64)

@@ -15,9 +15,12 @@ with source inefficiency, detector loss and dark counts, so all higher-order
 corrections (notably gain*t = 1 - 2t^2 for an ideal setup) appear in the
 numbers rather than in an error term.
 
-Because the herald POVM is diagonal in the read-mode number basis, measuring
-the optical mode before or after the herald outcome is resolved gives
-identical statistics; there is one pipeline, not two.
+run_exact has a single pipeline. The imperfect source is a mixture of pure
+inputs, and the herald POVM is diagonal in the read mode's occupation, so
+the conditional state is exactly rho = sum_b p_b sum_n w(n) v_{b,n} v_{b,n}^dag:
+each source term b is a pure branch sent through the beam splitter, and
+v_{b,n} is the other mode's amplitude vector when the read mode holds n. No
+two-mode density matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -38,17 +41,23 @@ from .errors import (
 )
 from .fock_core import (
     DEFAULT_CUTOFF,
+    TAIL_THRESHOLD,
     ComplexAmplitude,
     DensityOperator,
     PureState,
     coherent_state,
     fidelity,
-    mix,
     number_state,
     tensor_product,
-    to_density,
 )
-from .optics_ops import BeamSplitter, HeraldModel, apply_beam_splitter, herald_click, project_number
+from .optics_ops import (
+    IMPOSSIBLE_PROBABILITY,
+    BeamSplitter,
+    HeraldModel,
+    apply_beam_splitter,
+    herald_operator,
+    project_number,
+)
 
 State = Union[PureState, DensityOperator]
 
@@ -116,7 +125,9 @@ class HeraldResult:
     conditional state divided by the same ratio |alpha| of the input; for
     mixed conditional states the ratio is sqrt(rho_11/rho_00). It is NaN at
     alpha = 0, where the input ratio vanishes. fidelity_to_target compares
-    against the normalized |0> + (alpha/t)|1>.
+    against the normalized |0> + (alpha/t)|1>. leakage is the probability
+    the beam splitter moved out of the truncated basis, weighted over the
+    source terms; it is at most TAIL_THRESHOLD.
     """
 
     success_probability: float
@@ -124,6 +135,7 @@ class HeraldResult:
     gain: float
     fidelity_to_target: float
     leading_order: LeadingOrder
+    leakage: float
 
 
 def target_state(alpha: complex, t: float, cutoff: int = 1) -> PureState:
@@ -164,6 +176,7 @@ def run_first_order(alpha, t: float) -> HeraldResult:
         gain=1.0 / t,
         fidelity_to_target=1.0,
         leading_order=LeadingOrder(p=t * t, gain=1.0 / t),
+        leakage=0.0,
     )
 
 
@@ -194,47 +207,67 @@ def _mixed_gain(conditional: DensityOperator, alpha_mag: float) -> float:
 def run_exact(config: ProtocolConfig) -> HeraldResult:
     """Evaluate the protocol exactly in truncated Fock space.
 
-    The input is signal (mode A) tensor source (mode B), the beam splitter
-    acts with the documented convention, and the herald model conditions on
-    the read mode. When the source is perfect and the herald is a lossless
-    dark-count-free number-resolving detector, the herald is exactly the
-    n = 1 projector and a pure-state path is used; otherwise the computation
-    runs on density operators.
+    The source terms signal x |1> (weight p1) and signal x |0> (weight
+    1 - p1) are the branches; a zero-weight term is skipped. Each branch
+    goes through the beam splitter as a pure state, and the herald's click
+    weights w reduce it on the read mode to an operator on the other mode.
+    The weighted sum of these is the unnormalized conditional state, and its
+    trace is the click probability.
+
+    The conditional state is a PureState when the source is perfect and the
+    herald is the n = 1 projector (a lossless, dark-count-free,
+    number-resolving detector), and a DensityOperator otherwise.
+
+    Raises
+    ------
+    TruncationError
+        If the leakage, weighted over the branches, exceeds TAIL_THRESHOLD.
+    ImpossibleOutcomeError
+        If the total click probability is below 1e-300. A branch that cannot
+        click on its own (the vacuum branch at alpha = 0) is not an error.
     """
     _warn_if_out_of_regime(config)
     bs = BeamSplitter(config.t)
     signal = _signal_state(config)
-    alpha_mag = abs(config.alpha)
+    cutoff = config.cutoff
     herald = config.herald
-    ideal = (
-        config.source_efficiency == 1.0
-        and herald.read_efficiency == 1.0
-        and herald.dark_count == 0.0
-        and herald.resolving
-    )
-    if ideal:
-        psi_in = tensor_product(signal, number_state(1, config.cutoff))
-        psi_out = apply_beam_splitter(psi_in, bs)
-        p, conditional = project_number(psi_out, herald.mode, 1)
+    w = herald.click_weights(cutoff)
+    p1 = config.source_efficiency
+    branches = [(p, n) for p, n in ((p1, 1), (1.0 - p1, 0)) if p > 0.0]
+    rho = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    leakage = 0.0
+    for weight, photons in branches:
+        psi_in = tensor_product(signal, number_state(photons, cutoff))
+        out, leak = apply_beam_splitter(
+            psi_in, bs, leakage_threshold=math.inf, return_leakage=True
+        )
+        rho += weight * herald_operator(out.as_two_mode_matrix(), w, herald.mode)
+        leakage += weight * leak
+    if leakage > TAIL_THRESHOLD:
+        raise TruncationError(
+            f"beam-splitter leakage {leakage:.3e} exceeds threshold {TAIL_THRESHOLD:.1e}",
+            tail_mass=leakage,
+            threshold=TAIL_THRESHOLD,
+        )
+    p = float(np.trace(rho).real)
+    if p < IMPOSSIBLE_PROBABILITY:
+        raise ImpossibleOutcomeError(f"herald click has probability {p:.3e}", p)
+    alpha_mag = abs(config.alpha)
+    if branches == [(1.0, 1)] and np.array_equal(w, np.eye(cutoff + 1)[1]):
+        # a single branch under the n = 1 projector stays pure
+        _, conditional = project_number(out, herald.mode, 1)
         gain = _pure_gain(conditional, alpha_mag)
     else:
-        source = mix(
-            [config.source_efficiency, 1.0 - config.source_efficiency],
-            [to_density(number_state(1, config.cutoff)), to_density(number_state(0, config.cutoff))],
-        )
-        rho_in = DensityOperator(
-            np.kron(to_density(signal).matrix, source.matrix), config.cutoff, 2
-        )
-        rho_out = apply_beam_splitter(rho_in, bs)
-        p, conditional = herald_click(rho_out, herald)
+        conditional = DensityOperator(rho / p, cutoff, 1)
         gain = _mixed_gain(conditional, alpha_mag)
-    fid = fidelity(conditional, target_state(config.alpha.as_complex(), config.t, config.cutoff))
+    fid = fidelity(conditional, target_state(config.alpha.as_complex(), config.t, cutoff))
     return HeraldResult(
         success_probability=p,
         conditional_state=conditional,
         gain=gain,
         fidelity_to_target=fid,
         leading_order=LeadingOrder(p=config.t ** 2, gain=1.0 / config.t),
+        leakage=leakage,
     )
 
 
@@ -349,7 +382,6 @@ def sweep(
         if len(values) == 0:
             raise ValidationError(f"sweep axis {name!r} is empty")
     points: List[Dict[str, float]] = []
-    index = [0] * len(names)
     total = 1
     for values in value_lists:
         total *= len(values)

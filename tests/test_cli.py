@@ -5,6 +5,7 @@ import pytest
 
 from hal.cli import main, parse_campaign_file, parse_grid_file
 from hal.errors import GridError, ValidationError
+from hal.optics_ops import HeraldModel
 from hal.protocol import ROW_COLUMNS
 
 DIRECT_CFG = """\
@@ -78,6 +79,16 @@ def test_protocol_json(tmp_path):
     assert doc["manifest"]["outputs"] == [str(out)]
     assert doc["conditional_state"]["kind"] == "pure"
     assert doc["leading_gain"] == 5.0
+    assert 0.0 <= doc["leakage"] < 1e-15
+
+
+def test_protocol_json_reports_leakage(capsys):
+    rc = main(["protocol", "--alpha", "0.01", "--t", "0.1", "--cutoff", "3",
+               "--input", "coherent", "--source-eff", "0.9"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 0.0 < doc["leakage"] <= 1e-10
+    assert list(doc)[-2:] == ["leakage", "conditional_state"]
 
 
 def test_protocol_first_order_mode(capsys):
@@ -180,6 +191,20 @@ def test_campaign_file_parsing():
         parse_campaign_file(DIRECT_CFG + "\n[protocol]\nalpha = 0.01\nt = 0.1\n")
     with pytest.raises(ValidationError, match="unknown config section"):
         parse_campaign_file(DIRECT_CFG + "\n[detector]\nq = 1\n")
+
+
+def test_campaign_file_herald_defaults():
+    # without a [herald] section, and for each field a section leaves out,
+    # the herald model takes its documented default
+    default = parse_campaign_file(AMPLIFIED_CFG).protocol.herald
+    assert default == HeraldModel()
+    partial = parse_campaign_file(AMPLIFIED_CFG + "\n[herald]\ndark_count = 1e-4\n")
+    assert partial.protocol.herald == HeraldModel(dark_count=1e-4)
+    full = parse_campaign_file(
+        AMPLIFIED_CFG
+        + "\n[herald]\nread_efficiency = 0.9\ndark_count = 0\nmode = B\nresolving = no\n"
+    )
+    assert full.protocol.herald == HeraldModel(read_efficiency=0.9, mode="B", resolving=False)
 
 
 def test_campaign_run_and_seed_override(tmp_path, capsys):

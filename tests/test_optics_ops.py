@@ -248,3 +248,31 @@ def test_mixed_state_purity_after_balanced_splitter():
     assert abs(d[0] - 0.5) < 1e-12
     assert abs(d[2] - 0.5) < 1e-12
     assert abs(d[1]) < 1e-12
+
+
+def test_herald_click_on_pure_state_matches_its_projector():
+    bs = BeamSplitter(0.3)
+    psi = apply_beam_splitter(
+        tensor_product(coherent_state(0.2 + 0.1j, 5), number_state(1, 5)), bs, leakage_threshold=1.0
+    )
+    for mode in ("A", "B"):
+        for resolving in (True, False):
+            model = HeraldModel(read_efficiency=0.7, dark_count=1e-3, mode=mode, resolving=resolving)
+            for outcome in (herald_click, herald_no_click):
+                p_pure, cond_pure = outcome(psi, model)
+                p_dens, cond_dens = outcome(to_density(psi), model)
+                assert abs(p_pure - p_dens) < 1e-15
+                assert np.max(np.abs(cond_pure.matrix - cond_dens.matrix)) < 1e-14
+
+
+def test_density_input_uses_the_same_splitter():
+    # the partial sectors leak; both paths must agree on what is lost
+    bs = BeamSplitter(0.45)
+    psi = tensor_product(coherent_state(0.3, CUTOFF), number_state(1, CUTOFF))
+    for inverse in (False, True):
+        kwargs = dict(inverse=inverse, leakage_threshold=1.0, return_leakage=True)
+        out, leak = apply_beam_splitter(psi, bs, **kwargs)
+        rho, leak_rho = apply_beam_splitter(to_density(psi), bs, **kwargs)
+        assert leak > 1e-10
+        assert np.max(np.abs(rho.matrix - to_density(out).matrix * out.norm() ** 2)) < 1e-14
+        assert abs(leak - leak_rho) < 1e-15

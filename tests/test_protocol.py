@@ -1,11 +1,22 @@
+import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hal.errors import ImpossibleOutcomeError, ValidationError
-from hal.fock_core import fidelity, number_state, to_density, tensor_product
+from hal.errors import ImpossibleOutcomeError, TruncationError, ValidationError
+from hal.fock_core import (
+    TAIL_THRESHOLD,
+    DensityOperator,
+    PureState,
+    coherent_state,
+    fidelity,
+    number_state,
+    to_density,
+    tensor_product,
+)
 from hal.optics_ops import BeamSplitter, HeraldModel, apply_beam_splitter, herald_click
 from hal.protocol import (
     ProtocolConfig,
@@ -16,6 +27,7 @@ from hal.protocol import (
     sweep,
     target_state,
 )
+from hal.validate import dense_bs_matrix
 
 # reference values for alpha=0.01, t=0.1 (truncated input, ideal herald),
 # computed with the dense matrix-exponential oracle in hal.validate
@@ -97,7 +109,7 @@ def test_exact_coherent_input():
 
 
 def test_exact_probability_matches_independent_povm_path():
-    # the pure fast path must agree with the density-operator herald to 1e-12
+    # run_exact must agree with the density-operator herald to 1e-12
     config = ProtocolConfig(alpha=0.01, t=0.1)
     p_pure = run_exact(config).success_probability
     psi = tensor_product(
@@ -247,3 +259,157 @@ def test_sweep_herald_axes():
 def test_sweep_is_quiet(recwarn):
     sweep(ProtocolConfig(alpha=0.0, t=0.1), {"t": [0.5, 0.6]})
     assert not [w for w in recwarn.list if issubclass(w.category, RegimeWarning)]
+
+
+def _oracle_bs(cutoff, t):
+    """The exact beam splitter restricted to the truncated two-mode basis.
+
+    validate.dense_bs_matrix (the matrix exponential of the full two-mode
+    generator) at cutoff 2*cutoff is exact on every sector that a state with
+    both occupations <= cutoff reaches. Keeping only the rows and columns
+    inside `cutoff` gives the documented truncated splitter, sub-unitary on
+    the partial sectors. dense_bs_matrix at `cutoff` itself would differ
+    there, by up to the input's amplitude at the cutoff.
+    """
+    n = np.arange(2 * cutoff + 1)
+    inside = ((n[:, None] <= cutoff) & (n[None, :] <= cutoff)).reshape(-1)
+    return dense_bs_matrix(2 * cutoff, t)[np.ix_(inside, inside)]
+
+
+def _oracle(config, u):
+    """Click probability, gain, fidelity and conditional state of `config`
+    through a dense kron pipeline that shares no code with run_exact.
+
+    u is _oracle_bs for the config's cutoff and t. The input, the source
+    mixture, the click weights and the partial trace are all written out
+    here.
+    """
+    d = config.cutoff + 1
+    a = config.alpha.as_complex()
+    if config.input_kind == "coherent":
+        amp = np.array([a ** k / math.sqrt(math.factorial(k)) for k in range(d)])
+    else:
+        amp = np.zeros(d, dtype=np.complex128)
+        amp[0], amp[1] = 1.0, a
+    amp = amp / np.linalg.norm(amp)
+    src = np.zeros((d, d))
+    src[1, 1] = config.source_efficiency
+    src[0, 0] = 1.0 - config.source_efficiency
+    rho = u @ np.kron(np.outer(amp, amp.conj()), src) @ u.conj().T
+    eta, pd = config.herald.read_efficiency, config.herald.dark_count
+    n = np.arange(d, dtype=float)
+    if config.herald.resolving:
+        w = (1.0 - pd) * n * eta * (1.0 - eta) ** np.maximum(n - 1.0, 0.0) + pd * (1.0 - eta) ** n
+        w[0] = pd
+    else:
+        w = 1.0 - (1.0 - pd) * (1.0 - eta) ** n
+    r4 = rho.reshape(d, d, d, d)  # (m, n, m', n')
+    spec = "n,nanb->ab" if config.herald.mode == "A" else "n,anbn->ab"
+    cond = np.einsum(spec, w, r4)
+    p = float(np.trace(cond).real)
+    cond = cond / p
+    gain = math.sqrt(cond[1, 1].real / cond[0, 0].real) / abs(a)
+    target = np.zeros(d, dtype=np.complex128)
+    target[0], target[1] = 1.0, a / config.t
+    target /= np.linalg.norm(target)
+    fid = float(np.vdot(target, cond @ target).real)
+    return p, gain, fid, cond
+
+
+def test_run_exact_matches_dense_kron_oracle():
+    alpha, t = 0.02 + 0.01j, 0.2
+    worst = 0.0
+    for cutoff in (6, 12):
+        u = _oracle_bs(cutoff, t)
+        for p1, eta, pd, resolving, mode, kind in itertools.product(
+            (0.0, 0.5, 0.9, 1.0), (1.0, 0.6), (0.0, 1e-4), (True, False), ("A", "B"),
+            ("truncated", "coherent"),
+        ):
+            herald = HeraldModel(read_efficiency=eta, dark_count=pd, mode=mode, resolving=resolving)
+            config = ProtocolConfig(
+                alpha=alpha, t=t, cutoff=cutoff, input_kind=kind, source_efficiency=p1,
+                herald=herald,
+            )
+            res = run_exact(config)
+            p, gain, fid, cond = _oracle(config, u)
+            state = res.conditional_state
+            if isinstance(state, PureState):
+                got = np.outer(state.amplitudes, state.amplitudes.conj())
+            else:
+                got = state.matrix
+            for value, ref in (
+                (res.success_probability, p), (res.gain, gain), (res.fidelity_to_target, fid),
+            ):
+                worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
+            worst = max(worst, float(np.max(np.abs(got - cond))))
+    assert worst <= 1e-14
+
+
+def test_vacuum_branch_without_click_is_not_impossible():
+    # at alpha = 0 the p1 = 0.9 source's vacuum branch cannot click on its
+    # own; only the total click probability decides impossibility
+    res = run_exact(ProtocolConfig(alpha=0.0, t=0.1, source_efficiency=0.9))
+    assert math.isfinite(res.success_probability)
+    assert abs(res.success_probability - 0.9 * 0.1 ** 2) < 1e-15
+    assert math.isnan(res.gain)
+
+
+@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
+def test_truncation_threshold_applies_to_weighted_leakage():
+    base = ProtocolConfig(alpha=0.3, t=0.2, cutoff=6, input_kind="coherent")
+    psi = tensor_product(coherent_state(0.3, 6), number_state(1, 6))
+    _, photon_leak = apply_beam_splitter(
+        psi, BeamSplitter(0.2), leakage_threshold=math.inf, return_leakage=True
+    )
+    # the photon branch alone leaks past the threshold; the vacuum branch
+    # stays inside the cutoff, so p1 scales the leakage
+    assert 0.7 * photon_leak > TAIL_THRESHOLD > 0.6 * photon_leak
+    with pytest.raises(TruncationError):
+        run_exact(replace(base, source_efficiency=0.7))
+    res = run_exact(replace(base, source_efficiency=0.6))
+    assert abs(res.leakage - 0.6 * photon_leak) < 1e-25
+    rows = sweep(base, {"p1": [0.7, 0.6]})
+    assert [r["error_code"] for r in rows] == ["truncation", ""]
+
+
+def test_leakage_field():
+    assert run_first_order(0.01, 0.1).leakage == 0.0
+    # the truncated input never reaches past total occupation 2
+    assert 0.0 <= run_exact(ProtocolConfig(alpha=0.01, t=0.1, source_efficiency=0.9)).leakage < 1e-15
+    assert run_exact(ProtocolConfig(alpha=0.01, t=0.1, cutoff=3, input_kind="coherent")).leakage > 0.0
+
+
+@pytest.mark.parametrize(
+    "p1, herald, kind",
+    [
+        (1.0, HeraldModel(), PureState),
+        (1.0, HeraldModel(mode="B"), PureState),
+        (0.9, HeraldModel(), DensityOperator),
+        (1.0, HeraldModel(resolving=False), DensityOperator),
+        (1.0, HeraldModel(read_efficiency=0.9), DensityOperator),
+        (1.0, HeraldModel(dark_count=1e-4), DensityOperator),
+        (0.0, HeraldModel(), DensityOperator),
+    ],
+)
+def test_conditional_state_kind(p1, herald, kind):
+    config = ProtocolConfig(alpha=0.01, t=0.1, source_efficiency=p1, herald=herald)
+    assert type(run_exact(config).conditional_state) is kind
+
+
+def test_run_exact_builds_only_single_mode_density_operators(monkeypatch):
+    modes = []
+    init = DensityOperator.__init__
+
+    def spy(self, matrix, cutoff, mode_count=1):
+        modes.append(mode_count)
+        init(self, matrix, cutoff, mode_count)
+
+    monkeypatch.setattr(DensityOperator, "__init__", spy)
+    herald = HeraldModel(read_efficiency=0.6, dark_count=1e-4, resolving=False)
+    for config in (
+        ProtocolConfig(alpha=0.01, t=0.1),
+        ProtocolConfig(alpha=0.01, t=0.1, source_efficiency=0.9, herald=herald),
+        ProtocolConfig(alpha=0.01, t=0.1, cutoff=20, input_kind="coherent", source_efficiency=0.5),
+    ):
+        run_exact(config)
+    assert modes and set(modes) == {1}
