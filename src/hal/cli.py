@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 validate mismatch, 2 validation error (bad values,
 malformed grid or config file, impossible herald), 3 truncation error,
 64 usage error (unknown flag, missing required flag).
 
-The environment variable HAL_THREADS (integer, default 1) caps worker
-threads inside sweep and campaign; output never depends on it.
+The environment variable HAL_THREADS (integer >= 1, default 1, capped at
+the CPU count) sets worker threads inside sweep and campaign; any other
+value exits 2. Output never depends on it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .protocol import (
     run_first_order,
     sweep,
 )
-from .serialize import csv_lines, dumps, state_to_jsonable
+from .serialize import csv_lines, csv_row, dumps, state_to_jsonable
 from .spin_ensemble import (
     EnsembleSpec,
     collective_expectations,
@@ -210,7 +211,8 @@ def cmd_sweep(args) -> int:
     params = _protocol_params(base, "exact")
     params["axes"] = {name: values for name, values in axes.items()}
     manifest = _manifest("sweep", params, None, [args.out or "-"])
-    _write(csv_lines(ROW_COLUMNS, rows, dumps(manifest)), args.out)
+    lines = (csv_row(ROW_COLUMNS, row) for row in rows)
+    _write(csv_lines(ROW_COLUMNS, lines, dumps(manifest)), args.out)
     return 0
 
 
@@ -362,6 +364,20 @@ def _campaign_params(config: CampaignConfig) -> Dict[str, object]:
     return params
 
 
+def _run_lines(records):
+    """RUN_COLUMNS data lines, one f-string per attempt.
+
+    Same bytes as csv_row: format(x, ".17g") already gives "nan", "inf",
+    "-inf" and "-0" exactly as fmt_float does, and tolist() yields Python
+    ints and floats, so no per-cell dispatch is needed.
+    """
+    for runs in records:
+        r = runs.replica
+        columns = (runs.heralded.tolist(), runs.x_sample.tolist(), runs.noise_value.tolist())
+        for k, (h, x, v) in enumerate(zip(*columns)):
+            yield f"{r},{k},{h},{x:.17g},{v:.17g}"
+
+
 def cmd_campaign(args) -> int:
     seed_override = _parse_int(args.seed, "--seed") if args.seed is not None else None
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -388,17 +404,8 @@ def cmd_campaign(args) -> int:
     }
     _write(dumps(doc) + "\n", args.out)
     if record:
-        def rows():
-            for runs in summary.run_records:
-                for k in range(summary.attempts):
-                    yield {
-                        "replica": runs.replica,
-                        "attempt_index": k,
-                        "heralded": int(runs.heralded[k]),
-                        "x_sample": runs.x_sample[k],
-                        "noise_value": runs.noise_value[k],
-                    }
-        _write(csv_lines(RUN_COLUMNS, rows(), dumps(manifest)), args.runs_csv)
+        _write(csv_lines(RUN_COLUMNS, _run_lines(summary.run_records), dumps(manifest)),
+               args.runs_csv)
     return 0
 
 

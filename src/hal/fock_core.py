@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc
 
 from .errors import ShapeError, TruncationError, ValidationError
 
@@ -237,7 +236,7 @@ def coherent_state(
     a = ComplexAmplitude.of(alpha).as_complex()
     if cutoff < 1:
         raise ValidationError("coherent_state requires cutoff >= 1")
-    tail = float(poisson.sf(cutoff, abs(a) ** 2))
+    tail = float(pdtrc(cutoff, abs(a) ** 2))
     if tail > tail_threshold:
         raise TruncationError(
             f"coherent tail mass {tail:.3e} beyond cutoff {cutoff} exceeds "

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._parallel import map_indexed
 from .errors import GridError, NoSuccessError, ShapeError, ValidationError
@@ -291,6 +290,9 @@ def noise_series(model: NoiseModel, count: int, rng: np.random.Generator) -> np.
     drive = np.empty(count)
     drive[0] = model.sigma_tech * xi[0]
     drive[1:] = math.sqrt(1.0 - model.lam * model.lam) * model.sigma_tech * xi[1:]
+    # deferred: scipy.signal costs ~1 s to import and only AR(1) noise uses it
+    from scipy.signal import lfilter
+
     return lfilter([1.0], [1.0, -model.lam], drive)
 
 

@@ -107,11 +107,17 @@ def csv_cell(value: Any) -> str:
     return fmt_float(value)
 
 
-def csv_lines(
-    columns: Sequence[str], rows: Iterable[Mapping[str, Any]], manifest_json: str
-) -> str:
-    """Render a CSV document: manifest comment, header, then data rows."""
+def csv_row(columns: Sequence[str], row: Mapping[str, Any]) -> str:
+    """One CSV data line: the row's values in column order, via csv_cell."""
+    return ",".join(csv_cell(row[c]) for c in columns)
+
+
+def csv_lines(columns: Sequence[str], rows: Iterable[str], manifest_json: str) -> str:
+    """Render a CSV document: manifest comment, header, then data rows.
+
+    Each row is one rendered data line without its newline: csv_row for a
+    mapping, or a caller's own rendering that follows the same cell rules.
+    """
     lines = [f"# manifest: {manifest_json}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(csv_cell(row[c]) for c in columns))
+    lines.extend(rows)
     return "\n".join(lines) + "\n"

@@ -1,12 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hal.cli import main, parse_campaign_file, parse_grid_file
+from hal.cli import RUN_COLUMNS, _run_lines, main, parse_campaign_file, parse_grid_file
 from hal.errors import GridError, ValidationError
+from hal.metrology import ReplicaRuns, run_campaign
 from hal.optics_ops import HeraldModel
 from hal.protocol import ROW_COLUMNS
+from hal.serialize import csv_cell, csv_row
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 DIRECT_CFG = """\
 [campaign]
@@ -37,6 +46,40 @@ sigma_tech = 0
 alpha = 0.01
 t = 0.1
 """
+
+AR1_NOISE = """\
+[noise]
+kind = ar1
+sigma_tech = 0.05
+lambda = 0.9
+"""
+
+# imperfect source (p1 < 1): the mixed-state path, and most attempts fail to
+# herald, so the runs CSV carries NaN samples
+AR1_AMPLIFIED_CFG = """\
+[campaign]
+scheme = amplified
+true_alpha = 0.01
+total_time = 200
+replicas = 2
+seed = 5
+
+""" + AR1_NOISE + """
+[protocol]
+alpha = 0.01
+t = 0.1
+source_efficiency = 0.9
+"""
+
+AR1_DIRECT_CFG = """\
+[campaign]
+scheme = direct
+true_alpha = 0.01
+total_time = 2000
+replicas = 4
+seed = 8
+
+""" + AR1_NOISE
 
 
 def test_usage_errors_exit_64():
@@ -257,3 +300,71 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("hal ")
+
+
+def test_runs_csv_matches_per_cell_reference(tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(AR1_AMPLIFIED_CFG)
+    runs = tmp_path / "runs.csv"
+    assert main(["campaign", str(cfg), "--out", str(tmp_path / "s.json"), "--runs-csv", str(runs)]) == 0
+    data = runs.read_bytes()
+
+    # reference: the per-cell csv_cell rendering of the ReplicaRuns records
+    summary = run_campaign(parse_campaign_file(AR1_AMPLIFIED_CFG), record_runs=True)
+    manifest_line = data.decode().split("\n", 1)[0]
+    assert manifest_line.startswith("# manifest: ")
+    ref = [manifest_line, ",".join(RUN_COLUMNS)]
+    for r in summary.run_records:
+        for k in range(summary.attempts):
+            cells = (r.replica, k, int(r.heralded[k]), r.x_sample[k], r.noise_value[k])
+            ref.append(",".join(csv_cell(v) for v in cells))
+    assert data == ("\n".join(ref) + "\n").encode()
+    assert summary.attempts == 2000 and len(ref) == 2 + 2 * 2000
+    heralded = sum(int(r.heralded.sum()) for r in summary.run_records)
+    assert 0 < heralded < 2 * 2000
+    assert data.count(b",0,nan,") == 2 * 2000 - heralded
+
+
+def test_run_lines_special_values_match_csv_row():
+    x = np.array([-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 0.1])
+    v = np.array([0.0, -1e308, 2.5, -0.0, float("nan"), 1 / 3])
+    runs = ReplicaRuns(3, np.array([1, 0, 1, 1, 0, 1], dtype=np.int8), x, v)
+    expected = [
+        csv_row(RUN_COLUMNS, dict(zip(RUN_COLUMNS, (3, k, int(runs.heralded[k]), x[k], v[k]))))
+        for k in range(len(x))
+    ]
+    assert list(_run_lines([runs])) == expected
+    assert expected[0] == "3,0,1,-0,0"
+
+
+def _fresh_hal(code, args=(), threads="1"):
+    """Run `code` in a new interpreter that imports hal from this checkout."""
+    env = {**os.environ, "PYTHONPATH": SRC, "HAL_THREADS": threads}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+
+
+def test_import_skips_scipy_stats_and_signal():
+    code = (
+        "import sys, hal.cli\n"
+        "print(','.join(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))\n"
+    )
+    assert _fresh_hal(code).stdout.strip() == ""
+
+
+def test_ar1_campaign_threads_race_on_lazy_signal_import(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(AR1_DIRECT_CFG)
+    # two workers reach the first scipy.signal import at about the same time
+    code = (
+        "import sys, hal.cli\n"
+        "assert 'scipy.signal' not in sys.modules\n"
+        "rc = hal.cli.main(sys.argv[1:])\n"
+        "assert 'scipy.signal' in sys.modules\n"
+        "sys.exit(rc)\n"
+    )
+    fresh = _fresh_hal(code, ["campaign", str(cfg)], threads="2").stdout
+    assert main(["campaign", str(cfg)]) == 0
+    assert fresh == capsys.readouterr().out

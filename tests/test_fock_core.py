@@ -5,6 +5,7 @@ import pytest
 
 from hal.errors import ShapeError, TruncationError, ValidationError
 from hal.fock_core import (
+    TAIL_THRESHOLD,
     ComplexAmplitude,
     DensityOperator,
     PureState,
@@ -76,6 +77,42 @@ def test_coherent_tail_guard():
         coherent_state(3.0, 4)
     # same amplitude is fine with room to decay
     coherent_state(3.0, 40)
+
+
+def _coherent_tail(alpha, cutoff, threshold=0.0):
+    """The tail coherent_state computes; threshold 0 makes any nonzero tail raise."""
+    try:
+        coherent_state(alpha, cutoff, tail_threshold=threshold)
+    except TruncationError as exc:
+        return exc.tail_mass
+    return None
+
+
+def test_coherent_tail_matches_poisson_sf_bit_for_bit():
+    # scipy.stats is imported here only, as the oracle for the pdtrc tail
+    from scipy.optimize import brentq
+    from scipy.stats import poisson
+
+    alphas = [0.0, 1e-150, 1e-8, 0.3 + 0.4j, -2.5j] + list(np.geomspace(1e-4, 12.0, 60))
+    for cutoff in (1, 2, 4, 8, 12, 20, 30, 60, 150):
+        for alpha in alphas:
+            mu = abs(complex(alpha)) ** 2
+            expected = float(poisson.sf(cutoff, mu))
+            got = _coherent_tail(alpha, cutoff)
+            assert (got if got is not None else 0.0) == expected, (cutoff, alpha)
+            assert (got is None) == (expected == 0.0)
+
+    # either side of TAIL_THRESHOLD at the default threshold
+    for cutoff in (4, 12, 30):
+        mu_star = brentq(lambda m: poisson.sf(cutoff, m) - TAIL_THRESHOLD, 1e-6, 50.0, xtol=1e-15)
+        for mu in (mu_star * (1 - 1e-9), mu_star, mu_star * (1 + 1e-9)):
+            alpha = math.sqrt(mu)
+            expected = float(poisson.sf(cutoff, abs(complex(alpha)) ** 2))
+            got = _coherent_tail(alpha, cutoff, TAIL_THRESHOLD)
+            if expected > TAIL_THRESHOLD:
+                assert got == expected
+            else:
+                assert got is None
 
 
 def test_pure_state_is_immutable_and_validates():

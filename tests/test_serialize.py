@@ -3,7 +3,7 @@ import json
 import numpy as np
 
 from hal.fock_core import ComplexAmplitude, coherent_state, number_state, to_density
-from hal.serialize import csv_cell, csv_lines, dumps, fmt_float, state_to_jsonable
+from hal.serialize import csv_cell, csv_lines, csv_row, dumps, fmt_float, state_to_jsonable
 
 
 def test_fmt_float_round_trips():
@@ -74,11 +74,14 @@ def test_csv_cell():
 
 def test_csv_lines_layout():
     manifest = dumps({"subcommand": "sweep"})
-    text = csv_lines(["a", "b"], [{"a": 1, "b": float("nan")}, {"a": 2, "b": 0.5}], manifest)
+    columns = ["a", "b"]
+    rows = [{"a": 1, "b": float("nan")}, {"b": 0.5, "a": 2}]
+    text = csv_lines(columns, (csv_row(columns, row) for row in rows), manifest)
     lines = text.splitlines()
     assert lines[0] == f"# manifest: {manifest}"
     assert lines[1] == "a,b"
     assert lines[2] == "1,nan"
     assert lines[3] == "2,0.5"
+    assert len(lines) == 4
     assert text.endswith("\n")
     assert json.loads(lines[0].split("# manifest: ", 1)[1]) == {"subcommand": "sweep"}

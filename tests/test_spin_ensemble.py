@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hal.errors import ShapeError, TruncationError, ValidationError
-from hal.fock_core import coherent_state, fidelity
+from hal.fock_core import TAIL_THRESHOLD, coherent_state, fidelity
 from hal.spin_ensemble import (
     DickeState,
     EnsembleSpec,
@@ -62,6 +62,45 @@ def test_tail_guard():
         rotated_product_state(EnsembleSpec(50, 0.3), k_max=5)
     state = rotated_product_state(EnsembleSpec(50, 0.3), k_max=30)
     assert state.tail_mass < 1e-10
+
+
+def _dicke_tail(spec, k_max, threshold=0.0):
+    """The tail rotated_product_state computes; threshold 0 makes any nonzero tail raise."""
+    try:
+        return rotated_product_state(spec, k_max=k_max, tail_threshold=threshold).tail_mass
+    except TruncationError as exc:
+        return exc.tail_mass
+
+
+def test_dicke_tail_matches_binom_sf_bit_for_bit():
+    # scipy.stats is imported here only, as the oracle for the betainc tail
+    from scipy.optimize import brentq
+    from scipy.stats import binom
+
+    def oracle(n, eps, k_max):
+        r = abs(complex(eps))
+        return float(binom.sf(k_max, n, r * r / (1.0 + r * r)))
+
+    for n in (2, 1000, 10**6, 10**9):
+        # k_max = N keeps the full state in memory, so only for the small N
+        k_maxes = {1, 2, 12, 40} | ({n - 1, n} if n <= 1000 else set())
+        for k_max in sorted(k for k in k_maxes if 1 <= k <= n):
+            for alpha in (0.0, 1e-6, 1e-3, 0.05, 0.3, 1.0, 3.0):
+                eps = alpha / math.sqrt(n)
+                for e in (eps, -eps, 1j * eps):
+                    got = _dicke_tail(EnsembleSpec(n, e), k_max)
+                    assert got == oracle(n, e, k_max), (n, k_max, e)
+
+    # either side of TAIL_THRESHOLD at the default threshold
+    for n, k_max in ((1000, 12), (10**9, 12), (10**6, 20)):
+        a_star = brentq(
+            lambda a: oracle(n, a / math.sqrt(n), k_max) - TAIL_THRESHOLD, 1e-3, 10.0, xtol=1e-15
+        )
+        for a in (a_star * (1 - 1e-9), a_star, a_star * (1 + 1e-9)):
+            eps = a / math.sqrt(n)
+            expected = oracle(n, eps, k_max)
+            got = _dicke_tail(EnsembleSpec(n, eps), k_max, TAIL_THRESHOLD)
+            assert got == expected
 
 
 def test_epsilon_zero_is_ground():
