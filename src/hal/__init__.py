@@ -26,7 +26,6 @@ from .fock_core import (
     PureState,
     coherent_state,
     fidelity,
-    mix,
     number_state,
     tensor_product,
     to_density,
@@ -35,13 +34,9 @@ from .optics_ops import (
     BeamSplitter,
     HeraldModel,
     apply_beam_splitter,
-    beam_splitter_matrix,
     herald_click,
     herald_no_click,
-    loss_channel,
-    partial_trace,
     project_number,
-    total_occupation,
 )
 from .spin_ensemble import (
     CollectiveExpectations,
@@ -96,20 +91,15 @@ __all__ = [
     "PureState",
     "coherent_state",
     "fidelity",
-    "mix",
     "number_state",
     "tensor_product",
     "to_density",
     "BeamSplitter",
     "HeraldModel",
     "apply_beam_splitter",
-    "beam_splitter_matrix",
     "herald_click",
     "herald_no_click",
-    "loss_channel",
-    "partial_trace",
     "project_number",
-    "total_occupation",
     "CollectiveExpectations",
     "DickeState",
     "EnsembleSpec",

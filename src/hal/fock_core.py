@@ -12,7 +12,7 @@ functions; everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import gammaln, pdtrc
@@ -109,10 +109,6 @@ class PureState:
     def __setattr__(self, name, value):  # immutable value type
         raise AttributeError("PureState is immutable")
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
     def index(self, m: int, n: int | None = None) -> int:
         """Basis index of occupation m (single mode) or (m, n) (two modes)."""
         if self.mode_count == 1:
@@ -196,15 +192,8 @@ class DensityOperator:
     def __setattr__(self, name, value):
         raise AttributeError("DensityOperator is immutable")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def normalized(self) -> "DensityOperator":
-        return DensityOperator(self.matrix / self.trace(), self.cutoff, self.mode_count)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -305,30 +294,3 @@ def to_density(s: PureState) -> DensityOperator:
     """Projector |s><s| of a normalized copy of s."""
     v = s.amplitudes / s.norm()
     return DensityOperator(np.outer(v, v.conj()), s.cutoff, s.mode_count)
-
-
-def mix(
-    weights: Sequence[float],
-    operators: Sequence[Union[DensityOperator, PureState]],
-) -> DensityOperator:
-    """Convex mixture sum_i w_i rho_i.
-
-    Weights must be non-negative and sum to 1 within 1e-12. Pure states are
-    accepted and converted to their projectors.
-    """
-    if len(weights) != len(operators) or not operators:
-        raise ValidationError("mix requires matching, nonempty weights and operators")
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValidationError("mixture weights must be non-negative")
-    if abs(float(w.sum()) - 1.0) > 1e-12:
-        raise ValidationError(f"mixture weights sum to {w.sum()!r}, not 1")
-    mats = []
-    first = operators[0]
-    for op in operators:
-        rho = to_density(op) if isinstance(op, PureState) else op
-        if rho.cutoff != first.cutoff or rho.mode_count != first.mode_count:
-            raise ShapeError("all mixture components must share a basis")
-        mats.append(rho.matrix / rho.trace())
-    total = sum(wi * mi for wi, mi in zip(w, mats))
-    return DensityOperator(total, first.cutoff, first.mode_count)

@@ -83,7 +83,11 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """One estimation experiment: scheme, truth, time budget, noise, seeding."""
+    """One estimation experiment: scheme, truth, time budget, noise, seeding.
+
+    The amplified scheme's protocol must carry the truth itself:
+    protocol.alpha equal to true_alpha, exactly.
+    """
 
     scheme: str
     true_alpha: float
@@ -103,6 +107,11 @@ class CampaignConfig:
             raise ValidationError("direct scheme takes no protocol")
         if not np.isfinite(self.true_alpha):
             raise ValidationError("true_alpha must be finite")
+        if self.protocol is not None and self.protocol.alpha.as_complex() != complex(self.true_alpha):
+            raise ValidationError(
+                f"protocol alpha {self.protocol.alpha.as_complex()!r} differs from "
+                f"true_alpha {self.true_alpha!r}; bias would be reported against the wrong truth"
+            )
         if not (self.run_period > 0 and np.isfinite(self.run_period)):
             raise ValidationError(f"run_period must be positive, got {self.run_period!r}")
         if not (self.total_time > 0 and np.isfinite(self.total_time)):

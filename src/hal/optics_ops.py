@@ -9,6 +9,11 @@ arcsin(t), which transforms the mode operators as
 mode A (first, atomic) and mode B (second, optical). U is block-diagonal in
 total occupation; blocks fully inside the cutoff are exact, and blocks that
 extend past it are truncated with the lost probability reported as leakage.
+
+Two-mode states are always PureStates here. A mixed input, such as the
+imperfect single-photon source, is a weighted sum of pure branches that the
+caller runs one by one (see protocol.run_exact); only the single-mode
+conditional state of a herald is a DensityOperator.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -27,12 +32,10 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .fock_core import TAIL_THRESHOLD, DensityOperator, PureState, to_density
+from .fock_core import TAIL_THRESHOLD, DensityOperator, PureState
 
 #: Probabilities below this are treated as genuinely impossible outcomes.
 IMPOSSIBLE_PROBABILITY = 1e-300
-
-State = Union[PureState, DensityOperator]
 
 
 @dataclass(frozen=True)
@@ -148,20 +151,7 @@ def _sectors(cutoff: int) -> Tuple[Tuple[int, int, np.ndarray], ...]:
     return tuple(sectors)
 
 
-def beam_splitter_matrix(cutoff: int, bs: BeamSplitter, inverse: bool = False) -> np.ndarray:
-    """The (sub-)unitary matrix applied by :func:`apply_beam_splitter`.
-
-    Assembled from the sector blocks on every call and not cached: it has
-    (cutoff+1)**4 entries.
-    """
-    d = cutoff + 1
-    w = np.zeros((d * d, d * d))
-    for total, (lo, hi, idx) in enumerate(_sectors(cutoff)):
-        w[np.ix_(idx, idx)] = _sector_block(total, bs.theta)[lo : hi + 1, lo : hi + 1]
-    return w.T if inverse else w
-
-
-def _split_amplitudes(amp: np.ndarray, cutoff: int, theta: float, inverse: bool) -> np.ndarray:
+def _split_amplitudes(amp: np.ndarray, cutoff: int, theta: float) -> np.ndarray:
     """Beam splitter on a two-mode amplitude vector, one sector at a time.
 
     Only sectors that hold amplitude are visited, so the blocks of empty
@@ -173,27 +163,27 @@ def _split_amplitudes(amp: np.ndarray, cutoff: int, theta: float, inverse: bool)
     out = np.zeros_like(amp)
     for total in np.unique(nonzero // d + nonzero % d):
         lo, hi, idx = sectors[total]
-        block = _sector_block(int(total), theta)[lo : hi + 1, lo : hi + 1]
-        out[idx] = (block.T if inverse else block) @ amp[idx]
+        out[idx] = _sector_block(int(total), theta)[lo : hi + 1, lo : hi + 1] @ amp[idx]
     return out
 
 
+def _require_two_mode(state: PureState, name: str) -> None:
+    if not isinstance(state, PureState):
+        raise ValidationError(f"{name} takes a two-mode PureState")
+    if state.mode_count != 2:
+        raise ShapeError(f"{name} requires a two-mode state")
+
+
 def apply_beam_splitter(
-    state: State,
+    state: PureState,
     bs: BeamSplitter,
-    inverse: bool = False,
     leakage_threshold: float = TAIL_THRESHOLD,
     return_leakage: bool = False,
 ):
-    """Apply the beam splitter to a two-mode state.
-
-    Pure states are transformed sector by sector; density operators through
-    the assembled :func:`beam_splitter_matrix`.
+    """Apply the beam splitter to a two-mode pure state, sector by sector.
 
     Parameters
     ----------
-    inverse : bool
-        Apply the inverse rotation (angle -theta) instead.
     leakage_threshold : float
         Maximum probability allowed to leave the truncated basis.
     return_leakage : bool
@@ -206,24 +196,15 @@ def apply_beam_splitter(
 
     Raises
     ------
-    ShapeError
-        For single-mode input.
+    ValidationError
+        For anything but a two-mode PureState (ShapeError for one mode).
     TruncationError
         If the leakage exceeds the threshold.
     """
-    if state.mode_count != 2:
-        raise ShapeError("apply_beam_splitter requires a two-mode state")
-    if isinstance(state, PureState):
-        out = _split_amplitudes(state.amplitudes, state.cutoff, bs.theta, inverse)
-        leakage = float(np.vdot(state.amplitudes, state.amplitudes).real - np.vdot(out, out).real)
-        result: State = PureState(out, state.cutoff, 2)
-    elif isinstance(state, DensityOperator):
-        w = beam_splitter_matrix(state.cutoff, bs, inverse)
-        mat = w @ state.matrix @ w.T
-        leakage = float(np.trace(state.matrix).real - np.trace(mat).real)
-        result = DensityOperator(mat, state.cutoff, 2)
-    else:
-        raise ValidationError("state must be a PureState or DensityOperator")
+    _require_two_mode(state, "apply_beam_splitter")
+    out = _split_amplitudes(state.amplitudes, state.cutoff, bs.theta)
+    leakage = float(np.vdot(state.amplitudes, state.amplitudes).real - np.vdot(out, out).real)
+    result = PureState(out, state.cutoff, 2)
     leakage = max(leakage, 0.0)
     if leakage > leakage_threshold:
         raise TruncationError(
@@ -236,8 +217,8 @@ def apply_beam_splitter(
     return result
 
 
-def project_number(state: State, mode: str, n: int) -> Tuple[float, State]:
-    """Project one mode of a two-mode state onto occupation n.
+def project_number(state: PureState, mode: str, n: int) -> Tuple[float, PureState]:
+    """Project one mode of a two-mode pure state onto occupation n.
 
     Returns the outcome probability and the renormalized conditional state of
     the other mode.
@@ -247,31 +228,17 @@ def project_number(state: State, mode: str, n: int) -> Tuple[float, State]:
     ImpossibleOutcomeError
         If the outcome probability is below 1e-300.
     """
-    if state.mode_count != 2:
-        raise ShapeError("project_number requires a two-mode state")
+    _require_two_mode(state, "project_number")
     if not 0 <= n <= state.cutoff:
         raise ValidationError(f"occupation {n} outside 0..{state.cutoff}")
-    axis = _mode_axis(mode)
-    d = state.cutoff + 1
-    if isinstance(state, PureState):
-        mat = state.as_two_mode_matrix()
-        vec = mat[n, :] if axis == 0 else mat[:, n]
-        prob = float(np.vdot(vec, vec).real)
-        if prob < IMPOSSIBLE_PROBABILITY:
-            raise ImpossibleOutcomeError(
-                f"occupation {n} on mode {mode} has probability {prob:.3e}", prob
-            )
-        return prob, PureState(vec / math.sqrt(prob), state.cutoff, 1)
-    if isinstance(state, DensityOperator):
-        r4 = state.matrix.reshape(d, d, d, d)  # (m, n, m', n')
-        block = r4[n, :, n, :] if axis == 0 else r4[:, n, :, n]
-        prob = float(np.trace(block).real)
-        if prob < IMPOSSIBLE_PROBABILITY:
-            raise ImpossibleOutcomeError(
-                f"occupation {n} on mode {mode} has probability {prob:.3e}", prob
-            )
-        return prob, DensityOperator(block / prob, state.cutoff, 1)
-    raise ValidationError("state must be a PureState or DensityOperator")
+    mat = state.as_two_mode_matrix()
+    vec = mat[n, :] if _mode_axis(mode) == 0 else mat[:, n]
+    prob = float(np.vdot(vec, vec).real)
+    if prob < IMPOSSIBLE_PROBABILITY:
+        raise ImpossibleOutcomeError(
+            f"occupation {n} on mode {mode} has probability {prob:.3e}", prob
+        )
+    return prob, PureState(vec / math.sqrt(prob), state.cutoff, 1)
 
 
 def herald_operator(amp: np.ndarray, weights: np.ndarray, mode: str) -> np.ndarray:
@@ -286,21 +253,10 @@ def herald_operator(amp: np.ndarray, weights: np.ndarray, mode: str) -> np.ndarr
 
 
 def _herald_outcome(
-    state: State, weights: np.ndarray, mode: str, name: str
+    state: PureState, weights: np.ndarray, mode: str, name: str
 ) -> Tuple[float, DensityOperator]:
-    if state.mode_count != 2:
-        raise ShapeError(f"herald_{name} requires a two-mode state")
-    if isinstance(state, PureState):
-        blocks = herald_operator(state.as_two_mode_matrix() / state.norm(), weights, mode)
-    elif isinstance(state, DensityOperator):
-        d = state.cutoff + 1
-        r4 = state.matrix.reshape(d, d, d, d)  # (m, n, m', n')
-        if _mode_axis(mode) == 0:
-            blocks = np.einsum("n,nanb->ab", weights, r4)
-        else:
-            blocks = np.einsum("n,anbn->ab", weights, r4)
-    else:
-        raise ValidationError("state must be a PureState or DensityOperator")
+    _require_two_mode(state, f"herald_{name}")
+    blocks = herald_operator(state.as_two_mode_matrix() / state.norm(), weights, mode)
     prob = float(np.trace(blocks).real)
     if prob < IMPOSSIBLE_PROBABILITY:
         raise ImpossibleOutcomeError(
@@ -309,12 +265,12 @@ def _herald_outcome(
     return prob, DensityOperator(blocks / prob, state.cutoff, 1)
 
 
-def herald_click(state: State, model: HeraldModel) -> Tuple[float, DensityOperator]:
+def herald_click(state: PureState, model: HeraldModel) -> Tuple[float, DensityOperator]:
     """Click POVM of the herald detector on the read mode.
 
     The POVM element is diagonal in the read mode's occupation with weights
     from :meth:`HeraldModel.click_weights`; the no-click element is its
-    complement, so the pair is complete by construction. A pure input is
+    complement, so the pair is complete by construction. The input is
     normalized first. Returns the click probability and the conditional
     reduced state of the other mode.
 
@@ -326,73 +282,8 @@ def herald_click(state: State, model: HeraldModel) -> Tuple[float, DensityOperat
     return _herald_outcome(state, model.click_weights(state.cutoff), model.mode, "click")
 
 
-def herald_no_click(state: State, model: HeraldModel) -> Tuple[float, DensityOperator]:
+def herald_no_click(state: PureState, model: HeraldModel) -> Tuple[float, DensityOperator]:
     """Complementary no-click outcome of :func:`herald_click`."""
     return _herald_outcome(
         state, 1.0 - model.click_weights(state.cutoff), model.mode, "no_click"
     )
-
-
-@lru_cache(maxsize=64)
-def _loss_kraus(cutoff: int, eta: float) -> Tuple[np.ndarray, ...]:
-    d = cutoff + 1
-    ops = []
-    for j in range(d):
-        k = np.zeros((d, d))
-        for n in range(j, d):
-            k[n - j, n] = math.sqrt(math.comb(n, j) * eta ** (n - j) * (1.0 - eta) ** j)
-        ops.append(k)
-    return tuple(ops)
-
-
-def loss_channel(state: State, mode: str | None, eta: float) -> DensityOperator:
-    """Pure-loss channel with transmissivity eta on the chosen mode.
-
-    Accepts single-mode states (mode may be None or 'A') and two-mode states
-    (mode 'A' or 'B'). Always returns a density operator; the map is trace
-    preserving on the truncated space.
-    """
-    if not (0.0 <= eta <= 1.0):
-        raise ValidationError(f"transmissivity must be in [0,1], got {eta!r}")
-    rho = to_density(state) if isinstance(state, PureState) else state
-    if not isinstance(rho, DensityOperator):
-        raise ValidationError("state must be a PureState or DensityOperator")
-    kraus = _loss_kraus(rho.cutoff, float(eta))
-    d = rho.cutoff + 1
-    if rho.mode_count == 1:
-        if mode not in (None, "A", "a"):
-            raise ValidationError("single-mode state has only mode 'A'")
-        out = sum(k @ rho.matrix @ k.T for k in kraus)
-        return DensityOperator(out, rho.cutoff, 1)
-    axis = _mode_axis(mode if mode is not None else "A")
-    eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
-    for k in kraus:
-        full = np.kron(k, eye) if axis == 0 else np.kron(eye, k)
-        out += full @ rho.matrix @ full.T
-    return DensityOperator(out, rho.cutoff, 2)
-
-
-def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
-    """Trace out one mode of a two-mode density operator, keeping `keep`."""
-    if not isinstance(rho, DensityOperator):
-        raise ValidationError("partial_trace takes a DensityOperator")
-    if rho.mode_count != 2:
-        raise ShapeError("partial_trace requires a two-mode state")
-    d = rho.cutoff + 1
-    r4 = rho.matrix.reshape(d, d, d, d)
-    axis = _mode_axis(keep)
-    reduced = np.einsum("anbn->ab", r4) if axis == 0 else np.einsum("nanb->ab", r4)
-    return DensityOperator(reduced, rho.cutoff, 1)
-
-
-def total_occupation(state: State) -> float:
-    """Expected total occupation of a two-mode state (norm/trace weighted)."""
-    if state.mode_count != 2:
-        raise ShapeError("total_occupation requires a two-mode state")
-    d = state.cutoff + 1
-    m = np.arange(d)
-    totals = (m[:, None] + m[None, :]).reshape(-1)
-    if isinstance(state, PureState):
-        return float(np.sum(totals * state.probabilities()))
-    return float(np.sum(totals * state.matrix.diagonal().real))

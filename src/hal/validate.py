@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
 
-from .fock_core import DensityOperator, PureState, coherent_state, number_state, tensor_product, to_density
+from .fock_core import PureState, coherent_state, number_state, tensor_product
 from .metrology import quadrature_pdf
 from .optics_ops import BeamSplitter, HeraldModel, apply_beam_splitter, herald_click, herald_no_click
 from .protocol import ProtocolConfig, run_exact
@@ -161,16 +161,17 @@ def run_checks(bs_apply: Optional[ApplyFn] = None) -> List[CheckResult]:
     )
 
     # POVM completeness: click and no-click probabilities sum to one on a
-    # genuinely mixed protocol output state.
+    # genuinely mixed protocol output state, taken as its p1-weighted pure
+    # branches.
     config = ProtocolConfig(alpha=0.02, t=0.2, source_efficiency=0.9)
-    rho = _protocol_output_density(config)
+    branches = _protocol_output_branches(config)
     dev = 0.0
     for resolving in (True, False):
         model = HeraldModel(read_efficiency=0.6, dark_count=1e-3, resolving=resolving)
-        p_click, _ = herald_click(rho, model)
-        p_none, _ = herald_no_click(rho, model)
+        p_click = sum(weight * herald_click(psi, model)[0] for weight, psi in branches)
+        p_none = sum(weight * herald_no_click(psi, model)[0] for weight, psi in branches)
         dev = max(dev, abs(p_click + p_none - 1.0))
-        w = model.click_weights(rho.cutoff)
+        w = model.click_weights(config.cutoff)
         dev = max(dev, float(np.max(np.maximum(-w, w - 1.0), initial=0.0)))
     checks.append(_check("povm_completeness", dev, 1e-10))
 
@@ -215,18 +216,21 @@ def run_checks(bs_apply: Optional[ApplyFn] = None) -> List[CheckResult]:
     return checks
 
 
-def _protocol_output_density(config: ProtocolConfig) -> DensityOperator:
-    """Post-splitter two-mode density operator (before any heralding)."""
+def _protocol_output_branches(config: ProtocolConfig) -> List[Tuple[float, PureState]]:
+    """Post-splitter (weight, two-mode state) branches, before any heralding.
+
+    The imperfect source is |1> with weight p1 and |0> with weight 1 - p1.
+    """
     amp = np.zeros(config.cutoff + 1, dtype=np.complex128)
     amp[0] = 1.0
     amp[1] = config.alpha.as_complex()
     signal = PureState(amp, config.cutoff, 1).normalized()
     p1 = config.source_efficiency
-    source = p1 * to_density(number_state(1, config.cutoff)).matrix + (
-        1.0 - p1
-    ) * to_density(number_state(0, config.cutoff)).matrix
-    rho_in = DensityOperator(np.kron(to_density(signal).matrix, source), config.cutoff, 2)
-    return apply_beam_splitter(rho_in, BeamSplitter(config.t))
+    bs = BeamSplitter(config.t)
+    return [
+        (weight, apply_beam_splitter(tensor_product(signal, number_state(k, config.cutoff)), bs))
+        for weight, k in ((p1, 1), (1.0 - p1, 0))
+    ]
 
 
 def _oracle_click_probability(config: ProtocolConfig) -> float:

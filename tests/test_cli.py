@@ -274,6 +274,13 @@ def test_campaign_missing_field_exit_2(tmp_path, capsys):
     assert "protocol.t" in capsys.readouterr().err
 
 
+def test_campaign_protocol_alpha_mismatch_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(AMPLIFIED_CFG.replace("[protocol]\nalpha = 0.01\n", "[protocol]\nalpha = 0.02\n"))
+    assert main(["campaign", str(cfg)]) == 2
+    assert "true_alpha" in capsys.readouterr().err
+
+
 def test_campaign_reruns_are_byte_identical(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text(AMPLIFIED_CFG)

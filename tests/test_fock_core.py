@@ -11,7 +11,6 @@ from hal.fock_core import (
     PureState,
     coherent_state,
     fidelity,
-    mix,
     number_state,
     tensor_product,
     to_density,
@@ -164,21 +163,6 @@ def test_density_operator_validation():
         DensityOperator(neg, 6, 1)
 
 
-def test_mix_weights():
-    rho = mix(
-        [0.25, 0.75],
-        [to_density(number_state(0, 4)), to_density(number_state(1, 4))],
-    )
-    d = rho.diagonal()
-    assert abs(d[0] - 0.25) < 1e-15
-    assert abs(d[1] - 0.75) < 1e-15
-    assert rho.purity() < 1.0
-    with pytest.raises(ValidationError):
-        mix([0.5, 0.6], [to_density(number_state(0, 4)), to_density(number_state(1, 4))])
-    with pytest.raises(ValidationError):
-        mix([-0.1, 1.1], [to_density(number_state(0, 4)), to_density(number_state(1, 4))])
-
-
 def test_fidelity_pure_pure():
     a = coherent_state(0.1, 12)
     b = coherent_state(0.1, 12)
@@ -189,10 +173,7 @@ def test_fidelity_pure_pure():
 
 
 def test_fidelity_mixed_pure():
-    rho = mix(
-        [0.5, 0.5],
-        [to_density(number_state(0, 4)), to_density(number_state(1, 4))],
-    )
+    rho = DensityOperator(np.diag([0.5, 0.5, 0.0, 0.0, 0.0]), 4, 1)
     assert abs(fidelity(rho, number_state(0, 4)) - 0.5) < 1e-12
 
 

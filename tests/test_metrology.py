@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hal.errors import GridError, NoSuccessError, ValidationError
-from hal.fock_core import coherent_state, mix, number_state, to_density
+from hal.fock_core import DensityOperator, coherent_state, number_state, to_density
 from hal.metrology import (
     CampaignConfig,
     NoiseModel,
@@ -64,7 +64,7 @@ def test_phase_quarter_turn_kills_real_displacement():
 
 
 def test_mixed_pdf_is_weighted_sum():
-    rho = mix([0.7, 0.3], [number_state(0, 6), number_state(1, 6)])
+    rho = DensityOperator(np.diag([0.7, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]), 6, 1)
     pdf = quadrature_pdf(rho)
     p0 = quadrature_pdf(number_state(0, 6))
     p1 = quadrature_pdf(number_state(1, 6))
@@ -199,6 +199,19 @@ def test_campaign_config_validation():
     cfg = CampaignConfig(scheme="direct", true_alpha=0.01, total_time=10.05,
                          noise=noise, seed=1, replicas=2)
     assert cfg.attempts == 100  # floor of 10.05 / 0.1
+
+
+def test_amplified_protocol_alpha_must_equal_true_alpha():
+    # bias is reported against true_alpha, so the amplified protocol must
+    # carry that same amplitude, including a zero imaginary part
+    noise = NoiseModel()
+    for alpha in (0.02, 0.01 + 0.001j, 0.0100000001):
+        with pytest.raises(ValidationError, match="true_alpha"):
+            CampaignConfig(scheme="amplified", true_alpha=0.01, total_time=1.0, noise=noise,
+                           seed=1, replicas=2, protocol=ProtocolConfig(alpha=alpha, t=0.1))
+    cfg = CampaignConfig(scheme="amplified", true_alpha=0.01, total_time=1.0, noise=noise,
+                         seed=1, replicas=2, protocol=ProtocolConfig(alpha=0.01, t=0.1))
+    assert cfg.protocol.alpha.as_complex() == 0.01
 
 
 def test_direct_campaign_unbiased_and_rmse_identity():

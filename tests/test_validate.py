@@ -1,3 +1,4 @@
+from hal.fock_core import PureState
 from hal.optics_ops import apply_beam_splitter
 from hal.validate import dense_bs_matrix, run_checks
 
@@ -32,11 +33,16 @@ def test_dense_oracle_is_unitary():
     assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-12
 
 
+def _swap_modes(state):
+    return PureState(state.as_two_mode_matrix().T, state.cutoff, 2)
+
+
 def test_sign_flip_caught_only_by_composition():
     # a beam splitter with the conjugate convention keeps every magnitude
-    # intact; only the oracle round-trip composition check can see it
-    def flipped(state, bs, **kwargs):
-        return apply_beam_splitter(state, bs, inverse=True, **kwargs)
+    # intact; only the oracle round-trip composition check can see it.
+    # Swapping the modes around the splitter gives exactly that convention.
+    def flipped(state, bs):
+        return _swap_modes(apply_beam_splitter(_swap_modes(state), bs))
 
     results = {r.name: r for r in run_checks(bs_apply=flipped)}
     assert not results["bs_composition_with_oracle"].passed
