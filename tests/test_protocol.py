@@ -107,6 +107,25 @@ def test_exact_coherent_input():
     assert res.fidelity_to_target >= 1.0 - 10.0 * (0.1 ** 2 + 0.01 ** 2) ** 2
 
 
+def test_exact_probability_matches_independent_povm_path():
+    # run_exact must agree to 1e-12 with Tr[(|1><1| x I) rho], the ideal
+    # herald's POVM element on mode A applied to the dense kron-space density
+    config = ProtocolConfig(alpha=0.01, t=0.1)
+    assert config.herald == HeraldModel() and config.source_efficiency == 1.0
+    p_pure = run_exact(config).success_probability
+    d = config.cutoff + 1
+    amp = np.zeros(d, dtype=np.complex128)
+    amp[0], amp[1] = 1.0, config.alpha.as_complex()
+    amp /= np.linalg.norm(amp)
+    one = np.zeros(d)
+    one[1] = 1.0
+    psi = _oracle_bs(config.cutoff, config.t) @ np.kron(amp, one)
+    rho = np.outer(psi, psi.conj())
+    povm = np.kron(np.diag(one), np.eye(d))
+    p_dens = float(np.trace(povm @ rho).real)
+    assert abs(p_pure - p_dens) < 1e-12
+
+
 def test_vacuum_amplifies_to_vacuum():
     res = run_exact(ProtocolConfig(alpha=0.0, t=0.1))
     assert abs(res.success_probability - 0.01) < 1e-12
