@@ -265,18 +265,108 @@ def sample_homodyne(
     """Draw homodyne samples by inverse-CDF lookup on the tabulated density."""
     if count < 0:
         raise ValidationError("count must be non-negative")
-    pdf = quadrature_pdf(state, phase, grid)
-    return _sample_from_density(pdf, count, rng)
+    table = _InverseCdf.of(quadrature_pdf(state, phase, grid))
+    return _sample_from_density(table, count, rng)
 
 
-def _sample_from_density(pdf: TabulatedDensity, count: int, rng: np.random.Generator) -> np.ndarray:
-    if count == 0:
-        return np.empty(0)
-    x, dens = pdf.x, pdf.density
-    widths = np.diff(x)
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * widths)))
-    cdf /= cdf[-1]
-    return np.interp(rng.random(count), cdf, x)
+#: Uniforms drawn and inverted per step, bounding the sampler's temporaries.
+_SAMPLE_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True)
+class _InverseCdf:
+    """The piecewise-linear inverse CDF of a tabulated density.
+
+    A draw u in [0, 1) maps to slopes[j] * (u - cdf[j]) + x[j], where j is the
+    last index with cdf[j] <= u: np.interp's own formula, so draws equal
+    np.interp(u, cdf, x) bit for bit. j is found with a guide table (Chen &
+    Asau 1974): guide[b] is that index at u = b/K, for K the power of two at
+    or above the grid length, so a draw in bucket b = floor(u K) has j equal
+    to guide[b] or guide[b] + 1. Only buckets flagged `wide` (more than one
+    grid point inside) need a binary search.
+    """
+
+    x: np.ndarray
+    cdf: np.ndarray
+    slopes: np.ndarray
+    guide: np.ndarray
+    wide: np.ndarray
+
+    @classmethod
+    def of(cls, pdf: TabulatedDensity) -> "_InverseCdf":
+        x, dens = pdf.x, pdf.density
+        widths = np.diff(x)
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * widths)))
+        cdf /= cdf[-1]
+        # a flat cdf step (zero density) gives an infinite slope, a nearly
+        # flat one may overflow to inf; np.interp computes the same values
+        with np.errstate(divide="ignore", over="ignore"):
+            slopes = widths / np.diff(cdf)
+        k = 1 << (x.shape[0] - 1).bit_length()
+        guide = np.searchsorted(cdf, np.arange(k + 1) / k, side="right") - 1
+        return cls(x=x, cdf=cdf, slopes=slopes, guide=guide, wide=np.diff(guide) > 1)
+
+
+def _sample_from_density(table: _InverseCdf, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` inverse-CDF draws, one uniform each, taken in fixed chunks.
+
+    Chunked rng.random calls give the same uniforms as one call of `count`,
+    so the stream, and every draw after it, does not depend on the chunk.
+    """
+    x, cdf, slopes, guide, wide = table.x, table.cdf, table.slopes, table.guide, table.wide
+    k = guide.shape[0] - 1
+    out = np.empty(count)
+    for lo in range(0, count, _SAMPLE_CHUNK):
+        u = rng.random(min(_SAMPLE_CHUNK, count - lo))
+        b = (u * k).astype(np.intp)
+        j = guide.take(b)
+        j += u >= cdf[1:].take(j)
+        far = np.flatnonzero(wide.take(b))
+        if far.shape[0]:
+            j[far] = np.searchsorted(cdf, u[far], side="right") - 1
+        cj, xj = cdf.take(j), x.take(j)
+        chunk = out[lo : lo + u.shape[0]]
+        np.subtract(u, cj, out=chunk)
+        # as in np.interp, an infinite slope (a density that underflows to 0)
+        # gives inf silently, and 0 * inf where u hits a grid point is
+        # replaced by x[j] below
+        with np.errstate(invalid="ignore", over="ignore"):
+            chunk *= slopes.take(j)
+        chunk += xj
+        hit = u == cj
+        if hit.any():
+            chunk[hit] = xj[hit]
+    return out
+
+
+def _ar1_scan(drive: np.ndarray, lam: float) -> np.ndarray:
+    """y[k] = lam * y[k-1] + drive[k] from y[-1] = 0, as a blocked scan.
+
+    The n values are cut into blocks of L = isqrt(n-1) + 1. The recurrence
+    runs exactly inside every block from a zero start, all blocks at once
+    (L vectorised steps); then the true value before each block is carried
+    from block to block (about sqrt(n) scalar steps) and added as
+    lam^(i+1) times that carry to element i of the block.
+    """
+    n = drive.shape[0]
+    size = math.isqrt(n - 1) + 1
+    full = n // size
+    blocks = -(-n // size)
+    scan = np.zeros((size, blocks))  # scan[i, b] is element i of block b
+    scan[:, :full] = drive[: full * size].reshape(full, size).T
+    scan[: n - full * size, full:] = drive[full * size :, None]
+    for i in range(1, size):
+        scan[i] += lam * scan[i - 1]
+    powers = np.cumprod(np.full(size, lam))
+    decay = float(powers[-1])
+    carry = np.empty(blocks)
+    before = 0.0
+    for b, end in enumerate(scan[-1].tolist()):
+        carry[b] = before
+        before = end + decay * before
+    y = np.multiply(carry[:, None], powers)  # back in block order: y[b, i]
+    y += scan.T
+    return y.reshape(-1)[:n]
 
 
 def noise_series(model: NoiseModel, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -285,6 +375,12 @@ def noise_series(model: NoiseModel, count: int, rng: np.random.Generator) -> np.
     The series starts in the stationary distribution for ar1. Zero-sigma
     white/ar1 models (and systematic, which is deterministic) consume no
     random draws.
+
+    The ar1 recurrence runs as a blocked scan (see `_ar1_scan`). It differs
+    from the sequential recurrence (what scipy.signal.lfilter computes) only
+    in rounding: the block carries add one multiply-add per value. The
+    difference stays within 1e-12 * max|w| for lambda up to 0.9999 (the
+    tested bound; about 1e-14 measured up to a million values).
     """
     if count < 0:
         raise ValidationError("count must be non-negative")
@@ -296,13 +392,9 @@ def noise_series(model: NoiseModel, count: int, rng: np.random.Generator) -> np.
     if model.kind == "white":
         return model.sigma_tech * xi
     # ar1: innovations scaled for stationarity, first sample drawn stationary
-    drive = np.empty(count)
-    drive[0] = model.sigma_tech * xi[0]
-    drive[1:] = math.sqrt(1.0 - model.lam * model.lam) * model.sigma_tech * xi[1:]
-    # deferred: scipy.signal costs ~1 s to import and only AR(1) noise uses it
-    from scipy.signal import lfilter
-
-    return lfilter([1.0], [1.0, -model.lam], drive)
+    xi[1:] *= math.sqrt(1.0 - model.lam * model.lam) * model.sigma_tech
+    xi[0] *= model.sigma_tech
+    return _ar1_scan(xi, model.lam)
 
 
 def apply_noise(
@@ -356,7 +448,7 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
         p_success = 1.0
         sampled_state = coherent_state(config.true_alpha, DEFAULT_CUTOFF)
         t_est = None
-    pdf = quadrature_pdf(sampled_state, 0.0)
+    table = _InverseCdf.of(quadrature_pdf(sampled_state, 0.0))
 
     def one_replica(replica: int):
         rng = _replica_rng(config.seed, replica)
@@ -365,7 +457,7 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
         else:
             heralded = np.ones(r_attempts, dtype=bool)
         n_success = int(np.count_nonzero(heralded))
-        quad = _sample_from_density(pdf, n_success, rng)
+        quad = _sample_from_density(table, n_success, rng)
         noise = noise_series(config.noise, r_attempts, rng)
         x = np.full(r_attempts, np.nan)
         x[heralded] = quad + noise[heralded]

@@ -361,15 +361,26 @@ def test_import_skips_scipy_stats_and_signal():
     assert _fresh_hal(code).stdout.strip() == ""
 
 
-def test_ar1_campaign_threads_race_on_lazy_signal_import(tmp_path, capsys):
+def test_ar1_noise_series_leaves_scipy_signal_unloaded():
+    code = (
+        "import sys, numpy as np\n"
+        "from hal.metrology import NoiseModel, noise_series\n"
+        "noise_series(NoiseModel(kind='ar1', sigma_tech=0.1, lam=0.99), 1000,\n"
+        "             np.random.Generator(np.random.Philox(1)))\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    assert _fresh_hal(code).stdout.strip() == "False"
+
+
+def test_ar1_campaign_on_two_threads_never_loads_scipy_signal(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(AR1_DIRECT_CFG)
-    # two workers reach the first scipy.signal import at about the same time
+    # both workers run AR(1) noise; none of it may load scipy.signal
     code = (
         "import sys, hal.cli\n"
         "assert 'scipy.signal' not in sys.modules\n"
         "rc = hal.cli.main(sys.argv[1:])\n"
-        "assert 'scipy.signal' in sys.modules\n"
+        "assert 'scipy.signal' not in sys.modules\n"
         "sys.exit(rc)\n"
     )
     fresh = _fresh_hal(code, ["campaign", str(cfg)], threads="2").stdout

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from hal.errors import GridError, NoSuccessError, ValidationError
-from hal.fock_core import DensityOperator, coherent_state, number_state, to_density
+from hal.fock_core import DEFAULT_CUTOFF, DensityOperator, coherent_state, number_state, to_density
 from hal.metrology import (
     CampaignConfig,
     NoiseModel,
+    _InverseCdf,
     _replica_rng,
+    _sample_from_density,
     apply_noise,
     default_grid,
     estimate_alpha,
@@ -19,7 +21,7 @@ from hal.metrology import (
     sample_homodyne,
     time_budget,
 )
-from hal.protocol import ProtocolConfig, run_exact
+from hal.protocol import HeraldModel, ProtocolConfig, run_exact
 
 SQRT2 = math.sqrt(2.0)
 
@@ -112,6 +114,102 @@ def test_coherent_sample_variance():
                          np.random.Generator(np.random.Philox(12)))
     assert abs(xs.var() - 0.5) < 0.005
     assert abs(xs.mean() - SQRT2 * 0.3) < 5.0 * math.sqrt(0.5 / n)
+
+
+def _interp_reference(pdf, count, rng):
+    # the sampler as it was before the guide table: np.interp on a per-call CDF
+    x, dens = pdf.x, pdf.density
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(x))))
+    cdf /= cdf[-1]
+    return np.interp(rng.random(count), cdf, x)
+
+
+def _mixed_conditional_state():
+    herald = HeraldModel(read_efficiency=0.9, dark_count=1e-4)
+    proto = ProtocolConfig(alpha=0.01, t=0.1, source_efficiency=0.9, herald=herald)
+    return run_exact(proto).conditional_state
+
+
+SAMPLER_STATES = {
+    "coherent-0": lambda: coherent_state(0.0, 30),
+    "coherent-0.01": lambda: coherent_state(0.01, 30),
+    "coherent-1": lambda: coherent_state(1.0, 30),
+    "coherent-2": lambda: coherent_state(2.0, 30),
+    "mixed-conditional": _mixed_conditional_state,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_STATES))
+def test_sampler_matches_interp_oracle_bit_for_bit(name):
+    state = SAMPLER_STATES[name]()
+    pdf = quadrature_pdf(state, 0.0)
+    table = _InverseCdf.of(pdf)
+    for seed, count in enumerate((0, 1, 7, 2**16 - 1, 2**16, 2**16 + 1, 10**6)):
+        ref_rng = np.random.Generator(np.random.Philox(100 + seed))
+        rng = np.random.Generator(np.random.Philox(100 + seed))
+        expected = _interp_reference(pdf, count, ref_rng)
+        got = _sample_from_density(table, count, rng)
+        assert got.shape == (count,)
+        assert np.array_equal(got, expected), (name, count)
+        # the draws that follow come from the same place in the stream
+        assert np.array_equal(rng.standard_normal(8), ref_rng.standard_normal(8))
+        if count <= 2**16 + 1:
+            again = sample_homodyne(state, 0.0, count, np.random.Generator(np.random.Philox(100 + seed)))
+            assert np.array_equal(again, expected), (name, count)
+
+
+class _FixedUniforms:
+    """A stand-in generator whose random() hands out given values in order."""
+
+    def __init__(self, u):
+        self.u, self.pos = u, 0
+
+    def random(self, count):
+        self.pos += count
+        return self.u[self.pos - count : self.pos]
+
+
+def test_sampler_matches_interp_on_grid_points_and_flat_tails():
+    # on [-40, 40] the vacuum density underflows to 0: flat cdf steps with
+    # infinite slopes at both ends, and uniforms equal to cdf grid values
+    pdf = quadrature_pdf(number_state(0, 4), grid=np.linspace(-40.0, 40.0, 8001))
+    table = _InverseCdf.of(pdf)
+    cdf = table.cdf
+    u = np.concatenate((cdf[:-1], 0.5 * (cdf[1:] + cdf[:-1]), np.nextafter(cdf[:-1], 1.0)))
+    u = u[u < 1.0]
+    assert np.count_nonzero(u == 0.0) > 1 and np.any(np.isinf(table.slopes))
+    with np.errstate(all="raise"):
+        got = _sample_from_density(table, u.shape[0], _FixedUniforms(u))
+    expected = np.interp(u, cdf, table.x)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_direct_campaign_draws_are_sample_homodyne_draws():
+    # one sampler: with no noise a direct replica records exactly the draws
+    # sample_homodyne makes from the same replica stream
+    cfg = CampaignConfig(scheme="direct", true_alpha=0.02, total_time=7000.0,
+                         noise=NoiseModel(), seed=5, replicas=2)
+    s = run_campaign(cfg, record_runs=True)
+    for rec in s.run_records:
+        rng = _replica_rng(5, rec.replica)
+        quad = sample_homodyne(coherent_state(0.02, DEFAULT_CUTOFF), 0.0, cfg.attempts, rng)
+        assert np.array_equal(rec.x_sample, quad)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.99, 0.9999])
+def test_ar1_noise_matches_lfilter_oracle(lam):
+    from scipy.signal import lfilter
+
+    sigma = 0.3
+    for n in (1, 2, 3, 99, 100, 101, 100_000):
+        model = NoiseModel(kind="ar1", sigma_tech=sigma, lam=lam)
+        w = noise_series(model, n, np.random.Generator(np.random.Philox(n)))
+        xi = np.random.Generator(np.random.Philox(n)).standard_normal(n)
+        drive = math.sqrt(1.0 - lam * lam) * sigma * xi
+        drive[0] = sigma * xi[0]
+        y = lfilter([1.0], [1.0, -lam], drive)
+        assert w.shape == (n,)
+        assert np.max(np.abs(w - y)) <= 1e-12 * np.max(np.abs(y)), (lam, n)
 
 
 def test_noise_model_validation():
