@@ -11,11 +11,11 @@ functions; everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 from .errors import ShapeError, TruncationError, ValidationError
 
@@ -27,6 +27,9 @@ TAIL_THRESHOLD = 1e-10
 
 _HERMITIAN_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-9
+
+# Below this log-probability exp() leaves the normal doubles (about 1e-304).
+_LOG_NORMAL_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -205,6 +208,36 @@ class DensityOperator:
         return f"DensityOperator(cutoff={self.cutoff}, mode_count={self.mode_count})"
 
 
+def tail_beyond(k: int, log_p0: float, ratio: Callable) -> float:
+    """P(X > k) for a unimodal integer distribution given by its recursion.
+
+    p_0 = exp(log_p0) and p_(j+1) = p_j ratio(j); ratio takes a float or an
+    array of j and stays below 1 past the mode. p_0..p_(k+1) are a running
+    product, a few roundings per step; only when p_0 is below the normal
+    doubles are they summed logs instead. If the mode is at most k+1, the
+    tail is the direct series p_(k+1) (1 + ratio(k+1) + ratio(k+1)
+    ratio(k+2) + ...), summed to machine precision; every term is
+    positive, so it is accurate down to the smallest normal double. Past
+    that mode the tail is at least about one half and
+    1 - (p_0 + ... + p_k) loses nothing to cancellation.
+    """
+    j = np.arange(k + 1, dtype=float)
+    if log_p0 > _LOG_NORMAL_FLOOR:
+        pmf = np.cumprod(np.concatenate(([math.exp(log_p0)], ratio(j))))
+    else:
+        with np.errstate(divide="ignore"):
+            pmf = np.exp(log_p0 + np.concatenate(([0.0], np.cumsum(np.log(ratio(j))))))
+    if ratio(k + 1.0) >= 1.0:
+        return 1.0 - float(np.sum(pmf[:-1]))
+    term = total = 1.0
+    i = k + 1.0
+    while term > total * 2.0**-53:
+        term *= ratio(i)
+        total += term
+        i += 1.0
+    return float(pmf[-1] * total)
+
+
 def coherent_state(
     alpha: Union[ComplexAmplitude, complex, float],
     cutoff: int = DEFAULT_CUTOFF,
@@ -225,7 +258,8 @@ def coherent_state(
     a = ComplexAmplitude.of(alpha).as_complex()
     if cutoff < 1:
         raise ValidationError("coherent_state requires cutoff >= 1")
-    tail = float(pdtrc(cutoff, abs(a) ** 2))
+    mu = abs(a) ** 2
+    tail = tail_beyond(cutoff, -mu, lambda j: mu / (j + 1.0)) if mu else 0.0
     if tail > tail_threshold:
         raise TruncationError(
             f"coherent tail mass {tail:.3e} beyond cutoff {cutoff} exceeds "
@@ -239,7 +273,8 @@ def coherent_state(
         amp[0] = 1.0
         return PureState(amp, cutoff, 1)
     # log-domain magnitudes avoid overflow in alpha^n / sqrt(n!)
-    log_mag = n * np.log(abs(a)) - 0.5 * gammaln(n + 1.0) - abs(a) ** 2 / 2.0
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    log_mag = n * np.log(abs(a)) - 0.5 * log_factorial - mu / 2.0
     amp = np.exp(log_mag) * np.exp(1j * n * np.angle(a))
     amp /= np.linalg.norm(amp)
     return PureState(amp, cutoff, 1)

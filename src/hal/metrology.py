@@ -454,22 +454,31 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
         rng = _replica_rng(config.seed, replica)
         if config.scheme == "amplified":
             heralded = rng.random(r_attempts) < p_success
+            n_success = int(np.count_nonzero(heralded))
         else:
-            heralded = np.ones(r_attempts, dtype=bool)
-        n_success = int(np.count_nonzero(heralded))
+            heralded = None  # every attempt yields a sample
+            n_success = r_attempts
         quad = _sample_from_density(table, n_success, rng)
         noise = noise_series(config.noise, r_attempts, rng)
-        x = np.full(r_attempts, np.nan)
-        x[heralded] = quad + noise[heralded]
+        if heralded is None:
+            x = samples = quad + noise
+        else:
+            samples = quad + noise[heralded]
+            x = np.full(r_attempts, np.nan)
+            x[heralded] = samples
         try:
-            est: Optional[float] = estimate_alpha(x[heralded], config.scheme, t_est)
+            est: Optional[float] = estimate_alpha(samples, config.scheme, t_est)
         except NoSuccessError:
             est = None
         record = None
         if record_runs:
             record = ReplicaRuns(
                 replica=replica,
-                heralded=heralded.astype(np.int8),
+                heralded=(
+                    np.ones(r_attempts, dtype=np.int8)
+                    if heralded is None
+                    else heralded.astype(np.int8)
+                ),
                 x_sample=x,
                 noise_value=noise,
             )

@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     ImpossibleOutcomeError,
@@ -114,6 +113,32 @@ def _mode_axis(mode: str) -> int:
     raise ValidationError(f"mode must be 'A' or 'B', got {mode!r}")
 
 
+@lru_cache(maxsize=128)
+def _sector_eigenpairs(total: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Real eigenpairs of the sector generator, independent of theta.
+
+    The generator G (real, antisymmetric, tridiagonal with couplings
+    sqrt((m+1)(total-m))) equals -i D J D^-1, where J is the symmetric
+    tridiagonal matrix with the same couplings and D = diag(i^m). J is twice
+    the spin-total/2 J_x, so its eigenvalues are exactly the integers
+    -total, -total+2, ..., total; those replace the computed ones. Entry
+    (k, l) of exp(theta G) = D exp(-i theta J) D^-1 is then
+    Re(i^(k-l)) [V cos(theta L) V^T]_kl + Im(i^(k-l)) [V sin(theta L) V^T]_kl,
+    and the two sign patterns are returned with V and L.
+    """
+    m = np.arange(total)
+    lower = np.sqrt((m + 1.0) * (total - m))
+    vectors = np.linalg.eigh(np.diag(lower, -1) + np.diag(lower, 1))[1]
+    eigenvalues = np.arange(-total, total + 1, 2, dtype=float)
+    phase = np.subtract.outer(np.arange(total + 1), np.arange(total + 1)) % 4
+    return (
+        vectors,
+        eigenvalues,
+        np.array([1.0, 0.0, -1.0, 0.0])[phase],
+        np.array([0.0, 1.0, 0.0, -1.0])[phase],
+    )
+
+
 @lru_cache(maxsize=512)
 def _sector_block(total: int, theta: float) -> np.ndarray:
     """Exact unitary on the full total-occupation sector, basis (m, total-m)
@@ -124,10 +149,11 @@ def _sector_block(total: int, theta: float) -> np.ndarray:
     if total == 1:
         # closed form keeps single-photon amplitudes bit-exact in (r, t)
         return np.array([[c, -s], [s, c]])
-    m = np.arange(total)
-    lower = np.sqrt((m + 1.0) * (total - m))
-    gen = np.diag(lower, -1) - np.diag(lower, 1)
-    return expm(theta * gen)
+    vectors, eigenvalues, re_phase, im_phase = _sector_eigenpairs(total)
+    angle = theta * eigenvalues
+    return re_phase * ((vectors * np.cos(angle)) @ vectors.T) + im_phase * (
+        (vectors * np.sin(angle)) @ vectors.T
+    )
 
 
 @lru_cache(maxsize=64)
@@ -161,7 +187,7 @@ def _split_amplitudes(amp: np.ndarray, cutoff: int, theta: float) -> np.ndarray:
     nonzero = np.flatnonzero(amp)
     sectors = _sectors(cutoff)
     out = np.zeros_like(amp)
-    for total in np.unique(nonzero // d + nonzero % d):
+    for total in np.flatnonzero(np.bincount(nonzero // d + nonzero % d)):
         lo, hi, idx = sectors[total]
         out[idx] = _sector_block(int(total), theta)[lo : hi + 1, lo : hi + 1] @ amp[idx]
     return out

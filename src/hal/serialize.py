@@ -29,6 +29,10 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _json_float(x: float) -> str:
+    return format(x, ".17g") if math.isfinite(x) else "null"
+
+
 def _emit(obj: Any, out: List[str]) -> None:
     if obj is None:
         out.append("null")
@@ -37,15 +41,14 @@ def _emit(obj: Any, out: List[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        out.append(fmt_float(x) if math.isfinite(x) else "null")
+        out.append(_json_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (complex, np.complexfloating)):
-        _emit({"re": obj.real, "im": obj.imag}, out)
+        out.append(f'{{"re":{_json_float(float(obj.real))},"im":{_json_float(float(obj.imag))}}}')
     elif isinstance(obj, ComplexAmplitude):
-        _emit({"re": obj.re, "im": obj.im}, out)
-    elif isinstance(obj, Mapping):
+        out.append(f'{{"re":{_json_float(float(obj.re))},"im":{_json_float(float(obj.im))}}}')
+    elif isinstance(obj, (dict, Mapping)):
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
             if i:

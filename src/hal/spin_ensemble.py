@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import ShapeError, TruncationError, ValidationError
 from .fock_core import (
@@ -36,6 +35,7 @@ from .fock_core import (
     ComplexAmplitude,
     PureState,
     coherent_state,
+    tail_beyond,
 )
 
 _NORM_TOL = 1e-12
@@ -113,10 +113,13 @@ def rotated_product_state(
         amp[0] = 1.0
         return DickeState(amp, spec.N, 0.0)
     n, r = float(spec.N), abs(eps)
-    q = r * r / (1.0 + r * r)
-    # P(K > k_max) for K ~ Binomial(N, q); betainc matches binom.sf bit for
-    # bit, where bdtrc drifts by ~1e-8 relative at N ~ 1e9
-    tail = float(betainc(k_max + 1, spec.N - k_max, q))
+    odds = r * r
+    # P(K > k_max) for K ~ Binomial(N, q), q = r^2 / (1 + r^2), with odds
+    # q / (1 - q) = r^2; the terms are a running product from (1 - q)^N, so
+    # no log C(N, k) of size ~k log N has to cancel at N ~ 1e9
+    tail = 0.0
+    if k_max < spec.N:
+        tail = tail_beyond(k_max, -n * math.log1p(odds), lambda j: (n - j) / (j + 1.0) * odds)
     if tail > tail_threshold:
         raise TruncationError(
             f"Dicke tail mass {tail:.3e} beyond k_max {k_max} exceeds "

@@ -386,3 +386,42 @@ def test_ar1_campaign_on_two_threads_never_loads_scipy_signal(tmp_path, capsys):
     fresh = _fresh_hal(code, ["campaign", str(cfg)], threads="2").stdout
     assert main(["campaign", str(cfg)]) == 0
     assert fresh == capsys.readouterr().out
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # hal's runtime is numpy only: no command, the oracle suite included,
+    # may load any part of scipy; a protocol run must not load numpy.ma
+    (tmp_path / "grid.txt").write_text("alpha = 0.01, 0.02\nt = 0.1, 0.2\np1 = 0.9, 1.0, 2.0\n")
+    (tmp_path / "direct.ini").write_text(AR1_DIRECT_CFG)
+    (tmp_path / "amplified.ini").write_text(AMPLIFIED_CFG)
+    runs = {
+        "protocol": ["protocol", "--alpha", "0.01", "--t", "0.1", "--cutoff", "30",
+                     "--source-eff", "0.9", "--out", "protocol.json"],
+        "sweep": ["sweep", "--grid", "grid.txt", "--out", "sweep.csv"],
+        "ensemble": ["ensemble", "--n-atoms", "1000000000", "--epsilon", "1e-5"],
+        "validate": ["validate"],
+        "direct": ["campaign", "direct.ini", "--out", "direct.json"],
+        "amplified": ["campaign", "amplified.ini", "--out", "amplified.json",
+                      "--runs-csv", "runs.csv"],
+    }
+    code = (
+        "import contextlib, io, json, sys, hal.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "seen = {'import': [0, scipy_modules(), 'numpy.ma' in sys.modules]}\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = hal.cli.main(argv)\n"
+        "    seen[name] = [rc, scipy_modules(), 'numpy.ma' in sys.modules]\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC, "HAL_THREADS": "2"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True,
+    )
+    seen = json.loads(proc.stdout)
+    assert list(seen) == ["import", *runs]
+    assert seen["protocol"] == [0, [], False]
+    for name, (rc, scipy_loaded, _) in seen.items():
+        assert (rc, scipy_loaded) == (0, []), name

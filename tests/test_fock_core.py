@@ -87,31 +87,55 @@ def _coherent_tail(alpha, cutoff, threshold=0.0):
     return None
 
 
-def test_coherent_tail_matches_poisson_sf_bit_for_bit():
-    # scipy.stats is imported here only, as the oracle for the pdtrc tail
+def _mp_poisson_tail(cutoff, mu):
+    """P(N > cutoff) for N ~ Poisson(mu), to 50 digits at the double mu."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        return mpmath.gammainc(cutoff + 1, 0, mpmath.mpf(mu), regularized=True)
+
+
+def test_coherent_tail_matches_mpmath():
+    # mpmath is the accuracy reference; scipy is imported here only, as a
+    # second opinion and for the root finder
     from scipy.optimize import brentq
-    from scipy.stats import poisson
+    from scipy.special import pdtrc
 
     alphas = [0.0, 1e-150, 1e-8, 0.3 + 0.4j, -2.5j] + list(np.geomspace(1e-4, 12.0, 60))
+    seen = []
     for cutoff in (1, 2, 4, 8, 12, 20, 30, 60, 150):
         for alpha in alphas:
             mu = abs(complex(alpha)) ** 2
-            expected = float(poisson.sf(cutoff, mu))
+            ref = _mp_poisson_tail(cutoff, mu)
             got = _coherent_tail(alpha, cutoff)
-            assert (got if got is not None else 0.0) == expected, (cutoff, alpha)
-            assert (got is None) == (expected == 0.0)
+            if ref < 1e-300:
+                # below the tested range only underflow is allowed
+                assert got is None or got <= 1e-300, (cutoff, alpha, got)
+                continue
+            assert got is not None, (cutoff, alpha)
+            assert abs(got - ref) <= 2e-14 * ref, (cutoff, alpha, got, float(ref))
+            if ref <= 1e-3:
+                assert abs(got - pdtrc(cutoff, mu)) <= 3e-13 * ref, (cutoff, alpha)
+            seen.append(float(ref))
+    assert min(seen) < 1e-250 and max(seen) > 0.99  # the grid spans 1e-300..1
 
     # either side of TAIL_THRESHOLD at the default threshold
     for cutoff in (4, 12, 30):
-        mu_star = brentq(lambda m: poisson.sf(cutoff, m) - TAIL_THRESHOLD, 1e-6, 50.0, xtol=1e-15)
-        for mu in (mu_star * (1 - 1e-9), mu_star, mu_star * (1 + 1e-9)):
-            alpha = math.sqrt(mu)
-            expected = float(poisson.sf(cutoff, abs(complex(alpha)) ** 2))
-            got = _coherent_tail(alpha, cutoff, TAIL_THRESHOLD)
-            if expected > TAIL_THRESHOLD:
-                assert got == expected
-            else:
-                assert got is None
+        mu_star = brentq(
+            lambda m: float(_mp_poisson_tail(cutoff, m)) - TAIL_THRESHOLD, 1e-6, 50.0, xtol=1e-15
+        )
+        for mu in (mu_star * (1 - 1e-9), mu_star * (1 + 1e-9)):
+            got = _coherent_tail(math.sqrt(mu), cutoff, TAIL_THRESHOLD)
+            assert (got is not None) == (_mp_poisson_tail(cutoff, mu) > TAIL_THRESHOLD)
+
+
+def test_coherent_tail_past_exp_underflow():
+    # exp(-mu) is below the normal doubles, so the pmf comes from summed logs;
+    # that path holds about 1e-16 * mu relative, not the 2e-14 above
+    for cutoff, mu in ((1000, 800.0), (750, 720.0), (2000, 1500.0)):
+        ref = _mp_poisson_tail(cutoff, mu)
+        got = _coherent_tail(math.sqrt(mu), cutoff)
+        assert abs(got - ref) <= 1e-11 * ref, (cutoff, mu)
 
 
 def test_pure_state_is_immutable_and_validates():

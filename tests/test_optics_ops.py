@@ -20,6 +20,7 @@ from hal.optics_ops import (
     herald_click,
     herald_no_click,
     project_number,
+    _sector_block,
 )
 
 CUTOFF = 6
@@ -224,3 +225,55 @@ def test_two_mode_density_operator_is_rejected():
         herald_click(rho, HeraldModel())
     with pytest.raises(ValidationError):
         herald_no_click(rho, HeraldModel())
+
+
+def _mp_sector_block(total, theta):
+    """Sector block of exp(theta (a^dag b - a b^dag)) in mpmath (60 digits).
+
+    U a^dag U^dag = r a^dag - t b^dag and U b^dag U^dag = t a^dag + r b^dag,
+    so U|l, n-l> is the binomial expansion of
+    (r a^dag - t b^dag)^l (t a^dag + r b^dag)^(n-l) |0> / sqrt(l! (n-l)!):
+    integer coefficients and powers of r and t, no matrix exponential.
+    """
+    import mpmath
+
+    n = total
+    with mpmath.workdps(60):
+        r, t = mpmath.cos(mpmath.mpf(theta)), mpmath.sin(mpmath.mpf(theta))
+        r_pow = [r**i for i in range(n + 1)]
+        t_pow = [t**i for i in range(n + 1)]
+        out = np.empty((n + 1, n + 1))
+        for l in range(n + 1):
+            for k in range(n + 1):
+                acc = mpmath.mpf(0)
+                for p in range(max(0, k - (n - l)), min(l, k) + 1):
+                    q = k - p
+                    term = math.comb(l, p) * math.comb(n - l, q)
+                    term *= r_pow[p + n - l - q] * t_pow[l - p + q]
+                    acc += -term if (l - p) % 2 else term
+                scale = mpmath.mpf(math.factorial(k) * math.factorial(n - k)) / (
+                    math.factorial(l) * math.factorial(n - l)
+                )
+                out[k, l] = float(acc * mpmath.sqrt(scale))
+        return out
+
+
+def test_sector_block_reference_is_the_generator_exponential():
+    import mpmath
+
+    theta = BeamSplitter(0.7).theta
+    with mpmath.workdps(40):
+        gen = mpmath.zeros(6, 6)
+        for m in range(5):
+            coupling = mpmath.sqrt((m + 1) * (5 - m))
+            gen[m + 1, m], gen[m, m + 1] = coupling, -coupling
+        ref = np.array(mpmath.expm(mpmath.mpf(theta) * gen).tolist(), dtype=float)
+    assert np.max(np.abs(_mp_sector_block(5, theta) - ref)) <= 1e-16
+
+
+@pytest.mark.parametrize("t", [0.1, 0.7])
+def test_sector_block_matches_mpmath(t):
+    theta = BeamSplitter(t).theta
+    for total in (12, 24, 40, 60):
+        ref = _mp_sector_block(total, theta)
+        assert np.max(np.abs(_sector_block(total, theta) - ref)) <= 1e-14, total

@@ -72,35 +72,68 @@ def _dicke_tail(spec, k_max, threshold=0.0):
         return exc.tail_mass
 
 
-def test_dicke_tail_matches_binom_sf_bit_for_bit():
-    # scipy.stats is imported here only, as the oracle for the betainc tail
+def _mp_binom_tail(n, eps, k_max):
+    """P(K > k_max) for K ~ Binomial(N, r^2 / (1 + r^2)), r = |eps|, to 50
+    digits at the double r."""
+    import mpmath
+
+    if k_max >= n:
+        return mpmath.mpf(0)
+    with mpmath.workdps(50):
+        r2 = mpmath.mpf(abs(complex(eps))) ** 2
+        return mpmath.betainc(k_max + 1, n - k_max, 0, r2 / (1 + r2), regularized=True)
+
+
+def test_dicke_tail_matches_mpmath():
+    # mpmath is the accuracy reference; scipy is imported here only, as a
+    # second opinion and for the root finder
     from scipy.optimize import brentq
-    from scipy.stats import binom
+    from scipy.special import betainc
 
-    def oracle(n, eps, k_max):
-        r = abs(complex(eps))
-        return float(binom.sf(k_max, n, r * r / (1.0 + r * r)))
-
+    seen = []
     for n in (2, 1000, 10**6, 10**9):
         # k_max = N keeps the full state in memory, so only for the small N
         k_maxes = {1, 2, 12, 40} | ({n - 1, n} if n <= 1000 else set())
         for k_max in sorted(k for k in k_maxes if 1 <= k <= n):
-            for alpha in (0.0, 1e-6, 1e-3, 0.05, 0.3, 1.0, 3.0):
+            # alpha = 2 at N = 1e9, k_max = 2 is a tail of 0.762, where
+            # betainc is off by 4.3e-9 relative
+            for alpha in (0.0, 1e-6, 1e-3, 0.05, 0.3, 1.0, 2.0, 3.0):
                 eps = alpha / math.sqrt(n)
                 for e in (eps, -eps, 1j * eps):
+                    ref = _mp_binom_tail(n, e, k_max)
                     got = _dicke_tail(EnsembleSpec(n, e), k_max)
-                    assert got == oracle(n, e, k_max), (n, k_max, e)
+                    if ref < 1e-300:
+                        assert 0.0 <= got <= 1e-300, (n, k_max, e, got)
+                        continue
+                    assert abs(got - ref) <= 2e-14 * ref, (n, k_max, e, got, float(ref))
+                    if ref <= 1e-3:
+                        r = abs(e)
+                        q = r * r / (1.0 + r * r)
+                        assert abs(got - betainc(k_max + 1, n - k_max, q)) <= 3e-13 * ref
+                    seen.append(float(ref))
+    assert min(seen) < 1e-250 and max(seen) > 0.99  # the grid spans 1e-300..1
 
     # either side of TAIL_THRESHOLD at the default threshold
     for n, k_max in ((1000, 12), (10**9, 12), (10**6, 20)):
         a_star = brentq(
-            lambda a: oracle(n, a / math.sqrt(n), k_max) - TAIL_THRESHOLD, 1e-3, 10.0, xtol=1e-15
+            lambda a: float(_mp_binom_tail(n, a / math.sqrt(n), k_max)) - TAIL_THRESHOLD,
+            1e-3, 10.0, xtol=1e-15,
         )
-        for a in (a_star * (1 - 1e-9), a_star, a_star * (1 + 1e-9)):
+        for a in (a_star * (1 - 1e-9), a_star * (1 + 1e-9)):
             eps = a / math.sqrt(n)
-            expected = oracle(n, eps, k_max)
             got = _dicke_tail(EnsembleSpec(n, eps), k_max, TAIL_THRESHOLD)
-            assert got == expected
+            expected = _mp_binom_tail(n, eps, k_max)
+            assert abs(got - expected) <= 2e-14 * expected
+            assert (got > TAIL_THRESHOLD) == (expected > TAIL_THRESHOLD)
+
+
+def test_dicke_tail_past_exp_underflow():
+    # (1 - q)^N is below the normal doubles, so the pmf comes from summed
+    # logs; that path holds about 1e-16 * N |log(1 - q)| relative
+    for n, k_max, eps in ((1000, 999, 2.0), (1000, 990, 2.0), (1000, 900, 3.0)):
+        ref = _mp_binom_tail(n, eps, k_max)
+        got = _dicke_tail(EnsembleSpec(n, eps), k_max)
+        assert abs(got - ref) <= 1e-11 * ref, (n, k_max, eps)
 
 
 def test_epsilon_zero_is_ground():

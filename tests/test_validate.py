@@ -48,3 +48,23 @@ def test_sign_flip_caught_only_by_composition():
     assert not results["bs_composition_with_oracle"].passed
     for name in EXPECTED - {"bs_composition_with_oracle"}:
         assert results[name].passed, name
+
+
+def test_dense_oracle_matches_scipy_expm():
+    # scipy is imported here only, as a reference for the oracle's own
+    # scaling-and-squaring exponential
+    import math
+
+    import numpy as np
+    from scipy.linalg import expm
+
+    from hal.validate import _dense_ladder
+
+    for cutoff in range(1, 9):
+        a = _dense_ladder(cutoff)
+        eye = np.eye(cutoff + 1)
+        big_a, big_b = np.kron(a, eye), np.kron(eye, a)
+        gen = big_a.T @ big_b - big_b.T @ big_a
+        for t in (0.1, 0.3, 0.5, 0.9):
+            ref = expm(math.asin(t) * gen)
+            assert np.max(np.abs(dense_bs_matrix(cutoff, t) - ref)) <= 1e-13, (cutoff, t)
