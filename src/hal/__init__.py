@@ -28,14 +28,11 @@ from .fock_core import (
     fidelity,
     number_state,
     tensor_product,
-    to_density,
 )
 from .optics_ops import (
     BeamSplitter,
     HeraldModel,
     apply_beam_splitter,
-    herald_click,
-    herald_no_click,
     project_number,
 )
 from .spin_ensemble import (
@@ -59,13 +56,10 @@ from .protocol import (
     target_state,
 )
 from .metrology import (
-    CONVENTION,
     CampaignConfig,
     CampaignSummary,
     NoiseModel,
-    QuadratureConvention,
     TimeBudget,
-    apply_noise,
     estimate_alpha,
     noise_series,
     quadrature_pdf,
@@ -93,12 +87,9 @@ __all__ = [
     "fidelity",
     "number_state",
     "tensor_product",
-    "to_density",
     "BeamSplitter",
     "HeraldModel",
     "apply_beam_splitter",
-    "herald_click",
-    "herald_no_click",
     "project_number",
     "CollectiveExpectations",
     "DickeState",
@@ -116,13 +107,10 @@ __all__ = [
     "run_first_order",
     "sweep",
     "target_state",
-    "CONVENTION",
     "CampaignConfig",
     "CampaignSummary",
     "NoiseModel",
-    "QuadratureConvention",
     "TimeBudget",
-    "apply_noise",
     "estimate_alpha",
     "noise_series",
     "quadrature_pdf",

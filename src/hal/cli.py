@@ -91,8 +91,16 @@ def _parse_int(text: str, flag: str) -> int:
         raise ValidationError(f"cannot parse {flag} value {text!r}") from None
 
 
+#: Most points a grid file may declare, per range and in total over its axes.
+MAX_GRID_POINTS = 100_000
+
+
 def parse_grid_file(text: str) -> Dict[str, List[float]]:
-    """Parse a sweep grid: one `name = start:stop:count` or list per line."""
+    """Parse a sweep grid: one `name = start:stop:count` or list per line.
+
+    Cutoff values must be integers. A range count, or the product of the
+    axis lengths, above MAX_GRID_POINTS is a GridError.
+    """
     axes: Dict[str, List[float]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -121,6 +129,10 @@ def parse_grid_file(text: str) -> Dict[str, List[float]]:
                 raise GridError(f"grid line {lineno}: cannot parse range {spec!r}") from None
             if count < 1:
                 raise GridError(f"grid line {lineno}: count must be >= 1")
+            if count > MAX_GRID_POINTS:
+                raise GridError(
+                    f"grid line {lineno}: count {count} exceeds the limit of {MAX_GRID_POINTS}"
+                )
             values = [float(v) for v in np.linspace(start, stop, count)]
         else:
             try:
@@ -128,10 +140,15 @@ def parse_grid_file(text: str) -> Dict[str, List[float]]:
             except ValueError:
                 raise GridError(f"grid line {lineno}: cannot parse list {spec!r}") from None
         if name == "cutoff":
+            bad = [v for v in values if not v.is_integer()]
+            if bad:
+                raise GridError(f"grid line {lineno}: cutoff must be an integer, got {bad[0]!r}")
             values = [int(v) for v in values]
         axes[name] = values
     if not axes:
         raise GridError("grid file declares no axes")
+    if math.prod(len(values) for values in axes.values()) > MAX_GRID_POINTS:
+        raise GridError(f"grid declares more than {MAX_GRID_POINTS} points")
     return axes
 
 

@@ -58,10 +58,6 @@ class ComplexAmplitude:
         return abs(self.as_complex())
 
 
-def _basis_size(cutoff: int, mode_count: int) -> int:
-    return (cutoff + 1) ** mode_count
-
-
 def _check_basis_args(cutoff: int, mode_count: int) -> None:
     if not isinstance(cutoff, (int, np.integer)) or cutoff < 0:
         raise ValidationError(f"cutoff must be a non-negative integer, got {cutoff!r}")
@@ -93,7 +89,7 @@ class PureState:
     def __init__(self, amplitudes, cutoff: int, mode_count: int = 1):
         _check_basis_args(cutoff, mode_count)
         amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
-        expected = _basis_size(cutoff, mode_count)
+        expected = (cutoff + 1) ** mode_count
         if amp.shape[0] != expected:
             raise ShapeError(
                 f"amplitude vector has length {amp.shape[0]}, "
@@ -132,9 +128,6 @@ class PureState:
     def normalized(self) -> "PureState":
         return PureState(self.amplitudes / self.norm(), self.cutoff, self.mode_count)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other> (no normalization applied)."""
         self._require_same_basis(other)
@@ -159,22 +152,24 @@ class PureState:
 
 
 class DensityOperator:
-    """Complex matrix over a truncated Fock basis, for mixed states.
+    """Complex matrix over a truncated single-mode Fock basis, for mixed states.
 
-    Construction validates hermiticity (1e-10 entrywise), finiteness, a
-    positive finite trace, and eigenvalues >= -1e-9.
+    Only the single-mode conditional state of a herald is ever mixed; two-mode
+    states are always PureStates. Construction validates hermiticity (1e-10
+    entrywise), finiteness, a positive finite trace, and eigenvalues >= -1e-9.
     """
 
-    __slots__ = ("matrix", "cutoff", "mode_count")
+    __slots__ = ("matrix", "cutoff")
 
-    def __init__(self, matrix, cutoff: int, mode_count: int = 1):
-        _check_basis_args(cutoff, mode_count)
+    mode_count = 1
+
+    def __init__(self, matrix, cutoff: int):
+        _check_basis_args(cutoff, 1)
         mat = np.asarray(matrix, dtype=np.complex128).copy()
-        expected = _basis_size(cutoff, mode_count)
-        if mat.shape != (expected, expected):
+        if mat.shape != (cutoff + 1, cutoff + 1):
             raise ShapeError(
                 f"matrix has shape {mat.shape}, expected "
-                f"({expected}, {expected}) for cutoff {cutoff} with {mode_count} mode(s)"
+                f"({cutoff + 1}, {cutoff + 1}) for cutoff {cutoff}"
             )
         if not np.all(np.isfinite(mat.view(np.float64))):
             raise ValidationError("matrix entries must be finite")
@@ -190,7 +185,6 @@ class DensityOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "cutoff", int(cutoff))
-        object.__setattr__(self, "mode_count", int(mode_count))
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityOperator is immutable")
@@ -198,14 +192,11 @@ class DensityOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal().real.copy()
 
     def __repr__(self):
-        return f"DensityOperator(cutoff={self.cutoff}, mode_count={self.mode_count})"
+        return f"DensityOperator(cutoff={self.cutoff})"
 
 
 def tail_beyond(k: int, log_p0: float, ratio: Callable) -> float:
@@ -324,8 +315,3 @@ def fidelity(a: Union[PureState, DensityOperator], b: PureState) -> float:
     # clamp floating-point spill just outside [0, 1]
     return float(min(max(val, 0.0), 1.0))
 
-
-def to_density(s: PureState) -> DensityOperator:
-    """Projector |s><s| of a normalized copy of s."""
-    v = s.amplitudes / s.norm()
-    return DensityOperator(np.outer(v, v.conj()), s.cutoff, s.mode_count)

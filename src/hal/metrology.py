@@ -39,18 +39,6 @@ GRID_POINTS = 16001
 
 
 @dataclass(frozen=True)
-class QuadratureConvention:
-    """The package-wide homodyne convention, stated as data."""
-
-    definition: str = "X_phi = (a e^{-i phi} + a^dag e^{i phi})/sqrt(2)"
-    coherent_mean_factor: float = math.sqrt(2.0)  # <X_0> of |beta> is this times Re(beta)
-    vacuum_variance: float = 0.5
-
-
-CONVENTION = QuadratureConvention()
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Additive technical noise at the detector, in quadrature units.
 
@@ -397,14 +385,6 @@ def noise_series(model: NoiseModel, count: int, rng: np.random.Generator) -> np.
     return _ar1_scan(xi, model.lam)
 
 
-def apply_noise(
-    samples: np.ndarray, model: NoiseModel, rng: np.random.Generator
-) -> np.ndarray:
-    """Add technical noise to an ordered sample sequence (order = run order)."""
-    s = np.asarray(samples, dtype=float)
-    return s + noise_series(model, s.shape[0], rng)
-
-
 def estimate_alpha(samples: Sequence[float], scheme: str, t: Optional[float] = None) -> float:
     """Point estimate of a real alpha from phase-zero homodyne samples.
 
@@ -415,11 +395,11 @@ def estimate_alpha(samples: Sequence[float], scheme: str, t: Optional[float] = N
     if s.shape[0] == 0:
         raise NoSuccessError("no heralded samples to estimate from")
     if scheme == "direct":
-        return float(np.mean(s) / CONVENTION.coherent_mean_factor)
+        return float(np.mean(s) / math.sqrt(2.0))
     if scheme == "amplified":
         if t is None or not (0.0 < t < 1.0):
             raise ValidationError("amplified estimate requires the transmission amplitude t")
-        return float(t * np.mean(s) / CONVENTION.coherent_mean_factor)
+        return float(t * np.mean(s) / math.sqrt(2.0))
     raise ValidationError(f"scheme must be direct|amplified, got {scheme!r}")
 
 

@@ -8,7 +8,8 @@ arcsin(t), which transforms the mode operators as
 
 mode A (first, atomic) and mode B (second, optical). U is block-diagonal in
 total occupation; blocks fully inside the cutoff are exact, and blocks that
-extend past it are truncated with the lost probability reported as leakage.
+extend past it are truncated: the lost probability is the output's norm
+deficit, which protocol.run_exact reports as leakage.
 
 Two-mode states are always PureStates here. A mixed input, such as the
 imperfect single-photon source, is a weighted sum of pure branches that the
@@ -25,13 +26,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (
-    ImpossibleOutcomeError,
-    ShapeError,
-    TruncationError,
-    ValidationError,
-)
-from .fock_core import TAIL_THRESHOLD, DensityOperator, PureState
+from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
+from .fock_core import PureState
 
 #: Probabilities below this are treated as genuinely impossible outcomes.
 IMPOSSIBLE_PROBABILITY = 1e-300
@@ -106,11 +102,9 @@ class HeraldModel:
 
 
 def _mode_axis(mode: str) -> int:
-    if mode in ("A", "a"):
-        return 0
-    if mode in ("B", "b"):
-        return 1
-    raise ValidationError(f"mode must be 'A' or 'B', got {mode!r}")
+    if mode not in ("A", "B"):
+        raise ValidationError(f"mode must be 'A' or 'B', got {mode!r}")
+    return "AB".index(mode)
 
 
 @lru_cache(maxsize=128)
@@ -163,8 +157,7 @@ def _sectors(cutoff: int) -> Tuple[Tuple[int, int, np.ndarray], ...]:
     Entry `total` is (lo, hi, idx): the mode-A occupations lo..hi that fit
     inside the cutoff and their flat basis indices. Sectors with total <=
     cutoff are complete; higher ones keep only the states inside the cutoff,
-    so the beam splitter is sub-unitary there (the deficit is the reported
-    leakage).
+    so the beam splitter is sub-unitary there (the deficit is the leakage).
     """
     d = cutoff + 1
     sectors = []
@@ -177,22 +170,6 @@ def _sectors(cutoff: int) -> Tuple[Tuple[int, int, np.ndarray], ...]:
     return tuple(sectors)
 
 
-def _split_amplitudes(amp: np.ndarray, cutoff: int, theta: float) -> np.ndarray:
-    """Beam splitter on a two-mode amplitude vector, one sector at a time.
-
-    Only sectors that hold amplitude are visited, so the blocks of empty
-    sectors are never built.
-    """
-    d = cutoff + 1
-    nonzero = np.flatnonzero(amp)
-    sectors = _sectors(cutoff)
-    out = np.zeros_like(amp)
-    for total in np.flatnonzero(np.bincount(nonzero // d + nonzero % d)):
-        lo, hi, idx = sectors[total]
-        out[idx] = _sector_block(int(total), theta)[lo : hi + 1, lo : hi + 1] @ amp[idx]
-    return out
-
-
 def _require_two_mode(state: PureState, name: str) -> None:
     if not isinstance(state, PureState):
         raise ValidationError(f"{name} takes a two-mode PureState")
@@ -200,47 +177,29 @@ def _require_two_mode(state: PureState, name: str) -> None:
         raise ShapeError(f"{name} requires a two-mode state")
 
 
-def apply_beam_splitter(
-    state: PureState,
-    bs: BeamSplitter,
-    leakage_threshold: float = TAIL_THRESHOLD,
-    return_leakage: bool = False,
-):
+def apply_beam_splitter(state: PureState, bs: BeamSplitter) -> PureState:
     """Apply the beam splitter to a two-mode pure state, sector by sector.
 
-    Parameters
-    ----------
-    leakage_threshold : float
-        Maximum probability allowed to leave the truncated basis.
-    return_leakage : bool
-        Also return the leaked probability.
-
-    Returns
-    -------
-    state, or (state, leakage) when requested. The output is not
-    renormalized; its norm deficit equals the leakage.
+    Only sectors that hold amplitude are visited, so the blocks of empty
+    sectors are never built. Amplitude that the splitter moves past the
+    cutoff is dropped, not renormalized: the output's norm deficit is the
+    leakage, which the caller accounts for (see protocol.run_exact).
 
     Raises
     ------
     ValidationError
         For anything but a two-mode PureState (ShapeError for one mode).
-    TruncationError
-        If the leakage exceeds the threshold.
     """
     _require_two_mode(state, "apply_beam_splitter")
-    out = _split_amplitudes(state.amplitudes, state.cutoff, bs.theta)
-    leakage = float(np.vdot(state.amplitudes, state.amplitudes).real - np.vdot(out, out).real)
-    result = PureState(out, state.cutoff, 2)
-    leakage = max(leakage, 0.0)
-    if leakage > leakage_threshold:
-        raise TruncationError(
-            f"beam-splitter leakage {leakage:.3e} exceeds threshold {leakage_threshold:.1e}",
-            tail_mass=leakage,
-            threshold=leakage_threshold,
-        )
-    if return_leakage:
-        return result, leakage
-    return result
+    amp, cutoff = state.amplitudes, state.cutoff
+    d = cutoff + 1
+    nonzero = np.flatnonzero(amp)
+    sectors = _sectors(cutoff)
+    out = np.zeros_like(amp)
+    for total in np.flatnonzero(np.bincount(nonzero // d + nonzero % d)):
+        lo, hi, idx = sectors[total]
+        out[idx] = _sector_block(int(total), bs.theta)[lo : hi + 1, lo : hi + 1] @ amp[idx]
+    return PureState(out, cutoff, 2)
 
 
 def project_number(state: PureState, mode: str, n: int) -> Tuple[float, PureState]:
@@ -277,39 +236,3 @@ def herald_operator(amp: np.ndarray, weights: np.ndarray, mode: str) -> np.ndarr
     m = amp if _mode_axis(mode) == 0 else amp.T
     return (m.T * weights) @ m.conj()
 
-
-def _herald_outcome(
-    state: PureState, weights: np.ndarray, mode: str, name: str
-) -> Tuple[float, DensityOperator]:
-    _require_two_mode(state, f"herald_{name}")
-    blocks = herald_operator(state.as_two_mode_matrix() / state.norm(), weights, mode)
-    prob = float(np.trace(blocks).real)
-    if prob < IMPOSSIBLE_PROBABILITY:
-        raise ImpossibleOutcomeError(
-            f"herald {name.replace('_', '-')} has probability {prob:.3e}", prob
-        )
-    return prob, DensityOperator(blocks / prob, state.cutoff, 1)
-
-
-def herald_click(state: PureState, model: HeraldModel) -> Tuple[float, DensityOperator]:
-    """Click POVM of the herald detector on the read mode.
-
-    The POVM element is diagonal in the read mode's occupation with weights
-    from :meth:`HeraldModel.click_weights`; the no-click element is its
-    complement, so the pair is complete by construction. The input is
-    normalized first. Returns the click probability and the conditional
-    reduced state of the other mode.
-
-    Raises
-    ------
-    ImpossibleOutcomeError
-        If the click probability is below 1e-300.
-    """
-    return _herald_outcome(state, model.click_weights(state.cutoff), model.mode, "click")
-
-
-def herald_no_click(state: PureState, model: HeraldModel) -> Tuple[float, DensityOperator]:
-    """Complementary no-click outcome of :func:`herald_click`."""
-    return _herald_outcome(
-        state, 1.0 - model.click_weights(state.cutoff), model.mode, "no_click"
-    )

@@ -179,17 +179,18 @@ def collective_expectations(state: DickeState) -> CollectiveExpectations:
     c = np.zeros(k_hold, dtype=np.complex128)
     c[: state.k_max + 1] = state.amplitudes
     k = np.arange(k_hold, dtype=float)
-    # lower[k] couples |k> -> |k+1| with sqrt((k+1)(N-k))
+    # lower[k] couples |k> -> |k+1| with sqrt((k+1)(N-k)); J_- and J_+ are
+    # tridiagonal, so they act as shifted products, in O(k_max) memory
     lower = np.sqrt((k[:-1] + 1.0) * (n - k[:-1]))
-    j_minus = np.diag(lower, -1)
-    j_plus = j_minus.T
-    jy_mat = (j_plus + j_minus) / 2.0
-    jz_mat = (j_plus - j_minus) / 2.0j
+    minus = np.zeros_like(c)
+    minus[1:] = lower * c[:-1]
+    plus = np.zeros_like(c)
+    plus[:-1] = lower * c[1:]
     jx_diag = n / 2.0 - k
 
     jx = float(np.sum(jx_diag * np.abs(c) ** 2))
-    yv = jy_mat @ c
-    zv = jz_mat @ c
+    yv = (plus + minus) / 2.0
+    zv = (plus - minus) / 2.0j
     jy = float(np.real(np.vdot(c, yv)))
     jz = float(np.real(np.vdot(c, zv)))
     jy2 = float(np.real(np.vdot(yv, yv)))

@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hal.cli import RUN_COLUMNS, _run_lines, main, parse_campaign_file, parse_grid_file
+from hal.cli import (
+    MAX_GRID_POINTS,
+    RUN_COLUMNS,
+    _run_lines,
+    main,
+    parse_campaign_file,
+    parse_grid_file,
+)
 from hal.errors import GridError, ValidationError
 from hal.metrology import ReplicaRuns, run_campaign
 from hal.optics_ops import HeraldModel
@@ -157,6 +164,45 @@ def test_grid_parser():
         parse_grid_file("t = 0.1\nt = 0.2\n")
     with pytest.raises(GridError):
         parse_grid_file("# only a comment\n")
+
+
+def test_grid_cutoffs_are_integers():
+    assert parse_grid_file("cutoff = 12.0, 20\n")["cutoff"] == [12, 20]
+    assert parse_grid_file("cutoff = 10:20:3\n")["cutoff"] == [10, 15, 20]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("cutoff = nan\n", "cutoff must be an integer"),
+        ("cutoff = 1e400\n", "cutoff must be an integer"),
+        ("cutoff = 12.9\n", "cutoff must be an integer"),
+        ("cutoff = 10:20:4\n", "cutoff must be an integer"),
+        ("t = 0.1:0.2:1000000000000\n", "exceeds the limit"),
+        (f"t = 0.1:0.2:{MAX_GRID_POINTS}\nalpha = 0, 0.01\n", "more than"),
+    ],
+    ids=["nan", "inf", "fraction", "fraction-range", "huge-range", "huge-total"],
+)
+def test_grid_out_of_bounds_exit_2_before_any_point(text, message, tmp_path, capsys, monkeypatch):
+    # the count is checked before numpy builds the range, and the whole grid
+    # before sweep builds any point
+    real_linspace = np.linspace
+
+    def bounded_linspace(start, stop, num):
+        assert num <= MAX_GRID_POINTS
+        return real_linspace(start, stop, num)
+
+    def no_sweep(*args):
+        raise AssertionError("sweep ran on a rejected grid")
+
+    monkeypatch.setattr(np, "linspace", bounded_linspace)
+    monkeypatch.setattr("hal.cli.sweep", no_sweep)
+    with pytest.raises(GridError, match=message):
+        parse_grid_file(text)
+    grid = tmp_path / "grid.txt"
+    grid.write_text(text)
+    assert main(["sweep", "--alpha", "0.01", "--t", "0.1", "--grid", str(grid)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_csv(tmp_path):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from hal.errors import GridError, NoSuccessError, ValidationError
-from hal.fock_core import DEFAULT_CUTOFF, DensityOperator, coherent_state, number_state, to_density
+from hal.fock_core import DEFAULT_CUTOFF, DensityOperator, coherent_state, number_state
 from hal.metrology import (
     CampaignConfig,
     NoiseModel,
     _InverseCdf,
     _replica_rng,
     _sample_from_density,
-    apply_noise,
     default_grid,
     estimate_alpha,
     hermite_functions,
@@ -66,7 +65,7 @@ def test_phase_quarter_turn_kills_real_displacement():
 
 
 def test_mixed_pdf_is_weighted_sum():
-    rho = DensityOperator(np.diag([0.7, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]), 6, 1)
+    rho = DensityOperator(np.diag([0.7, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]), 6)
     pdf = quadrature_pdf(rho)
     p0 = quadrature_pdf(number_state(0, 6))
     p1 = quadrature_pdf(number_state(1, 6))
@@ -76,7 +75,7 @@ def test_mixed_pdf_is_weighted_sum():
 def test_mixed_pdf_matches_pure_for_pure_density():
     psi = coherent_state(0.2, 10)
     a = quadrature_pdf(psi)
-    b = quadrature_pdf(to_density(psi))
+    b = quadrature_pdf(DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()), 10))
     assert np.max(np.abs(a.density - b.density)) < 1e-12
 
 
@@ -238,7 +237,7 @@ def test_zero_sigma_consumes_no_rng():
 def test_systematic_noise_is_exact_shift():
     samples = np.array([0.0, 1.0, -2.0])
     rng = np.random.Generator(np.random.Philox(0))
-    out = apply_noise(samples, NoiseModel(kind="systematic", offset=0.1), rng)
+    out = samples + noise_series(NoiseModel(kind="systematic", offset=0.1), 3, rng)
     assert np.array_equal(out, samples + 0.1)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hal.errors import ImpossibleOutcomeError, TruncationError, ValidationError
+from hal.errors import ImpossibleOutcomeError, ShapeError, ValidationError
 from hal.fock_core import (
     DensityOperator,
     PureState,
@@ -11,14 +11,12 @@ from hal.fock_core import (
     fidelity,
     number_state,
     tensor_product,
-    to_density,
 )
 from hal.optics_ops import (
     BeamSplitter,
     HeraldModel,
     apply_beam_splitter,
-    herald_click,
-    herald_no_click,
+    herald_operator,
     project_number,
     _sector_block,
 )
@@ -51,18 +49,13 @@ def test_single_photon_splitting_amplitudes():
 
 
 def _splitter_matrix(cutoff, bs):
-    """The matrix apply_beam_splitter applies, built column by column.
-
-    Partial-sector columns leak, so the threshold is lifted to build them.
-    """
+    """The matrix apply_beam_splitter applies, built column by column."""
     dim = (cutoff + 1) ** 2
     w = np.zeros((dim, dim), dtype=np.complex128)
     for j in range(dim):
         basis = np.zeros(dim, dtype=np.complex128)
         basis[j] = 1.0
-        w[:, j] = apply_beam_splitter(
-            PureState(basis, cutoff, 2), bs, leakage_threshold=math.inf
-        ).amplitudes
+        w[:, j] = apply_beam_splitter(PureState(basis, cutoff, 2), bs).amplitudes
     return w
 
 
@@ -89,22 +82,21 @@ def test_hong_ou_mandel_null():
     out = apply_beam_splitter(psi, bs)
     assert abs(out.amplitudes[out.index(1, 1)]) < 1e-12
     # the photons bunch: all weight on |2,0> and |0,2>
-    p = out.probabilities()
+    p = np.abs(out.amplitudes) ** 2
     assert abs(p[out.index(2, 0)] + p[out.index(0, 2)] - 1.0) < 1e-12
 
 
-def test_leakage_raises_and_reports():
-    # support on total occupation 4 > cutoff 2 leaks under the splitter
+def test_leaked_amplitude_is_dropped_not_renormalized():
+    # |2,2> sits in the total-4 sector, of which cutoff 2 keeps only |2,2>;
+    # the splitter keeps that one exact amplitude and drops the rest
     amp = np.zeros(9, dtype=np.complex128)
     amp[2 * 3 + 2] = 1.0
-    psi = PureState(amp, 2, 2)
-    with pytest.raises(TruncationError):
-        apply_beam_splitter(psi, BeamSplitter(0.5))
-    out, leak = apply_beam_splitter(
-        psi, BeamSplitter(0.5), leakage_threshold=1.0, return_leakage=True
-    )
-    assert leak > 0.1
-    assert abs((1.0 - out.norm() ** 2) - leak) < 1e-12
+    bs = BeamSplitter(0.5)
+    out = apply_beam_splitter(PureState(amp, 2, 2), bs)
+    kept = _mp_sector_block(4, bs.theta)[2, 2]
+    assert abs(out.amplitudes[2 * 3 + 2] - kept) < 1e-14
+    assert np.count_nonzero(out.amplitudes) == 1
+    assert 1.0 - out.norm() ** 2 > 0.1
 
 
 def test_project_number_normalizes_and_reports_probability():
@@ -153,15 +145,24 @@ def test_click_weights_resolving_formula():
     assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
 
+def _herald(state, weights, mode):
+    """Outcome probability and normalized conditional state of a herald."""
+    blocks = herald_operator(state.as_two_mode_matrix(), weights, mode)
+    p = float(np.trace(blocks).real)
+    return p, DensityOperator(blocks / p, state.cutoff)
+
+
 def test_herald_completeness_on_mixed_state():
     # a lossy, noisy herald leaves mixed conditional states on the pure output
     bs = BeamSplitter(0.2)
     psi = tensor_product(coherent_state(0.1, 5), number_state(1, 5))
     out = apply_beam_splitter(psi, bs)
     for resolving in (True, False):
-        model = HeraldModel(read_efficiency=0.6, dark_count=1e-3, resolving=resolving)
-        p_click, cond_click = herald_click(out, model)
-        p_none, cond_none = herald_no_click(out, model)
+        w = HeraldModel(read_efficiency=0.6, dark_count=1e-3, resolving=resolving).click_weights(5)
+        p_click, cond_click = _herald(out, w, "A")
+        p_none, cond_none = _herald(out, 1.0 - w, "A")
+        # click and no-click split the output's norm, leaked mass excluded
+        assert abs(p_click + p_none - out.norm() ** 2) < 1e-15
         assert abs(p_click + p_none - 1.0) < 1e-12
         assert abs(cond_click.trace() - 1.0) < 1e-12
         assert abs(cond_none.trace() - 1.0) < 1e-12
@@ -170,16 +171,9 @@ def test_herald_completeness_on_mixed_state():
 def test_dark_count_click_on_vacuum():
     psi = tensor_product(number_state(0, 3), number_state(0, 3))
     model = HeraldModel(read_efficiency=0.8, dark_count=0.05)
-    p, cond = herald_click(psi, model)
+    p, cond = _herald(psi, model.click_weights(3), model.mode)
     assert abs(p - 0.05) < 1e-15
     assert abs(fidelity(cond, number_state(0, 3)) - 1.0) < 1e-12
-
-
-def test_herald_impossible_without_dark_counts():
-    psi = tensor_product(number_state(0, 3), number_state(0, 3))
-    model = HeraldModel(read_efficiency=0.8, dark_count=0.0)
-    with pytest.raises(ImpossibleOutcomeError):
-        herald_click(psi, model)
 
 
 def test_herald_mode_b():
@@ -187,44 +181,47 @@ def test_herald_mode_b():
     psi = tensor_product(number_state(1, 4), number_state(0, 4))
     out = apply_beam_splitter(psi, bs)
     model = HeraldModel(mode="B")
-    p, cond = herald_click(out, model)
+    p, cond = _herald(out, model.click_weights(4), model.mode)
     # photon starts in A; reflection into B happens with probability t^2
     assert abs(p - 0.2 ** 2) < 1e-12
     assert abs(fidelity(cond, number_state(0, 4)) - 1.0) < 1e-12
 
 
-def test_herald_click_on_pure_state_matches_its_projector():
+def test_herald_operator_matches_its_projector():
     bs = BeamSplitter(0.3)
     psi = apply_beam_splitter(
-        tensor_product(coherent_state(0.2 + 0.1j, 5), number_state(1, 5)), bs, leakage_threshold=1.0
+        tensor_product(coherent_state(0.2 + 0.1j, 5), number_state(1, 5)), bs
     )
     d = psi.cutoff + 1
-    v = psi.amplitudes / psi.norm()
+    v = psi.amplitudes
     r4 = np.outer(v, v.conj()).reshape(d, d, d, d)  # (m, n, m', n')
     for mode in ("A", "B"):
         spec = "n,nanb->ab" if mode == "A" else "n,anbn->ab"
         for resolving in (True, False):
             model = HeraldModel(read_efficiency=0.7, dark_count=1e-3, mode=mode, resolving=resolving)
             click = model.click_weights(psi.cutoff)
-            for outcome, weights in ((herald_click, click), (herald_no_click, 1.0 - click)):
-                p, cond = outcome(psi, model)
+            for weights in (click, 1.0 - click):
+                got = herald_operator(psi.as_two_mode_matrix(), weights, mode)
                 ref = np.einsum(spec, weights, r4)
-                p_ref = float(np.trace(ref).real)
-                assert abs(p - p_ref) < 1e-15
-                assert np.max(np.abs(cond.matrix - ref / p_ref)) < 1e-14
+                assert abs(np.trace(got) - np.trace(ref)) < 1e-15
+                assert np.max(np.abs(got - ref)) < 1e-15
+
+
+def test_herald_operator_rejects_lowercase_mode():
+    amp = tensor_product(number_state(0, 2), number_state(1, 2)).as_two_mode_matrix()
+    with pytest.raises(ValidationError):
+        herald_operator(amp, np.ones(3), "a")
 
 
 def test_two_mode_density_operator_is_rejected():
-    rho = to_density(tensor_product(coherent_state(0.1, 4), number_state(1, 4)))
-    assert isinstance(rho, DensityOperator) and rho.mode_count == 2
+    psi = tensor_product(coherent_state(0.1, 4), number_state(1, 4))
+    with pytest.raises(ShapeError):
+        DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()), 4)
+    rho = DensityOperator(np.diag([0.5, 0.5, 0.0, 0.0, 0.0]), 4)
     with pytest.raises(ValidationError):
         apply_beam_splitter(rho, BeamSplitter(0.3))
     with pytest.raises(ValidationError):
         project_number(rho, "A", 1)
-    with pytest.raises(ValidationError):
-        herald_click(rho, HeraldModel())
-    with pytest.raises(ValidationError):
-        herald_no_click(rho, HeraldModel())
 
 
 def _mp_sector_block(total, theta):

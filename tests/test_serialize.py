@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from hal.fock_core import ComplexAmplitude, coherent_state, number_state, to_density
+from hal.fock_core import ComplexAmplitude, DensityOperator, coherent_state
 from hal.serialize import csv_cell, csv_lines, csv_row, dumps, fmt_float, state_to_jsonable
 
 
@@ -56,7 +56,7 @@ def test_state_to_jsonable_pure():
 
 
 def test_state_to_jsonable_mixed():
-    rho = to_density(number_state(1, 2))
+    rho = DensityOperator(np.diag([0.0, 1.0, 0.0]), 2)
     doc = json.loads(dumps(state_to_jsonable(rho)))
     assert doc["kind"] == "mixed"
     assert doc["diagonal"] == [0.0, 1.0, 0.0]

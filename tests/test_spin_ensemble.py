@@ -209,6 +209,51 @@ def test_rotated_state_expectations_against_oracle():
     assert abs(got.var_x - want["var_x"]) < 1e-12
 
 
+def test_expectations_match_mpmath():
+    # the same amplitudes through the ladder elements at 50 digits
+    import mpmath
+
+    state = rotated_product_state(EnsembleSpec(1000, 0.05 * np.exp(0.3j)), k_max=40)
+    got = collective_expectations(state)
+    with mpmath.workdps(50):
+        n = mpmath.mpf(1000)
+        c = [mpmath.mpc(complex(a)) for a in state.amplitudes] + [mpmath.mpc(0)]
+        lower = [mpmath.sqrt((k + 1) * (n - k)) for k in range(len(c) - 1)]
+        minus = [mpmath.mpc(0)] + [l * a for l, a in zip(lower, c[:-1])]
+        plus = [l * a for l, a in zip(lower, c[1:])] + [mpmath.mpc(0)]
+        yv = [(p + m) / 2 for p, m in zip(plus, minus)]
+        zv = [(p - m) / 2j for p, m in zip(plus, minus)]
+
+        def dot(a, b):
+            return mpmath.fsum(mpmath.conj(x) * y for x, y in zip(a, b)).real
+
+        jx = mpmath.fsum((n / 2 - k) * abs(a) ** 2 for k, a in enumerate(c))
+        jy, jz = dot(c, yv), dot(c, zv)
+        want = {
+            "jx": jx,
+            "jy": jy,
+            "jz": jz,
+            "var_x": (dot(yv, yv) - jy**2) / (n / 2),
+            "var_p": (dot(zv, zv) - jz**2) / (n / 2),
+        }
+    for name, ref in want.items():
+        assert abs(getattr(got, name) - float(ref)) <= 1e-14 * abs(float(ref)), name
+
+
+def test_expectations_memory_is_linear_in_k_max():
+    # J+ and J- are tridiagonal; a dense (k_max+2)^2 matrix would take 256 MB here
+    import tracemalloc
+
+    state = rotated_product_state(EnsembleSpec(10**6, 0.001), k_max=4000)
+    tracemalloc.start()
+    try:
+        collective_expectations(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_commutator_deviation_closed_form():
     # deviation = 2<k>/N = 2 eps^2/(1+eps^2) for the rotated product state
     spec = EnsembleSpec(10 ** 4, 0.001)
