@@ -44,7 +44,7 @@ from .protocol import (
     run_first_order,
     sweep,
 )
-from .serialize import csv_lines, csv_row, dumps, state_to_jsonable
+from .serialize import csv_block, csv_lines, csv_row, dumps, state_to_jsonable
 from .spin_ensemble import (
     EnsembleSpec,
     collective_expectations,
@@ -381,18 +381,23 @@ def _campaign_params(config: CampaignConfig) -> Dict[str, object]:
     return params
 
 
-def _run_lines(records):
-    """RUN_COLUMNS data lines, one f-string per attempt.
+#: Rows of one replica rendered per csv_block call in the runs CSV.
+_ROW_CHUNK = 1 << 14
 
-    Same bytes as csv_row: format(x, ".17g") already gives "nan", "inf",
-    "-inf" and "-0" exactly as fmt_float does, and tolist() yields Python
-    ints and floats, so no per-cell dispatch is needed.
-    """
+
+def _run_lines(records):
+    """RUN_COLUMNS data lines, one csv_block per _ROW_CHUNK attempts of a replica."""
     for runs in records:
-        r = runs.replica
-        columns = (runs.heralded.tolist(), runs.x_sample.tolist(), runs.noise_value.tolist())
-        for k, (h, x, v) in enumerate(zip(*columns)):
-            yield f"{r},{k},{h},{x:.17g},{v:.17g}"
+        n = len(runs.heralded)
+        for start in range(0, n, _ROW_CHUNK):
+            stop = min(start + _ROW_CHUNK, n)
+            yield csv_block((
+                np.full(stop - start, runs.replica),
+                np.arange(start, stop),
+                runs.heralded[start:stop],
+                runs.x_sample[start:stop],
+                runs.noise_value[start:stop],
+            ))
 
 
 def cmd_campaign(args) -> int:

@@ -37,6 +37,19 @@ State = Union[PureState, DensityOperator]
 GRID_HALF_WIDTH = 8.0
 GRID_POINTS = 16001
 
+#: Campaign size ceilings, checked before anything is allocated. A running
+#: replica holds about 35 bytes per attempt (measured with AR(1) noise on one
+#: worker: 30 B direct, 34 B amplified), so MAX_ATTEMPTS keeps each worker
+#: near 350 MB; HAL_THREADS workers (at most the CPU count) hold that each.
+#: MAX_TOTAL_ATTEMPTS bounds the run time: about 80 ns per direct attempt on
+#: one thread, so 80 s. A campaign that records its runs (the runs CSV) keeps
+#: every attempt: 17 B of record plus the CSV text, 120-180 B per row in all
+#: (measured at 1.2e6 and 1.6e6 rows), so MAX_RECORDED_ATTEMPTS keeps it
+#: under 1 GB.
+MAX_ATTEMPTS = 10**7
+MAX_TOTAL_ATTEMPTS = 10**9
+MAX_RECORDED_ATTEMPTS = 5 * 10**6
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -110,6 +123,15 @@ class CampaignConfig:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.replicas, (int, np.integer)) or self.replicas < 1:
             raise ValidationError(f"replicas must be a positive integer, got {self.replicas!r}")
+        if self.attempts > MAX_ATTEMPTS:
+            raise ValidationError(
+                f"{self.attempts} attempts per replica exceed the limit of {MAX_ATTEMPTS}"
+            )
+        if self.attempts * self.replicas > MAX_TOTAL_ATTEMPTS:
+            raise ValidationError(
+                f"{self.attempts} attempts x {self.replicas} replicas exceed the limit "
+                f"of {MAX_TOTAL_ATTEMPTS} attempts"
+            )
 
     @property
     def attempts(self) -> int:
@@ -416,8 +438,15 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
     exact conditional state. Direct scheme: every attempt samples the
     coherent state of amplitude true_alpha. Technical noise is generated over
     all attempts in run order and added to whichever samples exist.
+    record_runs keeps every attempt, so it is refused above
+    MAX_RECORDED_ATTEMPTS attempts in all.
     """
     r_attempts = config.attempts
+    if record_runs and r_attempts * config.replicas > MAX_RECORDED_ATTEMPTS:
+        raise ValidationError(
+            f"recording {r_attempts} attempts x {config.replicas} replicas exceeds the "
+            f"limit of {MAX_RECORDED_ATTEMPTS} recorded attempts"
+        )
     if config.scheme == "amplified":
         protocol_result: Optional[HeraldResult] = run_exact(config.protocol)
         p_success = protocol_result.success_probability

@@ -66,6 +66,14 @@ REGIME_ALPHA_FRACTION = 0.2
 REGIME_T_MAX = 0.3
 
 
+#: Largest Fock cutoff per mode a ProtocolConfig accepts. run_exact's memory
+#: and time grow with the cutoff and with the number of occupied sectors:
+#: one hal protocol point at cutoff 400 peaked at 61 MB and 0.5 s for alpha
+#: 0.01, and at 0.75 GB and 4.3 s for a coherent input at alpha 15, which
+#: fills nearly every sector. Cutoff 700 took 3.0 GB and 36 s at alpha 15.
+MAX_CUTOFF = 400
+
+
 class RegimeWarning(UserWarning):
     """The requested parameters sit outside |alpha| << t << 1."""
 
@@ -92,6 +100,8 @@ class ProtocolConfig:
             raise ValidationError(f"transmission amplitude must be in (0,1), got {self.t!r}")
         if not (isinstance(self.cutoff, (int, np.integer)) and self.cutoff >= 1):
             raise ValidationError(f"cutoff must be a positive integer, got {self.cutoff!r}")
+        if self.cutoff > MAX_CUTOFF:
+            raise ValidationError(f"cutoff {self.cutoff} exceeds the limit of {MAX_CUTOFF}")
         if self.input_kind not in ("truncated", "coherent"):
             raise ValidationError(
                 f"input_kind must be truncated|coherent, got {self.input_kind!r}"

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hal.cli import (
 from hal.errors import GridError, ValidationError
 from hal.metrology import ReplicaRuns, run_campaign
 from hal.optics_ops import HeraldModel
-from hal.protocol import ROW_COLUMNS
+from hal.protocol import MAX_CUTOFF, ROW_COLUMNS
 from hal.serialize import csv_cell, csv_row
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -105,6 +106,43 @@ def test_bad_values_exit_2(capsys):
     assert main(["protocol", "--alpha", "banana", "--t", "0.1"]) == 2
     assert main(["protocol", "--alpha", "0.01", "--t", "1.5"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cutoff_above_limit_exit_2_without_allocating(capsys):
+    args = ["protocol", "--alpha", "0.01", "--t", "0.1", "--cutoff", "1000000000"]
+    rc, peak = _peak_bytes(lambda: main(args))
+    assert rc == 2
+    assert peak < 1e6  # the state alone would take 16 GB
+    assert f"exceeds the limit of {MAX_CUTOFF}" in capsys.readouterr().err
+
+
+def test_grid_cutoff_above_limit_is_a_validation_row(tmp_path):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"cutoff = 12, {MAX_CUTOFF + 1}, 1000000000\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha", "0.01", "--t", "0.1", "--grid", str(grid), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[2:]
+    codes = [line.split(",")[ROW_COLUMNS.index("error_code")] for line in lines]
+    assert codes == ["", "validation", "validation"]
+
+
+def test_campaign_above_size_limit_exit_2_without_allocating(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(DIRECT_CFG.replace("total_time = 10", "total_time = 1e14"))
+    rc, peak = _peak_bytes(lambda: main(["campaign", str(cfg), "--out", str(tmp_path / "s.json")]))
+    assert rc == 2
+    assert peak < 1e6
+    assert "exceed the limit" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_impossible_outcome_exit_2(capsys):
@@ -378,6 +416,49 @@ def test_runs_csv_matches_per_cell_reference(tmp_path):
     assert data.count(b",0,nan,") == 2 * 2000 - heralded
 
 
+def _campaign_cfg(scheme, noise, protocol=""):
+    return (
+        f"[campaign]\nscheme = {scheme}\ntrue_alpha = 0.01\ntotal_time = 2000\n"
+        f"run_period = 1\nreplicas = 2\nseed = 13\n[noise]\n{noise}\n{protocol}"
+    )
+
+
+RUNS_CSV_CASES = {
+    # p1 < 1: about 1% of attempts herald, so x_sample is mostly nan
+    "amplified": _campaign_cfg(
+        "amplified", "kind = white\nsigma_tech = 0.05",
+        "[protocol]\nalpha = 0.01\nt = 0.1\nsource_efficiency = 0.9\n",
+    ),
+    "direct-ar1": _campaign_cfg("direct", "kind = ar1\nsigma_tech = 0.05\nlambda = 0.9"),
+    "zero-noise": _campaign_cfg("direct", "kind = white\nsigma_tech = 0"),
+    "systematic": _campaign_cfg("direct", "kind = systematic\noffset = 0.003"),
+    # noise values below 1e-6 all take the per-cell fallback
+    "tiny-sigma": _campaign_cfg("direct", "kind = white\nsigma_tech = 1e-9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS_CSV_CASES))
+def test_runs_csv_matches_per_row_csv_row(name, tmp_path, monkeypatch):
+    # a chunk that does not divide the 2000 attempts: several blocks per
+    # replica and a short last one
+    monkeypatch.setattr("hal.cli._ROW_CHUNK", 700)
+    text = RUNS_CSV_CASES[name]
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text)
+    runs = tmp_path / "runs.csv"
+    assert main(["campaign", str(cfg), "--out", str(tmp_path / "s.json"), "--runs-csv", str(runs)]) == 0
+    data = runs.read_bytes()
+
+    summary = run_campaign(parse_campaign_file(text), record_runs=True)
+    ref = data.decode().split("\n", 2)[:2]
+    for r in summary.run_records:
+        for k in range(summary.attempts):
+            values = (r.replica, k, int(r.heralded[k]), r.x_sample[k], r.noise_value[k])
+            ref.append(csv_row(RUN_COLUMNS, dict(zip(RUN_COLUMNS, values))))
+    assert data == ("\n".join(ref) + "\n").encode()
+    assert len(ref) == 2 + 2 * 2000
+
+
 def test_run_lines_special_values_match_csv_row():
     x = np.array([-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 0.1])
     v = np.array([0.0, -1e308, 2.5, -0.0, float("nan"), 1 / 3])
@@ -386,7 +467,8 @@ def test_run_lines_special_values_match_csv_row():
         csv_row(RUN_COLUMNS, dict(zip(RUN_COLUMNS, (3, k, int(runs.heralded[k]), x[k], v[k]))))
         for k in range(len(x))
     ]
-    assert list(_run_lines([runs])) == expected
+    # _run_lines yields blocks of lines; the joined text is what the CSV holds
+    assert "\n".join(_run_lines([runs])) == "\n".join(expected)
     assert expected[0] == "3,0,1,-0,0"
 
 

@@ -6,6 +6,9 @@ import pytest
 from hal.errors import GridError, NoSuccessError, ValidationError
 from hal.fock_core import DEFAULT_CUTOFF, DensityOperator, coherent_state, number_state
 from hal.metrology import (
+    MAX_ATTEMPTS,
+    MAX_RECORDED_ATTEMPTS,
+    MAX_TOTAL_ATTEMPTS,
     CampaignConfig,
     NoiseModel,
     _InverseCdf,
@@ -279,6 +282,48 @@ def test_estimate_alpha():
         estimate_alpha([1.0], "amplified")
     with pytest.raises(ValidationError):
         estimate_alpha([1.0], "sideways")
+
+
+def _sized(scheme, attempts, replicas):
+    proto = ProtocolConfig(alpha=0.01, t=0.1) if scheme == "amplified" else None
+    return CampaignConfig(scheme=scheme, true_alpha=0.01, total_time=float(attempts),
+                          noise=NoiseModel(), seed=1, replicas=replicas, run_period=1.0,
+                          protocol=proto)
+
+
+def test_campaign_size_limits_reject_before_running(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a refused campaign ran")
+
+    monkeypatch.setattr("hal.metrology.run_exact", no_run)
+    monkeypatch.setattr("hal.metrology.map_indexed", no_run)
+    with pytest.raises(ValidationError, match="per replica"):
+        _sized("direct", 10**15, 1)
+    with pytest.raises(ValidationError, match="per replica"):
+        _sized("direct", MAX_ATTEMPTS + 1, 1)
+    with pytest.raises(ValidationError, match="replicas exceed"):
+        _sized("direct", MAX_ATTEMPTS, MAX_TOTAL_ATTEMPTS // MAX_ATTEMPTS + 1)
+    big = _sized("amplified", MAX_RECORDED_ATTEMPTS // 4 + 1, 4)
+    with pytest.raises(ValidationError, match="recorded attempts"):
+        run_campaign(big, record_runs=True)
+
+
+def test_campaign_size_limits_accept_the_benchmark_inputs(monkeypatch):
+    # the benchmark's direct 1e6 x 32 and amplified 1e5 x 4 with a runs CSV
+    # reach the replica workers
+    class Reached(Exception):
+        pass
+
+    def stop(*args):
+        raise Reached
+
+    monkeypatch.setattr("hal.metrology.map_indexed", stop)
+    for scheme, attempts, replicas, record in (
+        ("direct", 10**6, 32, False), ("amplified", 10**5, 4, True),
+    ):
+        with pytest.raises(Reached):
+            run_campaign(_sized(scheme, attempts, replicas), record_runs=record)
+    _sized("direct", MAX_ATTEMPTS, MAX_TOTAL_ATTEMPTS // MAX_ATTEMPTS)
 
 
 def test_campaign_config_validation():

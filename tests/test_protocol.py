@@ -18,6 +18,7 @@ from hal.fock_core import (
 )
 from hal.optics_ops import BeamSplitter, HeraldModel, apply_beam_splitter
 from hal.protocol import (
+    MAX_CUTOFF,
     ProtocolConfig,
     ROW_COLUMNS,
     RegimeWarning,
@@ -45,6 +46,10 @@ def test_config_validation():
         ProtocolConfig(alpha=0.01, t=0.1, input_kind="squeezed")
     with pytest.raises(ValidationError):
         ProtocolConfig(alpha=0.01, t=0.1, source_efficiency=1.2)
+    assert ProtocolConfig(alpha=0.01, t=0.1, cutoff=MAX_CUTOFF).cutoff == MAX_CUTOFF
+    for cutoff in (MAX_CUTOFF + 1, 10**9):
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            ProtocolConfig(alpha=0.01, t=0.1, cutoff=cutoff)
     cfg = ProtocolConfig(alpha=0.01 + 0.002j, t=0.1)
     assert cfg.alpha.im == 0.002
     assert cfg.in_recommended_regime

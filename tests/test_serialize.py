@@ -1,9 +1,19 @@
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hal.fock_core import ComplexAmplitude, DensityOperator, coherent_state
-from hal.serialize import csv_cell, csv_lines, csv_row, dumps, fmt_float, state_to_jsonable
+from hal.serialize import (
+    csv_block,
+    csv_cell,
+    csv_lines,
+    csv_row,
+    dumps,
+    fmt_float,
+    state_to_jsonable,
+)
 
 
 def test_fmt_float_round_trips():
@@ -85,3 +95,83 @@ def test_csv_lines_layout():
     assert len(lines) == 4
     assert text.endswith("\n")
     assert json.loads(lines[0].split("# manifest: ", 1)[1]) == {"subcommand": "sweep"}
+
+
+def _reference_block(*columns):
+    """The per-cell rendering csv_block must reproduce: str(int), fmt_float."""
+    rows = zip(*(c.tolist() for c in columns))
+    return "\n".join(
+        ",".join(str(int(v)) if isinstance(v, int) else fmt_float(v) for v in row)
+        for row in rows
+    )
+
+
+def _assert_block(*columns):
+    assert csv_block(columns) == _reference_block(*columns)
+
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(INT64, st.floats(), st.floats()), min_size=1, max_size=40))
+def test_csv_block_matches_per_cell_rendering(rows):
+    # st.floats() draws nan, +-inf, +-0, subnormals and boundary values
+    ints, xs, ys = zip(*rows)
+    _assert_block(np.array(ints, dtype=np.int64), np.array(xs), np.array(ys))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=1e-7, max_value=1e18), min_size=1, max_size=200))
+def test_csv_block_matches_fmt_float_near_the_exact_range(xs):
+    x = np.array(xs)
+    _assert_block(x, -x)
+
+
+def test_csv_block_round_half_even_ties():
+    # x = odd / 2**(17 - E) in decade E puts x * 10**(16 - E) exactly halfway
+    # between two integers: the 17th digit must round to even
+    rng = np.random.default_rng(3)
+    ties = []
+    for e in range(-6, 16):
+        scale = 2.0 ** -(17 - e)
+        lo = max(int(10.0**e / scale), 1) // 2
+        hi = min(int(10.0 ** (e + 1) / scale), 2**53) // 2
+        odd = rng.integers(lo, hi, size=200) * 2 + 1
+        x = odd * scale
+        ties.append(x[(x >= 10.0**e) & (x < 10.0 ** (e + 1))])
+    x = np.concatenate(ties)
+    assert len(x) > 3000
+    _assert_block(x, -x)
+
+
+def test_csv_block_power_of_ten_boundaries():
+    values = []
+    for k in range(-8, 19):
+        p = 10.0**k
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    for p in (1e-6, 1e-4, 1e16, 1e17):  # the range ends and the notation switches
+        below, above = np.nextafter(p, 0.0), np.nextafter(p, np.inf)
+        values += [np.nextafter(below, 0.0), np.nextafter(above, np.inf)]
+    x = np.array(values)
+    _assert_block(x, -x)
+
+
+def test_csv_block_special_columns():
+    n = 50
+    zeros = np.zeros(n)
+    _assert_block(zeros, -zeros, np.full(n, np.nan))
+    assert csv_block((np.array([0.0, -0.0]),)) == "0\n-0"
+    # every value outside the exact range: the per-cell fallback alone
+    rng = np.random.default_rng(4)
+    fallback = np.concatenate([
+        rng.normal(0.0, 1e-9, n), [np.inf, -np.inf, 5e-324, -2.2e-308, 1e17, -3e300, 1e-6],
+    ])
+    _assert_block(fallback, fallback[::-1].copy())
+
+
+def test_csv_block_integer_columns():
+    ints = np.array([0, -1, 7, -10, 1000, -123456789, 10**18 - 1, 10**18, -(2**63), 2**63 - 1])
+    _assert_block(ints, ints[::-1].copy(), np.arange(len(ints)))
+    _assert_block(np.array([1, 0, 1], dtype=np.int8), np.array([True, False, True]))
+    assert csv_block((np.array([0, 9, 10]), np.array([-5, 5, 0]))) == "0,-5\n9,5\n10,0"
