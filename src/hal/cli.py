@@ -46,6 +46,7 @@ from .protocol import (
 )
 from .serialize import csv_block, csv_lines, csv_row, dumps, state_to_jsonable
 from .spin_ensemble import (
+    MAX_ENSEMBLE_CUTOFF,
     EnsembleSpec,
     collective_expectations,
     embed_as_fock,
@@ -238,6 +239,8 @@ def cmd_ensemble(args) -> int:
         _parse_int(args.n_atoms, "--n-atoms"), _parse_float(args.epsilon, "--epsilon")
     )
     cutoff = _parse_int(args.cutoff, "--cutoff")
+    if cutoff > MAX_ENSEMBLE_CUTOFF:
+        raise ValidationError(f"cutoff {cutoff} exceeds the limit of {MAX_ENSEMBLE_CUTOFF}")
     k_max = min(spec.N, cutoff)
     state = rotated_product_state(spec, k_max=k_max)
     expect = collective_expectations(state)

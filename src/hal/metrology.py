@@ -16,6 +16,13 @@ stream keyed by SeedSequence(seed, spawn_key=(i,)), so replicas are
 independent of each other and of thread scheduling. Within a replica the
 draw order is fixed: herald uniforms (amplified only), then quadrature
 samples, then noise variates; a zero-sigma noise model consumes no draws.
+
+Direct estimator: mean(quad + noise)/sqrt(2) needs only the two sums
+sum(quad) and sum(noise), so a direct replica accumulates them over chunks
+of its draws, in the draw order above, and holds no per-attempt array unless
+its runs are recorded. The ar1 sum comes in closed form from the drive d
+that noise_series builds, sum_k y_k = sum_j d_j (1 - lambda^(R-j)) /
+(1 - lambda), instead of from the scanned series.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 from ._parallel import map_indexed
 from .errors import GridError, NoSuccessError, ShapeError, ValidationError
 from .fock_core import DEFAULT_CUTOFF, DensityOperator, PureState, coherent_state
-from .protocol import HeraldResult, ProtocolConfig, run_exact
+from .protocol import ProtocolConfig, run_exact
 
 State = Union[PureState, DensityOperator]
 
@@ -38,14 +45,17 @@ GRID_HALF_WIDTH = 8.0
 GRID_POINTS = 16001
 
 #: Campaign size ceilings, checked before anything is allocated. A running
-#: replica holds about 35 bytes per attempt (measured with AR(1) noise on one
-#: worker: 30 B direct, 34 B amplified), so MAX_ATTEMPTS keeps each worker
-#: near 350 MB; HAL_THREADS workers (at most the CPU count) hold that each.
-#: MAX_TOTAL_ATTEMPTS bounds the run time: about 80 ns per direct attempt on
-#: one thread, so 80 s. A campaign that records its runs (the runs CSV) keeps
-#: every attempt: 17 B of record plus the CSV text, 120-180 B per row in all
-#: (measured at 1.2e6 and 1.6e6 rows), so MAX_RECORDED_ATTEMPTS keeps it
-#: under 1 GB.
+#: amplified replica holds about 34 bytes per attempt (measured with AR(1)
+#: noise on one worker), so MAX_ATTEMPTS keeps each worker near 350 MB;
+#: HAL_THREADS workers (at most the CPU count) hold that each. An unrecorded
+#: direct replica streams its draws and holds a few chunks (about 4 MB at
+#: any size); the workers share one set of ar1 tail weights, 8 B for each
+#: of at most ceil(54 ln 2 / -ln lambda) attempts (3 MB at lambda 0.9999).
+#: MAX_TOTAL_ATTEMPTS bounds the run time: 50-57 ns per direct attempt with
+#: ar1 noise on one thread, so about a minute. A campaign that records its
+#: runs (the runs CSV) keeps every attempt: 17 B of record plus the CSV text,
+#: 120-180 B per row in all (measured at 1.2e6 and 1.6e6 rows), so
+#: MAX_RECORDED_ATTEMPTS keeps it under 1 GB.
 MAX_ATTEMPTS = 10**7
 MAX_TOTAL_ATTEMPTS = 10**9
 MAX_RECORDED_ATTEMPTS = 5 * 10**6
@@ -379,6 +389,23 @@ def _ar1_scan(drive: np.ndarray, lam: float) -> np.ndarray:
     return y.reshape(-1)[:n]
 
 
+def _drive(model: NoiseModel, xi: np.ndarray, starts_series: bool) -> np.ndarray:
+    """Scale standard normals, in place, into the drive of white or ar1 noise.
+
+    white: sigma xi, which is the noise itself. ar1: the innovations
+    sqrt(1 - lambda^2) sigma xi, except that the first value of the series
+    (when this chunk starts it) is drawn stationary, sigma xi.
+    """
+    if model.kind == "white":
+        xi *= model.sigma_tech
+        return xi
+    rest = xi[1:] if starts_series else xi
+    rest *= math.sqrt(1.0 - model.lam * model.lam) * model.sigma_tech
+    if starts_series:
+        xi[0] *= model.sigma_tech
+    return xi
+
+
 def noise_series(model: NoiseModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """Technical-noise values for `count` consecutive attempts.
 
@@ -398,13 +425,91 @@ def noise_series(model: NoiseModel, count: int, rng: np.random.Generator) -> np.
         return np.full(count, model.offset)
     if model.sigma_tech == 0.0 or count == 0:
         return np.zeros(count)
-    xi = rng.standard_normal(count)
-    if model.kind == "white":
-        return model.sigma_tech * xi
-    # ar1: innovations scaled for stationarity, first sample drawn stationary
-    xi[1:] *= math.sqrt(1.0 - model.lam * model.lam) * model.sigma_tech
-    xi[0] *= model.sigma_tech
-    return _ar1_scan(xi, model.lam)
+    drive = _drive(model, rng.standard_normal(count), True)
+    return _ar1_scan(drive, model.lam) if model.kind == "ar1" else drive
+
+
+def _ar1_tail_weights(model: NoiseModel, count: int) -> np.ndarray:
+    """The weights 1 - lambda^m, m = L..1, of the last L drive values of a
+    `count`-attempt ar1 series in its closed-form sum (see `_noise_sum`).
+
+    Every earlier drive value has m > L, where lambda^m < 2^-54 and the
+    weight rounds to 1 exactly, so it needs none: L is at most
+    ceil(54 ln 2 / -ln lambda), about 3.7k at lambda 0.99 and 374k at
+    0.9999 (and at most `count`). White noise and lambda = 0 need no
+    weights at all.
+    """
+    if model.kind != "ar1" or model.lam == 0.0:
+        return np.empty(0)
+    log_lam = math.log(model.lam)
+    size = min(count, math.ceil(54.0 * math.log(2.0) / -log_lam))
+    weights = -np.expm1(np.arange(size, 0, -1) * log_lam)
+    weights.setflags(write=False)
+    return weights
+
+
+def _noise_sum(
+    model: NoiseModel, tail: np.ndarray, count: int, rng: np.random.Generator, record: bool
+) -> Tuple[float, Optional[np.ndarray]]:
+    """The sum of noise_series(model, count, rng), streamed, and the series
+    itself if `record`.
+
+    The normals are drawn as noise_series draws them, in chunks, and turned
+    into the same drive d. An ar1 series y_k = lambda y_(k-1) + d_k sums in
+    closed form: sum_k y_k = sum_j d_j (1 - lambda^(count-j)) / (1 - lambda),
+    with the weights of the last drive values in `tail`
+    (`_ar1_tail_weights`) and 1 before them. White noise is the drive itself
+    (no tail, lambda taken as 0). Recording copies the chunks out and runs
+    the scan on them afterwards; the sum does not depend on it.
+    """
+    if model.kind == "systematic":
+        return count * model.offset, np.full(count, model.offset) if record else None
+    if model.sigma_tech == 0.0:
+        return 0.0, np.zeros(count) if record else None
+    drive = np.empty(count) if record else None
+    cut = count - tail.shape[0]  # drive values from here on are weighted
+    plain = weighted = 0.0
+    for lo in range(0, count, _SAMPLE_CHUNK):
+        d = _drive(model, rng.standard_normal(min(_SAMPLE_CHUNK, count - lo)), lo == 0)
+        hi = lo + d.shape[0]
+        if record:
+            drive[lo:hi] = d
+        split = min(max(cut - lo, 0), d.shape[0])
+        plain += float(d[:split].sum())
+        if split < d.shape[0]:
+            weighted += float(np.multiply(d[split:], tail[lo + split - cut : hi - cut]).sum())
+    lam = model.lam if model.kind == "ar1" else 0.0
+    series = None
+    if record:
+        series = _ar1_scan(drive, lam) if model.kind == "ar1" else drive
+    return (plain + weighted) / (1.0 - lam), series
+
+
+def _direct_replica(
+    table: _InverseCdf,
+    model: NoiseModel,
+    tail: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
+    record: bool,
+) -> Tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
+    """One direct replica: its estimate and, if `record`, its quadrature
+    samples and noise values.
+
+    sum(quad) and sum(noise) are accumulated chunk by chunk, all `count`
+    quadrature uniforms first, then the noise normals, so an unrecorded
+    replica holds no array of length `count`. Recording copies the same
+    chunks out; the estimate is the same number either way.
+    """
+    quad = np.empty(count) if record else None
+    sum_quad = 0.0
+    for lo in range(0, count, _SAMPLE_CHUNK):
+        chunk = _sample_from_density(table, min(_SAMPLE_CHUNK, count - lo), rng)
+        sum_quad += float(chunk.sum())
+        if record:
+            quad[lo : lo + chunk.shape[0]] = chunk
+    sum_noise, noise = _noise_sum(model, tail, count, rng, record)
+    return (sum_quad + sum_noise) / count / math.sqrt(2.0), quad, noise
 
 
 def estimate_alpha(samples: Sequence[float], scheme: str, t: Optional[float] = None) -> float:
@@ -438,6 +543,16 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
     exact conditional state. Direct scheme: every attempt samples the
     coherent state of amplitude true_alpha. Technical noise is generated over
     all attempts in run order and added to whichever samples exist.
+
+    A direct replica's estimate, mean(quad + noise)/sqrt(2), is computed from
+    two sums streamed over chunks of the draws (see `_direct_replica`): the
+    quadrature samples, and the noise, whose ar1 sum is taken in closed form
+    from the drive instead of running the scan. The replica still draws all
+    its quadrature uniforms, then all its noise normals, so its records are
+    those that noise_series and the sampler give. The estimate differs from
+    the mean of the recorded values only in rounding, and is the same number
+    with or without record_runs.
+
     record_runs keeps every attempt, so it is refused above
     MAX_RECORDED_ATTEMPTS attempts in all.
     """
@@ -448,46 +563,46 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
             f"limit of {MAX_RECORDED_ATTEMPTS} recorded attempts"
         )
     if config.scheme == "amplified":
-        protocol_result: Optional[HeraldResult] = run_exact(config.protocol)
+        protocol_result = run_exact(config.protocol)
         p_success = protocol_result.success_probability
         sampled_state: State = protocol_result.conditional_state
-        t_est: Optional[float] = config.protocol.t
     else:
-        protocol_result = None
-        p_success = 1.0
         sampled_state = coherent_state(config.true_alpha, DEFAULT_CUTOFF)
-        t_est = None
+        tail = _ar1_tail_weights(config.noise, r_attempts)  # shared read-only
     table = _InverseCdf.of(quadrature_pdf(sampled_state, 0.0))
 
     def one_replica(replica: int):
         rng = _replica_rng(config.seed, replica)
-        if config.scheme == "amplified":
-            heralded = rng.random(r_attempts) < p_success
-            n_success = int(np.count_nonzero(heralded))
-        else:
-            heralded = None  # every attempt yields a sample
-            n_success = r_attempts
+        if config.scheme == "direct":
+            est, quad, noise = _direct_replica(
+                table, config.noise, tail, r_attempts, rng, record_runs
+            )
+            record = None
+            if record_runs:
+                quad += noise
+                record = ReplicaRuns(
+                    replica=replica,
+                    heralded=np.ones(r_attempts, dtype=np.int8),
+                    x_sample=quad,
+                    noise_value=noise,
+                )
+            return est, r_attempts, record
+        heralded = rng.random(r_attempts) < p_success
+        n_success = int(np.count_nonzero(heralded))
         quad = _sample_from_density(table, n_success, rng)
         noise = noise_series(config.noise, r_attempts, rng)
-        if heralded is None:
-            x = samples = quad + noise
-        else:
-            samples = quad + noise[heralded]
-            x = np.full(r_attempts, np.nan)
-            x[heralded] = samples
+        samples = quad + noise[heralded]
         try:
-            est: Optional[float] = estimate_alpha(samples, config.scheme, t_est)
+            est: Optional[float] = estimate_alpha(samples, "amplified", config.protocol.t)
         except NoSuccessError:
             est = None
         record = None
         if record_runs:
+            x = np.full(r_attempts, np.nan)
+            x[heralded] = samples
             record = ReplicaRuns(
                 replica=replica,
-                heralded=(
-                    np.ones(r_attempts, dtype=np.int8)
-                    if heralded is None
-                    else heralded.astype(np.int8)
-                ),
+                heralded=heralded.astype(np.int8),
                 x_sample=x,
                 noise_value=noise,
             )

@@ -20,9 +20,11 @@ conditional state of a herald is a DensityOperator.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -107,9 +109,69 @@ def _mode_axis(mode: str) -> int:
     return "AB".index(mode)
 
 
-@lru_cache(maxsize=128)
-def _sector_eigenpairs(total: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Real eigenpairs of the sector generator, independent of theta.
+class _ByteBoundedCache:
+    """A least-recently-used map from keys to arrays that holds at most
+    `budget` bytes of arrays (an array larger than the budget is returned
+    but not kept).
+
+    Thread-safe: a missing value is computed outside the lock, so two
+    threads may both compute it and the second copy is dropped.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.held = 0
+        self._items: "OrderedDict[object, np.ndarray]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        with self._lock:
+            value = self._items.get(key)
+            if value is not None:
+                self._items.move_to_end(key)
+                return value
+        value = compute()
+        with self._lock:
+            if key not in self._items:
+                self._items[key] = value
+                self.held += value.nbytes
+                while self.held > self.budget:
+                    self.held -= self._items.popitem(last=False)[1].nbytes
+        return value
+
+
+#: Byte budget of each of the two large-sector caches below. The sectors of
+#: one protocol point at cutoff 400 (totals up to 401) take 174 MB of
+#: eigenvectors and, past total _SMALL_TOTAL, 173 MB of blocks per theta, so
+#: one point's worth fits and a sweep reuses the eigenvectors across theta.
+_CACHE_BYTES = 192 << 20
+
+#: Sectors up to this total, the ones every protocol point uses, are cached
+#: by `_sector_block`: at most 512 blocks of 64 x 64 floats, 16 MB.
+_SMALL_TOTAL = 63
+
+_eigenvector_cache = _ByteBoundedCache(_CACHE_BYTES)
+_large_block_cache = _ByteBoundedCache(_CACHE_BYTES)
+
+
+def _sector_eigenvectors(total: int) -> np.ndarray:
+    """Eigenvectors V of the symmetric sector matrix J (see `_block`).
+
+    They do not depend on theta, so they are cached by total, within
+    _CACHE_BYTES.
+    """
+
+    def compute():
+        m = np.arange(total)
+        lower = np.sqrt((m + 1.0) * (total - m))
+        return np.linalg.eigh(np.diag(lower, -1) + np.diag(lower, 1))[1]
+
+    return _eigenvector_cache.get(total, compute)
+
+
+def _block(total: int, theta: float) -> np.ndarray:
+    """Exact unitary on the full total-occupation sector, basis (m, total-m)
+    ordered by m = 0..total.
 
     The generator G (real, antisymmetric, tridiagonal with couplings
     sqrt((m+1)(total-m))) equals -i D J D^-1, where J is the symmetric
@@ -117,37 +179,36 @@ def _sector_eigenpairs(total: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, 
     the spin-total/2 J_x, so its eigenvalues are exactly the integers
     -total, -total+2, ..., total; those replace the computed ones. Entry
     (k, l) of exp(theta G) = D exp(-i theta J) D^-1 is then
-    Re(i^(k-l)) [V cos(theta L) V^T]_kl + Im(i^(k-l)) [V sin(theta L) V^T]_kl,
-    and the two sign patterns are returned with V and L.
+    Re(i^(k-l)) [V cos(theta L) V^T]_kl + Im(i^(k-l)) [V sin(theta L) V^T]_kl.
     """
-    m = np.arange(total)
-    lower = np.sqrt((m + 1.0) * (total - m))
-    vectors = np.linalg.eigh(np.diag(lower, -1) + np.diag(lower, 1))[1]
-    eigenvalues = np.arange(-total, total + 1, 2, dtype=float)
-    phase = np.subtract.outer(np.arange(total + 1), np.arange(total + 1)) % 4
-    return (
-        vectors,
-        eigenvalues,
-        np.array([1.0, 0.0, -1.0, 0.0])[phase],
-        np.array([0.0, 1.0, 0.0, -1.0])[phase],
-    )
-
-
-@lru_cache(maxsize=512)
-def _sector_block(total: int, theta: float) -> np.ndarray:
-    """Exact unitary on the full total-occupation sector, basis (m, total-m)
-    ordered by m = 0..total."""
     if total == 0:
         return np.ones((1, 1))
     s, c = math.sin(theta), math.cos(theta)
     if total == 1:
         # closed form keeps single-photon amplitudes bit-exact in (r, t)
         return np.array([[c, -s], [s, c]])
-    vectors, eigenvalues, re_phase, im_phase = _sector_eigenpairs(total)
-    angle = theta * eigenvalues
+    vectors = _sector_eigenvectors(total)
+    angle = theta * np.arange(-total, total + 1, 2, dtype=float)
+    phase = np.subtract.outer(np.arange(total + 1), np.arange(total + 1)) % 4
+    re_phase = np.array([1.0, 0.0, -1.0, 0.0])[phase]
+    im_phase = np.array([0.0, 1.0, 0.0, -1.0])[phase]
     return re_phase * ((vectors * np.cos(angle)) @ vectors.T) + im_phase * (
         (vectors * np.sin(angle)) @ vectors.T
     )
+
+
+@lru_cache(maxsize=512)
+def _sector_block(total: int, theta: float) -> np.ndarray:
+    """`_block`, cached for the small sectors (total <= _SMALL_TOTAL)."""
+    return _block(total, theta)
+
+
+def _sector_unitary(total: int, theta: float) -> np.ndarray:
+    """`_block` from the cache of its size class: `_sector_block` for small
+    totals, a byte-bounded cache for larger ones."""
+    if total <= _SMALL_TOTAL:
+        return _sector_block(total, theta)
+    return _large_block_cache.get((total, theta), lambda: _block(total, theta))
 
 
 @lru_cache(maxsize=64)
@@ -198,7 +259,7 @@ def apply_beam_splitter(state: PureState, bs: BeamSplitter) -> PureState:
     out = np.zeros_like(amp)
     for total in np.flatnonzero(np.bincount(nonzero // d + nonzero % d)):
         lo, hi, idx = sectors[total]
-        out[idx] = _sector_block(int(total), bs.theta)[lo : hi + 1, lo : hi + 1] @ amp[idx]
+        out[idx] = _sector_unitary(int(total), bs.theta)[lo : hi + 1, lo : hi + 1] @ amp[idx]
     return PureState(out, cutoff, 2)
 
 

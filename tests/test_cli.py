@@ -22,6 +22,7 @@ from hal.metrology import ReplicaRuns, run_campaign
 from hal.optics_ops import HeraldModel
 from hal.protocol import MAX_CUTOFF, ROW_COLUMNS
 from hal.serialize import csv_cell, csv_row
+from hal.spin_ensemble import MAX_ENSEMBLE_CUTOFF
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -123,6 +124,17 @@ def test_cutoff_above_limit_exit_2_without_allocating(capsys):
     assert rc == 2
     assert peak < 1e6  # the state alone would take 16 GB
     assert f"exceeds the limit of {MAX_CUTOFF}" in capsys.readouterr().err
+
+
+def test_ensemble_cutoff_above_limit_exit_2_without_allocating(capsys):
+    args = ["ensemble", "--n-atoms", "1000000000", "--epsilon", "1e-5", "--cutoff"]
+    rc, peak = _peak_bytes(lambda: main(args + ["1000000000"]))
+    assert rc == 2
+    assert peak < 1e6  # the state alone would take 16 GB
+    assert f"exceeds the limit of {MAX_ENSEMBLE_CUTOFF}" in capsys.readouterr().err
+    assert main(args + [str(MAX_ENSEMBLE_CUTOFF + 1)]) == 2
+    # a cutoff above the protocol's ceiling is still fine for an ensemble
+    assert main(args + [str(MAX_CUTOFF + 1)]) == 0
 
 
 def test_grid_cutoff_above_limit_is_a_validation_row(tmp_path):

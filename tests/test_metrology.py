@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from hal.metrology import (
     MAX_TOTAL_ATTEMPTS,
     CampaignConfig,
     NoiseModel,
+    _SAMPLE_CHUNK,
     _InverseCdf,
+    _ar1_tail_weights,
+    _direct_replica,
+    _drive,
+    _noise_sum,
     _replica_rng,
     _sample_from_density,
     default_grid,
@@ -196,6 +202,109 @@ def test_direct_campaign_draws_are_sample_homodyne_draws():
         rng = _replica_rng(5, rec.replica)
         quad = sample_homodyne(coherent_state(0.02, DEFAULT_CUTOFF), 0.0, cfg.attempts, rng)
         assert np.array_equal(rec.x_sample, quad)
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+DIRECT_NOISES = {
+    "white": NoiseModel(kind="white", sigma_tech=0.3),
+    "ar1-0": NoiseModel(kind="ar1", sigma_tech=0.3, lam=0.0),
+    "ar1-0.5": NoiseModel(kind="ar1", sigma_tech=0.3, lam=0.5),
+    "ar1-0.99": NoiseModel(kind="ar1", sigma_tech=0.3, lam=0.99),
+    "ar1-0.9999": NoiseModel(kind="ar1", sigma_tech=0.3, lam=0.9999),
+    "systematic": NoiseModel(kind="systematic", offset=0.2),
+    "zero": NoiseModel(),
+}
+DIRECT_COUNTS = (1, 2, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 7)
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_NOISES))
+def test_streamed_direct_estimate_matches_the_sample_mean(name):
+    # the two streamed sums give estimate_alpha of quad + noise_series drawn
+    # from the same stream; the largest difference measured over these
+    # cases is 1.4e-15 (ar1 at lambda 0.9999), all of it rounding
+    model = DIRECT_NOISES[name]
+    table = _InverseCdf.of(quadrature_pdf(coherent_state(0.01, DEFAULT_CUTOFF), 0.0))
+    draws_noise = model.kind != "systematic" and model.sigma_tech > 0.0
+    for seed, count in enumerate(DIRECT_COUNTS):
+        tail = _ar1_tail_weights(model, count)
+        rng = _philox(seed)
+        est, quad, noise = _direct_replica(table, model, tail, count, rng, False)
+        assert quad is None and noise is None
+        ref_rng = _philox(seed)
+        ref_quad = _sample_from_density(table, count, ref_rng)
+        ref_noise = noise_series(model, count, ref_rng)
+        assert abs(est - estimate_alpha(ref_quad + ref_noise, "direct")) <= 5e-15, count
+        # recording copies the same chunks out and changes nothing else
+        rec_rng = _philox(seed)
+        rec_est, rec_quad, rec_noise = _direct_replica(table, model, tail, count, rec_rng, True)
+        assert rec_est == est
+        assert rec_quad.tobytes() == ref_quad.tobytes()
+        assert rec_noise.tobytes() == ref_noise.tobytes()
+        # the stream sits where count uniforms and count normals leave it
+        raw = _philox(seed)
+        raw.random(count)
+        if draws_noise:
+            raw.standard_normal(count)
+        nxt = raw.random(4)
+        assert np.array_equal(rng.random(4), nxt)
+        assert np.array_equal(rec_rng.random(4), nxt)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.99, 0.9999])
+def test_ar1_closed_form_sum_matches_the_recurrence(lam):
+    model = NoiseModel(kind="ar1", sigma_tech=0.3, lam=lam)
+    for count in (1, 2, 1000, 3 * _SAMPLE_CHUNK + 7):
+        tail = _ar1_tail_weights(model, count)
+        total, series = _noise_sum(model, tail, count, _philox(count), False)
+        assert series is None
+        drive = _drive(model, _philox(count).standard_normal(count), True)
+        y, ys = 0.0, []
+        for d in drive.tolist():
+            y = lam * y + d
+            ys.append(y)
+        # relative to the sum's scale; 1.6e-17 measured, as for the sum of
+        # the blocked scan's values
+        scale = float(np.sum(np.abs(drive))) / (1.0 - lam)
+        assert abs(total - math.fsum(ys)) <= 1e-16 * scale, count
+    # the weights beyond the stored tail are 1 exactly
+    size = _ar1_tail_weights(model, 10**7).shape[0]
+    assert size == math.ceil(54.0 * math.log(2.0) / -math.log(lam))
+    assert -math.expm1((size + 1) * math.log(lam)) == 1.0
+    white = NoiseModel(kind="white", sigma_tech=0.3, lam=lam)
+    for model in (white, NoiseModel(kind="ar1", sigma_tech=0.3)):
+        assert _ar1_tail_weights(model, 10**7).shape == (0,)
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_NOISES))
+def test_direct_summary_does_not_depend_on_recording(name):
+    attempts = 2 * _SAMPLE_CHUNK + 3
+    cfg = CampaignConfig(scheme="direct", true_alpha=0.01, total_time=attempts * 0.1 + 0.05,
+                         noise=DIRECT_NOISES[name], seed=19, replicas=2)
+    assert cfg.attempts == attempts
+    plain, recorded = run_campaign(cfg), run_campaign(cfg, record_runs=True)
+    assert plain.run_records is None and len(recorded.run_records) == 2
+    fields = ("estimate_mean", "bias", "variance", "rmse", "per_replica_estimates", "successes")
+    for field in fields:
+        assert getattr(plain, field) == getattr(recorded, field), field
+
+
+def test_unrecorded_direct_replica_memory_is_flat():
+    # 1e6 attempts would be 8 MB per float array; the streamed replica holds
+    # a few chunks of temporaries (4.2 MB measured) and the tail weights
+    model = NoiseModel(kind="ar1", sigma_tech=0.1, lam=0.99)
+    table = _InverseCdf.of(quadrature_pdf(coherent_state(0.01, DEFAULT_CUTOFF), 0.0))
+    tail = _ar1_tail_weights(model, 10**6)
+    rng = _philox(1)
+    tracemalloc.start()
+    try:
+        _direct_replica(table, model, tail, 10**6, rng, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * _SAMPLE_CHUNK * 8 + tail.nbytes < 10**6 * 8
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.99, 0.9999])

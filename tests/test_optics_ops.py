@@ -12,6 +12,7 @@ from hal.fock_core import (
     number_state,
     tensor_product,
 )
+from hal import optics_ops
 from hal.optics_ops import (
     BeamSplitter,
     HeraldModel,
@@ -274,3 +275,38 @@ def test_sector_block_matches_mpmath(t):
     for total in (12, 24, 40, 60):
         ref = _mp_sector_block(total, theta)
         assert np.max(np.abs(_sector_block(total, theta) - ref)) <= 1e-14, total
+
+
+def test_beam_splitter_caches_stay_within_their_byte_budget(monkeypatch):
+    # cutoff 50 fills totals up to 100; blocks past total 63 (up to 101 x 101,
+    # 82 kB) go to the byte-bounded caches, so a 150 kB budget holds at most
+    # one of the largest and must evict as theta and total change
+    cutoff, budget = 50, 150_000
+    rng = np.random.default_rng(3)
+    amp = rng.normal(size=(cutoff + 1) ** 2) + 1j * rng.normal(size=(cutoff + 1) ** 2)
+    state = PureState(amp / np.linalg.norm(amp), cutoff, 2)
+    splitters = [BeamSplitter(t) for t in (0.1, 0.2, 0.3, 0.1)]
+    expected = [apply_beam_splitter(state, bs).amplitudes for bs in splitters]
+
+    caches = [optics_ops._ByteBoundedCache(budget) for _ in range(2)]
+    monkeypatch.setattr(optics_ops, "_eigenvector_cache", caches[0])
+    monkeypatch.setattr(optics_ops, "_large_block_cache", caches[1])
+    small_totals = []
+    lru = optics_ops._sector_block
+
+    def small_block(total, theta):
+        small_totals.append(total)
+        return lru(total, theta)
+
+    monkeypatch.setattr(optics_ops, "_sector_block", small_block)
+    for bs, want in zip(splitters, expected):
+        got = apply_beam_splitter(state, bs).amplitudes
+        assert got.tobytes() == want.tobytes()
+        for cache in caches:
+            assert 0 < cache.held <= budget
+            assert cache.held == sum(v.nbytes for v in cache._items.values())
+    assert max(small_totals) == optics_ops._SMALL_TOTAL
+    # a value above the budget is returned but not kept
+    tiny = optics_ops._ByteBoundedCache(100)
+    assert tiny.get("k", lambda: np.zeros(20)).shape == (20,)
+    assert tiny.held == 0 and not tiny._items
