@@ -69,6 +69,9 @@ class NoiseModel:
     kind "ar1":   w_k = lambda w_{k-1} + sqrt(1-lambda^2) sigma_tech xi_k with
                   stationary start; correlation time -1/ln(lambda) run periods.
     kind "systematic": constant offset added to every attempt.
+
+    A nonzero field that the kind does not use is rejected: lam and offset
+    for "white", offset for "ar1", sigma_tech and lam for "systematic".
     """
 
     kind: str = "white"
@@ -85,6 +88,16 @@ class NoiseModel:
             raise ValidationError(f"lambda must be in [0,1), got {self.lam!r}")
         if not np.isfinite(self.offset):
             raise ValidationError(f"offset must be finite, got {self.offset!r}")
+        unused = {
+            "white": ("lam", "offset"),
+            "ar1": ("offset",),
+            "systematic": ("sigma_tech", "lam"),
+        }[self.kind]
+        for name in unused:
+            value = getattr(self, name)
+            if value != 0.0:
+                label = "lambda" if name == "lam" else name
+                raise ValidationError(f"noise kind {self.kind!r} does not use {label}, got {value!r}")
 
     @property
     def correlation_time(self) -> float:

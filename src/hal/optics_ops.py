@@ -6,10 +6,15 @@ arcsin(t), which transforms the mode operators as
 
     a -> r a + t b,      b -> -t a + r b,      r = sqrt(1 - t^2),
 
-mode A (first, atomic) and mode B (second, optical). U is block-diagonal in
-total occupation; blocks fully inside the cutoff are exact, and blocks that
-extend past it are truncated: the lost probability is the output's norm
-deficit, which protocol.run_exact reports as leakage.
+mode A (first, atomic) and mode B (second, optical). U conserves the total
+occupation. The protocol only sends columns |k, 0> and |k, 1> through it (a
+signal against a single-photon ancilla or, when the source fails, vacuum),
+and their images are binomial expansions in r and t, built in closed form:
+U|k, 0> by a recurrence in k whose terms never cancel, U|k, 1> by one more
+two-term step. Any other column |k, l>, l >= 2, goes through the exact
+unitary of its total-occupation sector. Images that extend past the cutoff
+are truncated: the lost probability is the output's norm deficit, which
+protocol.run_exact reports as leakage.
 
 Two-mode states are always PureStates here. A mixed input, such as the
 imperfect single-photon source, is a weighted sum of pure branches that the
@@ -20,11 +25,8 @@ conditional state of a herald is a DensityOperator.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -109,64 +111,30 @@ def _mode_axis(mode: str) -> int:
     return "AB".index(mode)
 
 
-class _ByteBoundedCache:
-    """A least-recently-used map from keys to arrays that holds at most
-    `budget` bytes of arrays (an array larger than the budget is returned
-    but not kept).
+def _column_images(top: int, bs: BeamSplitter) -> np.ndarray:
+    """images[l, s, m] = <m, s - m| U |s - l, l> for l = 0, 1 and s - l = 0..top.
 
-    Thread-safe: a missing value is computed outside the lock, so two
-    threads may both compute it and the second copy is dropped.
+    U a^dag U^dag = r a^dag - t b^dag and U b^dag U^dag = t a^dag + r b^dag,
+    so U|k, 0> = (r a^dag - t b^dag) U|k-1, 0> / sqrt(k), a binomial
+    expansion with entries sqrt(C(k, m)) r^m (-t)^(k-m). The two terms of
+    each recurrence step have the same sign, so the recurrence neither
+    cancels nor overflows and forms no factorial. U|k, 1> is then one
+    application of (t a^dag + r b^dag). Every other entry, the padding row
+    s = top + 2 included, is zero.
     """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.held = 0
-        self._items: "OrderedDict[object, np.ndarray]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
-        with self._lock:
-            value = self._items.get(key)
-            if value is not None:
-                self._items.move_to_end(key)
-                return value
-        value = compute()
-        with self._lock:
-            if key not in self._items:
-                self._items[key] = value
-                self.held += value.nbytes
-                while self.held > self.budget:
-                    self.held -= self._items.popitem(last=False)[1].nbytes
-        return value
-
-
-#: Byte budget of each of the two large-sector caches below. The sectors of
-#: one protocol point at cutoff 400 (totals up to 401) take 174 MB of
-#: eigenvectors and, past total _SMALL_TOTAL, 173 MB of blocks per theta, so
-#: one point's worth fits and a sweep reuses the eigenvectors across theta.
-_CACHE_BYTES = 192 << 20
-
-#: Sectors up to this total, the ones every protocol point uses, are cached
-#: by `_sector_block`: at most 512 blocks of 64 x 64 floats, 16 MB.
-_SMALL_TOTAL = 63
-
-_eigenvector_cache = _ByteBoundedCache(_CACHE_BYTES)
-_large_block_cache = _ByteBoundedCache(_CACHE_BYTES)
-
-
-def _sector_eigenvectors(total: int) -> np.ndarray:
-    """Eigenvectors V of the symmetric sector matrix J (see `_block`).
-
-    They do not depend on theta, so they are cached by total, within
-    _CACHE_BYTES.
-    """
-
-    def compute():
-        m = np.arange(total)
-        lower = np.sqrt((m + 1.0) * (total - m))
-        return np.linalg.eigh(np.diag(lower, -1) + np.diag(lower, 1))[1]
-
-    return _eigenvector_cache.get(total, compute)
+    root = np.sqrt(np.arange(top + 2))
+    r_root, t_root = bs.r * root, bs.t * root
+    images = np.zeros((2, top + 3, top + 2))
+    a0 = images[0]
+    a0[0, 0] = 1.0
+    for k in range(1, top + 1):
+        a0[k, 1 : k + 1] = r_root[1 : k + 1] * a0[k - 1, :k]
+        a0[k, :k] -= t_root[k:0:-1] * a0[k - 1, :k]
+        a0[k, : k + 1] /= root[k]
+    s_minus_m = np.maximum(np.arange(1, top + 2)[:, None] - np.arange(top + 2), 0)
+    images[1, 1:-1, 1:] = t_root[1:] * a0[: top + 1, :-1]
+    images[1, 1:-1] += r_root[s_minus_m] * a0[: top + 1]
+    return images
 
 
 def _block(total: int, theta: float) -> np.ndarray:
@@ -181,13 +149,9 @@ def _block(total: int, theta: float) -> np.ndarray:
     (k, l) of exp(theta G) = D exp(-i theta J) D^-1 is then
     Re(i^(k-l)) [V cos(theta L) V^T]_kl + Im(i^(k-l)) [V sin(theta L) V^T]_kl.
     """
-    if total == 0:
-        return np.ones((1, 1))
-    s, c = math.sin(theta), math.cos(theta)
-    if total == 1:
-        # closed form keeps single-photon amplitudes bit-exact in (r, t)
-        return np.array([[c, -s], [s, c]])
-    vectors = _sector_eigenvectors(total)
+    m = np.arange(total)
+    lower = np.sqrt((m + 1.0) * (total - m))
+    vectors = np.linalg.eigh(np.diag(lower, -1) + np.diag(lower, 1))[1]
     angle = theta * np.arange(-total, total + 1, 2, dtype=float)
     phase = np.subtract.outer(np.arange(total + 1), np.arange(total + 1)) % 4
     re_phase = np.array([1.0, 0.0, -1.0, 0.0])[phase]
@@ -195,40 +159,6 @@ def _block(total: int, theta: float) -> np.ndarray:
     return re_phase * ((vectors * np.cos(angle)) @ vectors.T) + im_phase * (
         (vectors * np.sin(angle)) @ vectors.T
     )
-
-
-@lru_cache(maxsize=512)
-def _sector_block(total: int, theta: float) -> np.ndarray:
-    """`_block`, cached for the small sectors (total <= _SMALL_TOTAL)."""
-    return _block(total, theta)
-
-
-def _sector_unitary(total: int, theta: float) -> np.ndarray:
-    """`_block` from the cache of its size class: `_sector_block` for small
-    totals, a byte-bounded cache for larger ones."""
-    if total <= _SMALL_TOTAL:
-        return _sector_block(total, theta)
-    return _large_block_cache.get((total, theta), lambda: _block(total, theta))
-
-
-@lru_cache(maxsize=64)
-def _sectors(cutoff: int) -> Tuple[Tuple[int, int, np.ndarray], ...]:
-    """The total-occupation sectors of the truncated two-mode basis.
-
-    Entry `total` is (lo, hi, idx): the mode-A occupations lo..hi that fit
-    inside the cutoff and their flat basis indices. Sectors with total <=
-    cutoff are complete; higher ones keep only the states inside the cutoff,
-    so the beam splitter is sub-unitary there (the deficit is the leakage).
-    """
-    d = cutoff + 1
-    sectors = []
-    for total in range(2 * cutoff + 1):
-        lo, hi = max(0, total - cutoff), min(total, cutoff)
-        ms = np.arange(lo, hi + 1)
-        idx = ms * d + (total - ms)
-        idx.setflags(write=False)
-        sectors.append((lo, hi, idx))
-    return tuple(sectors)
 
 
 def _require_two_mode(state: PureState, name: str) -> None:
@@ -239,12 +169,15 @@ def _require_two_mode(state: PureState, name: str) -> None:
 
 
 def apply_beam_splitter(state: PureState, bs: BeamSplitter) -> PureState:
-    """Apply the beam splitter to a two-mode pure state, sector by sector.
+    """Apply the beam splitter to a two-mode pure state, column by column.
 
-    Only sectors that hold amplitude are visited, so the blocks of empty
-    sectors are never built. Amplitude that the splitter moves past the
-    cutoff is dropped, not renormalized: the output's norm deficit is the
-    leakage, which the caller accounts for (see protocol.run_exact).
+    Input columns |k, l> with l <= 1 are mapped by their closed-form images
+    (`_column_images`), built only up to the largest occupied k. Columns with
+    l >= 2 go through the exact sector block of their total occupation, and
+    only the sectors that hold such a column are built. Amplitude that the
+    splitter moves past the cutoff is dropped, not renormalized: the output's
+    norm deficit is the leakage, which the caller accounts for (see
+    protocol.run_exact).
 
     Raises
     ------
@@ -252,14 +185,26 @@ def apply_beam_splitter(state: PureState, bs: BeamSplitter) -> PureState:
         For anything but a two-mode PureState (ShapeError for one mode).
     """
     _require_two_mode(state, "apply_beam_splitter")
-    amp, cutoff = state.amplitudes, state.cutoff
-    d = cutoff + 1
-    nonzero = np.flatnonzero(amp)
-    sectors = _sectors(cutoff)
+    cutoff = state.cutoff
+    amp = state.as_two_mode_matrix()
     out = np.zeros_like(amp)
-    for total in np.flatnonzero(np.bincount(nonzero // d + nonzero % d)):
-        lo, hi, idx = sectors[total]
-        out[idx] = _sector_unitary(int(total), bs.theta)[lo : hi + 1, lo : hi + 1] @ amp[idx]
+    low = amp[:, :2]
+    occupied = np.flatnonzero(low.any(axis=1))
+    if occupied.size:
+        top = int(occupied[-1])
+        coef = np.zeros((2, top + 3), dtype=amp.dtype)
+        for l in range(low.shape[1]):
+            coef[l, l : l + top + 1] = low[: top + 1, l]
+        # image[s, m]: amplitude on |m, s - m>, zero from row top + 2 on
+        image = (coef[:, :, None] * _column_images(top, bs)).sum(axis=0)
+        m = np.arange(min(top + 2, cutoff + 1))
+        out[: m.size, : m.size] = image[np.minimum(m[:, None] + m, top + 2), m[:, None]]
+    ks, ls = np.nonzero(amp[:, 2:])
+    for total in np.flatnonzero(np.bincount(ks + ls)) + 2:
+        lo, hi = max(0, total - cutoff), min(total, cutoff)
+        rows, cols = np.arange(lo, hi + 1), np.arange(lo, min(hi, total - 2) + 1)
+        block = _block(int(total), bs.theta)[lo : hi + 1, lo : cols[-1] + 1]
+        out[rows, total - rows] += block @ amp[cols, total - cols]
     return PureState(out, cutoff, 2)
 
 

@@ -3,9 +3,9 @@
 Every check here recomputes its reference value through a route that shares
 no code with the implementation under test: the beam splitter against a
 dense matrix exponential of the full two-mode generator (a Taylor series
-with scaling and squaring, not the sector eigenpairs of optics_ops), state
-overlaps against closed-form laws, the collective-spin expansion against an
-explicit two-atom tensor product. Checks that involve applying a beam
+with scaling and squaring, not the closed-form images or sector blocks of
+optics_ops), state overlaps against closed-form laws, the collective-spin
+expansion against an explicit two-atom tensor product. Checks that involve applying a beam
 splitter accept an injectable apply function so a deliberately faulted
 variant can be probed; all comparisons except the composition check are
 magnitude-level and convention-independent, while the composition check
@@ -79,8 +79,8 @@ def dense_bs_matrix(cutoff: int, t: float) -> np.ndarray:
 
     Built on the kron-product space with no sector decomposition, and
     exponentiated by a Taylor series with scaling and squaring rather than
-    the pipeline's sector eigenpairs, so it shares nothing with the
-    block-wise implementation beyond the documented convention
+    the pipeline's binomial images and sector blocks, so it shares nothing
+    with the implementation beyond the documented convention
     a -> ra + tb, b -> -ta + rb.
     """
     a = _dense_ladder(cutoff)

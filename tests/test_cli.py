@@ -370,6 +370,17 @@ def test_campaign_missing_field_exit_2(tmp_path, capsys):
     assert "protocol.t" in capsys.readouterr().err
 
 
+def test_campaign_noise_fields_the_kind_ignores_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(
+        "[campaign]\nscheme = direct\ntrue_alpha = 0.01\ntotal_time = 10\n"
+        "replicas = 3\nseed = 11\n"
+        "[noise]\nkind = white\nsigma_tech = 0.1\nlambda = 0.5\noffset = 0.3\n"
+    )
+    assert main(["campaign", str(cfg)]) == 2
+    assert "does not use" in capsys.readouterr().err
+
+
 def test_campaign_protocol_alpha_mismatch_exit_2(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(AMPLIFIED_CFG.replace("[protocol]\nalpha = 0.01\n", "[protocol]\nalpha = 0.02\n"))

@@ -273,7 +273,7 @@ def test_ar1_closed_form_sum_matches_the_recurrence(lam):
     size = _ar1_tail_weights(model, 10**7).shape[0]
     assert size == math.ceil(54.0 * math.log(2.0) / -math.log(lam))
     assert -math.expm1((size + 1) * math.log(lam)) == 1.0
-    white = NoiseModel(kind="white", sigma_tech=0.3, lam=lam)
+    white = NoiseModel(kind="white", sigma_tech=0.3)
     for model in (white, NoiseModel(kind="ar1", sigma_tech=0.3)):
         assert _ar1_tail_weights(model, 10**7).shape == (0,)
 
@@ -330,6 +330,11 @@ def test_noise_model_validation():
         NoiseModel(sigma_tech=-0.1)
     with pytest.raises(ValidationError):
         NoiseModel(kind="ar1", sigma_tech=0.1, lam=1.0)
+    # a nonzero field the kind ignores contradicts the kind
+    for kind, field in (("white", "lam"), ("white", "offset"), ("ar1", "offset"),
+                        ("systematic", "sigma_tech"), ("systematic", "lam")):
+        with pytest.raises(ValidationError, match="does not use"):
+            NoiseModel(kind=kind, **{field: 0.5})
     assert NoiseModel(kind="ar1", lam=0.5).correlation_time == -1.0 / math.log(0.5)
     assert NoiseModel().correlation_time == 0.0
 

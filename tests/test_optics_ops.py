@@ -12,14 +12,13 @@ from hal.fock_core import (
     number_state,
     tensor_product,
 )
-from hal import optics_ops
 from hal.optics_ops import (
     BeamSplitter,
     HeraldModel,
     apply_beam_splitter,
     herald_operator,
     project_number,
-    _sector_block,
+    _block,
 )
 
 CUTOFF = 6
@@ -271,42 +270,15 @@ def test_sector_block_reference_is_the_generator_exponential():
 
 @pytest.mark.parametrize("t", [0.1, 0.7])
 def test_sector_block_matches_mpmath(t):
-    theta = BeamSplitter(t).theta
+    bs = BeamSplitter(t)
     for total in (12, 24, 40, 60):
-        ref = _mp_sector_block(total, theta)
-        assert np.max(np.abs(_sector_block(total, theta) - ref)) <= 1e-14, total
-
-
-def test_beam_splitter_caches_stay_within_their_byte_budget(monkeypatch):
-    # cutoff 50 fills totals up to 100; blocks past total 63 (up to 101 x 101,
-    # 82 kB) go to the byte-bounded caches, so a 150 kB budget holds at most
-    # one of the largest and must evict as theta and total change
-    cutoff, budget = 50, 150_000
-    rng = np.random.default_rng(3)
-    amp = rng.normal(size=(cutoff + 1) ** 2) + 1j * rng.normal(size=(cutoff + 1) ** 2)
-    state = PureState(amp / np.linalg.norm(amp), cutoff, 2)
-    splitters = [BeamSplitter(t) for t in (0.1, 0.2, 0.3, 0.1)]
-    expected = [apply_beam_splitter(state, bs).amplitudes for bs in splitters]
-
-    caches = [optics_ops._ByteBoundedCache(budget) for _ in range(2)]
-    monkeypatch.setattr(optics_ops, "_eigenvector_cache", caches[0])
-    monkeypatch.setattr(optics_ops, "_large_block_cache", caches[1])
-    small_totals = []
-    lru = optics_ops._sector_block
-
-    def small_block(total, theta):
-        small_totals.append(total)
-        return lru(total, theta)
-
-    monkeypatch.setattr(optics_ops, "_sector_block", small_block)
-    for bs, want in zip(splitters, expected):
-        got = apply_beam_splitter(state, bs).amplitudes
-        assert got.tobytes() == want.tobytes()
-        for cache in caches:
-            assert 0 < cache.held <= budget
-            assert cache.held == sum(v.nbytes for v in cache._items.values())
-    assert max(small_totals) == optics_ops._SMALL_TOTAL
-    # a value above the budget is returned but not kept
-    tiny = optics_ops._ByteBoundedCache(100)
-    assert tiny.get("k", lambda: np.zeros(20)).shape == (20,)
-    assert tiny.held == 0 and not tiny._items
+        ref = _mp_sector_block(total, bs.theta)
+        assert np.max(np.abs(_block(total, bs.theta) - ref)) <= 1e-14, total
+        # the closed-form images of |total - l, l>, l = 0, 1, which the
+        # protocol's branches are made of
+        m = np.arange(total + 1)
+        for l in (0, 1):
+            amp = np.zeros((total + 1, total + 1))
+            amp[total - l, l] = 1.0
+            out = apply_beam_splitter(PureState(amp, total, 2), bs).as_two_mode_matrix()
+            assert np.max(np.abs(out[m, total - m] - ref[:, total - l])) <= 1e-14, (total, l)

@@ -405,3 +405,81 @@ def test_leakage_field():
 def test_conditional_state_kind(p1, herald, kind):
     config = ProtocolConfig(alpha=0.01, t=0.1, source_efficiency=p1, herald=herald)
     assert type(run_exact(config).conditional_state) is kind
+
+
+def _mp_click_probability(alpha, t, cutoff, p1, eta, pd):
+    """run_exact's click probability for a coherent input, in mpmath (30 digits).
+
+    Built from the binomial expansion of the splitter's images: with
+    r^2 = 1 - t^2, U|k, 0> has amplitude sqrt(C(k, m)) r^m (-t)^(k-m) on
+    |m, k-m>, and U|k, 1> = (t a^dag + r b^dag) U|k, 0>. Mode A is read by
+    the number-resolving herald; images past the cutoff are dropped.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        t, eta, pd = mpmath.mpf(t), mpmath.mpf(eta), mpmath.mpf(pd)
+        r2, t2 = 1 - t * t, t * t
+        mu = mpmath.mpf(alpha) ** 2
+        poisson = [mpmath.exp(-mu) * mu**k / mpmath.factorial(k) for k in range(cutoff + 1)]
+        norm = mpmath.fsum(poisson)
+        w = [pd] + [
+            (1 - pd) * n * eta * (1 - eta) ** (n - 1) + pd * (1 - eta) ** n
+            for n in range(1, cutoff + 1)
+        ]
+        r2_pow = [r2**i for i in range(cutoff + 2)]
+        t2_pow = [t2**i for i in range(cutoff + 2)]
+
+        def a0(k, m):
+            # |<m, k-m| U |k, 0>|, zero outside 0 <= m <= k
+            if not 0 <= m <= k:
+                return mpmath.mpf(0)
+            return mpmath.sqrt(math.comb(k, m) * r2_pow[m] * t2_pow[k - m])
+
+        branch = [mpmath.mpf(0), mpmath.mpf(0)]
+        for k in range(cutoff + 1):
+            for m in range(min(k + 1, cutoff) + 1):
+                # the two terms of U|k, 1> have opposite signs
+                one = mpmath.sqrt(r2 * (k + 1 - m)) * a0(k, m) - mpmath.sqrt(t2 * m) * a0(k, m - 1)
+                zero = a0(k, m)
+                if k + 1 - m <= cutoff:
+                    branch[1] += w[m] * poisson[k] * one**2
+                branch[0] += w[m] * poisson[k] * zero**2
+        return (p1 * branch[1] + (1 - mpmath.mpf(p1)) * branch[0]) / norm
+
+
+def test_tiny_click_probability_matches_mpmath():
+    # Coherent alpha 9 puts about 81 photons in mode A; a single click needs
+    # nearly all of them moved to mode B, so p ~ 9e-29. Rounding of order
+    # 1e-16 of a column's norm would swamp it; the closed-form images keep it
+    # to a relative error near machine precision.
+    cutoff, alpha, t, p1, eta, pd = 170, 9.0, 0.2, 0.9, 0.9, 1e-4
+    herald = HeraldModel(read_efficiency=eta, dark_count=pd)
+    config = ProtocolConfig(
+        alpha=alpha, t=t, cutoff=cutoff, input_kind="coherent", source_efficiency=p1, herald=herald
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        got = run_exact(config).success_probability
+    want = _mp_click_probability(alpha, t, cutoff, p1, eta, pd)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_cutoff_400_point_memory_is_bounded():
+    # the coherent alpha = 15 point fills every sector up to cutoff 400; its
+    # branches need the images of two input columns, not sector unitaries
+    import tracemalloc
+
+    herald = HeraldModel(read_efficiency=0.9, dark_count=1e-4)
+    config = ProtocolConfig(
+        alpha=15.0, t=0.2, cutoff=400, input_kind="coherent", source_efficiency=0.9, herald=herald
+    )
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            run_exact(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
