@@ -14,15 +14,21 @@ sparsely. Estimation is restricted to real alpha at phase zero.
 Randomness: one 64-bit seed; replica i draws from a counter-based Philox
 stream keyed by SeedSequence(seed, spawn_key=(i,)), so replicas are
 independent of each other and of thread scheduling. Within a replica the
-draw order is fixed: herald uniforms (amplified only), then quadrature
-samples, then noise variates; a zero-sigma noise model consumes no draws.
+draw order is fixed: herald uniforms (amplified only), then quadrature, then
+noise; a zero-sigma or systematic noise model consumes no draws. A direct
+replica's records (the runs CSV) come afterwards from its child stream,
+spawn_key=(i, 0), in the same order.
 
-Direct estimator: mean(quad + noise)/sqrt(2) needs only the two sums
-sum(quad) and sum(noise), so a direct replica accumulates them over chunks
-of its draws, in the draw order above, and holds no per-attempt array unless
-its runs are recorded. The ar1 sum comes in closed form from the drive d
-that noise_series builds, sum_k y_k = sum_j d_j (1 - lambda^(R-j)) /
-(1 - lambda), instead of from the scanned series.
+Direct estimator: mean(quad + noise)/sqrt(2) is linear in Gaussian
+variables, so a direct replica draws it in closed form from one standard
+normal per sum. The R coherent-state quadratures sum to exactly
+N(sqrt(2) alpha R, R/2), with no Fock cutoff; white noise sums to
+N(0, R sigma^2), a stationary ar1 series to N(0, sigma^2 V_R) (see
+`_ar1_sum_variance`), and a systematic offset to R offset. Its records are
+constrained realisations (Hoffman & Ribak, ApJ 380, L5, 1991): unconstrained
+draws shifted along their covariance with the sum until they add up to the
+two sums the estimate used. They are exact in joint distribution, and the
+estimate does not depend on whether they are drawn.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 
 from ._parallel import map_indexed
 from .errors import GridError, NoSuccessError, ShapeError, ValidationError
-from .fock_core import DEFAULT_CUTOFF, DensityOperator, PureState, coherent_state
+from .fock_core import DensityOperator, PureState
 from .protocol import ProtocolConfig, run_exact
 
 State = Union[PureState, DensityOperator]
@@ -47,15 +53,14 @@ GRID_POINTS = 16001
 #: Campaign size ceilings, checked before anything is allocated. A running
 #: amplified replica holds about 34 bytes per attempt (measured with AR(1)
 #: noise on one worker), so MAX_ATTEMPTS keeps each worker near 350 MB;
-#: HAL_THREADS workers (at most the CPU count) hold that each. An unrecorded
-#: direct replica streams its draws and holds a few chunks (about 4 MB at
-#: any size); the workers share one set of ar1 tail weights, 8 B for each
-#: of at most ceil(54 ln 2 / -ln lambda) attempts (3 MB at lambda 0.9999).
-#: MAX_TOTAL_ATTEMPTS bounds the run time: 50-57 ns per direct attempt with
-#: ar1 noise on one thread, so about a minute. A campaign that records its
-#: runs (the runs CSV) keeps every attempt: 17 B of record plus the CSV text,
-#: 120-180 B per row in all (measured at 1.2e6 and 1.6e6 rows), so
-#: MAX_RECORDED_ATTEMPTS keeps it under 1 GB.
+#: HAL_THREADS workers (at most the CPU count) hold that each.
+#: MAX_TOTAL_ATTEMPTS bounds the run time: 56 ns per amplified attempt with
+#: ar1 noise on one thread, so about a minute. An unrecorded direct replica
+#: costs O(1) whatever its size (two normal draws, about 30 us with its
+#: stream). A campaign that records its runs (the runs CSV) keeps every
+#: attempt: 17 B of record plus the CSV text, 120-180 B per row in all
+#: (measured at 1.2e6 and 1.6e6 rows), so MAX_RECORDED_ATTEMPTS keeps it
+#: under 1 GB.
 MAX_ATTEMPTS = 10**7
 MAX_TOTAL_ATTEMPTS = 10**9
 MAX_RECORDED_ATTEMPTS = 5 * 10**6
@@ -402,23 +407,6 @@ def _ar1_scan(drive: np.ndarray, lam: float) -> np.ndarray:
     return y.reshape(-1)[:n]
 
 
-def _drive(model: NoiseModel, xi: np.ndarray, starts_series: bool) -> np.ndarray:
-    """Scale standard normals, in place, into the drive of white or ar1 noise.
-
-    white: sigma xi, which is the noise itself. ar1: the innovations
-    sqrt(1 - lambda^2) sigma xi, except that the first value of the series
-    (when this chunk starts it) is drawn stationary, sigma xi.
-    """
-    if model.kind == "white":
-        xi *= model.sigma_tech
-        return xi
-    rest = xi[1:] if starts_series else xi
-    rest *= math.sqrt(1.0 - model.lam * model.lam) * model.sigma_tech
-    if starts_series:
-        xi[0] *= model.sigma_tech
-    return xi
-
-
 def noise_series(model: NoiseModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """Technical-noise values for `count` consecutive attempts.
 
@@ -426,9 +414,10 @@ def noise_series(model: NoiseModel, count: int, rng: np.random.Generator) -> np.
     white/ar1 models (and systematic, which is deterministic) consume no
     random draws.
 
-    The ar1 recurrence runs as a blocked scan (see `_ar1_scan`). It differs
-    from the sequential recurrence (what scipy.signal.lfilter computes) only
-    in rounding: the block carries add one multiply-add per value. The
+    The ar1 recurrence runs as a blocked scan (see `_ar1_scan`) over the
+    drive sigma xi_0, sqrt(1 - lambda^2) sigma xi_k. It differs from the
+    sequential recurrence (what scipy.signal.lfilter computes) only in
+    rounding: the block carries add one multiply-add per value. The
     difference stays within 1e-12 * max|w| for lambda up to 0.9999 (the
     tested bound; about 1e-14 measured up to a million values).
     """
@@ -438,91 +427,55 @@ def noise_series(model: NoiseModel, count: int, rng: np.random.Generator) -> np.
         return np.full(count, model.offset)
     if model.sigma_tech == 0.0 or count == 0:
         return np.zeros(count)
-    drive = _drive(model, rng.standard_normal(count), True)
-    return _ar1_scan(drive, model.lam) if model.kind == "ar1" else drive
+    xi = rng.standard_normal(count)
+    if model.kind == "white":
+        xi *= model.sigma_tech
+        return xi
+    xi[1:] *= math.sqrt(1.0 - model.lam * model.lam) * model.sigma_tech
+    xi[0] *= model.sigma_tech
+    return _ar1_scan(xi, model.lam)
 
 
-def _ar1_tail_weights(model: NoiseModel, count: int) -> np.ndarray:
-    """The weights 1 - lambda^m, m = L..1, of the last L drive values of a
-    `count`-attempt ar1 series in its closed-form sum (see `_noise_sum`).
+def _phi(y: float) -> float:
+    """(y - 1 + e^-y) / y^2 for y >= 0: its Taylor series, sum over n of
+    (-y)^n / (n + 2)!, up to y = 1, where the closed form would cancel."""
+    if y > 1.0:
+        return ((y - 1.0) + math.exp(-y)) / (y * y)
+    total, term, n = 0.0, 0.5, 0
+    while total + term != total:
+        total += term
+        n += 1
+        term *= -y / (n + 2)
+    return total
 
-    Every earlier drive value has m > L, where lambda^m < 2^-54 and the
-    weight rounds to 1 exactly, so it needs none: L is at most
-    ceil(54 ln 2 / -ln lambda), about 3.7k at lambda 0.99 and 374k at
-    0.9999 (and at most `count`). White noise and lambda = 0 need no
-    weights at all.
+
+def _ar1_sum_variance(lam: float, count: int) -> float:
+    """Var(y_1 + ... + y_R) / sigma^2 of a stationary ar1 series, R = count.
+
+    The textbook form R(1 + lam)/(1 - lam) - 2 lam (1 - lam^R)/(1 - lam)^2
+    cancels when R(1 - lam) is small. With L = -ln lam it equals
+    R + 2 lam R (L/(1 - lam))^2 (R phi(R L) - phi(L)), phi as in `_phi`;
+    y phi(y) increases, so the difference is positive for R >= 2 and
+    exactly 0 at R = 1. lam = 0 (white noise) gives R.
     """
-    if model.kind != "ar1" or model.lam == 0.0:
-        return np.empty(0)
-    log_lam = math.log(model.lam)
-    size = min(count, math.ceil(54.0 * math.log(2.0) / -log_lam))
-    weights = -np.expm1(np.arange(size, 0, -1) * log_lam)
-    weights.setflags(write=False)
-    return weights
+    if lam == 0.0:
+        return float(count)
+    log_rate = -math.log(lam)
+    spread = count * _phi(count * log_rate) - _phi(log_rate)
+    return count + 2.0 * lam * count * (log_rate / (1.0 - lam)) ** 2 * spread
 
 
-def _noise_sum(
-    model: NoiseModel, tail: np.ndarray, count: int, rng: np.random.Generator, record: bool
-) -> Tuple[float, Optional[np.ndarray]]:
-    """The sum of noise_series(model, count, rng), streamed, and the series
-    itself if `record`.
+def _sum_weights(lam: float, count: int) -> Union[float, np.ndarray]:
+    """c_k = Cov(y_k, sum y) / Var(sum y) of a white (lam = 0) or ar1 series.
 
-    The normals are drawn as noise_series draws them, in chunks, and turned
-    into the same drive d. An ar1 series y_k = lambda y_(k-1) + d_k sums in
-    closed form: sum_k y_k = sum_j d_j (1 - lambda^(count-j)) / (1 - lambda),
-    with the weights of the last drive values in `tail`
-    (`_ar1_tail_weights`) and 1 before them. White noise is the drive itself
-    (no tail, lambda taken as 0). Recording copies the chunks out and runs
-    the scan on them afterwards; the sum does not depend on it.
+    Cov(y_k, sum y) / sigma^2 = sum_j lam^|k - j|
+    = (1 - lam^(k+1))/(1 - lam) + (1 - lam^(R-k))/(1 - lam) - 1, whose
+    two fractions are the same array read forwards and backwards.
     """
-    if model.kind == "systematic":
-        return count * model.offset, np.full(count, model.offset) if record else None
-    if model.sigma_tech == 0.0:
-        return 0.0, np.zeros(count) if record else None
-    drive = np.empty(count) if record else None
-    cut = count - tail.shape[0]  # drive values from here on are weighted
-    plain = weighted = 0.0
-    for lo in range(0, count, _SAMPLE_CHUNK):
-        d = _drive(model, rng.standard_normal(min(_SAMPLE_CHUNK, count - lo)), lo == 0)
-        hi = lo + d.shape[0]
-        if record:
-            drive[lo:hi] = d
-        split = min(max(cut - lo, 0), d.shape[0])
-        plain += float(d[:split].sum())
-        if split < d.shape[0]:
-            weighted += float(np.multiply(d[split:], tail[lo + split - cut : hi - cut]).sum())
-    lam = model.lam if model.kind == "ar1" else 0.0
-    series = None
-    if record:
-        series = _ar1_scan(drive, lam) if model.kind == "ar1" else drive
-    return (plain + weighted) / (1.0 - lam), series
-
-
-def _direct_replica(
-    table: _InverseCdf,
-    model: NoiseModel,
-    tail: np.ndarray,
-    count: int,
-    rng: np.random.Generator,
-    record: bool,
-) -> Tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
-    """One direct replica: its estimate and, if `record`, its quadrature
-    samples and noise values.
-
-    sum(quad) and sum(noise) are accumulated chunk by chunk, all `count`
-    quadrature uniforms first, then the noise normals, so an unrecorded
-    replica holds no array of length `count`. Recording copies the same
-    chunks out; the estimate is the same number either way.
-    """
-    quad = np.empty(count) if record else None
-    sum_quad = 0.0
-    for lo in range(0, count, _SAMPLE_CHUNK):
-        chunk = _sample_from_density(table, min(_SAMPLE_CHUNK, count - lo), rng)
-        sum_quad += float(chunk.sum())
-        if record:
-            quad[lo : lo + chunk.shape[0]] = chunk
-    sum_noise, noise = _noise_sum(model, tail, count, rng, record)
-    return (sum_quad + sum_noise) / count / math.sqrt(2.0), quad, noise
+    if lam == 0.0:
+        return 1.0 / count
+    ones = -np.expm1(np.arange(1, count + 1) * math.log(lam))
+    return ((ones + ones[::-1]) / (1.0 - lam) - 1.0) / _ar1_sum_variance(lam, count)
 
 
 def estimate_alpha(samples: Sequence[float], scheme: str, t: Optional[float] = None) -> float:
@@ -543,9 +496,32 @@ def estimate_alpha(samples: Sequence[float], scheme: str, t: Optional[float] = N
     raise ValidationError(f"scheme must be direct|amplified, got {scheme!r}")
 
 
-def _replica_rng(seed: int, replica: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replica),))
+def _replica_rng(seed: int, *key: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _direct_records(
+    config: CampaignConfig, sum_quad: float, sum_noise: float, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A direct replica's per-attempt quad + noise and noise, given its sums.
+
+    Constrained realisations: R coherent-state quadratures
+    sqrt(2) alpha + xi/sqrt(2), then noise_series, each shifted by
+    c (sum - sum of the draws), c as in `_sum_weights`, which gives the
+    draws' joint distribution given their sum. Systematic and zero-sigma
+    noise are fixed and need no shift.
+    """
+    count, model = config.attempts, config.noise
+    x = rng.standard_normal(count)
+    x *= math.sqrt(0.5)
+    x += math.sqrt(2.0) * config.true_alpha
+    x += (sum_quad - float(x.sum())) / count
+    noise = noise_series(model, count, rng)
+    if model.kind != "systematic" and model.sigma_tech > 0.0:
+        noise += _sum_weights(model.lam, count) * (sum_noise - float(noise.sum()))
+    x += noise
+    return x, noise
 
 
 def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignSummary:
@@ -557,14 +533,14 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
     coherent state of amplitude true_alpha. Technical noise is generated over
     all attempts in run order and added to whichever samples exist.
 
-    A direct replica's estimate, mean(quad + noise)/sqrt(2), is computed from
-    two sums streamed over chunks of the draws (see `_direct_replica`): the
-    quadrature samples, and the noise, whose ar1 sum is taken in closed form
-    from the drive instead of running the scan. The replica still draws all
-    its quadrature uniforms, then all its noise normals, so its records are
-    those that noise_series and the sampler give. The estimate differs from
-    the mean of the recorded values only in rounding, and is the same number
-    with or without record_runs.
+    A direct replica costs O(1) in time and memory: its estimate
+    (sum_quad + sum_noise)/R/sqrt(2) comes from the two sums drawn in closed
+    form, one standard normal each, quadrature first (see the module
+    docstring). With record_runs its R attempts are then drawn from the
+    child stream spawn_key=(replica, 0), conditioned on those sums
+    (`_direct_records`), so the estimate equals the mean of the recorded
+    samples over sqrt(2) up to rounding and is the same number with or
+    without record_runs.
 
     record_runs keeps every attempt, so it is refused above
     MAX_RECORDED_ATTEMPTS attempts in all.
@@ -575,35 +551,39 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
             f"recording {r_attempts} attempts x {config.replicas} replicas exceeds the "
             f"limit of {MAX_RECORDED_ATTEMPTS} recorded attempts"
         )
+    model = config.noise
     if config.scheme == "amplified":
         protocol_result = run_exact(config.protocol)
         p_success = protocol_result.success_probability
-        sampled_state: State = protocol_result.conditional_state
+        table = _InverseCdf.of(quadrature_pdf(protocol_result.conditional_state, 0.0))
     else:
-        sampled_state = coherent_state(config.true_alpha, DEFAULT_CUTOFF)
-        tail = _ar1_tail_weights(config.noise, r_attempts)  # shared read-only
-    table = _InverseCdf.of(quadrature_pdf(sampled_state, 0.0))
+        quad_mean = math.sqrt(2.0) * config.true_alpha * r_attempts
+        quad_sd = math.sqrt(r_attempts / 2.0)
+        draws_noise = model.kind != "systematic" and model.sigma_tech > 0.0
+        noise_mean = r_attempts * model.offset
+        noise_sd = model.sigma_tech * math.sqrt(_ar1_sum_variance(model.lam, r_attempts))
 
     def one_replica(replica: int):
         rng = _replica_rng(config.seed, replica)
         if config.scheme == "direct":
-            est, quad, noise = _direct_replica(
-                table, config.noise, tail, r_attempts, rng, record_runs
-            )
+            sum_quad = quad_mean + quad_sd * rng.standard_normal()
+            sum_noise = noise_sd * rng.standard_normal() if draws_noise else noise_mean
             record = None
             if record_runs:
-                quad += noise
+                x, noise = _direct_records(
+                    config, sum_quad, sum_noise, _replica_rng(config.seed, replica, 0)
+                )
                 record = ReplicaRuns(
                     replica=replica,
                     heralded=np.ones(r_attempts, dtype=np.int8),
-                    x_sample=quad,
+                    x_sample=x,
                     noise_value=noise,
                 )
-            return est, r_attempts, record
+            return (sum_quad + sum_noise) / r_attempts / math.sqrt(2.0), r_attempts, record
         heralded = rng.random(r_attempts) < p_success
         n_success = int(np.count_nonzero(heralded))
         quad = _sample_from_density(table, n_success, rng)
-        noise = noise_series(config.noise, r_attempts, rng)
+        noise = noise_series(model, r_attempts, rng)
         samples = quad + noise[heralded]
         try:
             est: Optional[float] = estimate_alpha(samples, "amplified", config.protocol.t)

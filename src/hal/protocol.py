@@ -217,13 +217,28 @@ def _mixed_gain(conditional: DensityOperator, alpha_mag: float) -> float:
     return float(math.sqrt(d[1] / d[0]) / alpha_mag)
 
 
+def _photon_leakage(signal: PureState, t: float) -> float:
+    """The probability that the splitter moves |signal>|1> past the cutoff c.
+
+    A column |k, 0> keeps its total k <= c and |k, 1> its total k + 1, so
+    only |c, 1> leaks. Of its image (t a^dag + r b^dag) U|c, 0> the splitter
+    drops the two entries |c + 1, 0> and |0, c + 1>, whose amplitudes are
+    sqrt(c + 1) t r^c and sqrt(c + 1) r (-t)^c (see
+    optics_ops._column_images); r^(2c) is taken as exp(c log1p(-t^2)).
+    """
+    c = signal.cutoff
+    dropped = (c + 1) * (t * t * math.exp(c * math.log1p(-t * t)) + (1.0 - t * t) * t ** (2 * c))
+    return float(abs(signal.amplitudes[c])) ** 2 * dropped
+
+
 def run_exact(config: ProtocolConfig) -> HeraldResult:
     """Evaluate the protocol exactly in truncated Fock space.
 
     The source terms signal x |1> (weight p1) and signal x |0> (weight
     1 - p1) are the branches; a zero-weight term is skipped. Each branch
-    goes through the beam splitter as a pure state, whose norm deficit is
-    the probability it leaked past the cutoff, and the herald's click
+    goes through the beam splitter as a pure state, losing the image
+    entries past the cutoff (their probability is the leakage, see
+    `_photon_leakage`; the vacuum branch loses none), and the herald's click
     weights w reduce it on the read mode to an operator on the other mode.
     The weighted sum of these is the unnormalized conditional state, and its
     trace is the click probability.
@@ -254,10 +269,8 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
         psi_in = tensor_product(signal, number_state(photons, cutoff))
         out = apply_beam_splitter(psi_in, bs)
         rho += weight * herald_operator(out.as_two_mode_matrix(), w, herald.mode)
-        amp_in, amp_out = psi_in.amplitudes, out.amplitudes
-        leakage += weight * max(
-            float(np.vdot(amp_in, amp_in).real - np.vdot(amp_out, amp_out).real), 0.0
-        )
+        if photons:
+            leakage += weight * _photon_leakage(signal, config.t)
     if leakage > TAIL_THRESHOLD:
         raise TruncationError(
             f"beam-splitter leakage {leakage:.3e} exceeds threshold {TAIL_THRESHOLD:.1e}",

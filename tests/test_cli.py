@@ -363,6 +363,21 @@ def test_campaign_run_and_seed_override(tmp_path, capsys):
     assert doc2["estimate_mean"] != doc["estimate_mean"]
 
 
+def test_direct_campaign_has_no_fock_cutoff(tmp_path):
+    # a coherent state of amplitude 2 leaves 2.7e-4 of its mass past cutoff
+    # 12, where the direct scheme once tabulated it (exit 3); its quadrature
+    # sum is now drawn exactly, at any amplitude
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(DIRECT_CFG.replace("true_alpha = 0.01", "true_alpha = 2"))
+    out = tmp_path / "s.json"
+    assert main(["campaign", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["attempts"], doc["replicas"]) == (100, 3)
+    # mean(x + noise)/sqrt(2) over 300 attempts, Var x = 1/2, sigma_tech 0.05
+    se = math.sqrt((0.5 + 0.05 ** 2) / (2.0 * 300))
+    assert abs(doc["estimate_mean"] - 2.0) <= 6.0 * se
+
+
 def test_campaign_missing_field_exit_2(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(AMPLIFIED_CFG.replace("t = 0.1\n", ""))

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hal.errors import GridError, NoSuccessError, ValidationError
-from hal.fock_core import DEFAULT_CUTOFF, DensityOperator, coherent_state, number_state
+from hal.fock_core import DensityOperator, coherent_state, number_state
 from hal.metrology import (
     MAX_ATTEMPTS,
     MAX_RECORDED_ATTEMPTS,
@@ -14,12 +15,10 @@ from hal.metrology import (
     NoiseModel,
     _SAMPLE_CHUNK,
     _InverseCdf,
-    _ar1_tail_weights,
-    _direct_replica,
-    _drive,
-    _noise_sum,
+    _ar1_sum_variance,
     _replica_rng,
     _sample_from_density,
+    _sum_weights,
     default_grid,
     estimate_alpha,
     hermite_functions,
@@ -30,6 +29,8 @@ from hal.metrology import (
     time_budget,
 )
 from hal.protocol import HeraldModel, ProtocolConfig, run_exact
+
+from direct_reference import reference_direct
 
 SQRT2 = math.sqrt(2.0)
 
@@ -192,22 +193,6 @@ def test_sampler_matches_interp_on_grid_points_and_flat_tails():
     assert got.tobytes() == expected.tobytes()
 
 
-def test_direct_campaign_draws_are_sample_homodyne_draws():
-    # one sampler: with no noise a direct replica records exactly the draws
-    # sample_homodyne makes from the same replica stream
-    cfg = CampaignConfig(scheme="direct", true_alpha=0.02, total_time=7000.0,
-                         noise=NoiseModel(), seed=5, replicas=2)
-    s = run_campaign(cfg, record_runs=True)
-    for rec in s.run_records:
-        rng = _replica_rng(5, rec.replica)
-        quad = sample_homodyne(coherent_state(0.02, DEFAULT_CUTOFF), 0.0, cfg.attempts, rng)
-        assert np.array_equal(rec.x_sample, quad)
-
-
-def _philox(seed):
-    return np.random.Generator(np.random.Philox(seed))
-
-
 DIRECT_NOISES = {
     "white": NoiseModel(kind="white", sigma_tech=0.3),
     "ar1-0": NoiseModel(kind="ar1", sigma_tech=0.3, lam=0.0),
@@ -220,62 +205,116 @@ DIRECT_NOISES = {
 DIRECT_COUNTS = (1, 2, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 7)
 
 
+def _direct_cfg(model, count, seed=5, replicas=1, alpha=0.01):
+    cfg = CampaignConfig(scheme="direct", true_alpha=alpha, total_time=count + 0.5,
+                         run_period=1.0, noise=model, seed=seed, replicas=replicas)
+    assert cfg.attempts == count
+    return cfg
+
+
 @pytest.mark.parametrize("name", sorted(DIRECT_NOISES))
 def test_streamed_direct_estimate_matches_the_sample_mean(name):
-    # the two streamed sums give estimate_alpha of quad + noise_series drawn
-    # from the same stream; the largest difference measured over these
-    # cases is 1.4e-15 (ar1 at lambda 0.9999), all of it rounding
+    # the closed-form estimate is the mean of the recorded attempts, which
+    # are drawn given its two sums; the largest difference measured over
+    # these cases is 1.1e-16, all of it rounding
+    from scipy.signal import lfilter
+
     model = DIRECT_NOISES[name]
-    table = _InverseCdf.of(quadrature_pdf(coherent_state(0.01, DEFAULT_CUTOFF), 0.0))
     draws_noise = model.kind != "systematic" and model.sigma_tech > 0.0
     for seed, count in enumerate(DIRECT_COUNTS):
-        tail = _ar1_tail_weights(model, count)
-        rng = _philox(seed)
-        est, quad, noise = _direct_replica(table, model, tail, count, rng, False)
-        assert quad is None and noise is None
-        ref_rng = _philox(seed)
-        ref_quad = _sample_from_density(table, count, ref_rng)
-        ref_noise = noise_series(model, count, ref_rng)
-        assert abs(est - estimate_alpha(ref_quad + ref_noise, "direct")) <= 5e-15, count
-        # recording copies the same chunks out and changes nothing else
-        rec_rng = _philox(seed)
-        rec_est, rec_quad, rec_noise = _direct_replica(table, model, tail, count, rec_rng, True)
-        assert rec_est == est
-        assert rec_quad.tobytes() == ref_quad.tobytes()
-        assert rec_noise.tobytes() == ref_noise.tobytes()
-        # the stream sits where count uniforms and count normals leave it
-        raw = _philox(seed)
-        raw.random(count)
+        cfg = _direct_cfg(model, count, seed)
+        (est,) = run_campaign(cfg).per_replica_estimates
+        (rec,) = run_campaign(cfg, record_runs=True).run_records
+        assert abs(est - estimate_alpha(rec.x_sample, "direct")) <= 1e-15, count
+        # the replica stream holds the two sums: quadrature, then noise
+        rng = _replica_rng(seed, 0)
+        sum_quad = SQRT2 * 0.01 * count + math.sqrt(count / 2.0) * rng.standard_normal()
         if draws_noise:
-            raw.standard_normal(count)
-        nxt = raw.random(4)
-        assert np.array_equal(rng.random(4), nxt)
-        assert np.array_equal(rec_rng.random(4), nxt)
+            sd = model.sigma_tech * math.sqrt(_ar1_sum_variance(model.lam, count))
+            sum_noise = sd * rng.standard_normal()
+        else:
+            sum_noise = count * model.offset
+        assert est == (sum_quad + sum_noise) / count / SQRT2
+        scale = count * (1.0 + model.sigma_tech + model.offset)
+        assert abs(math.fsum(rec.noise_value) - sum_noise) <= 1e-14 * scale, count
+        assert abs(math.fsum(rec.x_sample) - sum_quad - sum_noise) <= 1e-14 * scale, count
+        # the records are the child stream (replica, 0)'s unconstrained
+        # draws, quadrature then noise, each shifted by c_k (sum - sum of the
+        # draws), c_k = Cov(y_k, sum y) / Var(sum y): 1/R for iid draws, and
+        # for ar1 the row sums of lam^|k - j|, from two first-order filters
+        child_seed = np.random.SeedSequence(seed, spawn_key=(0, 0))
+        child = np.random.Generator(np.random.Philox(child_seed))
+        quad = SQRT2 * 0.01 + child.standard_normal(count) / SQRT2
+        noise = noise_series(model, count, child)
+        if draws_noise:
+            forward = lfilter([1.0], [1.0, -model.lam], np.ones(count))
+            rows = forward + forward[::-1] - 1.0
+            noise += rows / math.fsum(rows) * (sum_noise - math.fsum(noise))
+        else:
+            assert np.all(rec.noise_value == model.offset)
+        assert np.max(np.abs(rec.noise_value - noise)) <= 1e-14 * scale, count
+        quad += (sum_quad - math.fsum(quad)) / count
+        assert np.max(np.abs(rec.x_sample - quad - noise)) <= 1e-14 * scale, count
+
+
+def _ar1_sum_variance_by_recurrence(lam, count):
+    # s_k = y_1 + ... + y_k of a unit stationary ar1 series:
+    # Var(s_k) = Var(s_(k-1)) + 2 g_k + 1 with g_k = Cov(s_(k-1), y_k)
+    # = lam (g_(k-1) + 1), g_1 = 0; every term is positive
+    terms, g = [1.0], 0.0
+    for _ in range(count - 1):
+        g = lam * (g + 1.0)
+        terms.append(2.0 * g + 1.0)
+    return math.fsum(terms)
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.99, 0.9999])
 def test_ar1_closed_form_sum_matches_the_recurrence(lam):
-    model = NoiseModel(kind="ar1", sigma_tech=0.3, lam=lam)
-    for count in (1, 2, 1000, 3 * _SAMPLE_CHUNK + 7):
-        tail = _ar1_tail_weights(model, count)
-        total, series = _noise_sum(model, tail, count, _philox(count), False)
-        assert series is None
-        drive = _drive(model, _philox(count).standard_normal(count), True)
-        y, ys = 0.0, []
-        for d in drive.tolist():
-            y = lam * y + d
-            ys.append(y)
-        # relative to the sum's scale; 1.6e-17 measured, as for the sum of
-        # the blocked scan's values
-        scale = float(np.sum(np.abs(drive))) / (1.0 - lam)
-        assert abs(total - math.fsum(ys)) <= 1e-16 * scale, count
-    # the weights beyond the stored tail are 1 exactly
-    size = _ar1_tail_weights(model, 10**7).shape[0]
-    assert size == math.ceil(54.0 * math.log(2.0) / -math.log(lam))
-    assert -math.expm1((size + 1) * math.log(lam)) == 1.0
-    white = NoiseModel(kind="white", sigma_tech=0.3)
-    for model in (white, NoiseModel(kind="ar1", sigma_tech=0.3)):
-        assert _ar1_tail_weights(model, 10**7).shape == (0,)
+    for count in (1, 2, 3, 1000, 3 * _SAMPLE_CHUNK + 7):
+        want = _ar1_sum_variance_by_recurrence(lam, count)
+        assert abs(_ar1_sum_variance(lam, count) - want) <= 1e-13 * want, count
+        # the constrained-realisation weights are Cov(y_k, sum y) / Var(sum y)
+        weights = _sum_weights(lam, count)
+        assert weights.shape == (count,)
+        assert abs(math.fsum(weights) - 1.0) <= 1e-13, count
+        if count <= 1000:
+            k = np.arange(count)
+            cov = (lam ** np.abs(k[:, None] - k)).sum(axis=1)
+            assert np.max(np.abs(weights * want - cov) / cov) <= 1e-12, count
+    # white noise (lambda = 0) weighs every attempt alike
+    assert _sum_weights(0.0, 7) == 1.0 / 7
+    assert _ar1_sum_variance(0.0, 7) == 7.0
+
+
+def _fixed_point_power(lam, count, bits=256):
+    """lam^count as a Fraction within 2 log2(count) 2^-bits of the exact
+    value: binary powering on integers scaled by 2^bits, each product
+    rounded down. Exact Fraction powers at count 1e7 would hold 5e8-bit
+    integers."""
+    one = 1 << bits
+    base = lam.numerator * one // lam.denominator  # exact: lam has 53 bits
+    result = one
+    while count:
+        if count & 1:
+            result = result * base >> bits
+        base = base * base >> bits
+        count >>= 1
+    return Fraction(result, one)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.99, 0.9999, 1.0 - 1e-9])
+def test_ar1_sum_variance_matches_exact_rationals(lam):
+    # V_R = R (1 + lam)/(1 - lam) - 2 lam (1 - lam^R)/(1 - lam)^2 in exact
+    # rational arithmetic on the float lam. The textbook form evaluated in
+    # floats is off by 3.6e-12 at lam 0.9999, R 1, by 2.5e-9 at R 2, and
+    # by 0.5 at lam 1 - 1e-9, R 2; the closed form used is within 4.1e-16
+    # at every case here
+    q = Fraction(lam)
+    for count in (1, 2, 3, 1000, 10**7):
+        power = _fixed_point_power(q, count)
+        exact = count * (1 + q) / (1 - q) - 2 * q * (1 - power) / (1 - q) ** 2
+        got = _ar1_sum_variance(lam, count)
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**13) * exact, (count, got, float(exact))
 
 
 @pytest.mark.parametrize("name", sorted(DIRECT_NOISES))
@@ -291,20 +330,71 @@ def test_direct_summary_does_not_depend_on_recording(name):
         assert getattr(plain, field) == getattr(recorded, field), field
 
 
-def test_unrecorded_direct_replica_memory_is_flat():
-    # 1e6 attempts would be 8 MB per float array; the streamed replica holds
-    # a few chunks of temporaries (4.2 MB measured) and the tail weights
-    model = NoiseModel(kind="ar1", sigma_tech=0.1, lam=0.99)
-    table = _InverseCdf.of(quadrature_pdf(coherent_state(0.01, DEFAULT_CUTOFF), 0.0))
-    tail = _ar1_tail_weights(model, 10**6)
-    rng = _philox(1)
+def test_unrecorded_direct_campaign_memory_is_flat():
+    # the largest direct campaign the ceilings admit: 1e7 attempts, each an
+    # 80 MB float array if it were held, times 100 replicas; a replica keeps
+    # two floats (17 kB peak measured for the whole campaign)
+    count, replicas = MAX_ATTEMPTS, MAX_TOTAL_ATTEMPTS // MAX_ATTEMPTS
+    cfg = _direct_cfg(NoiseModel(kind="ar1", sigma_tech=0.1, lam=0.9999), count,
+                      replicas=replicas)
     tracemalloc.start()
     try:
-        _direct_replica(table, model, tail, 10**6, rng, False)
+        s = run_campaign(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * _SAMPLE_CHUNK * 8 + tail.nbytes < 10**6 * 8
+    assert s.successes == count * replicas
+    assert peak < 10**6
+
+
+def _matched_in_distribution(got, ref, what):
+    """got agrees with the reference sample ref in mean, variance and
+    distribution, each bound taken from ref's own spread: 5 standard errors
+    of a difference of two means, or of two variances (from ref's fourth
+    central moment), and a two-sample KS p-value above 1e-6."""
+    from scipy.stats import ks_2samp
+
+    n = ref.shape[0]
+    centred = ref - ref.mean()
+    var = float(np.mean(centred ** 2))
+    if var == 0.0:
+        assert np.array_equal(got, ref), what
+        return
+    assert abs(got.mean() - ref.mean()) <= 5.0 * math.sqrt(2.0 * var / n), what
+    var_se = math.sqrt((np.mean(centred ** 4) - var * var) / n)
+    assert abs(got.var() - var) <= 5.0 * math.sqrt(2.0) * var_se, what
+    assert ks_2samp(got, ref).pvalue > 1e-6, what
+
+
+REFERENCE_NOISES = {
+    "white": NoiseModel(kind="white", sigma_tech=0.3),
+    "ar1-0.5": NoiseModel(kind="ar1", sigma_tech=0.3, lam=0.5),
+    "ar1-0.99": NoiseModel(kind="ar1", sigma_tech=0.3, lam=0.99),
+    "ar1-0.9999": NoiseModel(kind="ar1", sigma_tech=0.3, lam=0.9999),
+    "systematic": NoiseModel(kind="systematic", offset=0.2),
+    "zero": NoiseModel(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_NOISES))
+def test_direct_closed_form_matches_the_per_attempt_reference(name):
+    # 2000 replicas of 50 attempts from each engine, on unrelated seeds (the
+    # reference's uniforms and the closed form's normals would otherwise
+    # come from the same Philox words); the records are compared at the
+    # first, middle and last attempt and by their end-to-end difference
+    model = REFERENCE_NOISES[name]
+    count, replicas = 50, 2000
+    ref_est, ref_records = reference_direct(_direct_cfg(model, count, 1001, replicas, 0.3))
+    s = run_campaign(_direct_cfg(model, count, 2002, replicas, 0.3), record_runs=True)
+    _matched_in_distribution(np.array(s.per_replica_estimates), ref_est, "estimate")
+    got_x = np.array([r.x_sample for r in s.run_records])
+    got_noise = np.array([r.noise_value for r in s.run_records])
+    ref_x = np.array([r[0] for r in ref_records])
+    ref_noise = np.array([r[1] for r in ref_records])
+    for got, ref, what in ((got_x, ref_x, "x_sample"), (got_noise, ref_noise, "noise_value")):
+        for k in (0, count // 2, count - 1):
+            _matched_in_distribution(got[:, k], ref[:, k], f"{what}[{k}]")
+        _matched_in_distribution(got[:, -1] - got[:, 0], ref[:, -1] - ref[:, 0], f"{what} drift")
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.99, 0.9999])

@@ -367,20 +367,57 @@ def test_vacuum_branch_without_click_is_not_impossible():
 def test_truncation_threshold_applies_to_weighted_leakage():
     base = ProtocolConfig(alpha=0.3, t=0.2, cutoff=6, input_kind="coherent")
     psi = tensor_product(coherent_state(0.3, 6), number_state(1, 6))
-    out = apply_beam_splitter(psi, BeamSplitter(0.2))
-    # the norm deficit, in run_exact's own arithmetic
-    photon_leak = float(
-        np.vdot(psi.amplitudes, psi.amplitudes).real - np.vdot(out.amplitudes, out.amplitudes).real
-    )
+    # the entries a cutoff-6 splitter drops: the same input run at cutoff 7,
+    # whose images all fit, read off on row and column 7
+    wide = np.zeros((8, 8), dtype=complex)
+    wide[:7, :7] = psi.as_two_mode_matrix()
+    out = apply_beam_splitter(PureState(wide, 7, 2), BeamSplitter(0.2)).as_two_mode_matrix()
+    photon_leak = float(np.sum(np.abs(out[7]) ** 2) + np.sum(np.abs(out[:7, 7]) ** 2))
     # the photon branch alone leaks past the threshold; the vacuum branch
     # stays inside the cutoff, so p1 scales the leakage
     assert 0.7 * photon_leak > TAIL_THRESHOLD > 0.6 * photon_leak
     with pytest.raises(TruncationError):
         run_exact(replace(base, source_efficiency=0.7))
     res = run_exact(replace(base, source_efficiency=0.6))
-    assert abs(res.leakage - 0.6 * photon_leak) < 1e-25
+    assert abs(res.leakage - 0.6 * photon_leak) <= 1e-14 * photon_leak
     rows = sweep(base, {"p1": [0.7, 0.6]})
     assert [r["error_code"] for r in rows] == ["truncation", ""]
+
+
+def _mp_photon_leakage(alpha, t, cutoff):
+    """Leakage of the p1 = 1 branch in mpmath (30 digits): the truncated,
+    renormalized coherent amplitude at the cutoff c, squared, times the
+    probability of the entries of U|c, 1> that fall past the cutoff, with
+    U|c, 1> = (t a^dag + r b^dag) sum_m sqrt(C(c, m)) r^m (-t)^(c-m) |m, c-m>
+    expanded in full."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        t = mpmath.mpf(t)
+        r = mpmath.sqrt(1 - t * t)
+        mu = mpmath.mpf(alpha) ** 2
+        weights = [mu ** n / mpmath.factorial(n) for n in range(cutoff + 1)]
+        top = weights[-1] / mpmath.fsum(weights)
+        image = [mpmath.mpf(0)] * (cutoff + 2)  # amplitude on |m, c + 1 - m>
+        for m in range(cutoff + 1):
+            a = mpmath.sqrt(mpmath.binomial(cutoff, m)) * r ** m * (-t) ** (cutoff - m)
+            image[m + 1] += t * mpmath.sqrt(m + 1) * a
+            image[m] += r * mpmath.sqrt(cutoff - m + 1) * a
+        assert abs(mpmath.fsum(x * x for x in image) - 1) < mpmath.mpf(10) ** -25
+        return float(top * (image[0] ** 2 + image[-1] ** 2))
+
+
+@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
+@pytest.mark.parametrize("alpha, t, cutoff", [(0.5, 0.2, 12), (2.0, 0.5, 40), (0.01, 0.1, 3)])
+def test_leakage_matches_mpmath(alpha, t, cutoff):
+    # the dropped entries' probability, not the norm deficit, whose rounding
+    # floor (about 2e-16 at the first point) is above the true value
+    want = _mp_photon_leakage(alpha, t, cutoff)
+    assert 1e-300 < want < TAIL_THRESHOLD
+    for p1 in (1.0, 0.9):
+        cfg = ProtocolConfig(alpha=alpha, t=t, cutoff=cutoff, input_kind="coherent",
+                             source_efficiency=p1)
+        assert abs(run_exact(cfg).leakage - p1 * want) <= 1e-13 * want
 
 
 def test_leakage_field():
