@@ -21,7 +21,7 @@ import argparse
 import configparser
 import math
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -193,12 +193,23 @@ def _manifest(subcommand: str, parameters, seed: Optional[int], outputs: List[st
     }
 
 
-def _write(text: str, path: Optional[str]) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
+def _write_chunks(chunks: Iterable[bytes], path: Optional[str]) -> None:
+    """Write byte chunks to path (None or "-": standard output) as each is produced."""
+    if path is not None and path != "-":
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    sys.stdout.flush()  # text already written to stdout goes first
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stdout, such as an io.StringIO redirect
+        sys.stdout.writelines(chunk.decode("utf-8") for chunk in chunks)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        buffer.writelines(chunks)
+        buffer.flush()
+
+
+def _write(text: str, path: Optional[str]) -> None:
+    _write_chunks((text.encode("utf-8"),), path)
 
 
 def cmd_protocol(args) -> int:
@@ -384,23 +395,47 @@ def _campaign_params(config: CampaignConfig) -> Dict[str, object]:
     return params
 
 
-#: Rows of one replica rendered per csv_block call in the runs CSV.
-_ROW_CHUNK = 1 << 14
+#: Rows rendered per csv_block call in the runs CSV. A block is written
+#: before the next is rendered, so this bounds the writer's memory whatever
+#: the row count.
+_ROW_CHUNK = 1 << 12
 
 
 def _run_lines(records):
-    """RUN_COLUMNS data lines, one csv_block per _ROW_CHUNK attempts of a replica."""
+    """RUN_COLUMNS data lines, one csv_block per _ROW_CHUNK attempts.
+
+    A block may end one replica and start the next, so short replicas share
+    blocks instead of costing one csv_block call each.
+    """
+    pieces, rows = [], 0
     for runs in records:
-        n = len(runs.heralded)
-        for start in range(0, n, _ROW_CHUNK):
-            stop = min(start + _ROW_CHUNK, n)
-            yield csv_block((
+        n, start = len(runs.heralded), 0
+        while start < n:
+            stop = min(n, start + _ROW_CHUNK - rows)
+            pieces.append((
                 np.full(stop - start, runs.replica),
                 np.arange(start, stop),
                 runs.heralded[start:stop],
                 runs.x_sample[start:stop],
                 runs.noise_value[start:stop],
             ))
+            rows += stop - start
+            start = stop
+            if rows == _ROW_CHUNK:
+                yield csv_block([np.concatenate(column) for column in zip(*pieces)])
+                pieces, rows = [], 0
+    if pieces:
+        yield csv_block([np.concatenate(column) for column in zip(*pieces)])
+
+
+def _runs_csv(records, manifest_json: str):
+    """The runs CSV as byte chunks: manifest line and header, then each block.
+
+    The bytes are those of csv_lines(RUN_COLUMNS, ...) over the same lines.
+    """
+    yield f"# manifest: {manifest_json}\n{','.join(RUN_COLUMNS)}\n".encode("utf-8")
+    for block in _run_lines(records):
+        yield block + b"\n"
 
 
 def cmd_campaign(args) -> int:
@@ -429,8 +464,7 @@ def cmd_campaign(args) -> int:
     }
     _write(dumps(doc) + "\n", args.out)
     if record:
-        _write(csv_lines(RUN_COLUMNS, _run_lines(summary.run_records), dumps(manifest)),
-               args.runs_csv)
+        _write_chunks(_runs_csv(summary.run_records, dumps(manifest)), args.runs_csv)
     return 0
 
 
@@ -489,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="campaign config file (key=value sections)")
     p.add_argument("--seed", default=None, help="override the seed from the config file")
     p.add_argument("--out", default=None, help="summary JSON path (default: standard output)")
-    p.add_argument("--runs-csv", default=None, help="also write per-run records to this CSV")
+    p.add_argument("--runs-csv", default=None,
+                   help="also write per-run records to this CSV ('-': standard output)")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("validate", help="run the oracle suite, print the comparison table")

@@ -57,13 +57,23 @@ GRID_POINTS = 16001
 #: MAX_TOTAL_ATTEMPTS bounds the run time: 56 ns per amplified attempt with
 #: ar1 noise on one thread, so about a minute. An unrecorded direct replica
 #: costs O(1) whatever its size (two normal draws, about 30 us with its
-#: stream). A campaign that records its runs (the runs CSV) keeps every
-#: attempt: 17 B of record plus the CSV text, 120-180 B per row in all
-#: (measured at 1.2e6 and 1.6e6 rows), so MAX_RECORDED_ATTEMPTS keeps it
-#: under 1 GB.
+#: stream).
+#: Every replica also keeps its entry in the summary: a `hal campaign`
+#: process of 1 attempt x 1e5 / 2e5 replicas on one thread took 2.5 / 5.3 s
+#: and 62 / 89 MB ru_maxrss (direct, unrecorded), and 4.1 / 8.7 s and
+#: 125 / 214 MB with --runs-csv (amplified; 550-680 B of records per
+#: replica by tracemalloc). MAX_REPLICAS therefore keeps the worst case, 1e6
+#: recorded replicas, near 45 s and 0.93 GB (linear extrapolation).
+#: A campaign that records its runs (the runs CSV) keeps 17 B of record per
+#: attempt; the CSV is written in blocks of a few thousand rows as they are
+#: rendered, about 2.4 MB whatever its length. 1.25e6 attempts x 4 replicas
+#: recorded (MAX_RECORDED_ATTEMPTS) took 2.8 s and 123 MB ru_maxrss, against
+#: 50 MB unrecorded: about 15 B per recorded attempt. MAX_RECORDED_ATTEMPTS
+#: stays at 5e6, well inside that, so that exit codes do not change.
 MAX_ATTEMPTS = 10**7
 MAX_TOTAL_ATTEMPTS = 10**9
 MAX_RECORDED_ATTEMPTS = 5 * 10**6
+MAX_REPLICAS = 10**6
 
 
 @dataclass(frozen=True)
@@ -151,6 +161,8 @@ class CampaignConfig:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.replicas, (int, np.integer)) or self.replicas < 1:
             raise ValidationError(f"replicas must be a positive integer, got {self.replicas!r}")
+        if self.replicas > MAX_REPLICAS:
+            raise ValidationError(f"{self.replicas} replicas exceed the limit of {MAX_REPLICAS}")
         if self.attempts > MAX_ATTEMPTS:
             raise ValidationError(
                 f"{self.attempts} attempts per replica exceed the limit of {MAX_ATTEMPTS}"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,13 +14,16 @@ import pytest
 from hal.cli import (
     MAX_GRID_POINTS,
     RUN_COLUMNS,
+    _ROW_CHUNK,
     _run_lines,
+    _runs_csv,
+    _write_chunks,
     main,
     parse_campaign_file,
     parse_grid_file,
 )
 from hal.errors import GridError, ValidationError
-from hal.metrology import ReplicaRuns, run_campaign
+from hal.metrology import MAX_REPLICAS, ReplicaRuns, run_campaign
 from hal.optics_ops import HeraldModel
 from hal.protocol import MAX_CUTOFF, ROW_COLUMNS
 from hal.serialize import csv_cell, csv_row
@@ -154,6 +159,20 @@ def test_campaign_above_size_limit_exit_2_without_allocating(tmp_path, capsys):
     assert rc == 2
     assert peak < 1e6
     assert "exceed the limit" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("replicas", [MAX_REPLICAS + 1, 10**9])
+def test_campaign_above_replica_limit_exit_2_without_allocating(replicas, tmp_path, capsys):
+    # one attempt per replica passes every attempt ceiling; each replica
+    # would still keep its summary entry (about 136 B, 135 GB at 1e9)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(DIRECT_CFG.replace("total_time = 10", "total_time = 0.1")
+                   .replace("replicas = 3", f"replicas = {replicas}"))
+    rc, peak = _peak_bytes(lambda: main(["campaign", str(cfg), "--out", str(tmp_path / "s.json")]))
+    assert rc == 2
+    assert peak < 1e6
+    assert f"{replicas} replicas exceed the limit of {MAX_REPLICAS}" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
 
 
@@ -506,8 +525,82 @@ def test_run_lines_special_values_match_csv_row():
         for k in range(len(x))
     ]
     # _run_lines yields blocks of lines; the joined text is what the CSV holds
-    assert "\n".join(_run_lines([runs])) == "\n".join(expected)
+    assert b"\n".join(_run_lines([runs])) == "\n".join(expected).encode("ascii")
     assert expected[0] == "3,0,1,-0,0"
+
+
+def test_run_lines_blocks_span_short_replicas(monkeypatch):
+    # replicas shorter than a block share it: every block but the last holds
+    # _ROW_CHUNK lines, and the text equals the per-row rendering
+    monkeypatch.setattr("hal.cli._ROW_CHUNK", 7)
+    rng = np.random.default_rng(2)
+    records, expected = [], []
+    for replica, n in enumerate((1, 3, 7, 16, 2, 1, 1, 9)):
+        heralded = (rng.random(n) < 0.5).astype(np.int8)
+        x = np.where(heralded == 1, rng.normal(size=n), np.nan)
+        v = rng.normal(scale=0.1, size=n)
+        records.append(ReplicaRuns(replica, heralded, x, v))
+        expected += [
+            csv_row(RUN_COLUMNS, dict(zip(RUN_COLUMNS, (replica, k, int(heralded[k]), x[k], v[k]))))
+            for k in range(n)
+        ]
+    blocks = list(_run_lines(records))
+    assert [b.count(b"\n") + 1 for b in blocks] == [7] * 5 + [5]
+    assert b"\n".join(blocks) == "\n".join(expected).encode("ascii")
+
+
+def _write_amplified_runs(tmp_path, attempts):
+    """Record one amplified replica of `attempts`, then write its runs CSV
+    under tracemalloc: the file's size and the write step's peak."""
+    text = _campaign_cfg(
+        "amplified", "kind = white\nsigma_tech = 0.05",
+        "[protocol]\nalpha = 0.01\nt = 0.1\nsource_efficiency = 0.9\n",
+    ).replace("total_time = 2000", f"total_time = {attempts}").replace("replicas = 2", "replicas = 1")
+    summary = run_campaign(parse_campaign_file(text), record_runs=True)
+    path = tmp_path / "runs.csv"
+    _, peak = _peak_bytes(lambda: _write_chunks(_runs_csv(summary.run_records, "{}"), str(path)))
+    return path.stat().st_size, peak
+
+
+def test_runs_csv_writer_memory_is_flat(tmp_path):
+    # the whole document (7 MB at 2e5 rows, 28 MB at 8e5) is over the bound;
+    # the writer holds one rendered block, 520-660 B per row of peak
+    bound = 1024 * _ROW_CHUNK
+    small_size, small_peak = _write_amplified_runs(tmp_path, 200_000)
+    large_size, large_peak = _write_amplified_runs(tmp_path, 800_000)
+    assert bound < small_size < large_size
+    assert small_peak < bound and large_peak < bound
+
+
+def test_runs_csv_to_stdout_matches_the_file(tmp_path, capsysbinary, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(AR1_AMPLIFIED_CFG)
+
+    def stdout_of(out, runs):
+        assert main(["campaign", "c.ini", "--out", out, "--runs-csv", runs]) == 0
+        return capsysbinary.readouterr().out
+
+    def named(data, out, runs):
+        # the manifests list the outputs; every other byte is the same
+        return data.replace(b'"outputs":["s.json","runs.csv"]',
+                            f'"outputs":["{out}","{runs}"]'.encode())
+
+    assert stdout_of("s.json", "runs.csv") == b""
+    summary, runs = (tmp_path / "s.json").read_bytes(), (tmp_path / "runs.csv").read_bytes()
+    assert runs.count(b"\n") == 2 + 2 * 2000
+    assert stdout_of("s.json", "-") == named(runs, "s.json", "-")
+    assert stdout_of("-", "-") == named(summary + runs, "-", "-")  # summary first
+    # text a caller left in a buffered stdout still comes first
+    buffered = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", buffered)
+    print("before")
+    assert main(["campaign", "c.ini", "--out", "-", "--runs-csv", "-"]) == 0
+    buffered.flush()
+    assert buffered.buffer.getvalue() == b"before\n" + named(summary + runs, "-", "-")
+    # a text-only stdout gets the same text
+    with contextlib.redirect_stdout(io.StringIO()) as text_out:
+        assert main(["campaign", "c.ini", "--out", "s.json", "--runs-csv", "-"]) == 0
+    assert text_out.getvalue().encode("ascii") == named(runs, "s.json", "-")
 
 
 def _fresh_hal(code, args=(), threads="1"):

@@ -107,7 +107,7 @@ def _reference_block(*columns):
 
 
 def _assert_block(*columns):
-    assert csv_block(columns) == _reference_block(*columns)
+    assert csv_block(columns) == _reference_block(*columns).encode("ascii")
 
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
@@ -161,7 +161,7 @@ def test_csv_block_special_columns():
     n = 50
     zeros = np.zeros(n)
     _assert_block(zeros, -zeros, np.full(n, np.nan))
-    assert csv_block((np.array([0.0, -0.0]),)) == "0\n-0"
+    assert csv_block((np.array([0.0, -0.0]),)) == b"0\n-0"
     # every value outside the exact range: the per-cell fallback alone
     rng = np.random.default_rng(4)
     fallback = np.concatenate([
@@ -174,4 +174,4 @@ def test_csv_block_integer_columns():
     ints = np.array([0, -1, 7, -10, 1000, -123456789, 10**18 - 1, 10**18, -(2**63), 2**63 - 1])
     _assert_block(ints, ints[::-1].copy(), np.arange(len(ints)))
     _assert_block(np.array([1, 0, 1], dtype=np.int8), np.array([True, False, True]))
-    assert csv_block((np.array([0, 9, 10]), np.array([-5, 5, 0]))) == "0,-5\n9,5\n10,0"
+    assert csv_block((np.array([0, 9, 10]), np.array([-5, 5, 0]))) == b"0,-5\n9,5\n10,0"
