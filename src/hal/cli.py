@@ -21,7 +21,7 @@ import argparse
 import configparser
 import math
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .protocol import (
     run_first_order,
     sweep,
 )
-from .serialize import csv_block, csv_lines, csv_row, dumps, state_to_jsonable
+from .serialize import csv_block, dumps, state_to_jsonable
 from .spin_ensemble import (
     MAX_ENSEMBLE_CUTOFF,
     EnsembleSpec,
@@ -212,6 +212,42 @@ def _write(text: str, path: Optional[str]) -> None:
     _write_chunks((text.encode("utf-8"),), path)
 
 
+#: Rows rendered per csv_block call. A block is written before the next is
+#: rendered, so this bounds the writer's memory whatever the row count.
+_ROW_CHUNK = 1 << 12
+
+
+def _csv_chunks(
+    header: Sequence[str],
+    rows: int,
+    block: Callable[[int, int], Sequence[np.ndarray]],
+    manifest_json: str,
+):
+    """A CSV document as byte chunks: the manifest line and the header, then
+    one csv_block of the columns block(start, stop) per _ROW_CHUNK rows."""
+    yield f"# manifest: {manifest_json}\n{','.join(header)}\n".encode("utf-8")
+    for start in range(0, rows, _ROW_CHUNK):
+        yield csv_block(block(start, min(rows, start + _ROW_CHUNK))) + b"\n"
+
+
+def _sweep_csv(rows, manifest_json: str):
+    """The sweep CSV of sweep()'s row dicts, as byte chunks.
+
+    Float fields become float64 columns. The cutoff and error_code become
+    ASCII text columns of str(value): a grid's integer cutoff may lie beyond
+    int64.
+    """
+    columns = []
+    for name in ROW_COLUMNS:
+        values = [row[name] for row in rows]
+        if isinstance(values[0], float):
+            columns.append(np.array(values, dtype=np.float64))
+        else:
+            columns.append(np.array([str(v) for v in values], dtype="S"))
+    block = lambda start, stop: [c[start:stop] for c in columns]
+    return _csv_chunks(ROW_COLUMNS, len(rows), block, manifest_json)
+
+
 def cmd_protocol(args) -> int:
     config = _protocol_config(args)
     result = run_first_order(config.alpha.as_complex(), config.t) if args.mode == "first-order" else run_exact(config)
@@ -240,8 +276,7 @@ def cmd_sweep(args) -> int:
     params = _protocol_params(base, "exact")
     params["axes"] = {name: values for name, values in axes.items()}
     manifest = _manifest("sweep", params, None, [args.out or "-"])
-    lines = (csv_row(ROW_COLUMNS, row) for row in rows)
-    _write(csv_lines(ROW_COLUMNS, lines, dumps(manifest)), args.out)
+    _write_chunks(_sweep_csv(rows, dumps(manifest)), args.out)
     return 0
 
 
@@ -395,47 +430,20 @@ def _campaign_params(config: CampaignConfig) -> Dict[str, object]:
     return params
 
 
-#: Rows rendered per csv_block call in the runs CSV. A block is written
-#: before the next is rendered, so this bounds the writer's memory whatever
-#: the row count.
-_ROW_CHUNK = 1 << 12
+def _runs_csv(records, attempts: int, manifest_json: str):
+    """The runs CSV of run_campaign's replica-major records, as byte chunks.
 
-
-def _run_lines(records):
-    """RUN_COLUMNS data lines, one csv_block per _ROW_CHUNK attempts.
-
-    A block may end one replica and start the next, so short replicas share
-    blocks instead of costing one csv_block call each.
+    Row r is attempt r % attempts of replica r // attempts, so a block is a
+    slice of each record and may end one replica and start the next.
     """
-    pieces, rows = [], 0
-    for runs in records:
-        n, start = len(runs.heralded), 0
-        while start < n:
-            stop = min(n, start + _ROW_CHUNK - rows)
-            pieces.append((
-                np.full(stop - start, runs.replica),
-                np.arange(start, stop),
-                runs.heralded[start:stop],
-                runs.x_sample[start:stop],
-                runs.noise_value[start:stop],
-            ))
-            rows += stop - start
-            start = stop
-            if rows == _ROW_CHUNK:
-                yield csv_block([np.concatenate(column) for column in zip(*pieces)])
-                pieces, rows = [], 0
-    if pieces:
-        yield csv_block([np.concatenate(column) for column in zip(*pieces)])
+    heralded, x_sample, noise_value = records
 
+    def block(start: int, stop: int):
+        replica, attempt_index = np.divmod(np.arange(start, stop), attempts)
+        rows = slice(start, stop)
+        return replica, attempt_index, heralded[rows], x_sample[rows], noise_value[rows]
 
-def _runs_csv(records, manifest_json: str):
-    """The runs CSV as byte chunks: manifest line and header, then each block.
-
-    The bytes are those of csv_lines(RUN_COLUMNS, ...) over the same lines.
-    """
-    yield f"# manifest: {manifest_json}\n{','.join(RUN_COLUMNS)}\n".encode("utf-8")
-    for block in _run_lines(records):
-        yield block + b"\n"
+    return _csv_chunks(RUN_COLUMNS, len(heralded), block, manifest_json)
 
 
 def cmd_campaign(args) -> int:
@@ -464,7 +472,8 @@ def cmd_campaign(args) -> int:
     }
     _write(dumps(doc) + "\n", args.out)
     if record:
-        _write_chunks(_runs_csv(summary.run_records, dumps(manifest)), args.runs_csv)
+        runs = _runs_csv(summary.run_records, summary.attempts, dumps(manifest))
+        _write_chunks(runs, args.runs_csv)
     return 0
 
 

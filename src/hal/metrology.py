@@ -60,16 +60,19 @@ GRID_POINTS = 16001
 #: stream).
 #: Every replica also keeps its entry in the summary: a `hal campaign`
 #: process of 1 attempt x 1e5 / 2e5 replicas on one thread took 2.5 / 5.3 s
-#: and 62 / 89 MB ru_maxrss (direct, unrecorded), and 4.1 / 8.7 s and
-#: 125 / 214 MB with --runs-csv (amplified; 550-680 B of records per
-#: replica by tracemalloc). MAX_REPLICAS therefore keeps the worst case, 1e6
-#: recorded replicas, near 45 s and 0.93 GB (linear extrapolation).
-#: A campaign that records its runs (the runs CSV) keeps 17 B of record per
-#: attempt; the CSV is written in blocks of a few thousand rows as they are
+#: and 63 / 90 MB ru_maxrss (direct, unrecorded), and 3.9 / 8.8 s and
+#: 69 / 96 MB with --runs-csv (amplified; the records are three
+#: replica-major arrays, 17 B per attempt, and tracemalloc finds 74 B held
+#: per recorded replica after run_campaign returns, 62 B unrecorded).
+#: MAX_REPLICAS therefore keeps the worst case, 1e6 recorded replicas, near
+#: 45 s and 0.31 GB (linear extrapolation; 2-vCPU Xeon VM, numpy 2.4).
+#: The CSV is written in blocks of a few thousand rows as they are
 #: rendered, about 2.4 MB whatever its length. 1.25e6 attempts x 4 replicas
-#: recorded (MAX_RECORDED_ATTEMPTS) took 2.8 s and 123 MB ru_maxrss, against
-#: 50 MB unrecorded: about 15 B per recorded attempt. MAX_RECORDED_ATTEMPTS
-#: stays at 5e6, well inside that, so that exit codes do not change.
+#: recorded (MAX_RECORDED_ATTEMPTS) took 3.3 s and 131 MB ru_maxrss, against
+#: 50 MB unrecorded: the 17 B per recorded attempt, plus the running
+#: replica's own arrays, which it copies into its slice of the records.
+#: MAX_RECORDED_ATTEMPTS stays at 5e6, well inside that, so that exit codes
+#: do not change.
 MAX_ATTEMPTS = 10**7
 MAX_TOTAL_ATTEMPTS = 10**9
 MAX_RECORDED_ATTEMPTS = 5 * 10**6
@@ -113,11 +116,6 @@ class NoiseModel:
             if value != 0.0:
                 label = "lambda" if name == "lam" else name
                 raise ValidationError(f"noise kind {self.kind!r} does not use {label}, got {value!r}")
-
-    @property
-    def correlation_time(self) -> float:
-        """Correlation time in run periods (0 when uncorrelated)."""
-        return -1.0 / math.log(self.lam) if 0.0 < self.lam < 1.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -199,17 +197,11 @@ class CampaignSummary:
     per_replica_successes: Tuple[int, ...]
     no_success_replicas: Tuple[int, ...]
     elapsed_model_time: float
-    run_records: Optional[Tuple["ReplicaRuns", ...]] = None
-
-
-@dataclass(frozen=True)
-class ReplicaRuns:
-    """Per-attempt record of one replica (for the optional runs CSV)."""
-
-    replica: int
-    heralded: np.ndarray  # int8, 1 where an estimate sample exists
-    x_sample: np.ndarray  # float, NaN on attempts without a sample
-    noise_value: np.ndarray  # float, the technical-noise value per attempt
+    # with record_runs: (heralded, x_sample, noise_value), replica-major, so
+    # attempt k of replica i is element i * attempts + k of each; heralded is
+    # int8, 1 where an estimate sample exists, x_sample NaN where none does,
+    # noise_value the technical-noise value of every attempt
+    run_records: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -555,7 +547,8 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
     without record_runs.
 
     record_runs keeps every attempt, so it is refused above
-    MAX_RECORDED_ATTEMPTS attempts in all.
+    MAX_RECORDED_ATTEMPTS attempts in all. The records are allocated once,
+    replica-major, and each replica fills its own slice of them.
     """
     r_attempts = config.attempts
     if record_runs and r_attempts * config.replicas > MAX_RECORDED_ATTEMPTS:
@@ -574,24 +567,23 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
         draws_noise = model.kind != "systematic" and model.sigma_tech > 0.0
         noise_mean = r_attempts * model.offset
         noise_sd = model.sigma_tech * math.sqrt(_ar1_sum_variance(model.lam, r_attempts))
+    records = None
+    if record_runs:
+        rows = r_attempts * config.replicas
+        direct = config.scheme == "direct"  # every direct attempt heralds
+        records = (np.full(rows, direct, dtype=np.int8), np.full(rows, np.nan), np.empty(rows))
 
     def one_replica(replica: int):
         rng = _replica_rng(config.seed, replica)
+        own = slice(replica * r_attempts, (replica + 1) * r_attempts)
         if config.scheme == "direct":
             sum_quad = quad_mean + quad_sd * rng.standard_normal()
             sum_noise = noise_sd * rng.standard_normal() if draws_noise else noise_mean
-            record = None
             if record_runs:
-                x, noise = _direct_records(
+                records[1][own], records[2][own] = _direct_records(
                     config, sum_quad, sum_noise, _replica_rng(config.seed, replica, 0)
                 )
-                record = ReplicaRuns(
-                    replica=replica,
-                    heralded=np.ones(r_attempts, dtype=np.int8),
-                    x_sample=x,
-                    noise_value=noise,
-                )
-            return (sum_quad + sum_noise) / r_attempts / math.sqrt(2.0), r_attempts, record
+            return (sum_quad + sum_noise) / r_attempts / math.sqrt(2.0), r_attempts
         heralded = rng.random(r_attempts) < p_success
         n_success = int(np.count_nonzero(heralded))
         quad = _sample_from_density(table, n_success, rng)
@@ -601,17 +593,11 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
             est: Optional[float] = estimate_alpha(samples, "amplified", config.protocol.t)
         except NoSuccessError:
             est = None
-        record = None
         if record_runs:
-            x = np.full(r_attempts, np.nan)
-            x[heralded] = samples
-            record = ReplicaRuns(
-                replica=replica,
-                heralded=heralded.astype(np.int8),
-                x_sample=x,
-                noise_value=noise,
-            )
-        return est, n_success, record
+            records[0][own] = heralded
+            records[1][own][heralded] = samples
+            records[2][own] = noise
+        return est, n_success
 
     outcomes = map_indexed(one_replica, range(config.replicas))
     estimates = tuple(o[0] for o in outcomes)
@@ -637,7 +623,7 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
         per_replica_successes=successes,
         no_success_replicas=no_success,
         elapsed_model_time=r_attempts * config.run_period,
-        run_records=tuple(o[2] for o in outcomes) if record_runs else None,
+        run_records=records,
     )
 
 

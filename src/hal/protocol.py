@@ -421,10 +421,7 @@ def sweep(
     def evaluate(point: Dict[str, float]) -> Dict[str, object]:
         row = _row_skeleton(base, point)
         try:
-            config = _point_config(base, point)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RegimeWarning)
-                result = run_exact(config)
+            result = run_exact(_point_config(base, point))
         except HalError as exc:
             row["error_code"] = _error_code(exc)
             if 0.0 < row["t"] < 1.0:
@@ -438,4 +435,8 @@ def sweep(
         row["leading_gain"] = result.leading_order.gain
         return row
 
-    return map_indexed(evaluate, points)
+    # catch_warnings is not thread-safe: it is entered once, here, around
+    # every worker, never inside one
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        return map_indexed(evaluate, points)

@@ -6,23 +6,25 @@ so NaN and infinities serialize as null in JSON and as "nan"/"inf"/"-inf"
 in CSV cells. Key order is insertion order throughout; nothing here depends
 on wall-clock time, so equal inputs give byte-identical outputs.
 
-csv_block renders whole columns of numbers with numpy, byte for byte as
-csv_row would. A float x with 1e-6 < |x| < 1e17 has a decimal exponent E in
-[-6, 16], so x * 10**(16 - E) needs a power of ten no larger than 10**22,
-which is an exact double; Dekker's two-product (Numer. Math. 18, 1971) gives
-that product exactly as hi + lo, and hi + rint(lo) is the correctly rounded
-(round-half-even) 17-digit significand that format(x, ".17g") prints. NaN
-and +-0 are rendered from fixed patterns. Every other float (infinities,
-|x| <= 1e-6 including subnormals, |x| >= 1e17) is formatted by fmt_float's
-rule one cell at a time and then placed with the rest.
+csv_block is the one CSV renderer, for the sweep CSV and the runs CSV
+alike: it lays out whole columns with numpy. Integers print in decimal,
+text columns as their ASCII bytes, and floats as fmt_float prints them,
+byte for byte. A float x with 1e-6 < |x| < 1e17 has a decimal exponent E
+in [-6, 16], so x * 10**(16 - E) needs a power of ten no larger than
+10**22, which is an exact double; Dekker's two-product (Numer. Math. 18,
+1971) gives that product exactly as hi + lo, and hi + rint(lo) is the
+correctly rounded (round-half-even) 17-digit significand that
+format(x, ".17g") prints. NaN and +-0 are rendered from fixed patterns.
+Every other float (infinities, |x| <= 1e-6 including subnormals,
+|x| >= 1e17) is formatted by fmt_float's rule one cell at a time and then
+placed with the rest.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from typing import Any, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -72,11 +74,6 @@ def _emit(obj: Any, out: List[str]) -> None:
                 out.append(",")
             _emit(value, out)
         out.append("]")
-    elif dataclasses.is_dataclass(obj):
-        _emit(
-            {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)},
-            out,
-        )
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -106,34 +103,6 @@ def state_to_jsonable(state) -> Mapping[str, Any]:
             "matrix": [[complex(v) for v in row] for row in state.matrix],
         }
     raise TypeError(f"cannot serialize {type(state).__name__} as a state")
-
-
-def csv_cell(value: Any) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return fmt_float(value)
-
-
-def csv_row(columns: Sequence[str], row: Mapping[str, Any]) -> str:
-    """One CSV data line: the row's values in column order, via csv_cell."""
-    return ",".join(csv_cell(row[c]) for c in columns)
-
-
-def csv_lines(columns: Sequence[str], rows: Iterable[str], manifest_json: str) -> str:
-    """Render a CSV document: manifest comment, header, then data rows.
-
-    Each row item is rendered text without its final newline: one data line
-    (csv_row for a mapping, or a caller's own rendering that follows the same
-    cell rules). The runs CSV is not built here: `hal campaign` streams it
-    to its file in csv_block blocks, in the same layout.
-    """
-    lines = [f"# manifest: {manifest_json}", ",".join(columns)]
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
 
 
 # Layout of one float cell in csv_block: a sign slot, the "0.000" prefix of
@@ -286,24 +255,31 @@ def _put_ints(v: np.ndarray, signed: bool, text: np.ndarray, keep: np.ndarray) -
 def csv_block(columns: Sequence[np.ndarray]) -> bytes:
     """CSV data lines of equal-length columns, joined by newlines, as ASCII.
 
-    Integer and bool columns (int64 range) render as decimal integers, float
-    columns as fmt_float does; the bytes are the ASCII encoding of joining
-    csv_row over the rows. Each row is laid out at fixed width, every cell
-    followed by a separator; a keep mask then drops the unused bytes in one
-    np.compress. Returning bytes lets a caller write each block to a binary
-    file as soon as it is rendered, with no decode or encode pass. The
-    working memory is 520-660 B per row (tracemalloc peak at 1024-16384 rows
-    of the runs CSV's columns), so a caller bounds it by the rows it passes.
+    Integer and bool columns (int64 range) render as decimal integers, text
+    columns (dtype S) as their bytes up to the first NUL, so b"" is an empty
+    cell, and every other column as fmt_float renders its float values.
+    Each row is laid out at fixed width, every cell followed by a separator;
+    a keep mask then drops the unused bytes in one np.compress. Returning
+    bytes lets a caller write each block to a binary file as soon as it is
+    rendered, with no decode or encode pass. The working memory is 520-660 B
+    per row (tracemalloc peak at 1024-16384 rows of the runs CSV's columns),
+    so a caller bounds it by the rows it passes.
     """
     layouts = [_int_layout(c) if c.dtype.kind in "biu" else None for c in columns]
-    widths = [_F_WIDTH if lay is None else lay[0] + lay[1] for lay in layouts]
+    widths = [
+        c.itemsize if c.dtype.kind == "S" else _F_WIDTH if lay is None else lay[0] + lay[1]
+        for c, lay in zip(columns, layouts)
+    ]
     n = len(columns[0])
     text = np.empty((n, sum(widths) + len(widths)), dtype=np.uint8)
     keep = np.empty(text.shape, dtype=bool)
     at = 0
     for col, layout, w in zip(columns, layouts, widths):
         cell_text, cell_keep = text[:, at : at + w], keep[:, at : at + w]
-        if layout is None:
+        if col.dtype.kind == "S":
+            cell_text[:] = np.ascontiguousarray(col).view(np.uint8).reshape(n, w)
+            np.logical_and.accumulate(cell_text != 0, axis=1, out=cell_keep)
+        elif layout is None:
             _put_floats(np.asarray(col, dtype=np.float64), cell_text, cell_keep)
         else:
             _put_ints(col, layout[0], cell_text, cell_keep)

@@ -15,7 +15,6 @@ from hal.cli import (
     MAX_GRID_POINTS,
     RUN_COLUMNS,
     _ROW_CHUNK,
-    _run_lines,
     _runs_csv,
     _write_chunks,
     main,
@@ -23,10 +22,10 @@ from hal.cli import (
     parse_grid_file,
 )
 from hal.errors import GridError, ValidationError
-from hal.metrology import MAX_REPLICAS, ReplicaRuns, run_campaign
+from hal.metrology import MAX_REPLICAS, run_campaign
 from hal.optics_ops import HeraldModel
-from hal.protocol import MAX_CUTOFF, ROW_COLUMNS
-from hal.serialize import csv_cell, csv_row
+from hal.protocol import MAX_CUTOFF, ROW_COLUMNS, ProtocolConfig, sweep
+from hal.serialize import fmt_float
 from hal.spin_ensemble import MAX_ENSEMBLE_CUTOFF
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -294,6 +293,27 @@ def test_sweep_csv(tmp_path):
         assert row["error_code"] == ""
 
 
+def test_sweep_csv_layout(tmp_path):
+    # manifest line, header, then one line per point in the per-cell
+    # rendering and a final newline; invalid points are validation rows of
+    # nan results, and a cutoff beyond int64 prints as its exact integer
+    grid = tmp_path / "grid.txt"
+    grid.write_text("p1 = 0.9, 1.2\ncutoff = 12, 1e23\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha", "0.01", "--t", "0.1", "--grid", str(grid), "--out", str(out)]) == 0
+    lines = out.read_bytes().decode("ascii").split("\n")
+    assert lines[0].startswith("# manifest: ")
+    assert json.loads(lines[0][len("# manifest: "):])["subcommand"] == "sweep"
+    assert lines[1] == ",".join(ROW_COLUMNS)
+    assert len(lines) == 2 + 4 + 1 and lines[-1] == ""
+    rows = sweep(ProtocolConfig(alpha=0.01, t=0.1), parse_grid_file(grid.read_text()))
+    assert lines[2:-1] == [_csv_row(row[name] for name in ROW_COLUMNS) for row in rows]
+    assert [row["error_code"] for row in rows] == ["", "validation", "validation", "validation"]
+    assert lines[3].split(",")[6:] == [
+        "99999999999999991611392", "nan", "nan", "nan", "0.010000000000000002", "10", "validation",
+    ]
+
+
 def test_sweep_malformed_grid_exit_2(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("t = 0.1\nwhat is this\n")
@@ -450,6 +470,28 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("hal ")
 
 
+def _csv_cell(value):
+    """The per-cell reference every CSV cell must match: integers in decimal,
+    floats by fmt_float, text as is."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return fmt_float(value)
+
+
+def _csv_row(values):
+    return ",".join(_csv_cell(v) for v in values)
+
+
+def _run_rows(records, attempts):
+    """(replica, attempt_index, heralded, x_sample, noise_value) of every row
+    of replica-major records, one attempt at a time."""
+    heralded, x_sample, noise_value = records
+    for row in range(len(heralded)):
+        yield row // attempts, row % attempts, int(heralded[row]), x_sample[row], noise_value[row]
+
+
 def test_runs_csv_matches_per_cell_reference(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text(AR1_AMPLIFIED_CFG)
@@ -457,18 +499,15 @@ def test_runs_csv_matches_per_cell_reference(tmp_path):
     assert main(["campaign", str(cfg), "--out", str(tmp_path / "s.json"), "--runs-csv", str(runs)]) == 0
     data = runs.read_bytes()
 
-    # reference: the per-cell csv_cell rendering of the ReplicaRuns records
+    # reference: the per-cell rendering of the recorded attempts
     summary = run_campaign(parse_campaign_file(AR1_AMPLIFIED_CFG), record_runs=True)
     manifest_line = data.decode().split("\n", 1)[0]
     assert manifest_line.startswith("# manifest: ")
     ref = [manifest_line, ",".join(RUN_COLUMNS)]
-    for r in summary.run_records:
-        for k in range(summary.attempts):
-            cells = (r.replica, k, int(r.heralded[k]), r.x_sample[k], r.noise_value[k])
-            ref.append(",".join(csv_cell(v) for v in cells))
+    ref += [_csv_row(cells) for cells in _run_rows(summary.run_records, summary.attempts)]
     assert data == ("\n".join(ref) + "\n").encode()
     assert summary.attempts == 2000 and len(ref) == 2 + 2 * 2000
-    heralded = sum(int(r.heralded.sum()) for r in summary.run_records)
+    heralded = int(summary.run_records[0].sum())
     assert 0 < heralded < 2 * 2000
     assert data.count(b",0,nan,") == 2 * 2000 - heralded
 
@@ -508,25 +547,28 @@ def test_runs_csv_matches_per_row_csv_row(name, tmp_path, monkeypatch):
 
     summary = run_campaign(parse_campaign_file(text), record_runs=True)
     ref = data.decode().split("\n", 2)[:2]
-    for r in summary.run_records:
-        for k in range(summary.attempts):
-            values = (r.replica, k, int(r.heralded[k]), r.x_sample[k], r.noise_value[k])
-            ref.append(csv_row(RUN_COLUMNS, dict(zip(RUN_COLUMNS, values))))
+    ref += [_csv_row(values) for values in _run_rows(summary.run_records, summary.attempts)]
     assert data == ("\n".join(ref) + "\n").encode()
     assert len(ref) == 2 + 2 * 2000
 
 
+def _run_lines(records, attempts):
+    """The data lines of the runs CSV, as _runs_csv renders them (without the
+    manifest and header chunk), and each block's line count."""
+    blocks = list(_runs_csv(records, attempts, "{}"))[1:]
+    assert all(b.endswith(b"\n") for b in blocks)
+    return b"".join(blocks), [b.count(b"\n") for b in blocks]
+
+
 def test_run_lines_special_values_match_csv_row():
-    x = np.array([-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 0.1])
-    v = np.array([0.0, -1e308, 2.5, -0.0, float("nan"), 1 / 3])
-    runs = ReplicaRuns(3, np.array([1, 0, 1, 1, 0, 1], dtype=np.int8), x, v)
-    expected = [
-        csv_row(RUN_COLUMNS, dict(zip(RUN_COLUMNS, (3, k, int(runs.heralded[k]), x[k], v[k]))))
-        for k in range(len(x))
-    ]
-    # _run_lines yields blocks of lines; the joined text is what the CSV holds
-    assert b"\n".join(_run_lines([runs])) == "\n".join(expected).encode("ascii")
-    assert expected[0] == "3,0,1,-0,0"
+    # four replicas of six attempts, each with the same special values
+    x = np.tile([-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 0.1], 4)
+    v = np.tile([0.0, -1e308, 2.5, -0.0, float("nan"), 1 / 3], 4)
+    records = (np.tile(np.array([1, 0, 1, 1, 0, 1], dtype=np.int8), 4), x, v)
+    expected = [_csv_row(values) for values in _run_rows(records, 6)]
+    text, _ = _run_lines(records, 6)
+    assert text == ("\n".join(expected) + "\n").encode("ascii")
+    assert expected[18] == "3,0,1,-0,0"
 
 
 def test_run_lines_blocks_span_short_replicas(monkeypatch):
@@ -534,19 +576,15 @@ def test_run_lines_blocks_span_short_replicas(monkeypatch):
     # _ROW_CHUNK lines, and the text equals the per-row rendering
     monkeypatch.setattr("hal.cli._ROW_CHUNK", 7)
     rng = np.random.default_rng(2)
-    records, expected = [], []
-    for replica, n in enumerate((1, 3, 7, 16, 2, 1, 1, 9)):
-        heralded = (rng.random(n) < 0.5).astype(np.int8)
-        x = np.where(heralded == 1, rng.normal(size=n), np.nan)
-        v = rng.normal(scale=0.1, size=n)
-        records.append(ReplicaRuns(replica, heralded, x, v))
-        expected += [
-            csv_row(RUN_COLUMNS, dict(zip(RUN_COLUMNS, (replica, k, int(heralded[k]), x[k], v[k]))))
-            for k in range(n)
-        ]
-    blocks = list(_run_lines(records))
-    assert [b.count(b"\n") + 1 for b in blocks] == [7] * 5 + [5]
-    assert b"\n".join(blocks) == "\n".join(expected).encode("ascii")
+    rows = 8 * 5
+    heralded = (rng.random(rows) < 0.5).astype(np.int8)
+    records = (heralded, np.where(heralded == 1, rng.normal(size=rows), np.nan),
+               rng.normal(scale=0.1, size=rows))
+    expected = [_csv_row(values) for values in _run_rows(records, 5)]
+    text, lines = _run_lines(records, 5)
+    assert lines == [7] * 5 + [5]
+    assert text == ("\n".join(expected) + "\n").encode("ascii")
+    assert expected[7] == _csv_row((1, 2) + tuple(v[7] for v in records))
 
 
 def _write_amplified_runs(tmp_path, attempts):
@@ -558,7 +596,8 @@ def _write_amplified_runs(tmp_path, attempts):
     ).replace("total_time = 2000", f"total_time = {attempts}").replace("replicas = 2", "replicas = 1")
     summary = run_campaign(parse_campaign_file(text), record_runs=True)
     path = tmp_path / "runs.csv"
-    _, peak = _peak_bytes(lambda: _write_chunks(_runs_csv(summary.run_records, "{}"), str(path)))
+    runs = _runs_csv(summary.run_records, summary.attempts, "{}")
+    _, peak = _peak_bytes(lambda: _write_chunks(runs, str(path)))
     return path.stat().st_size, peak
 
 

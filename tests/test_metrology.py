@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -224,8 +225,8 @@ def test_streamed_direct_estimate_matches_the_sample_mean(name):
     for seed, count in enumerate(DIRECT_COUNTS):
         cfg = _direct_cfg(model, count, seed)
         (est,) = run_campaign(cfg).per_replica_estimates
-        (rec,) = run_campaign(cfg, record_runs=True).run_records
-        assert abs(est - estimate_alpha(rec.x_sample, "direct")) <= 1e-15, count
+        _, x_sample, noise_value = run_campaign(cfg, record_runs=True).run_records
+        assert abs(est - estimate_alpha(x_sample, "direct")) <= 1e-15, count
         # the replica stream holds the two sums: quadrature, then noise
         rng = _replica_rng(seed, 0)
         sum_quad = SQRT2 * 0.01 * count + math.sqrt(count / 2.0) * rng.standard_normal()
@@ -236,8 +237,8 @@ def test_streamed_direct_estimate_matches_the_sample_mean(name):
             sum_noise = count * model.offset
         assert est == (sum_quad + sum_noise) / count / SQRT2
         scale = count * (1.0 + model.sigma_tech + model.offset)
-        assert abs(math.fsum(rec.noise_value) - sum_noise) <= 1e-14 * scale, count
-        assert abs(math.fsum(rec.x_sample) - sum_quad - sum_noise) <= 1e-14 * scale, count
+        assert abs(math.fsum(noise_value) - sum_noise) <= 1e-14 * scale, count
+        assert abs(math.fsum(x_sample) - sum_quad - sum_noise) <= 1e-14 * scale, count
         # the records are the child stream (replica, 0)'s unconstrained
         # draws, quadrature then noise, each shifted by c_k (sum - sum of the
         # draws), c_k = Cov(y_k, sum y) / Var(sum y): 1/R for iid draws, and
@@ -251,10 +252,10 @@ def test_streamed_direct_estimate_matches_the_sample_mean(name):
             rows = forward + forward[::-1] - 1.0
             noise += rows / math.fsum(rows) * (sum_noise - math.fsum(noise))
         else:
-            assert np.all(rec.noise_value == model.offset)
-        assert np.max(np.abs(rec.noise_value - noise)) <= 1e-14 * scale, count
+            assert np.all(noise_value == model.offset)
+        assert np.max(np.abs(noise_value - noise)) <= 1e-14 * scale, count
         quad += (sum_quad - math.fsum(quad)) / count
-        assert np.max(np.abs(rec.x_sample - quad - noise)) <= 1e-14 * scale, count
+        assert np.max(np.abs(x_sample - quad - noise)) <= 1e-14 * scale, count
 
 
 def _ar1_sum_variance_by_recurrence(lam, count):
@@ -324,7 +325,8 @@ def test_direct_summary_does_not_depend_on_recording(name):
                          noise=DIRECT_NOISES[name], seed=19, replicas=2)
     assert cfg.attempts == attempts
     plain, recorded = run_campaign(cfg), run_campaign(cfg, record_runs=True)
-    assert plain.run_records is None and len(recorded.run_records) == 2
+    assert plain.run_records is None
+    assert [a.shape for a in recorded.run_records] == [(2 * attempts,)] * 3
     fields = ("estimate_mean", "bias", "variance", "rmse", "per_replica_estimates", "successes")
     for field in fields:
         assert getattr(plain, field) == getattr(recorded, field), field
@@ -387,8 +389,7 @@ def test_direct_closed_form_matches_the_per_attempt_reference(name):
     ref_est, ref_records = reference_direct(_direct_cfg(model, count, 1001, replicas, 0.3))
     s = run_campaign(_direct_cfg(model, count, 2002, replicas, 0.3), record_runs=True)
     _matched_in_distribution(np.array(s.per_replica_estimates), ref_est, "estimate")
-    got_x = np.array([r.x_sample for r in s.run_records])
-    got_noise = np.array([r.noise_value for r in s.run_records])
+    _, got_x, got_noise = (a.reshape(replicas, count) for a in s.run_records)
     ref_x = np.array([r[0] for r in ref_records])
     ref_noise = np.array([r[1] for r in ref_records])
     for got, ref, what in ((got_x, ref_x, "x_sample"), (got_noise, ref_noise, "noise_value")):
@@ -425,8 +426,6 @@ def test_noise_model_validation():
                         ("systematic", "sigma_tech"), ("systematic", "lam")):
         with pytest.raises(ValidationError, match="does not use"):
             NoiseModel(kind=kind, **{field: 0.5})
-    assert NoiseModel(kind="ar1", lam=0.5).correlation_time == -1.0 / math.log(0.5)
-    assert NoiseModel().correlation_time == 0.0
 
 
 def test_zero_sigma_consumes_no_rng():
@@ -612,23 +611,54 @@ def test_all_replicas_can_fail_to_herald():
     assert math.isnan(s.rmse) and math.isnan(s.estimate_mean)
 
 
+def _replica_runs(summary):
+    """(replica, heralded, x_sample, noise_value) per replica, as views of
+    the replica-major records."""
+    shape = (summary.replicas, summary.attempts)
+    return list(zip(range(summary.replicas), *(a.reshape(shape) for a in summary.run_records)))
+
+
 def test_record_runs_alignment():
     proto = ProtocolConfig(alpha=0.01, t=0.1)
     cfg = CampaignConfig(scheme="amplified", true_alpha=0.01, total_time=50.0,
                          noise=NoiseModel(kind="white", sigma_tech=0.05),
                          seed=31, replicas=2, protocol=proto)
     s = run_campaign(cfg, record_runs=True)
-    assert s.run_records is not None and len(s.run_records) == 2
-    for rec in s.run_records:
-        assert rec.heralded.shape == (cfg.attempts,)
-        assert rec.x_sample.shape == (cfg.attempts,)
-        assert rec.noise_value.shape == (cfg.attempts,)
-        mask = rec.heralded.astype(bool)
-        assert np.all(np.isnan(rec.x_sample[~mask]))
-        assert np.all(np.isfinite(rec.x_sample[mask]))
-        assert int(mask.sum()) == s.per_replica_successes[rec.replica]
+    assert s.run_records is not None
+    assert [a.shape for a in s.run_records] == [(2 * cfg.attempts,)] * 3
+    assert s.run_records[0].dtype == np.int8
+    for replica, heralded, x_sample, _ in _replica_runs(s):
+        mask = heralded.astype(bool)
+        assert np.all(np.isnan(x_sample[~mask]))
+        assert np.all(np.isfinite(x_sample[mask]))
+        assert int(mask.sum()) == s.per_replica_successes[replica]
     # without the flag nothing is recorded
     assert run_campaign(cfg).run_records is None
+
+
+def test_recorded_runs_hold_their_attempts_only():
+    # a recorded attempt is 17 B of data (int8 heralded, float64 x_sample
+    # and noise_value); what a recorded run holds after it returns, beyond
+    # an unrecorded one's, stays near that whatever the replica count
+    proto = ProtocolConfig(alpha=0.01, t=0.1)
+    cfg = CampaignConfig(scheme="amplified", true_alpha=0.01, total_time=0.1,
+                         noise=NoiseModel(kind="white", sigma_tech=0.05),
+                         seed=3, replicas=20_000, protocol=proto)
+    assert cfg.attempts == 1
+
+    def held(record_runs):
+        tracemalloc.start()
+        try:
+            summary = run_campaign(cfg, record_runs=record_runs)
+            return tracemalloc.get_traced_memory()[0], summary
+        finally:
+            tracemalloc.stop()
+
+    run_campaign(replace(cfg, replicas=2), record_runs=True)  # first-call allocations that stay
+    plain, _ = held(False)
+    recorded, summary = held(True)
+    assert (recorded - plain) / cfg.replicas < 64
+    assert summary.run_records[0].shape == (cfg.replicas,)
 
 
 def test_replica_draw_order_contract():
@@ -640,14 +670,14 @@ def test_replica_draw_order_contract():
                          noise=noise, seed=77, replicas=2, protocol=proto)
     s = run_campaign(cfg, record_runs=True)
     res = run_exact(proto)
-    for rec in s.run_records:
-        rng = _replica_rng(77, rec.replica)
+    for replica, rec_heralded, x_sample, noise_value in _replica_runs(s):
+        rng = _replica_rng(77, replica)
         heralded = rng.random(cfg.attempts) < res.success_probability
-        assert np.array_equal(heralded.astype(np.int8), rec.heralded)
+        assert np.array_equal(heralded.astype(np.int8), rec_heralded)
         quad = sample_homodyne(res.conditional_state, 0.0, int(heralded.sum()), rng)
         w = noise_series(noise, cfg.attempts, rng)
-        assert np.array_equal(w, rec.noise_value)
-        assert np.allclose(rec.x_sample[heralded], quad + w[heralded],
+        assert np.array_equal(w, noise_value)
+        assert np.allclose(x_sample[heralded], quad + w[heralded],
                            rtol=0.0, atol=0.0, equal_nan=False)
 
 

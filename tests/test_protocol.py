@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -261,6 +262,29 @@ def test_sweep_herald_axes():
 def test_sweep_is_quiet(recwarn):
     sweep(ProtocolConfig(alpha=0.0, t=0.1), {"t": [0.5, 0.6]})
     assert not [w for w in recwarn.list if issubclass(w.category, RegimeWarning)]
+
+
+def test_threaded_sweep_leaves_the_warning_filters_alone(recwarn, monkeypatch):
+    # catch_warnings is not thread-safe: entered in each worker, two workers
+    # that interleave restore each other's filters, which can leave an
+    # "ignore RegimeWarning" behind or let one through. A tiny switch
+    # interval makes the workers interleave on nearly every point.
+    regime = [w for w in recwarn.list if issubclass(w.category, RegimeWarning)]
+    monkeypatch.setenv("HAL_THREADS", "2")
+    before = list(warnings.filters)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # 400 points, every one out of the regime (t > 0.3)
+        axes = {"alpha": np.linspace(0.0, 0.4, 20).tolist(),
+                "t": np.linspace(0.4, 0.9, 20).tolist()}
+        sweep(ProtocolConfig(alpha=0.0, t=0.5, cutoff=4), axes)
+    finally:
+        sys.setswitchinterval(interval)
+    assert warnings.filters == before
+    assert [w for w in recwarn.list if issubclass(w.category, RegimeWarning)] == regime
+    run_exact(ProtocolConfig(alpha=0.002, t=0.5))  # out of regime: must still warn
+    assert len([w for w in recwarn.list if issubclass(w.category, RegimeWarning)]) == 1
 
 
 def _oracle_bs(cutoff, t):

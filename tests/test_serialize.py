@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 from hal.fock_core import ComplexAmplitude, DensityOperator, coherent_state
 from hal.serialize import (
     csv_block,
-    csv_cell,
-    csv_lines,
-    csv_row,
     dumps,
     fmt_float,
     state_to_jsonable,
@@ -73,37 +70,17 @@ def test_state_to_jsonable_mixed():
     assert doc["matrix"][1][1] == {"re": 1.0, "im": 0.0}
 
 
-def test_csv_cell():
-    assert csv_cell(0.25) == "0.25"
-    assert csv_cell(float("nan")) == "nan"
-    assert csv_cell(True) == "1"
-    assert csv_cell(False) == "0"
-    assert csv_cell(7) == "7"
-    assert csv_cell("truncation") == "truncation"
-
-
-def test_csv_lines_layout():
-    manifest = dumps({"subcommand": "sweep"})
-    columns = ["a", "b"]
-    rows = [{"a": 1, "b": float("nan")}, {"b": 0.5, "a": 2}]
-    text = csv_lines(columns, (csv_row(columns, row) for row in rows), manifest)
-    lines = text.splitlines()
-    assert lines[0] == f"# manifest: {manifest}"
-    assert lines[1] == "a,b"
-    assert lines[2] == "1,nan"
-    assert lines[3] == "2,0.5"
-    assert len(lines) == 4
-    assert text.endswith("\n")
-    assert json.loads(lines[0].split("# manifest: ", 1)[1]) == {"subcommand": "sweep"}
+def _reference_cell(v):
+    """The per-cell rendering csv_block must reproduce: str(int), fmt_float,
+    text as is."""
+    if isinstance(v, bytes):
+        return v.decode("ascii")
+    return str(int(v)) if isinstance(v, int) else fmt_float(v)
 
 
 def _reference_block(*columns):
-    """The per-cell rendering csv_block must reproduce: str(int), fmt_float."""
     rows = zip(*(c.tolist() for c in columns))
-    return "\n".join(
-        ",".join(str(int(v)) if isinstance(v, int) else fmt_float(v) for v in row)
-        for row in rows
-    )
+    return "\n".join(",".join(_reference_cell(v) for v in row) for row in rows)
 
 
 def _assert_block(*columns):
@@ -175,3 +152,19 @@ def test_csv_block_integer_columns():
     _assert_block(ints, ints[::-1].copy(), np.arange(len(ints)))
     _assert_block(np.array([1, 0, 1], dtype=np.int8), np.array([True, False, True]))
     assert csv_block((np.array([0, 9, 10]), np.array([-5, 5, 0]))) == b"0,-5\n9,5\n10,0"
+
+
+def test_csv_block_text_columns():
+    # ASCII text (dtype S) of mixed lengths, empty cells included, next to
+    # int, bool and float columns; a reversed view is not contiguous
+    text = np.array([b"", b"validation", b"x", b"", b"truncation", b"ab"])
+    n = len(text)
+    _assert_block(text, np.arange(n) - 3, np.arange(n) % 2 == 0, np.linspace(-1, 1, n), text[::-1])
+    assert csv_block((np.array([b"", b""]),)) == b"\n"
+    codes = np.array([b"", b"impossible"])
+    assert csv_block((codes, np.array([0.25, np.nan]))) == b",0.25\nimpossible,nan"
+    cells = (np.array([b"truncation"]), np.array([7]), np.array([True]), np.array([False]),
+             np.array([0.25]), np.array([np.nan]))
+    assert csv_block(cells) == b"truncation,7,1,0,0.25,nan"
+    # a cell is its bytes up to the first NUL
+    assert csv_block((np.array([b"a\x00b", b"cd"]), np.array([1, 2]))) == b"a,1\ncd,2"
