@@ -21,7 +21,6 @@ from .errors import (
 from .fock_core import (
     DEFAULT_CUTOFF,
     TAIL_THRESHOLD,
-    ComplexAmplitude,
     DensityOperator,
     PureState,
     coherent_state,
@@ -30,7 +29,6 @@ from .fock_core import (
     tensor_product,
 )
 from .optics_ops import (
-    BeamSplitter,
     HeraldModel,
     apply_beam_splitter,
     project_number,
@@ -80,14 +78,12 @@ __all__ = [
     "ValidationError",
     "DEFAULT_CUTOFF",
     "TAIL_THRESHOLD",
-    "ComplexAmplitude",
     "DensityOperator",
     "PureState",
     "coherent_state",
     "fidelity",
     "number_state",
     "tensor_product",
-    "BeamSplitter",
     "HeraldModel",
     "apply_beam_splitter",
     "project_number",

@@ -171,8 +171,8 @@ def _protocol_config(args) -> ProtocolConfig:
 def _protocol_params(config: ProtocolConfig, mode: str) -> Dict[str, object]:
     return {
         "mode": mode,
-        "alpha_re": config.alpha.re,
-        "alpha_im": config.alpha.im,
+        "alpha_re": config.alpha.real,
+        "alpha_im": config.alpha.imag,
         "t": config.t,
         "cutoff": config.cutoff,
         "input": config.input_kind,
@@ -250,7 +250,7 @@ def _sweep_csv(rows, manifest_json: str):
 
 def cmd_protocol(args) -> int:
     config = _protocol_config(args)
-    result = run_first_order(config.alpha.as_complex(), config.t) if args.mode == "first-order" else run_exact(config)
+    result = run_first_order(config.alpha, config.t) if args.mode == "first-order" else run_exact(config)
     manifest = _manifest(
         "protocol", _protocol_params(config, args.mode), None, [args.out or "-"]
     )
@@ -281,9 +281,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    spec = EnsembleSpec(
-        _parse_int(args.n_atoms, "--n-atoms"), _parse_float(args.epsilon, "--epsilon")
-    )
+    epsilon = _parse_float(args.epsilon, "--epsilon")
+    spec = EnsembleSpec(_parse_int(args.n_atoms, "--n-atoms"), epsilon)
     cutoff = _parse_int(args.cutoff, "--cutoff")
     if cutoff > MAX_ENSEMBLE_CUTOFF:
         raise ValidationError(f"cutoff {cutoff} exceeds the limit of {MAX_ENSEMBLE_CUTOFF}")
@@ -293,15 +292,15 @@ def cmd_ensemble(args) -> int:
     fid = fidelity(embed_as_fock(state, cutoff), oscillator_approximation(spec, cutoff))
     manifest = _manifest(
         "ensemble",
-        {"n_atoms": spec.N, "epsilon": spec.epsilon.re, "cutoff": cutoff, "k_max": k_max},
+        {"n_atoms": spec.N, "epsilon": epsilon, "cutoff": cutoff, "k_max": k_max},
         None,
         [args.out or "-"],
     )
     doc = {
         "manifest": manifest,
         "n_atoms": spec.N,
-        "epsilon": spec.epsilon.re,
-        "alpha": spec.epsilon.re * math.sqrt(spec.N),
+        "epsilon": epsilon,
+        "alpha": epsilon * math.sqrt(spec.N),
         "tail_mass": state.tail_mass,
         "fidelity_to_coherent": fid,
         "commutator_deviation": expect.commutator_deviation,
@@ -310,16 +309,6 @@ def cmd_ensemble(args) -> int:
     }
     _write(dumps(doc) + "\n", args.out)
     return 0
-
-
-def _require(cp: configparser.ConfigParser, section: str, name: str) -> str:
-    if not cp.has_option(section, name):
-        raise ValidationError(f"missing field: {section}.{name}")
-    return cp.get(section, name)
-
-
-def _optional(cp, section, name, fallback):
-    return cp.get(section, name) if cp.has_option(section, name) else fallback
 
 
 def _parse_bool(text: str, where: str) -> bool:
@@ -331,6 +320,55 @@ def _parse_bool(text: str, where: str) -> bool:
     raise ValidationError(f"cannot parse boolean {where} value {text!r}")
 
 
+def _parse_word(text: str, where: str) -> str:
+    return text.strip()
+
+
+#: The campaign file's sections and, per section in parse order, each field's
+#: keyword argument of the library type and its parser. No other section or
+#: field is accepted; an absent field keeps the library type's default.
+_CAMPAIGN_FIELDS = {
+    "campaign": {
+        "scheme": ("scheme", _parse_word),
+        "true_alpha": ("true_alpha", _parse_float),
+        "total_time": ("total_time", _parse_float),
+        "replicas": ("replicas", _parse_int),
+        "run_period": ("run_period", _parse_float),
+        "seed": ("seed", _parse_int),
+    },
+    "noise": {
+        "kind": ("kind", _parse_word),
+        "sigma_tech": ("sigma_tech", _parse_float),
+        "lambda": ("lam", _parse_float),
+        "offset": ("offset", _parse_float),
+    },
+    "protocol": {
+        "alpha": ("alpha", lambda text, where: _parse_amplitude(text)),
+        "t": ("t", _parse_float),
+        "cutoff": ("cutoff", _parse_int),
+        "input_kind": ("input_kind", _parse_word),
+        "source_efficiency": ("source_efficiency", _parse_float),
+    },
+    "herald": {
+        "read_efficiency": ("read_efficiency", _parse_float),
+        "dark_count": ("dark_count", _parse_float),
+        "mode": ("mode", _parse_word),
+        "resolving": ("resolving", _parse_bool),
+    },
+}
+
+
+def _fields(cp: configparser.ConfigParser, section: str, required: Sequence[str] = ()):
+    """One section's fields as keyword arguments; an absent section has none."""
+    kwargs = {}
+    for key, (keyword, parse) in _CAMPAIGN_FIELDS[section].items():
+        if cp.has_option(section, key):
+            kwargs[keyword] = parse(cp.get(section, key), f"{section}.{key}")
+        elif key in required:
+            raise ValidationError(f"missing field: {section}.{key}")
+    return kwargs
+
+
 def parse_campaign_file(text: str, seed_override: Optional[int] = None) -> CampaignConfig:
     """Build a CampaignConfig from key=value sections.
 
@@ -338,76 +376,38 @@ def parse_campaign_file(text: str, seed_override: Optional[int] = None) -> Campa
     run_period; [noise] kind, sigma_tech, lambda, offset; [protocol] (for the
     amplified scheme) alpha, t, cutoff, input_kind, source_efficiency;
     [herald] read_efficiency, dark_count, mode, resolving. Field names match
-    the library types; a missing required field is a validation error naming
-    it as section.name.
+    the library types. A missing required field, or an unknown section or
+    field, is a validation error naming it as section.name.
     """
-    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    # no section is the parser's defaults section (an empty name, which no
+    # header can spell), so a [DEFAULT] section is unknown like any other
+    cp = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";", "#"), default_section=""
+    )
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValidationError(f"malformed campaign config: {exc}") from None
     for section in cp.sections():
-        if section not in ("campaign", "noise", "protocol", "herald"):
+        if section not in _CAMPAIGN_FIELDS:
             raise ValidationError(f"unknown config section [{section}]")
-    if not cp.has_section("campaign"):
-        raise ValidationError("missing field: campaign.scheme")
-    scheme = _require(cp, "campaign", "scheme").strip()
-    true_alpha = _parse_float(_require(cp, "campaign", "true_alpha"), "campaign.true_alpha")
-    total_time = _parse_float(_require(cp, "campaign", "total_time"), "campaign.total_time")
-    replicas = _parse_int(_require(cp, "campaign", "replicas"), "campaign.replicas")
-    run_period = _parse_float(_optional(cp, "campaign", "run_period", "0.1"), "campaign.run_period")
-    if seed_override is not None:
-        seed = seed_override
-    else:
-        seed = _parse_int(_require(cp, "campaign", "seed"), "campaign.seed")
-
-    if not cp.has_section("noise"):
-        raise ValidationError("missing field: noise.kind")
-    noise = NoiseModel(
-        kind=_require(cp, "noise", "kind").strip(),
-        sigma_tech=_parse_float(_optional(cp, "noise", "sigma_tech", "0"), "noise.sigma_tech"),
-        lam=_parse_float(_optional(cp, "noise", "lambda", "0"), "noise.lambda"),
-        offset=_parse_float(_optional(cp, "noise", "offset", "0"), "noise.offset"),
-    )
-
+        for key in cp.options(section):
+            if key not in _CAMPAIGN_FIELDS[section]:
+                raise ValidationError(f"unknown field: {section}.{key}")
+    required = ("scheme", "true_alpha", "total_time", "replicas")
+    if seed_override is None:
+        required += ("seed",)
+    elif cp.has_section("campaign"):
+        cp.remove_option("campaign", "seed")  # the override replaces it, unparsed
+    campaign = {"seed": seed_override, **_fields(cp, "campaign", required)}
+    noise = NoiseModel(**_fields(cp, "noise", ("kind",)))
     protocol = None
-    if scheme == "amplified" or cp.has_section("protocol"):
+    if campaign["scheme"] == "amplified" or cp.has_section("protocol"):
         if not cp.has_section("protocol"):
             raise ValidationError("missing field: protocol.alpha")
-        # _optional also covers an absent [herald] section: has_option is
-        # False there, so every field falls back to its default
-        herald = HeraldModel(
-            read_efficiency=_parse_float(
-                _optional(cp, "herald", "read_efficiency", "1"), "herald.read_efficiency"
-            ),
-            dark_count=_parse_float(
-                _optional(cp, "herald", "dark_count", "0"), "herald.dark_count"
-            ),
-            mode=_optional(cp, "herald", "mode", "A").strip(),
-            resolving=_parse_bool(
-                _optional(cp, "herald", "resolving", "true"), "herald.resolving"
-            ),
-        )
-        protocol = ProtocolConfig(
-            alpha=_parse_amplitude(_require(cp, "protocol", "alpha")),
-            t=_parse_float(_require(cp, "protocol", "t"), "protocol.t"),
-            cutoff=_parse_int(_optional(cp, "protocol", "cutoff", "12"), "protocol.cutoff"),
-            input_kind=_optional(cp, "protocol", "input_kind", "truncated").strip(),
-            source_efficiency=_parse_float(
-                _optional(cp, "protocol", "source_efficiency", "1"), "protocol.source_efficiency"
-            ),
-            herald=herald,
-        )
-    return CampaignConfig(
-        scheme=scheme,
-        true_alpha=true_alpha,
-        total_time=total_time,
-        noise=noise,
-        seed=seed,
-        replicas=replicas,
-        run_period=run_period,
-        protocol=protocol,
-    )
+        herald = HeraldModel(**_fields(cp, "herald"))
+        protocol = ProtocolConfig(herald=herald, **_fields(cp, "protocol", ("alpha", "t")))
+    return CampaignConfig(noise=noise, protocol=protocol, **campaign)
 
 
 def _campaign_params(config: CampaignConfig) -> Dict[str, object]:

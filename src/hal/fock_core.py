@@ -12,7 +12,6 @@ functions; everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -32,30 +31,34 @@ _EIGENVALUE_FLOOR = -1e-9
 _LOG_NORMAL_FLOOR = -700.0
 
 
-@dataclass(frozen=True)
-class ComplexAmplitude:
-    """A dimensionless complex amplitude stored as a real pair."""
+def _finite_amplitude(value, name: str) -> complex:
+    """value as a complex number whose squared magnitude is a finite double.
 
-    re: float
-    im: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.re) and np.isfinite(self.im)):
-            raise ValidationError("complex amplitude must be finite")
-
-    @staticmethod
-    def of(value: Union["ComplexAmplitude", complex, float, int]) -> "ComplexAmplitude":
-        """Coerce a python number (or pass an existing instance through)."""
-        if isinstance(value, ComplexAmplitude):
-            return value
+    This is where an amplitude enters: ProtocolConfig, EnsembleSpec and
+    coherent_state check theirs here, so nothing downstream meets a NaN, an
+    infinity or an |amplitude|^2 that overflows.
+    """
+    try:
         z = complex(value)
-        return ComplexAmplitude(z.real, z.imag)
+        finite = math.isfinite(abs(z) ** 2)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValidationError(
+            f"{name} must be a complex number with finite |{name}|^2, got {value!r}"
+        )
+    return z
 
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
 
-    def __abs__(self) -> float:
-        return abs(self.as_complex())
+def _norm(amp: np.ndarray) -> float:
+    """Euclidean norm of finite amplitudes, rescaled by the largest magnitude
+    only when the plain sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(amp))
+    if n == math.inf:
+        peak = float(np.max(np.abs(amp)))
+        n = peak * float(np.linalg.norm(amp / peak))
+    return n
 
 
 def _check_basis_args(cutoff: int, mode_count: int) -> None:
@@ -97,7 +100,7 @@ class PureState:
             )
         if not np.all(np.isfinite(amp.view(np.float64))):
             raise ValidationError("amplitudes must be finite")
-        n = float(np.linalg.norm(amp))
+        n = _norm(amp)
         if not np.isfinite(n) or n <= 0.0:
             raise ValidationError("state norm must be finite and positive")
         amp.setflags(write=False)
@@ -123,7 +126,7 @@ class PureState:
         return m * (self.cutoff + 1) + n
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     def normalized(self) -> "PureState":
         return PureState(self.amplitudes / self.norm(), self.cutoff, self.mode_count)
@@ -230,7 +233,7 @@ def tail_beyond(k: int, log_p0: float, ratio: Callable) -> float:
 
 
 def coherent_state(
-    alpha: Union[ComplexAmplitude, complex, float],
+    alpha: complex,
     cutoff: int = DEFAULT_CUTOFF,
     tail_threshold: float = TAIL_THRESHOLD,
 ) -> PureState:
@@ -246,7 +249,7 @@ def coherent_state(
     TruncationError
         If the cutoff is too small for the requested tail mass.
     """
-    a = ComplexAmplitude.of(alpha).as_complex()
+    a = _finite_amplitude(alpha, "alpha")
     if cutoff < 1:
         raise ValidationError("coherent_state requires cutoff >= 1")
     mu = abs(a) ** 2

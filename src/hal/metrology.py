@@ -144,9 +144,9 @@ class CampaignConfig:
             raise ValidationError("direct scheme takes no protocol")
         if not np.isfinite(self.true_alpha):
             raise ValidationError("true_alpha must be finite")
-        if self.protocol is not None and self.protocol.alpha.as_complex() != complex(self.true_alpha):
+        if self.protocol is not None and self.protocol.alpha != complex(self.true_alpha):
             raise ValidationError(
-                f"protocol alpha {self.protocol.alpha.as_complex()!r} differs from "
+                f"protocol alpha {self.protocol.alpha!r} differs from "
                 f"true_alpha {self.true_alpha!r}; bias would be reported against the wrong truth"
             )
         if not (self.run_period > 0 and np.isfinite(self.run_period)):

@@ -38,25 +38,6 @@ IMPOSSIBLE_PROBABILITY = 1e-300
 
 
 @dataclass(frozen=True)
-class BeamSplitter:
-    """Beam splitter with real transmission amplitude t in (0, 1)."""
-
-    t: float
-
-    def __post_init__(self):
-        if not (0.0 < self.t < 1.0) or not np.isfinite(self.t):
-            raise ValidationError(f"transmission amplitude must be in (0,1), got {self.t!r}")
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(1.0 - self.t * self.t)
-
-    @property
-    def theta(self) -> float:
-        return math.asin(self.t)
-
-
-@dataclass(frozen=True)
 class HeraldModel:
     """Detector model for reading out the stored excitation.
 
@@ -111,7 +92,7 @@ def _mode_axis(mode: str) -> int:
     return "AB".index(mode)
 
 
-def _column_images(top: int, bs: BeamSplitter) -> np.ndarray:
+def _column_images(top: int, t: float) -> np.ndarray:
     """images[l, s, m] = <m, s - m| U |s - l, l> for l = 0, 1 and s - l = 0..top.
 
     U a^dag U^dag = r a^dag - t b^dag and U b^dag U^dag = t a^dag + r b^dag,
@@ -123,7 +104,7 @@ def _column_images(top: int, bs: BeamSplitter) -> np.ndarray:
     s = top + 2 included, is zero.
     """
     root = np.sqrt(np.arange(top + 2))
-    r_root, t_root = bs.r * root, bs.t * root
+    r_root, t_root = math.sqrt(1.0 - t * t) * root, t * root
     images = np.zeros((2, top + 3, top + 2))
     a0 = images[0]
     a0[0, 0] = 1.0
@@ -137,9 +118,9 @@ def _column_images(top: int, bs: BeamSplitter) -> np.ndarray:
     return images
 
 
-def _block(total: int, theta: float) -> np.ndarray:
+def _block(total: int, t: float) -> np.ndarray:
     """Exact unitary on the full total-occupation sector, basis (m, total-m)
-    ordered by m = 0..total.
+    ordered by m = 0..total, for theta = arcsin(t).
 
     The generator G (real, antisymmetric, tridiagonal with couplings
     sqrt((m+1)(total-m))) equals -i D J D^-1, where J is the symmetric
@@ -152,7 +133,7 @@ def _block(total: int, theta: float) -> np.ndarray:
     m = np.arange(total)
     lower = np.sqrt((m + 1.0) * (total - m))
     vectors = np.linalg.eigh(np.diag(lower, -1) + np.diag(lower, 1))[1]
-    angle = theta * np.arange(-total, total + 1, 2, dtype=float)
+    angle = math.asin(t) * np.arange(-total, total + 1, 2, dtype=float)
     phase = np.subtract.outer(np.arange(total + 1), np.arange(total + 1)) % 4
     re_phase = np.array([1.0, 0.0, -1.0, 0.0])[phase]
     im_phase = np.array([0.0, 1.0, 0.0, -1.0])[phase]
@@ -168,8 +149,9 @@ def _require_two_mode(state: PureState, name: str) -> None:
         raise ShapeError(f"{name} requires a two-mode state")
 
 
-def apply_beam_splitter(state: PureState, bs: BeamSplitter) -> PureState:
-    """Apply the beam splitter to a two-mode pure state, column by column.
+def apply_beam_splitter(state: PureState, t: float) -> PureState:
+    """Apply the beam splitter of transmission amplitude t to a two-mode pure
+    state, column by column.
 
     Input columns |k, l> with l <= 1 are mapped by their closed-form images
     (`_column_images`), built only up to the largest occupied k. Columns with
@@ -182,8 +164,11 @@ def apply_beam_splitter(state: PureState, bs: BeamSplitter) -> PureState:
     Raises
     ------
     ValidationError
-        For anything but a two-mode PureState (ShapeError for one mode).
+        For t outside (0, 1), and for anything but a two-mode PureState
+        (ShapeError for one mode).
     """
+    if not 0.0 < t < 1.0:
+        raise ValidationError(f"transmission amplitude must be in (0,1), got {t!r}")
     _require_two_mode(state, "apply_beam_splitter")
     cutoff = state.cutoff
     amp = state.as_two_mode_matrix()
@@ -196,14 +181,14 @@ def apply_beam_splitter(state: PureState, bs: BeamSplitter) -> PureState:
         for l in range(low.shape[1]):
             coef[l, l : l + top + 1] = low[: top + 1, l]
         # image[s, m]: amplitude on |m, s - m>, zero from row top + 2 on
-        image = (coef[:, :, None] * _column_images(top, bs)).sum(axis=0)
+        image = (coef[:, :, None] * _column_images(top, t)).sum(axis=0)
         m = np.arange(min(top + 2, cutoff + 1))
         out[: m.size, : m.size] = image[np.minimum(m[:, None] + m, top + 2), m[:, None]]
     ks, ls = np.nonzero(amp[:, 2:])
     for total in np.flatnonzero(np.bincount(ks + ls)) + 2:
         lo, hi = max(0, total - cutoff), min(total, cutoff)
         rows, cols = np.arange(lo, hi + 1), np.arange(lo, min(hi, total - 2) + 1)
-        block = _block(int(total), bs.theta)[lo : hi + 1, lo : cols[-1] + 1]
+        block = _block(int(total), t)[lo : hi + 1, lo : cols[-1] + 1]
         out[rows, total - rows] += block @ amp[cols, total - cols]
     return PureState(out, cutoff, 2)
 

@@ -25,6 +25,7 @@ two-mode density matrix is ever formed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -42,9 +43,9 @@ from .errors import (
 from .fock_core import (
     DEFAULT_CUTOFF,
     TAIL_THRESHOLD,
-    ComplexAmplitude,
     DensityOperator,
     PureState,
+    _finite_amplitude,
     coherent_state,
     fidelity,
     number_state,
@@ -52,7 +53,6 @@ from .fock_core import (
 )
 from .optics_ops import (
     IMPOSSIBLE_PROBABILITY,
-    BeamSplitter,
     HeraldModel,
     apply_beam_splitter,
     herald_operator,
@@ -90,7 +90,7 @@ class ProtocolConfig:
     source_efficiency p1 mixes the ancilla as p1|1><1| + (1-p1)|0><0|.
     """
 
-    alpha: ComplexAmplitude
+    alpha: complex
     t: float
     cutoff: int = DEFAULT_CUTOFF
     input_kind: str = "truncated"
@@ -98,7 +98,7 @@ class ProtocolConfig:
     herald: HeraldModel = field(default_factory=HeraldModel)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", ComplexAmplitude.of(self.alpha))
+        object.__setattr__(self, "alpha", _finite_amplitude(self.alpha, "alpha"))
         if not (isinstance(self.t, (int, float)) and 0.0 < self.t < 1.0):
             raise ValidationError(f"transmission amplitude must be in (0,1), got {self.t!r}")
         if not (isinstance(self.cutoff, (int, np.integer)) and self.cutoff >= 1):
@@ -178,8 +178,8 @@ def run_first_order(alpha, t: float) -> HeraldResult:
     truncation. The conditional state coincides with the target by
     construction, so the fidelity is exactly 1.
     """
-    a = ComplexAmplitude.of(alpha).as_complex()
-    config = ProtocolConfig(alpha=a, t=t, cutoff=1)
+    config = ProtocolConfig(alpha=alpha, t=t, cutoff=1)
+    a = config.alpha
     _warn_if_out_of_regime(config)
     p = t * t + abs(a) ** 2
     conditional = PureState(np.array([t, a], dtype=np.complex128), 1, 1).normalized()
@@ -194,12 +194,11 @@ def run_first_order(alpha, t: float) -> HeraldResult:
 
 
 def _signal_state(config: ProtocolConfig) -> PureState:
-    a = config.alpha.as_complex()
     if config.input_kind == "coherent":
-        return coherent_state(a, config.cutoff)
+        return coherent_state(config.alpha, config.cutoff)
     amp = np.zeros(config.cutoff + 1, dtype=np.complex128)
     amp[0] = 1.0
-    amp[1] = a
+    amp[1] = config.alpha
     return PureState(amp, config.cutoff, 1).normalized()
 
 
@@ -256,7 +255,6 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
         click on its own (the vacuum branch at alpha = 0) is not an error.
     """
     _warn_if_out_of_regime(config)
-    bs = BeamSplitter(config.t)
     signal = _signal_state(config)
     cutoff = config.cutoff
     herald = config.herald
@@ -267,7 +265,7 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
     leakage = 0.0
     for weight, photons in branches:
         psi_in = tensor_product(signal, number_state(photons, cutoff))
-        out = apply_beam_splitter(psi_in, bs)
+        out = apply_beam_splitter(psi_in, config.t)
         rho += weight * herald_operator(out.as_two_mode_matrix(), w, herald.mode)
         if photons:
             leakage += weight * _photon_leakage(signal, config.t)
@@ -288,7 +286,7 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
     else:
         conditional = DensityOperator(rho / p, cutoff)
         gain = _mixed_gain(conditional, alpha_mag)
-    fid = fidelity(conditional, target_state(config.alpha.as_complex(), config.t, cutoff))
+    fid = fidelity(conditional, target_state(config.alpha, config.t, cutoff))
     return HeraldResult(
         success_probability=p,
         conditional_state=conditional,
@@ -327,55 +325,17 @@ _ERROR_CODES = (
 )
 
 
-def _point_config(base: ProtocolConfig, point: Mapping[str, float]) -> ProtocolConfig:
-    """Rebuild a config with axis values substituted.
-
-    The alpha axis takes real amplitudes and replaces the whole complex
-    value; eta_r and p_d rewrite the herald model in place. Axis names are
-    checked by sweep before any point is built.
-    """
-    kwargs: Dict[str, object] = {}
-    herald_kwargs: Dict[str, float] = {}
-    for name, value in point.items():
-        if name == "alpha":
-            kwargs["alpha"] = ComplexAmplitude.of(float(value))
-        elif name == "t":
-            kwargs["t"] = float(value)
-        elif name == "p1":
-            kwargs["source_efficiency"] = float(value)
-        elif name == "cutoff":
-            kwargs["cutoff"] = int(value)
-        elif name == "eta_r":
-            herald_kwargs["read_efficiency"] = float(value)
-        elif name == "p_d":
-            herald_kwargs["dark_count"] = float(value)
-    if herald_kwargs:
-        kwargs["herald"] = replace(base.herald, **herald_kwargs)
-    return replace(base, **kwargs)
-
-
-def _row_skeleton(base: ProtocolConfig, point: Mapping[str, float]) -> Dict[str, object]:
-    """Row parameter fields, taken from the substituted values or the base."""
-
-    def pick(name, fallback):
-        return float(point[name]) if name in point else fallback
-
-    alpha = complex(point["alpha"]) if "alpha" in point else base.alpha.as_complex()
-    return {
-        "alpha_re": alpha.real,
-        "alpha_im": alpha.imag,
-        "t": pick("t", base.t),
-        "p1": pick("p1", base.source_efficiency),
-        "eta_r": pick("eta_r", base.herald.read_efficiency),
-        "p_d": pick("p_d", base.herald.dark_count),
-        "cutoff": int(point["cutoff"]) if "cutoff" in point else base.cutoff,
-        "success_prob": float("nan"),
-        "gain": float("nan"),
-        "fidelity": float("nan"),
-        "leading_p": float("nan"),
-        "leading_gain": float("nan"),
-        "error_code": "",
-    }
+def _point_config(base: ProtocolConfig, params: Mapping[str, object]) -> ProtocolConfig:
+    """base with every sweep parameter rewritten from params (keyed by SWEEP_AXES)."""
+    herald = replace(base.herald, read_efficiency=params["eta_r"], dark_count=params["p_d"])
+    return replace(
+        base,
+        alpha=params["alpha"],
+        t=params["t"],
+        cutoff=params["cutoff"],
+        source_efficiency=params["p1"],
+        herald=herald,
+    )
 
 
 def _error_code(exc: HalError) -> str:
@@ -401,39 +361,41 @@ def sweep(
             raise ValidationError(
                 f"unknown sweep axis {name!r}; valid axes: {', '.join(SWEEP_AXES)}"
             )
-    names = list(axes.keys())
-    value_lists = [list(axes[n]) for n in names]
-    for name, values in zip(names, value_lists):
-        if len(values) == 0:
+    # an alpha axis takes real amplitudes and replaces the whole complex value
+    cast = {"alpha": lambda v: complex(float(v)), "cutoff": int}
+    grids = [[cast.get(name, float)(v) for v in axes[name]] for name in axes]
+    for name, grid in zip(axes, grids):
+        if not grid:
             raise ValidationError(f"sweep axis {name!r} is empty")
-    points: List[Dict[str, float]] = []
-    total = 1
-    for values in value_lists:
-        total *= len(values)
-    for flat in range(total):
-        rem = flat
-        point = {}
-        for axis in range(len(names) - 1, -1, -1):
-            rem, k = divmod(rem, len(value_lists[axis]))
-            point[names[axis]] = value_lists[axis][k]
-        points.append(point)
+    base_params = {
+        "alpha": base.alpha,
+        "t": base.t,
+        "p1": base.source_efficiency,
+        "eta_r": base.herald.read_efficiency,
+        "p_d": base.herald.dark_count,
+        "cutoff": base.cutoff,
+    }
+    points = [{**base_params, **dict(zip(axes, values))} for values in itertools.product(*grids)]
 
-    def evaluate(point: Dict[str, float]) -> Dict[str, object]:
-        row = _row_skeleton(base, point)
+    def evaluate(params: Dict[str, object]) -> Dict[str, object]:
+        t = params["t"]
         try:
-            result = run_exact(_point_config(base, point))
+            result = run_exact(_point_config(base, params))
+            outcome = (
+                result.success_probability,
+                result.gain,
+                result.fidelity_to_target,
+                result.leading_order.p,
+                result.leading_order.gain,
+                "",
+            )
         except HalError as exc:
-            row["error_code"] = _error_code(exc)
-            if 0.0 < row["t"] < 1.0:
-                row["leading_p"] = row["t"] ** 2
-                row["leading_gain"] = 1.0 / row["t"]
-            return row
-        row["success_prob"] = result.success_probability
-        row["gain"] = result.gain
-        row["fidelity"] = result.fidelity_to_target
-        row["leading_p"] = result.leading_order.p
-        row["leading_gain"] = result.leading_order.gain
-        return row
+            leading = (t ** 2, 1.0 / t) if 0.0 < t < 1.0 else (math.nan, math.nan)
+            outcome = (math.nan, math.nan, math.nan, *leading, _error_code(exc))
+        alpha = params["alpha"]
+        # ROW_COLUMNS: alpha split in two, the other axes in SWEEP_AXES order, the outcome
+        fields = (alpha.real, alpha.imag, *(params[name] for name in SWEEP_AXES[1:]), *outcome)
+        return dict(zip(ROW_COLUMNS, fields))
 
     # catch_warnings is not thread-safe: it is entered once, here, around
     # every worker, never inside one

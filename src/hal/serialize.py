@@ -28,7 +28,7 @@ from typing import Any, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .fock_core import ComplexAmplitude, DensityOperator, PureState
+from .fock_core import DensityOperator, PureState
 
 
 def fmt_float(x: float) -> str:
@@ -56,8 +56,6 @@ def _emit(obj: Any, out: List[str]) -> None:
         out.append(json.dumps(obj))
     elif isinstance(obj, (complex, np.complexfloating)):
         out.append(f'{{"re":{_json_float(float(obj.real))},"im":{_json_float(float(obj.imag))}}}')
-    elif isinstance(obj, ComplexAmplitude):
-        out.append(f'{{"re":{_json_float(float(obj.re))},"im":{_json_float(float(obj.im))}}}')
     elif isinstance(obj, (dict, Mapping)):
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):

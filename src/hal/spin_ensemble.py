@@ -23,6 +23,7 @@ fidelity measurements, never through a corrected map.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,8 +33,8 @@ from .errors import ShapeError, TruncationError, ValidationError
 from .fock_core import (
     DEFAULT_CUTOFF,
     TAIL_THRESHOLD,
-    ComplexAmplitude,
     PureState,
+    _finite_amplitude,
     coherent_state,
     tail_beyond,
 )
@@ -53,21 +54,24 @@ class EnsembleSpec:
     """Atom count and per-atom rotation, with the derived oscillator amplitude.
 
     alpha = sqrt(N) * epsilon is the amplitude of the oscillator-picture
-    coherent state the rotated ensemble approximates.
+    coherent state the rotated ensemble approximates. Both epsilon and
+    alpha must have a finite squared magnitude.
     """
 
     N: int
-    epsilon: ComplexAmplitude
+    epsilon: complex
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ValidationError(f"atom count must be a positive integer, got {self.N!r}")
-        object.__setattr__(self, "epsilon", ComplexAmplitude.of(self.epsilon))
+        if not isinstance(self.N, (int, np.integer)) or not 1 <= self.N <= sys.float_info.max:
+            raise ValidationError(
+                f"atom count must be an integer in 1..{sys.float_info.max:.2g}, got {self.N!r}"
+            )
+        object.__setattr__(self, "epsilon", _finite_amplitude(self.epsilon, "epsilon"))
+        _finite_amplitude(self.alpha, "sqrt(N) epsilon")
 
     @property
-    def alpha(self) -> ComplexAmplitude:
-        z = math.sqrt(self.N) * self.epsilon.as_complex()
-        return ComplexAmplitude(z.real, z.imag)
+    def alpha(self) -> complex:
+        return math.sqrt(self.N) * self.epsilon
 
 
 class DickeState:
@@ -114,7 +118,7 @@ def rotated_product_state(
         k_max = min(spec.N, DEFAULT_CUTOFF)
     if not 1 <= k_max <= spec.N:
         raise ValidationError(f"k_max must be in 1..N, got {k_max}")
-    eps = spec.epsilon.as_complex()
+    eps = spec.epsilon
     if eps == 0:
         amp = np.zeros(k_max + 1, dtype=np.complex128)
         amp[0] = 1.0

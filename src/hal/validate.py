@@ -23,11 +23,11 @@ import numpy as np
 
 from .fock_core import PureState, coherent_state, number_state, tensor_product
 from .metrology import quadrature_pdf
-from .optics_ops import BeamSplitter, HeraldModel, apply_beam_splitter, herald_operator
+from .optics_ops import HeraldModel, apply_beam_splitter, herald_operator
 from .protocol import ProtocolConfig, run_exact
 from .spin_ensemble import EnsembleSpec, rotated_product_state
 
-ApplyFn = Callable[..., PureState]
+ApplyFn = Callable[[PureState, float], PureState]
 
 _BS_CUTOFF = 6
 _BS_T = 0.3
@@ -104,7 +104,6 @@ def _impl_matrix(bs_apply: ApplyFn, cutoff: int, t: float) -> np.ndarray:
     are excluded from every comparison.
     """
     dim = (cutoff + 1) ** 2
-    bs = BeamSplitter(t)
     out = np.zeros((dim, dim), dtype=np.complex128)
     totals = _total_occupation(cutoff)
     for j in range(dim):
@@ -112,7 +111,7 @@ def _impl_matrix(bs_apply: ApplyFn, cutoff: int, t: float) -> np.ndarray:
             continue
         basis = np.zeros(dim, dtype=np.complex128)
         basis[j] = 1.0
-        out[:, j] = bs_apply(PureState(basis, cutoff, 2), bs).amplitudes
+        out[:, j] = bs_apply(PureState(basis, cutoff, 2), t).amplitudes
     return out
 
 
@@ -147,9 +146,8 @@ def run_checks(bs_apply: Optional[ApplyFn] = None) -> List[CheckResult]:
     )
 
     # Hong-Ou-Mandel null: |1,1> on a balanced splitter never exits as |1,1>.
-    balanced = BeamSplitter(math.sqrt(0.5))
     psi_hom = tensor_product(number_state(1, cutoff), number_state(1, cutoff))
-    out_hom = bs_apply(psi_hom, balanced)
+    out_hom = bs_apply(psi_hom, math.sqrt(0.5))
     idx_11 = psi_hom.index(1, 1)
     checks.append(_check("bs_hom_null", abs(out_hom.amplitudes[idx_11]), 1e-12))
 
@@ -160,7 +158,7 @@ def run_checks(bs_apply: Optional[ApplyFn] = None) -> List[CheckResult]:
     for m, n, amp in ((0, 1, 1.0), (1, 0, 0.8), (1, 1, 0.6j), (2, 1, 0.4), (0, 3, 0.2)):
         probe[m * (cutoff + 1) + n] = amp
     probe /= np.linalg.norm(probe)
-    forward = bs_apply(PureState(probe, cutoff, 2), BeamSplitter(_BS_T)).amplitudes
+    forward = bs_apply(PureState(probe, cutoff, 2), _BS_T).amplitudes
     round_trip = dense_bs_matrix(cutoff, _BS_T).T @ forward
     checks.append(
         _check("bs_composition_with_oracle", float(np.max(np.abs(round_trip - probe))), 1e-10)
@@ -249,13 +247,12 @@ def _protocol_output_branches(config: ProtocolConfig) -> List[Tuple[float, PureS
     """
     amp = np.zeros(config.cutoff + 1, dtype=np.complex128)
     amp[0] = 1.0
-    amp[1] = config.alpha.as_complex()
+    amp[1] = config.alpha
     signal = PureState(amp, config.cutoff, 1).normalized()
     p1 = config.source_efficiency
-    bs = BeamSplitter(config.t)
     return [
-        (weight, apply_beam_splitter(tensor_product(signal, number_state(k, config.cutoff)), bs))
-        for weight, k in ((p1, 1), (1.0 - p1, 0))
+        (w, apply_beam_splitter(tensor_product(signal, number_state(k, config.cutoff)), config.t))
+        for w, k in ((p1, 1), (1.0 - p1, 0))
     ]
 
 
@@ -265,7 +262,7 @@ def _oracle_click_probability(config: ProtocolConfig) -> float:
     dim = cutoff + 1
     amp = np.zeros(dim, dtype=np.complex128)
     amp[0] = 1.0
-    amp[1] = config.alpha.as_complex()
+    amp[1] = config.alpha
     amp /= np.linalg.norm(amp)
     sig = np.outer(amp, amp.conj())
     src = np.zeros((dim, dim))

@@ -113,6 +113,28 @@ def test_bad_values_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        (["protocol", "--alpha", "1e300", "--t", "0.1"], 2),
+        (["protocol", "--alpha", "1e300", "--t", "0.1", "--input", "coherent"], 2),
+        (["protocol", "--alpha", "1e300", "--t", "0.1", "--mode", "first-order"], 2),
+        (["ensemble", "--n-atoms", "100", "--epsilon", "1e200"], 2),
+        (["protocol", "--alpha", "0.5", "--t", "1e-200"], 0),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_amplitudes_exit_cleanly(argv, rc, capsys):
+    # |alpha|^2 overflows, or alpha / t does in the target state: no numpy
+    # warning and no traceback, but one message line or a result
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    assert err.count("\n") == (1 if rc else 0)
+    if rc:
+        assert "finite |" in err
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -383,6 +405,49 @@ def test_campaign_file_herald_defaults():
         + "\n[herald]\nread_efficiency = 0.9\ndark_count = 0\nmode = B\nresolving = no\n"
     )
     assert full.protocol.herald == HeraldModel(read_efficiency=0.9, mode="B", resolving=False)
+
+
+def test_campaign_file_misspelt_campaign_field_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(DIRECT_CFG.replace("seed = 11\n", "seed = 11\nrun_perod = 1\n"))
+    assert main(["campaign", str(cfg)]) == 2
+    assert "unknown field: campaign.run_perod" in capsys.readouterr().err
+
+
+def test_campaign_file_misspelt_noise_field_is_rejected():
+    with pytest.raises(ValidationError, match=r"unknown field: noise\.sigma$"):
+        parse_campaign_file(DIRECT_CFG.replace("sigma_tech = 0.05", "sigma = 0.05"))
+
+
+def test_campaign_file_misspelt_protocol_field_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(AMPLIFIED_CFG + "sorce_efficiency = 0.5\n")
+    assert main(["campaign", str(cfg)]) == 2
+    assert "unknown field: protocol.sorce_efficiency" in capsys.readouterr().err
+
+
+def test_campaign_file_misspelt_herald_field_is_rejected():
+    with pytest.raises(ValidationError, match=r"unknown field: herald\.dark_counts$"):
+        parse_campaign_file(AMPLIFIED_CFG + "\n[herald]\ndark_counts = 1e-4\n")
+    # the parser's own names for the library fields are not field names
+    with pytest.raises(ValidationError, match=r"unknown field: noise\.lam$"):
+        parse_campaign_file(DIRECT_CFG + "lam = 0.5\n")
+
+
+@pytest.mark.parametrize("default", ["[DEFAULT]\n", "[DEFAULT]\nsource_efficiency = 0.5\n"])
+def test_campaign_file_default_section_is_rejected(default, tmp_path, capsys):
+    # configparser would copy [DEFAULT] keys into every section
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(default + AMPLIFIED_CFG)
+    assert main(["campaign", str(cfg)]) == 2
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
+
+def test_campaign_file_seed_override_skips_the_file_seed():
+    # the override replaces the file's seed before it is parsed
+    assert parse_campaign_file(DIRECT_CFG.replace("seed = 11", "seed = x"), seed_override=4).seed == 4
+    with pytest.raises(ValidationError, match="campaign.seed"):
+        parse_campaign_file(DIRECT_CFG.replace("seed = 11", "seed = x"))
 
 
 def test_campaign_run_and_seed_override(tmp_path, capsys):

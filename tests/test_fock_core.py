@@ -6,7 +6,6 @@ import pytest
 from hal.errors import ShapeError, TruncationError, ValidationError
 from hal.fock_core import (
     TAIL_THRESHOLD,
-    ComplexAmplitude,
     DensityOperator,
     PureState,
     coherent_state,
@@ -14,22 +13,51 @@ from hal.fock_core import (
     number_state,
     tensor_product,
 )
+from hal.protocol import ProtocolConfig
+from hal.spin_ensemble import EnsembleSpec
 
 
-def test_complex_amplitude_coercion():
-    assert ComplexAmplitude.of(0.25) == ComplexAmplitude(0.25, 0.0)
-    assert ComplexAmplitude.of(1 + 2j) == ComplexAmplitude(1.0, 2.0)
-    a = ComplexAmplitude(3.0, -4.0)
-    assert ComplexAmplitude.of(a) is a
-    assert abs(a) == 5.0
-    assert a.as_complex() == 3.0 - 4.0j
+# finite, but |amplitude|^2 overflows a double
+HUGE_AMPLITUDES = (1e300, complex(0.0, 1e200), complex(1e308, 1e308))
 
 
-def test_complex_amplitude_rejects_nonfinite():
-    with pytest.raises(ValidationError):
-        ComplexAmplitude(float("nan"), 0.0)
-    with pytest.raises(ValidationError):
-        ComplexAmplitude.of(complex(0, float("inf")))
+def test_amplitudes_are_plain_complex_numbers():
+    assert ProtocolConfig(alpha=0.25, t=0.1).alpha == complex(0.25, 0.0)
+    assert type(ProtocolConfig(alpha=0.25, t=0.1).alpha) is complex
+    assert ProtocolConfig(alpha=1 + 2j, t=0.1).alpha == 1 + 2j
+    spec = EnsembleSpec(4, 3.0 - 4.0j)
+    assert spec.epsilon == 3.0 - 4.0j and abs(spec.epsilon) == 5.0
+    assert spec.alpha == 2.0 * (3.0 - 4.0j)
+
+
+def test_amplitudes_must_be_finite_where_they_enter():
+    for value in (float("nan"), complex(0, float("inf")), float("-inf"), "x") + HUGE_AMPLITUDES:
+        with pytest.raises(ValidationError, match="alpha"):
+            ProtocolConfig(alpha=value, t=0.1)
+        with pytest.raises(ValidationError, match="epsilon"):
+            EnsembleSpec(100, value)
+        with pytest.raises(ValidationError, match="alpha"):
+            coherent_state(value, 12)
+
+
+def test_ensemble_alpha_must_have_a_finite_square():
+    # epsilon^2 = 1e200 is finite, but alpha^2 = N epsilon^2 is not
+    with pytest.raises(ValidationError, match=r"sqrt\(N\) epsilon"):
+        EnsembleSpec(10**200, 1e100)
+    assert EnsembleSpec(100, 1e100).alpha == pytest.approx(1e101, rel=1e-15)
+    with pytest.raises(ValidationError, match="atom count"):
+        EnsembleSpec(10**400, 1e-300)
+
+
+def test_pure_state_norm_survives_overflowing_squares(recwarn):
+    # the plain sum of squares overflows; the rescaled norm does not
+    psi = PureState([3e200, 4e200j], 1, 1)
+    assert psi.norm() == pytest.approx(5e200, rel=1e-15)
+    np.testing.assert_allclose(np.abs(psi.normalized().amplitudes), [0.6, 0.8], rtol=1e-15)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    # ordinary states keep the plain norm, bit for bit
+    amp = np.array([0.3, 0.4j, 0.5])
+    assert PureState(amp, 2, 1).norm() == float(np.linalg.norm(amp))
 
 
 def test_number_state_basics():

@@ -556,7 +556,7 @@ def test_amplified_protocol_alpha_must_equal_true_alpha():
                            seed=1, replicas=2, protocol=ProtocolConfig(alpha=alpha, t=0.1))
     cfg = CampaignConfig(scheme="amplified", true_alpha=0.01, total_time=1.0, noise=noise,
                          seed=1, replicas=2, protocol=ProtocolConfig(alpha=0.01, t=0.1))
-    assert cfg.protocol.alpha.as_complex() == 0.01
+    assert cfg.protocol.alpha == 0.01
 
 
 def test_direct_campaign_unbiased_and_rmse_identity():

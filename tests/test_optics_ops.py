@@ -13,7 +13,6 @@ from hal.fock_core import (
     tensor_product,
 )
 from hal.optics_ops import (
-    BeamSplitter,
     HeraldModel,
     apply_beam_splitter,
     herald_operator,
@@ -25,42 +24,43 @@ CUTOFF = 6
 
 
 def test_beam_splitter_parameter_range():
-    with pytest.raises(ValidationError):
-        BeamSplitter(0.0)
-    with pytest.raises(ValidationError):
-        BeamSplitter(1.0)
-    bs = BeamSplitter(0.6)
-    assert abs(bs.r - 0.8) < 1e-15
-    assert abs(math.sin(bs.theta) - 0.6) < 1e-15
+    psi = tensor_product(number_state(0, CUTOFF), number_state(1, CUTOFF))
+    for t in (0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="transmission amplitude"):
+            apply_beam_splitter(psi, t)
+    out = apply_beam_splitter(psi, 0.6)
+    assert abs(out.amplitudes[out.index(0, 1)] - 0.8) < 1e-15
+    assert abs(out.amplitudes[out.index(1, 0)] - 0.6) < 1e-15
 
 
 def test_single_photon_splitting_amplitudes():
     # |0,1> -> r|0,1> + t|1,0> under the documented convention
-    bs = BeamSplitter(0.3)
+    t = 0.3
+    r = math.sqrt(1.0 - t * t)
     psi = tensor_product(number_state(0, CUTOFF), number_state(1, CUTOFF))
-    out = apply_beam_splitter(psi, bs)
-    assert abs(out.amplitudes[out.index(0, 1)] - bs.r) < 1e-15
-    assert abs(out.amplitudes[out.index(1, 0)] - bs.t) < 1e-12
+    out = apply_beam_splitter(psi, t)
+    assert abs(out.amplitudes[out.index(0, 1)] - r) < 1e-15
+    assert abs(out.amplitudes[out.index(1, 0)] - t) < 1e-12
     # |1,0> -> r|1,0> - t|0,1>
     psi2 = tensor_product(number_state(1, CUTOFF), number_state(0, CUTOFF))
-    out2 = apply_beam_splitter(psi2, bs)
-    assert abs(out2.amplitudes[out2.index(1, 0)] - bs.r) < 1e-15
-    assert abs(out2.amplitudes[out2.index(0, 1)] + bs.t) < 1e-12
+    out2 = apply_beam_splitter(psi2, t)
+    assert abs(out2.amplitudes[out2.index(1, 0)] - r) < 1e-15
+    assert abs(out2.amplitudes[out2.index(0, 1)] + t) < 1e-12
 
 
-def _splitter_matrix(cutoff, bs):
+def _splitter_matrix(cutoff, t):
     """The matrix apply_beam_splitter applies, built column by column."""
     dim = (cutoff + 1) ** 2
     w = np.zeros((dim, dim), dtype=np.complex128)
     for j in range(dim):
         basis = np.zeros(dim, dtype=np.complex128)
         basis[j] = 1.0
-        w[:, j] = apply_beam_splitter(PureState(basis, cutoff, 2), bs).amplitudes
+        w[:, j] = apply_beam_splitter(PureState(basis, cutoff, 2), t).amplitudes
     return w
 
 
 def test_beam_splitter_unitary_on_full_sectors():
-    w = _splitter_matrix(CUTOFF, BeamSplitter(0.45))
+    w = _splitter_matrix(CUTOFF, 0.45)
     n = np.arange(CUTOFF + 1)
     totals = (n[:, None] + n[None, :]).reshape(-1)
     keep = totals <= CUTOFF
@@ -69,7 +69,7 @@ def test_beam_splitter_unitary_on_full_sectors():
 
 
 def test_beam_splitter_number_conservation():
-    w = _splitter_matrix(CUTOFF, BeamSplitter(0.45))
+    w = _splitter_matrix(CUTOFF, 0.45)
     n = np.arange(CUTOFF + 1)
     totals = (n[:, None] + n[None, :]).reshape(-1)
     cross = np.abs(w)[totals[:, None] != totals[None, :]]
@@ -77,9 +77,8 @@ def test_beam_splitter_number_conservation():
 
 
 def test_hong_ou_mandel_null():
-    bs = BeamSplitter(math.sqrt(0.5))
     psi = tensor_product(number_state(1, CUTOFF), number_state(1, CUTOFF))
-    out = apply_beam_splitter(psi, bs)
+    out = apply_beam_splitter(psi, math.sqrt(0.5))
     assert abs(out.amplitudes[out.index(1, 1)]) < 1e-12
     # the photons bunch: all weight on |2,0> and |0,2>
     p = np.abs(out.amplitudes) ** 2
@@ -91,18 +90,16 @@ def test_leaked_amplitude_is_dropped_not_renormalized():
     # the splitter keeps that one exact amplitude and drops the rest
     amp = np.zeros(9, dtype=np.complex128)
     amp[2 * 3 + 2] = 1.0
-    bs = BeamSplitter(0.5)
-    out = apply_beam_splitter(PureState(amp, 2, 2), bs)
-    kept = _mp_sector_block(4, bs.theta)[2, 2]
+    out = apply_beam_splitter(PureState(amp, 2, 2), 0.5)
+    kept = _mp_sector_block(4, 0.5)[2, 2]
     assert abs(out.amplitudes[2 * 3 + 2] - kept) < 1e-14
     assert np.count_nonzero(out.amplitudes) == 1
     assert 1.0 - out.norm() ** 2 > 0.1
 
 
 def test_project_number_normalizes_and_reports_probability():
-    bs = BeamSplitter(0.1)
     psi = tensor_product(number_state(0, 4), number_state(1, 4))
-    out = apply_beam_splitter(psi, bs)
+    out = apply_beam_splitter(psi, 0.1)
     p, cond = project_number(out, "A", 1)
     assert abs(p - 0.1 ** 2) < 1e-12
     assert abs(cond.norm() - 1.0) < 1e-12
@@ -154,9 +151,8 @@ def _herald(state, weights, mode):
 
 def test_herald_completeness_on_mixed_state():
     # a lossy, noisy herald leaves mixed conditional states on the pure output
-    bs = BeamSplitter(0.2)
     psi = tensor_product(coherent_state(0.1, 5), number_state(1, 5))
-    out = apply_beam_splitter(psi, bs)
+    out = apply_beam_splitter(psi, 0.2)
     for resolving in (True, False):
         w = HeraldModel(read_efficiency=0.6, dark_count=1e-3, resolving=resolving).click_weights(5)
         p_click, cond_click = _herald(out, w, "A")
@@ -177,9 +173,8 @@ def test_dark_count_click_on_vacuum():
 
 
 def test_herald_mode_b():
-    bs = BeamSplitter(0.2)
     psi = tensor_product(number_state(1, 4), number_state(0, 4))
-    out = apply_beam_splitter(psi, bs)
+    out = apply_beam_splitter(psi, 0.2)
     model = HeraldModel(mode="B")
     p, cond = _herald(out, model.click_weights(4), model.mode)
     # photon starts in A; reflection into B happens with probability t^2
@@ -188,9 +183,8 @@ def test_herald_mode_b():
 
 
 def test_herald_operator_matches_its_projector():
-    bs = BeamSplitter(0.3)
     psi = apply_beam_splitter(
-        tensor_product(coherent_state(0.2 + 0.1j, 5), number_state(1, 5)), bs
+        tensor_product(coherent_state(0.2 + 0.1j, 5), number_state(1, 5)), 0.3
     )
     d = psi.cutoff + 1
     v = psi.amplitudes
@@ -219,13 +213,14 @@ def test_two_mode_density_operator_is_rejected():
         DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()), 4)
     rho = DensityOperator(np.diag([0.5, 0.5, 0.0, 0.0, 0.0]), 4)
     with pytest.raises(ValidationError):
-        apply_beam_splitter(rho, BeamSplitter(0.3))
+        apply_beam_splitter(rho, 0.3)
     with pytest.raises(ValidationError):
         project_number(rho, "A", 1)
 
 
-def _mp_sector_block(total, theta):
-    """Sector block of exp(theta (a^dag b - a b^dag)) in mpmath (60 digits).
+def _mp_sector_block(total, t):
+    """Sector block of exp(theta (a^dag b - a b^dag)), theta = arcsin(t), in
+    mpmath (60 digits).
 
     U a^dag U^dag = r a^dag - t b^dag and U b^dag U^dag = t a^dag + r b^dag,
     so U|l, n-l> is the binomial expansion of
@@ -236,7 +231,8 @@ def _mp_sector_block(total, theta):
 
     n = total
     with mpmath.workdps(60):
-        r, t = mpmath.cos(mpmath.mpf(theta)), mpmath.sin(mpmath.mpf(theta))
+        theta = mpmath.mpf(math.asin(t))
+        r, t = mpmath.cos(theta), mpmath.sin(theta)
         r_pow = [r**i for i in range(n + 1)]
         t_pow = [t**i for i in range(n + 1)]
         out = np.empty((n + 1, n + 1))
@@ -258,27 +254,25 @@ def _mp_sector_block(total, theta):
 def test_sector_block_reference_is_the_generator_exponential():
     import mpmath
 
-    theta = BeamSplitter(0.7).theta
     with mpmath.workdps(40):
         gen = mpmath.zeros(6, 6)
         for m in range(5):
             coupling = mpmath.sqrt((m + 1) * (5 - m))
             gen[m + 1, m], gen[m, m + 1] = coupling, -coupling
-        ref = np.array(mpmath.expm(mpmath.mpf(theta) * gen).tolist(), dtype=float)
-    assert np.max(np.abs(_mp_sector_block(5, theta) - ref)) <= 1e-16
+        ref = np.array(mpmath.expm(mpmath.mpf(math.asin(0.7)) * gen).tolist(), dtype=float)
+    assert np.max(np.abs(_mp_sector_block(5, 0.7) - ref)) <= 1e-16
 
 
 @pytest.mark.parametrize("t", [0.1, 0.7])
 def test_sector_block_matches_mpmath(t):
-    bs = BeamSplitter(t)
     for total in (12, 24, 40, 60):
-        ref = _mp_sector_block(total, bs.theta)
-        assert np.max(np.abs(_block(total, bs.theta) - ref)) <= 1e-14, total
+        ref = _mp_sector_block(total, t)
+        assert np.max(np.abs(_block(total, t) - ref)) <= 1e-14, total
         # the closed-form images of |total - l, l>, l = 0, 1, which the
         # protocol's branches are made of
         m = np.arange(total + 1)
         for l in (0, 1):
             amp = np.zeros((total + 1, total + 1))
             amp[total - l, l] = 1.0
-            out = apply_beam_splitter(PureState(amp, total, 2), bs).as_two_mode_matrix()
+            out = apply_beam_splitter(PureState(amp, total, 2), t).as_two_mode_matrix()
             assert np.max(np.abs(out[m, total - m] - ref[:, total - l])) <= 1e-14, (total, l)

@@ -17,7 +17,7 @@ from hal.fock_core import (
     number_state,
     tensor_product,
 )
-from hal.optics_ops import BeamSplitter, HeraldModel, apply_beam_splitter
+from hal.optics_ops import HeraldModel, apply_beam_splitter
 from hal.protocol import (
     MAX_CUTOFF,
     ProtocolConfig,
@@ -52,7 +52,7 @@ def test_config_validation():
         with pytest.raises(ValidationError, match="exceeds the limit"):
             ProtocolConfig(alpha=0.01, t=0.1, cutoff=cutoff)
     cfg = ProtocolConfig(alpha=0.01 + 0.002j, t=0.1)
-    assert cfg.alpha.im == 0.002
+    assert cfg.alpha.imag == 0.002
     assert cfg.in_recommended_regime
     assert not ProtocolConfig(alpha=0.05, t=0.1).in_recommended_regime
     assert not ProtocolConfig(alpha=0.01, t=0.5).in_recommended_regime
@@ -121,7 +121,7 @@ def test_exact_probability_matches_independent_povm_path():
     p_pure = run_exact(config).success_probability
     d = config.cutoff + 1
     amp = np.zeros(d, dtype=np.complex128)
-    amp[0], amp[1] = 1.0, config.alpha.as_complex()
+    amp[0], amp[1] = 1.0, config.alpha
     amp /= np.linalg.norm(amp)
     one = np.zeros(d)
     one[1] = 1.0
@@ -244,6 +244,22 @@ def test_sweep_records_errors_in_row():
     assert rows[1]["leading_gain"] == 10.0
 
 
+def test_sweep_rows_with_a_complex_base_alpha():
+    base = ProtocolConfig(alpha=0.01 + 0.003j, t=0.1)
+    # alpha not swept: every row carries the whole complex base value
+    rows = sweep(base, {"t": [0.1, 0.2], "p1": [1.0, 1.5]})
+    assert [(r["alpha_re"], r["alpha_im"]) for r in rows] == [(0.01, 0.003)] * 4
+    assert rows[2]["success_prob"] == run_exact(replace(base, t=0.2)).success_probability
+    # a validation row keeps its swept parameter values
+    bad = rows[3]
+    assert (bad["t"], bad["p1"], bad["error_code"]) == (0.2, 1.5, "validation")
+    assert math.isnan(bad["success_prob"]) and bad["leading_p"] == 0.2 ** 2
+    # an alpha axis replaces the whole complex value, imaginary part included
+    rows = sweep(base, {"alpha": [0.02]})
+    assert (rows[0]["alpha_re"], rows[0]["alpha_im"]) == (0.02, 0.0)
+    assert rows[0]["gain"] == run_exact(replace(base, alpha=0.02)).gain
+
+
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(ValidationError):
         sweep(ProtocolConfig(alpha=0.0, t=0.1), {"frequency": [1.0]})
@@ -311,7 +327,7 @@ def _oracle(config, u):
     here.
     """
     d = config.cutoff + 1
-    a = config.alpha.as_complex()
+    a = config.alpha
     if config.input_kind == "coherent":
         amp = np.array([a ** k / math.sqrt(math.factorial(k)) for k in range(d)])
     else:
@@ -395,7 +411,7 @@ def test_truncation_threshold_applies_to_weighted_leakage():
     # whose images all fit, read off on row and column 7
     wide = np.zeros((8, 8), dtype=complex)
     wide[:7, :7] = psi.as_two_mode_matrix()
-    out = apply_beam_splitter(PureState(wide, 7, 2), BeamSplitter(0.2)).as_two_mode_matrix()
+    out = apply_beam_splitter(PureState(wide, 7, 2), 0.2).as_two_mode_matrix()
     photon_leak = float(np.sum(np.abs(out[7]) ** 2) + np.sum(np.abs(out[:7, 7]) ** 2))
     # the photon branch alone leaks past the threshold; the vacuum branch
     # stays inside the cutoff, so p1 scales the leakage

@@ -22,8 +22,8 @@ FID_N10000_A01 = 0.999999999999873
 
 def test_spec_validation_and_alpha():
     spec = EnsembleSpec(10000, 0.001)
-    assert abs(spec.alpha.re - 0.1) < 1e-15
-    assert spec.alpha.im == 0.0
+    assert abs(spec.alpha.real - 0.1) < 1e-15
+    assert spec.alpha.imag == 0.0
     with pytest.raises(ValidationError):
         EnsembleSpec(0, 0.1)
 

@@ -41,8 +41,8 @@ def test_sign_flip_caught_only_by_composition():
     # a beam splitter with the conjugate convention keeps every magnitude
     # intact; only the oracle round-trip composition check can see it.
     # Swapping the modes around the splitter gives exactly that convention.
-    def flipped(state, bs):
-        return _swap_modes(apply_beam_splitter(_swap_modes(state), bs))
+    def flipped(state, t):
+        return _swap_modes(apply_beam_splitter(_swap_modes(state), t))
 
     results = {r.name: r for r in run_checks(bs_apply=flipped)}
     assert not results["bs_composition_with_oracle"].passed
