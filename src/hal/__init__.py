@@ -26,13 +26,8 @@ from .fock_core import (
     coherent_state,
     fidelity,
     number_state,
-    tensor_product,
 )
-from .optics_ops import (
-    HeraldModel,
-    apply_beam_splitter,
-    project_number,
-)
+from .optics_ops import HeraldModel
 from .spin_ensemble import (
     CollectiveExpectations,
     DickeState,
@@ -83,10 +78,7 @@ __all__ = [
     "coherent_state",
     "fidelity",
     "number_state",
-    "tensor_product",
     "HeraldModel",
-    "apply_beam_splitter",
-    "project_number",
     "CollectiveExpectations",
     "DickeState",
     "EnsembleSpec",

@@ -1,9 +1,8 @@
 """Value types and elementary algebra for truncated bosonic Fock spaces.
 
-Single-mode states live on occupations n = 0..cutoff. Two-mode states use the
-fixed lexicographic layout with mode A major: basis index of (m, n) is
-m*(cutoff+1) + n, where m is the occupation of mode A and n of mode B. Every
-module in the package shares this layout so outputs are bit-comparable.
+States live on one mode, on occupations n = 0..cutoff: the protocol's
+two-mode output is never formed (see optics_ops), only the conditional state
+of the unread mode.
 
 All values are immutable after construction and all operations are pure
 functions; everything here is safe to share across threads.
@@ -61,24 +60,20 @@ def _norm(amp: np.ndarray) -> float:
     return n
 
 
-def _check_basis_args(cutoff: int, mode_count: int) -> None:
+def _check_cutoff(cutoff: int) -> None:
     if not isinstance(cutoff, (int, np.integer)) or cutoff < 0:
         raise ValidationError(f"cutoff must be a non-negative integer, got {cutoff!r}")
-    if mode_count not in (1, 2):
-        raise ValidationError(f"mode_count must be 1 or 2, got {mode_count!r}")
 
 
 class PureState:
-    """Complex amplitude vector over a truncated one- or two-mode Fock basis.
+    """Complex amplitude vector over a truncated single-mode Fock basis.
 
     Parameters
     ----------
     amplitudes : array_like of complex
-        Length (cutoff+1)**mode_count, in the fixed lexicographic layout.
+        Length cutoff+1.
     cutoff : int
-        Largest occupation per mode.
-    mode_count : int
-        1 or 2.
+        Largest occupation.
 
     Notes
     -----
@@ -87,16 +82,17 @@ class PureState:
     normalized states).
     """
 
-    __slots__ = ("amplitudes", "cutoff", "mode_count")
+    __slots__ = ("amplitudes", "cutoff")
 
-    def __init__(self, amplitudes, cutoff: int, mode_count: int = 1):
-        _check_basis_args(cutoff, mode_count)
+    mode_count = 1
+
+    def __init__(self, amplitudes, cutoff: int):
+        _check_cutoff(cutoff)
         amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
-        expected = (cutoff + 1) ** mode_count
-        if amp.shape[0] != expected:
+        if amp.shape[0] != cutoff + 1:
             raise ShapeError(
                 f"amplitude vector has length {amp.shape[0]}, "
-                f"expected {expected} for cutoff {cutoff} with {mode_count} mode(s)"
+                f"expected {cutoff + 1} for cutoff {cutoff}"
             )
         if not np.all(np.isfinite(amp.view(np.float64))):
             raise ValidationError("amplitudes must be finite")
@@ -106,59 +102,35 @@ class PureState:
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "cutoff", int(cutoff))
-        object.__setattr__(self, "mode_count", int(mode_count))
 
     def __setattr__(self, name, value):  # immutable value type
         raise AttributeError("PureState is immutable")
-
-    def index(self, m: int, n: int | None = None) -> int:
-        """Basis index of occupation m (single mode) or (m, n) (two modes)."""
-        if self.mode_count == 1:
-            if n is not None:
-                raise ShapeError("single-mode state takes one occupation")
-            if not 0 <= m <= self.cutoff:
-                raise ValidationError(f"occupation {m} outside 0..{self.cutoff}")
-            return m
-        if n is None:
-            raise ShapeError("two-mode state takes two occupations")
-        if not (0 <= m <= self.cutoff and 0 <= n <= self.cutoff):
-            raise ValidationError(f"occupation ({m},{n}) outside 0..{self.cutoff}")
-        return m * (self.cutoff + 1) + n
 
     def norm(self) -> float:
         return _norm(self.amplitudes)
 
     def normalized(self) -> "PureState":
-        return PureState(self.amplitudes / self.norm(), self.cutoff, self.mode_count)
+        return PureState(self.amplitudes / self.norm(), self.cutoff)
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other> (no normalization applied)."""
         self._require_same_basis(other)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def as_two_mode_matrix(self) -> np.ndarray:
-        """Two-mode amplitudes reshaped to (mode A occupation, mode B occupation)."""
-        if self.mode_count != 2:
-            raise ShapeError("two-mode state required")
-        d = self.cutoff + 1
-        return self.amplitudes.reshape(d, d)
-
     def _require_same_basis(self, other: "PureState") -> None:
-        if self.cutoff != other.cutoff or self.mode_count != other.mode_count:
-            raise ShapeError(
-                f"basis mismatch: cutoff {self.cutoff} x{self.mode_count} vs "
-                f"cutoff {other.cutoff} x{other.mode_count}"
-            )
+        if self.cutoff != other.cutoff:
+            raise ShapeError(f"basis mismatch: cutoff {self.cutoff} vs cutoff {other.cutoff}")
 
     def __repr__(self):
-        return f"PureState(cutoff={self.cutoff}, mode_count={self.mode_count})"
+        return f"PureState(cutoff={self.cutoff})"
 
 
 class DensityOperator:
     """Complex matrix over a truncated single-mode Fock basis, for mixed states.
 
-    Only the single-mode conditional state of a herald is ever mixed; two-mode
-    states are always PureStates. Construction validates hermiticity (1e-10
+    The conditional state of a herald is mixed when the source or the
+    detector is imperfect; it is the only mixed state hal forms, and no
+    two-mode state is formed at all. Construction validates hermiticity (1e-10
     entrywise), finiteness, a positive finite trace, and eigenvalues >= -1e-9.
     """
 
@@ -167,7 +139,7 @@ class DensityOperator:
     mode_count = 1
 
     def __init__(self, matrix, cutoff: int):
-        _check_basis_args(cutoff, 1)
+        _check_cutoff(cutoff)
         mat = np.asarray(matrix, dtype=np.complex128).copy()
         if mat.shape != (cutoff + 1, cutoff + 1):
             raise ShapeError(
@@ -232,6 +204,27 @@ def tail_beyond(k: int, log_p0: float, ratio: Callable) -> float:
     return float(pmf[-1] * total)
 
 
+def _coherent_tail(alpha: complex, cutoff: int, tail_threshold: float = TAIL_THRESHOLD) -> float:
+    """The Poisson tail P(N > cutoff; |alpha|^2) a truncated coherent state
+    discards.
+
+    Raises
+    ------
+    TruncationError
+        If the tail exceeds ``tail_threshold``.
+    """
+    mu = abs(alpha) ** 2
+    tail = tail_beyond(cutoff, -mu, lambda j: mu / (j + 1.0)) if mu else 0.0
+    if tail > tail_threshold:
+        raise TruncationError(
+            f"coherent tail mass {tail:.3e} beyond cutoff {cutoff} exceeds "
+            f"threshold {tail_threshold:.1e}",
+            tail_mass=tail,
+            threshold=tail_threshold,
+        )
+    return tail
+
+
 def coherent_state(
     alpha: complex,
     cutoff: int = DEFAULT_CUTOFF,
@@ -252,26 +245,19 @@ def coherent_state(
     a = _finite_amplitude(alpha, "alpha")
     if cutoff < 1:
         raise ValidationError("coherent_state requires cutoff >= 1")
+    _coherent_tail(a, cutoff, tail_threshold)
     mu = abs(a) ** 2
-    tail = tail_beyond(cutoff, -mu, lambda j: mu / (j + 1.0)) if mu else 0.0
-    if tail > tail_threshold:
-        raise TruncationError(
-            f"coherent tail mass {tail:.3e} beyond cutoff {cutoff} exceeds "
-            f"threshold {tail_threshold:.1e}",
-            tail_mass=tail,
-            threshold=tail_threshold,
-        )
     n = np.arange(cutoff + 1)
     if a == 0:
         amp = np.zeros(cutoff + 1, dtype=np.complex128)
         amp[0] = 1.0
-        return PureState(amp, cutoff, 1)
+        return PureState(amp, cutoff)
     # log-domain magnitudes avoid overflow in alpha^n / sqrt(n!)
     log_factorial = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
     log_mag = n * np.log(abs(a)) - 0.5 * log_factorial - mu / 2.0
     amp = np.exp(log_mag) * np.exp(1j * n * np.angle(a))
     amp /= np.linalg.norm(amp)
-    return PureState(amp, cutoff, 1)
+    return PureState(amp, cutoff)
 
 
 def number_state(n: int, cutoff: int) -> PureState:
@@ -282,16 +268,7 @@ def number_state(n: int, cutoff: int) -> PureState:
         raise ValidationError(f"occupation {n} exceeds cutoff {cutoff}")
     amp = np.zeros(cutoff + 1, dtype=np.complex128)
     amp[n] = 1.0
-    return PureState(amp, cutoff, 1)
-
-
-def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Two-mode product state; a supplies mode A, b supplies mode B."""
-    if a.mode_count != 1 or b.mode_count != 1:
-        raise ShapeError("tensor_product takes two single-mode states")
-    if a.cutoff != b.cutoff:
-        raise ShapeError(f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
-    return PureState(np.kron(a.amplitudes, b.amplitudes), a.cutoff, 2)
+    return PureState(amp, cutoff)
 
 
 def fidelity(a: Union[PureState, DensityOperator], b: PureState) -> float:
@@ -299,14 +276,14 @@ def fidelity(a: Union[PureState, DensityOperator], b: PureState) -> float:
     if not isinstance(b, PureState):
         raise ValidationError("second argument must be a pure state")
     if isinstance(a, PureState):
-        if a.cutoff != b.cutoff or a.mode_count != b.mode_count:
+        if a.cutoff != b.cutoff:
             raise ShapeError("fidelity requires a common basis")
         an, bn = a.norm(), b.norm()
         if an < 1e-300 or bn < 1e-300:
             raise ValidationError("fidelity of a zero-norm state is undefined")
         val = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 / (an * bn) ** 2
     elif isinstance(a, DensityOperator):
-        if a.cutoff != b.cutoff or a.mode_count != b.mode_count:
+        if a.cutoff != b.cutoff:
             raise ShapeError("fidelity requires a common basis")
         bn = b.norm()
         if bn < 1e-300:

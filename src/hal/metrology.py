@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._parallel import map_indexed
-from .errors import GridError, NoSuccessError, ShapeError, ValidationError
+from .errors import GridError, NoSuccessError, ValidationError
 from .fock_core import DensityOperator, PureState
 from .protocol import ProtocolConfig, run_exact
 
@@ -270,8 +270,6 @@ def quadrature_pdf(
         If the integral misses 1 by more than tol (grid too coarse or too
         narrow for this state).
     """
-    if state.mode_count != 1:
-        raise ShapeError("quadrature_pdf requires a single-mode state")
     x = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2 or not np.all(np.diff(x) > 0):
         raise GridError("grid must be a strictly increasing 1-d array")

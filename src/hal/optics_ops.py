@@ -1,4 +1,4 @@
-"""Linear-optical channels and measurements on truncated Fock states.
+"""The herald: detector model and the heralded state in closed form.
 
 Beam splitter convention (fixed, shared by every module and documented once
 here): the unitary is U = exp(theta (a^dag b - a b^dag)) with theta =
@@ -7,19 +7,20 @@ arcsin(t), which transforms the mode operators as
     a -> r a + t b,      b -> -t a + r b,      r = sqrt(1 - t^2),
 
 mode A (first, atomic) and mode B (second, optical). U conserves the total
-occupation. The protocol only sends columns |k, 0> and |k, 1> through it (a
-signal against a single-photon ancilla or, when the source fails, vacuum),
-and their images are binomial expansions in r and t, built in closed form:
-U|k, 0> by a recurrence in k whose terms never cancel, U|k, 1> by one more
-two-term step. Any other column |k, l>, l >= 2, goes through the exact
-unitary of its total-occupation sector. Images that extend past the cutoff
-are truncated: the lost probability is the output's norm deficit, which
-protocol.run_exact reports as leakage.
+occupation.
 
-Two-mode states are always PureStates here. A mixed input, such as the
-imperfect single-photon source, is a weighted sum of pure branches that the
-caller runs one by one (see protocol.run_exact); only the single-mode
-conditional state of a herald is a DensityOperator.
+The protocol only ever sends a signal, |0> + alpha|1> or a coherent state,
+against a single photon or, when the source fails, vacuum. For these inputs
+the output needs no splitter matrix. A coherent state splits into a product
+(Gerry & Knight, Introductory Quantum Optics, ch. 6), so the vacuum branch
+is sum u_m v_n |m, n> with u_m = (r alpha)^m / sqrt(m!) and v_n =
+(-t alpha)^n / sqrt(n!), over m + n <= K (K = 1 for the two-term signal).
+The photon branch is that product with U b^dag U^dag = t a^dag + r b^dag
+applied (Agarwal & Tara, PRA 43, 492, 1991). herald_click reads one mode of
+both branches out with the detector's click weights in O(cutoff^2): the
+off-diagonal entries from three prefix sums over the read mode, the diagonal
+from the photon branch's amplitudes. Only the single-mode conditional state
+is ever formed; no two-mode state is.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
-from .fock_core import PureState
+from .errors import ValidationError
+from .fock_core import _coherent_tail
 
 #: Probabilities below this are treated as genuinely impossible outcomes.
 IMPOSSIBLE_PROBABILITY = 1e-300
@@ -86,144 +87,103 @@ class HeraldModel:
         return w
 
 
-def _mode_axis(mode: str) -> int:
-    if mode not in ("A", "B"):
-        raise ValidationError(f"mode must be 'A' or 'B', got {mode!r}")
-    return "AB".index(mode)
 
 
-def _column_images(top: int, t: float) -> np.ndarray:
-    """images[l, s, m] = <m, s - m| U |s - l, l> for l = 0, 1 and s - l = 0..top.
-
-    U a^dag U^dag = r a^dag - t b^dag and U b^dag U^dag = t a^dag + r b^dag,
-    so U|k, 0> = (r a^dag - t b^dag) U|k-1, 0> / sqrt(k), a binomial
-    expansion with entries sqrt(C(k, m)) r^m (-t)^(k-m). The two terms of
-    each recurrence step have the same sign, so the recurrence neither
-    cancels nor overflows and forms no factorial. U|k, 1> is then one
-    application of (t a^dag + r b^dag). Every other entry, the padding row
-    s = top + 2 included, is zero.
-    """
-    root = np.sqrt(np.arange(top + 2))
-    r_root, t_root = math.sqrt(1.0 - t * t) * root, t * root
-    images = np.zeros((2, top + 3, top + 2))
-    a0 = images[0]
-    a0[0, 0] = 1.0
-    for k in range(1, top + 1):
-        a0[k, 1 : k + 1] = r_root[1 : k + 1] * a0[k - 1, :k]
-        a0[k, :k] -= t_root[k:0:-1] * a0[k - 1, :k]
-        a0[k, : k + 1] /= root[k]
-    s_minus_m = np.maximum(np.arange(1, top + 2)[:, None] - np.arange(top + 2), 0)
-    images[1, 1:-1, 1:] = t_root[1:] * a0[: top + 1, :-1]
-    images[1, 1:-1] += r_root[s_minus_m] * a0[: top + 1]
-    return images
+def _prefix(terms: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """terms[0] + ... + terms[index] at every entry of index, 0 where index < 0."""
+    sums = np.concatenate(([0.0], np.cumsum(terms)))
+    return sums[np.maximum(index, -1) + 1]
 
 
-def _block(total: int, t: float) -> np.ndarray:
-    """Exact unitary on the full total-occupation sector, basis (m, total-m)
-    ordered by m = 0..total, for theta = arcsin(t).
+def herald_click(
+    alpha: complex,
+    t: float,
+    cutoff: int,
+    coherent: bool,
+    p1: float,
+    weights: np.ndarray,
+    mode: str,
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The herald on the splitter's output, in closed form.
 
-    The generator G (real, antisymmetric, tridiagonal with couplings
-    sqrt((m+1)(total-m))) equals -i D J D^-1, where J is the symmetric
-    tridiagonal matrix with the same couplings and D = diag(i^m). J is twice
-    the spin-total/2 J_x, so its eigenvalues are exactly the integers
-    -total, -total+2, ..., total; those replace the computed ones. Entry
-    (k, l) of exp(theta G) = D exp(-i theta J) D^-1 is then
-    Re(i^(k-l)) [V cos(theta L) V^T]_kl + Im(i^(k-l)) [V sin(theta L) V^T]_kl.
-    """
-    m = np.arange(total)
-    lower = np.sqrt((m + 1.0) * (total - m))
-    vectors = np.linalg.eigh(np.diag(lower, -1) + np.diag(lower, 1))[1]
-    angle = math.asin(t) * np.arange(-total, total + 1, 2, dtype=float)
-    phase = np.subtract.outer(np.arange(total + 1), np.arange(total + 1)) % 4
-    re_phase = np.array([1.0, 0.0, -1.0, 0.0])[phase]
-    im_phase = np.array([0.0, 1.0, 0.0, -1.0])[phase]
-    return re_phase * ((vectors * np.cos(angle)) @ vectors.T) + im_phase * (
-        (vectors * np.sin(angle)) @ vectors.T
-    )
+    The signal (coherent, or |0> + alpha|1> normalized) enters mode A and a
+    source that emits one photon with probability p1, vacuum otherwise,
+    enters mode B. With N the signal's normalization, the vacuum branch is
+    N u_m v_n on |m, n>, m + n <= K, and the photon branch is N (t sqrt(m)
+    u_(m-1) v_n + r sqrt(n) u_m v_(n-1)), m + n <= K + 1 and m, n <= cutoff.
+    Reading mode A with weights w, entry (i, i') of the conditional state is
+    v_i v_i'* C[K - max(i, i')] for the vacuum branch and
 
+        t^2 v_i v_i'* A[L] + t r (v_i y_i'* B[L] + y_i v_i'* B[L]*)
+            + r^2 y_i y_i'* C[L],     L = min(cutoff, K + 1 - max(i, i')),
 
-def _require_two_mode(state: PureState, name: str) -> None:
-    if not isinstance(state, PureState):
-        raise ValidationError(f"{name} takes a two-mode PureState")
-    if state.mode_count != 2:
-        raise ShapeError(f"{name} requires a two-mode state")
+    for the photon one, with y_i = sqrt(i) v_(i-1) and the prefix sums
+    A[k] = sum_(j<=k) w_j j |u_(j-1)|^2, B[k] = sum w_j sqrt(j) u_(j-1) u_j*
+    and C[k] = sum w_j |u_j|^2. Reading mode B swaps u with v and t with r.
+    The photon branch's diagonal is summed from its amplitudes instead, since
+    its expanded terms cancel where t sqrt(j) u_(j-1) v_i nearly offsets
+    r sqrt(i) u_j v_(i-1). Each of u and v carries N^(1/2) and, for the
+    coherent input, its share of exp(-|alpha|^2 / 2), so every factor stays
+    bounded.
 
-
-def apply_beam_splitter(state: PureState, t: float) -> PureState:
-    """Apply the beam splitter of transmission amplitude t to a two-mode pure
-    state, column by column.
-
-    Input columns |k, l> with l <= 1 are mapped by their closed-form images
-    (`_column_images`), built only up to the largest occupied k. Columns with
-    l >= 2 go through the exact sector block of their total occupation, and
-    only the sectors that hold such a column are built. Amplitude that the
-    splitter moves past the cutoff is dropped, not renormalized: the output's
-    norm deficit is the leakage, which the caller accounts for (see
-    protocol.run_exact).
+    Returns
+    -------
+    rho : (cutoff+1, cutoff+1) complex array
+        The p1-weighted conditional state of the unread mode, unnormalized:
+        its trace is the click probability.
+    row : (cutoff+1,) complex array
+        The photon branch's amplitudes on the unread mode when the read mode
+        holds exactly one excitation (the pure conditional state, unnormalized).
+    leakage : float
+        p1 times the probability of the photon branch's two entries |K+1, 0>
+        and |0, K+1>, which fall past the cutoff when K = cutoff.
 
     Raises
     ------
-    ValidationError
-        For t outside (0, 1), and for anything but a two-mode PureState
-        (ShapeError for one mode).
+    TruncationError
+        If the coherent signal's tail past the cutoff exceeds TAIL_THRESHOLD.
     """
-    if not 0.0 < t < 1.0:
-        raise ValidationError(f"transmission amplitude must be in (0,1), got {t!r}")
-    _require_two_mode(state, "apply_beam_splitter")
-    cutoff = state.cutoff
-    amp = state.as_two_mode_matrix()
-    out = np.zeros_like(amp)
-    low = amp[:, :2]
-    occupied = np.flatnonzero(low.any(axis=1))
-    if occupied.size:
-        top = int(occupied[-1])
-        coef = np.zeros((2, top + 3), dtype=amp.dtype)
-        for l in range(low.shape[1]):
-            coef[l, l : l + top + 1] = low[: top + 1, l]
-        # image[s, m]: amplitude on |m, s - m>, zero from row top + 2 on
-        image = (coef[:, :, None] * _column_images(top, t)).sum(axis=0)
-        m = np.arange(min(top + 2, cutoff + 1))
-        out[: m.size, : m.size] = image[np.minimum(m[:, None] + m, top + 2), m[:, None]]
-    ks, ls = np.nonzero(amp[:, 2:])
-    for total in np.flatnonzero(np.bincount(ks + ls)) + 2:
-        lo, hi = max(0, total - cutoff), min(total, cutoff)
-        rows, cols = np.arange(lo, hi + 1), np.arange(lo, min(hi, total - 2) + 1)
-        block = _block(int(total), t)[lo : hi + 1, lo : cols[-1] + 1]
-        out[rows, total - rows] += block @ amp[cols, total - cols]
-    return PureState(out, cutoff, 2)
+    r = math.sqrt(1.0 - t * t)
+    if coherent:
+        top, scale = cutoff, (1.0 - _coherent_tail(alpha, cutoff)) ** -0.25
+    else:
+        top, scale = 1, (1.0 + abs(alpha) ** 2) ** -0.25
+    root = np.sqrt(np.arange(cutoff + 1))
 
+    def factor(amp: complex) -> np.ndarray:
+        out = np.zeros(cutoff + 1, dtype=np.complex128)
+        first = scale * math.exp(-0.5 * abs(amp) ** 2) if coherent else scale
+        out[: top + 1] = np.cumprod(np.concatenate(([first], amp / root[1 : top + 1])))
+        return out
 
-def project_number(state: PureState, mode: str, n: int) -> Tuple[float, PureState]:
-    """Project one mode of a two-mode pure state onto occupation n.
-
-    Returns the outcome probability and the renormalized conditional state of
-    the other mode.
-
-    Raises
-    ------
-    ImpossibleOutcomeError
-        If the outcome probability is below 1e-300.
-    """
-    _require_two_mode(state, "project_number")
-    if not 0 <= n <= state.cutoff:
-        raise ValidationError(f"occupation {n} outside 0..{state.cutoff}")
-    mat = state.as_two_mode_matrix()
-    vec = mat[n, :] if _mode_axis(mode) == 0 else mat[:, n]
-    prob = float(np.vdot(vec, vec).real)
-    if prob < IMPOSSIBLE_PROBABILITY:
-        raise ImpossibleOutcomeError(
-            f"occupation {n} on mode {mode} has probability {prob:.3e}", prob
+    u, v = factor(r * alpha), factor(-t * alpha)
+    leakage = 0.0
+    if top == cutoff:
+        dropped = t * t * abs(u[top] * v[0]) ** 2 + r * r * abs(u[0] * v[top]) ** 2
+        leakage = p1 * (top + 1) * dropped
+    if mode == "B":
+        u, v, t, r = v, u, r, t
+    x = np.concatenate(([0.0], root[1:] * u[:-1]))
+    y = np.concatenate(([0.0], root[1:] * v[:-1]))
+    i = np.arange(cutoff + 1)
+    # the photon branch on |j, i>, read mode first
+    phi = t * np.outer(x, v) + r * np.outer(u, y)
+    phi[np.add.outer(i, i) > top + 1] = 0.0
+    far = np.maximum.outer(i, i)
+    rho = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    if p1 < 1.0:
+        rho += (1.0 - p1) * np.outer(v, v.conj()) * _prefix(weights * np.abs(u) ** 2, top - far)
+    if p1 > 0.0:
+        reach = np.minimum(cutoff, top + 1 - far)
+        cross = t * r * np.outer(v, y.conj()) * _prefix(weights * x * u.conj(), reach)
+        photon = (
+            t * t * np.outer(v, v.conj()) * _prefix(weights * np.abs(x) ** 2, reach)
+            + cross
+            + cross.conj().T
+            + r * r * np.outer(y, y.conj()) * _prefix(weights * np.abs(u) ** 2, reach)
         )
-    return prob, PureState(vec / math.sqrt(prob), state.cutoff, 1)
-
-
-def herald_operator(amp: np.ndarray, weights: np.ndarray, mode: str) -> np.ndarray:
-    """sum_n w(n) <n|_read |psi><psi| |n>_read for a two-mode amplitude matrix.
-
-    amp[m, n] is the amplitude of |m>_A |n>_B. Returns the unnormalized
-    operator on the other mode, M^T diag(w) M* with M the amplitude matrix
-    oriented read mode first; its trace is the outcome probability.
-    """
-    m = amp if _mode_axis(mode) == 0 else amp.T
-    return (m.T * weights) @ m.conj()
-
+        # the click probability and the gain are read off this diagonal; an
+        # elementwise sum, so no BLAS thread count changes its rounding
+        np.fill_diagonal(photon, (weights[:, None] * np.abs(phi) ** 2).sum(axis=0))
+        rho += p1 * photon
+    return rho, phi[1], leakage

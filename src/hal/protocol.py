@@ -10,23 +10,24 @@ up by approximately 1/t, at success probability approximately t^2.
 Two evaluation modes are provided. run_first_order keeps only the dominant
 interference terms and returns the closed-form result (conditional state
 proportional to t|0> + alpha|1>, success probability t^2 + |alpha|^2, gain
-exactly 1/t). run_exact simulates the full unitary in truncated Fock space
-with source inefficiency, detector loss and dark counts, so all higher-order
-corrections (notably gain*t = 1 - 2t^2 for an ideal setup) appear in the
-numbers rather than in an error term.
+exactly 1/t). run_exact is exact in truncated Fock space, with source
+inefficiency, detector loss and dark counts, so all higher-order corrections
+(notably gain*t = 1 - 2t^2 for an ideal setup) appear in the numbers rather
+than in an error term.
 
-run_exact has a single pipeline. The imperfect source is a mixture of pure
-inputs, and the herald POVM is diagonal in the read mode's occupation, so
-the conditional state is exactly rho = sum_b p_b sum_n w(n) v_{b,n} v_{b,n}^dag:
-each source term b is a pure branch sent through the beam splitter, and
-v_{b,n} is the other mode's amplitude vector when the read mode holds n. No
-two-mode density matrix is ever formed.
+run_exact has a single pipeline. The imperfect source is a mixture of a
+photon and a vacuum branch, and the herald POVM is diagonal in the read
+mode's occupation, so the conditional state is exactly rho = sum_b p_b
+sum_n w(n) v_{b,n} v_{b,n}^dag, with v_{b,n} the other mode's amplitudes
+when the read mode holds n. optics_ops.herald_click evaluates this sum in
+closed form; no two-mode state is ever formed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Sequence, Union
@@ -46,18 +47,9 @@ from .fock_core import (
     DensityOperator,
     PureState,
     _finite_amplitude,
-    coherent_state,
     fidelity,
-    number_state,
-    tensor_product,
 )
-from .optics_ops import (
-    IMPOSSIBLE_PROBABILITY,
-    HeraldModel,
-    apply_beam_splitter,
-    herald_operator,
-    project_number,
-)
+from .optics_ops import IMPOSSIBLE_PROBABILITY, HeraldModel, herald_click
 
 State = Union[PureState, DensityOperator]
 
@@ -66,14 +58,15 @@ REGIME_ALPHA_FRACTION = 0.2
 REGIME_T_MAX = 0.3
 
 
-#: Largest Fock cutoff per mode a ProtocolConfig accepts. Per branch,
-#: run_exact builds the splitter images of two input columns, O(cutoff^2),
-#: and one O(cutoff^3) herald product; hal protocol then writes a
-#: (cutoff+1)^2 conditional state. One hal protocol process (t 0.2, p1 0.9,
-#: read efficiency 0.9, dark count 1e-4; 2-vCPU x86 machine) at cutoff 400
-#: took 0.4 s and 59 MB peak RSS for alpha 0.01, and 0.65 s and 68 MB for a
-#: coherent input at alpha 15, which fills every sector. At cutoff 700 these
-#: were 1.6 s / 110 MB and 1.7 s / 129 MB.
+#: Largest Fock cutoff per mode a ProtocolConfig accepts. run_exact's
+#: closed form takes O(cutoff^2) time and memory, the validation of its
+#: mixed conditional state an O(cutoff^3) eigvalsh, and hal protocol then
+#: writes a (cutoff+1)^2 conditional state, which dominates. One hal
+#: protocol process (t 0.2, p1 0.9, read efficiency 0.9, dark count 1e-4;
+#: one CPU of a 2-vCPU x86 VM, 3 runs) at cutoff 400 took 0.63-0.82 s and
+#: 59 MB peak RSS for alpha 0.01, and 0.86-0.93 s and 67 MB for a coherent
+#: input at alpha 15, which fills every occupation. At cutoff 700 these were
+#: 1.4-2.2 s / 112 MB and 1.9-2.4 s / 118 MB.
 MAX_CUTOFF = 400
 
 
@@ -99,8 +92,11 @@ class ProtocolConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _finite_amplitude(self.alpha, "alpha"))
-        if not (isinstance(self.t, (int, float)) and 0.0 < self.t < 1.0):
-            raise ValidationError(f"transmission amplitude must be in (0,1), got {self.t!r}")
+        # t in (0, 1), and normal: below sys.float_info.min 1/t overflows
+        if not (isinstance(self.t, (int, float)) and sys.float_info.min <= self.t < 1.0):
+            raise ValidationError(
+                f"transmission amplitude must be in [{sys.float_info.min!r}, 1), got {self.t!r}"
+            )
         if not (isinstance(self.cutoff, (int, np.integer)) and self.cutoff >= 1):
             raise ValidationError(f"cutoff must be a positive integer, got {self.cutoff!r}")
         if self.cutoff > MAX_CUTOFF:
@@ -156,7 +152,7 @@ def target_state(alpha: complex, t: float, cutoff: int = 1) -> PureState:
     amp = np.zeros(cutoff + 1, dtype=np.complex128)
     amp[0] = 1.0
     amp[1] = complex(alpha) / t
-    return PureState(amp, cutoff, 1).normalized()
+    return PureState(amp, cutoff).normalized()
 
 
 def _warn_if_out_of_regime(config: ProtocolConfig) -> None:
@@ -182,7 +178,7 @@ def run_first_order(alpha, t: float) -> HeraldResult:
     a = config.alpha
     _warn_if_out_of_regime(config)
     p = t * t + abs(a) ** 2
-    conditional = PureState(np.array([t, a], dtype=np.complex128), 1, 1).normalized()
+    conditional = PureState(np.array([t, a], dtype=np.complex128), 1).normalized()
     return HeraldResult(
         success_probability=p,
         conditional_state=conditional,
@@ -193,20 +189,13 @@ def run_first_order(alpha, t: float) -> HeraldResult:
     )
 
 
-def _signal_state(config: ProtocolConfig) -> PureState:
-    if config.input_kind == "coherent":
-        return coherent_state(config.alpha, config.cutoff)
-    amp = np.zeros(config.cutoff + 1, dtype=np.complex128)
-    amp[0] = 1.0
-    amp[1] = config.alpha
-    return PureState(amp, config.cutoff, 1).normalized()
-
-
 def _pure_gain(conditional: PureState, alpha_mag: float) -> float:
     c = conditional.amplitudes
     if alpha_mag == 0.0 or abs(c[0]) == 0.0:
         return float("nan")
-    return float(abs(c[1]) / abs(c[0]) / alpha_mag)
+    # |c0| |alpha| is about t / |1 - 2t^2| for large alpha, a normal double
+    # for every accepted t; the quotient |c1| / |c0| alone can overflow
+    return float(abs(c[1]) / (abs(c[0]) * alpha_mag))
 
 
 def _mixed_gain(conditional: DensityOperator, alpha_mag: float) -> float:
@@ -216,31 +205,16 @@ def _mixed_gain(conditional: DensityOperator, alpha_mag: float) -> float:
     return float(math.sqrt(d[1] / d[0]) / alpha_mag)
 
 
-def _photon_leakage(signal: PureState, t: float) -> float:
-    """The probability that the splitter moves |signal>|1> past the cutoff c.
-
-    A column |k, 0> keeps its total k <= c and |k, 1> its total k + 1, so
-    only |c, 1> leaks. Of its image (t a^dag + r b^dag) U|c, 0> the splitter
-    drops the two entries |c + 1, 0> and |0, c + 1>, whose amplitudes are
-    sqrt(c + 1) t r^c and sqrt(c + 1) r (-t)^c (see
-    optics_ops._column_images); r^(2c) is taken as exp(c log1p(-t^2)).
-    """
-    c = signal.cutoff
-    dropped = (c + 1) * (t * t * math.exp(c * math.log1p(-t * t)) + (1.0 - t * t) * t ** (2 * c))
-    return float(abs(signal.amplitudes[c])) ** 2 * dropped
-
-
 def run_exact(config: ProtocolConfig) -> HeraldResult:
     """Evaluate the protocol exactly in truncated Fock space.
 
     The source terms signal x |1> (weight p1) and signal x |0> (weight
-    1 - p1) are the branches; a zero-weight term is skipped. Each branch
-    goes through the beam splitter as a pure state, losing the image
-    entries past the cutoff (their probability is the leakage, see
-    `_photon_leakage`; the vacuum branch loses none), and the herald's click
-    weights w reduce it on the read mode to an operator on the other mode.
-    The weighted sum of these is the unnormalized conditional state, and its
-    trace is the click probability.
+    1 - p1) are the branches; a zero-weight term is skipped.
+    optics_ops.herald_click gives their weighted sum, reduced on the read
+    mode by the herald's click weights w, as an unnormalized conditional
+    state whose trace is the click probability. The photon branch loses the
+    two entries its splitter moves past the cutoff; their probability is
+    the leakage (the vacuum branch loses none).
 
     The conditional state is a PureState when the source is perfect and the
     herald is the n = 1 projector (a lossless, dark-count-free,
@@ -249,26 +223,19 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
     Raises
     ------
     TruncationError
-        If the leakage, weighted over the branches, exceeds TAIL_THRESHOLD.
+        If the coherent signal's tail past the cutoff, or the leakage
+        weighted over the branches, exceeds TAIL_THRESHOLD.
     ImpossibleOutcomeError
         If the total click probability is below 1e-300. A branch that cannot
         click on its own (the vacuum branch at alpha = 0) is not an error.
     """
     _warn_if_out_of_regime(config)
-    signal = _signal_state(config)
     cutoff = config.cutoff
-    herald = config.herald
-    w = herald.click_weights(cutoff)
+    w = config.herald.click_weights(cutoff)
     p1 = config.source_efficiency
-    branches = [(p, n) for p, n in ((p1, 1), (1.0 - p1, 0)) if p > 0.0]
-    rho = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    leakage = 0.0
-    for weight, photons in branches:
-        psi_in = tensor_product(signal, number_state(photons, cutoff))
-        out = apply_beam_splitter(psi_in, config.t)
-        rho += weight * herald_operator(out.as_two_mode_matrix(), w, herald.mode)
-        if photons:
-            leakage += weight * _photon_leakage(signal, config.t)
+    rho, row, leakage = herald_click(
+        config.alpha, config.t, cutoff, config.input_kind == "coherent", p1, w, config.herald.mode
+    )
     if leakage > TAIL_THRESHOLD:
         raise TruncationError(
             f"beam-splitter leakage {leakage:.3e} exceeds threshold {TAIL_THRESHOLD:.1e}",
@@ -279,9 +246,9 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
     if p < IMPOSSIBLE_PROBABILITY:
         raise ImpossibleOutcomeError(f"herald click has probability {p:.3e}", p)
     alpha_mag = abs(config.alpha)
-    if branches == [(1.0, 1)] and np.array_equal(w, np.eye(cutoff + 1)[1]):
-        # a single branch under the n = 1 projector stays pure
-        _, conditional = project_number(out, herald.mode, 1)
+    if p1 == 1.0 and np.array_equal(w, np.eye(cutoff + 1)[1]):
+        # the photon branch alone under the n = 1 projector stays pure
+        conditional = PureState(row, cutoff).normalized()
         gain = _pure_gain(conditional, alpha_mag)
     else:
         conditional = DensityOperator(rho / p, cutoff)
@@ -390,7 +357,7 @@ def sweep(
                 "",
             )
         except HalError as exc:
-            leading = (t ** 2, 1.0 / t) if 0.0 < t < 1.0 else (math.nan, math.nan)
+            leading = (t ** 2, 1.0 / t) if sys.float_info.min <= t < 1.0 else (math.nan, math.nan)
             outcome = (math.nan, math.nan, math.nan, *leading, _error_code(exc))
         alpha = params["alpha"]
         # ROW_COLUMNS: alpha split in two, the other axes in SWEEP_AXES order, the outcome

@@ -161,7 +161,7 @@ def embed_as_fock(state: DickeState, cutoff: int = DEFAULT_CUTOFF) -> PureState:
         raise ShapeError(f"cutoff {cutoff} cannot hold k_max {state.k_max}")
     amp = np.zeros(cutoff + 1, dtype=np.complex128)
     amp[: state.k_max + 1] = state.amplitudes
-    return PureState(amp, cutoff, 1)
+    return PureState(amp, cutoff)
 
 
 @dataclass(frozen=True)

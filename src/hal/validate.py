@@ -1,36 +1,42 @@
 """Independent oracle suite for the main numerical paths.
 
 Every check here recomputes its reference value through a route that shares
-no code with the implementation under test: the beam splitter against a
-dense matrix exponential of the full two-mode generator (a Taylor series
-with scaling and squaring, not the closed-form images or sector blocks of
-optics_ops), state overlaps against closed-form laws, the collective-spin
-expansion against an explicit two-atom tensor product. Checks that involve applying a beam
-splitter accept an injectable apply function so a deliberately faulted
-variant can be probed; all comparisons except the composition check are
-magnitude-level and convention-independent, while the composition check
-(oracle inverse after implementation forward) pins the documented sign
-convention itself. The suite needs numpy only.
+no code with the implementation under test: the heralded state against a
+dense kron-space pipeline (the beam splitter as the exponential of the full
+two-mode generator, by a Taylor series with scaling and squaring, and the
+detector's click weights and partial trace written out from scratch), state
+overlaps against closed-form laws, the collective-spin expansion against an
+explicit two-atom tensor product. The checks of the heralded state take an
+injectable closed form, so a deliberately faulted variant can be probed.
+They compare complex conditional states and amplitudes, which pins the
+documented sign convention as well as every magnitude. The suite needs
+numpy only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fock_core import PureState, coherent_state, number_state, tensor_product
+from .fock_core import coherent_state, number_state
 from .metrology import quadrature_pdf
-from .optics_ops import HeraldModel, apply_beam_splitter, herald_operator
+from .optics_ops import HeraldModel, herald_click
 from .protocol import ProtocolConfig, run_exact
 from .spin_ensemble import EnsembleSpec, rotated_product_state
 
-ApplyFn = Callable[[PureState, float], PureState]
+#: herald_click's signature: (alpha, t, cutoff, coherent, p1, weights, mode)
+#: -> (rho, row, leakage).
+ClosedForm = Callable[..., Tuple[np.ndarray, np.ndarray, float]]
 
-_BS_CUTOFF = 6
-_BS_T = 0.3
+# The oracle's splitter is dense_bs_matrix(2 * _HERALD_CUTOFF, _HERALD_T),
+# a 169 x 169 matrix; _HERALD_ALPHA's coherent tail past the cutoff is 2e-12.
+_HERALD_CUTOFF = 6
+_HERALD_T = 0.3
+_HERALD_ALPHA = 0.25 - 0.1j
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,8 @@ def dense_bs_matrix(cutoff: int, t: float) -> np.ndarray:
     """Oracle beam splitter: the exponential of the full two-mode generator.
 
     Built on the kron-product space with no sector decomposition, and
-    exponentiated by a Taylor series with scaling and squaring rather than
-    the pipeline's binomial images and sector blocks, so it shares nothing
-    with the implementation beyond the documented convention
+    exponentiated by a Taylor series with scaling and squaring, so it shares
+    nothing with the pipeline's closed form beyond the documented convention
     a -> ra + tb, b -> -ta + rb.
     """
     a = _dense_ladder(cutoff)
@@ -91,78 +96,89 @@ def dense_bs_matrix(cutoff: int, t: float) -> np.ndarray:
     return _expm(math.asin(t) * gen)
 
 
-def _total_occupation(cutoff: int) -> np.ndarray:
-    n = np.arange(cutoff + 1)
-    return (n[:, None] + n[None, :]).reshape(-1)
+def _oracle_branches(
+    alpha: complex, coherent: bool, cutoff: int, u: np.ndarray
+) -> List[np.ndarray]:
+    """The photon and vacuum branches after the splitter, as (m, n) amplitude
+    matrices on occupations 0..2 cutoff.
 
-
-def _impl_matrix(bs_apply: ApplyFn, cutoff: int, t: float) -> np.ndarray:
-    """Column-by-column image of the injectable apply function.
-
-    Only columns with total occupation <= cutoff are populated; the rest
-    would leak probability out of the truncated space by construction and
-    are excluded from every comparison.
+    u is dense_bs_matrix(2 cutoff, t), exact on every sector an input with
+    both occupations <= cutoff reaches, so the entries past `cutoff` are the
+    ones the truncated protocol drops.
     """
-    dim = (cutoff + 1) ** 2
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    totals = _total_occupation(cutoff)
-    for j in range(dim):
-        if totals[j] > cutoff:
-            continue
-        basis = np.zeros(dim, dtype=np.complex128)
-        basis[j] = 1.0
-        out[:, j] = bs_apply(PureState(basis, cutoff, 2), t).amplitudes
-    return out
+    big = 2 * cutoff + 1
+    sig = np.zeros(big, dtype=np.complex128)
+    if coherent:
+        sig[: cutoff + 1] = [alpha**k / math.sqrt(math.factorial(k)) for k in range(cutoff + 1)]
+    else:
+        sig[0], sig[1] = 1.0, alpha
+    sig /= np.linalg.norm(sig)
+    return [(u @ np.kron(sig, np.eye(big)[photons])).reshape(big, big) for photons in (1, 0)]
 
 
-def run_checks(bs_apply: Optional[ApplyFn] = None) -> List[CheckResult]:
+def _oracle_herald(
+    branches: Sequence[np.ndarray], cutoff: int, p1: float, herald: HeraldModel
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """herald_click's (rho, row, leakage) from the dense branches, with the
+    click weights and the partial trace over the read mode written out."""
+    eta, pd = herald.read_efficiency, herald.dark_count
+    n = np.arange(cutoff + 1, dtype=float)
+    if herald.resolving:
+        w = (1.0 - pd) * n * eta * (1.0 - eta) ** np.maximum(n - 1.0, 0.0) + pd * (1.0 - eta) ** n
+        w[0] = pd
+    else:
+        w = 1.0 - (1.0 - pd) * (1.0 - eta) ** n
+    # inside the cutoff, read mode first
+    boxes = [psi[: cutoff + 1, : cutoff + 1] for psi in branches]
+    boxes = boxes if herald.mode == "A" else [box.T for box in boxes]
+    rho = sum(
+        weight * np.einsum("j,ja,jb->ab", w, box, box.conj())
+        for weight, box in zip((p1, 1.0 - p1), boxes)
+    )
+    outside = np.ones(branches[0].shape, dtype=bool)
+    outside[: cutoff + 1, : cutoff + 1] = False
+    leakage = p1 * float(np.sum(np.abs(branches[0][outside]) ** 2))
+    return rho, boxes[0][1], leakage
+
+
+def run_checks(closed_form: Optional[ClosedForm] = None) -> List[CheckResult]:
     """Run every oracle comparison; the returned list drives the CLI table."""
-    if bs_apply is None:
-        bs_apply = apply_beam_splitter
+    if closed_form is None:
+        closed_form = herald_click
     checks: List[CheckResult] = []
-    cutoff = _BS_CUTOFF
-    keep = _total_occupation(cutoff) <= cutoff
-    w_impl = _impl_matrix(bs_apply, cutoff, _BS_T)[np.ix_(keep, keep)]
-    w_oracle = dense_bs_matrix(cutoff, _BS_T)[np.ix_(keep, keep)]
+    cutoff, t, alpha = _HERALD_CUTOFF, _HERALD_T, _HERALD_ALPHA
+    u = dense_bs_matrix(2 * cutoff, t)
 
-    # Unitarity on the full sectors: columns orthonormal.
-    gram = w_impl.conj().T @ w_impl
-    checks.append(
-        _check("bs_unitarity", np.max(np.abs(gram - np.eye(gram.shape[0]))), 1e-10)
-    )
+    # The heralded state against the dense oracle: the complex conditional
+    # state, phases included, of a p1 = 0.9 source for both inputs, both read
+    # modes and both detector kinds; the one-click row of the photon branch;
+    # and the leakage against the probability the oracle puts past the cutoff.
+    rho_dev = {False: 0.0, True: 0.0}
+    row_dev = leak_dev = 0.0
+    for coherent in (False, True):
+        branches = _oracle_branches(alpha, coherent, cutoff, u)
+        for mode, resolving in itertools.product("AB", (True, False)):
+            herald = HeraldModel(0.7, 1e-3, mode, resolving)
+            rho, row, leak = closed_form(
+                alpha, t, cutoff, coherent, 0.9, herald.click_weights(cutoff), mode
+            )
+            ref_rho, ref_row, ref_leak = _oracle_herald(branches, cutoff, 0.9, herald)
+            rho_dev[coherent] = max(rho_dev[coherent], float(np.max(np.abs(rho - ref_rho))))
+            row_dev = max(row_dev, float(np.max(np.abs(row - ref_row))))
+            leak_dev = max(leak_dev, abs(leak - ref_leak) / ref_leak if ref_leak else abs(leak))
+    checks.append(_check("herald_oracle_truncated", rho_dev[False], 1e-12))
+    checks.append(_check("herald_oracle_coherent", rho_dev[True], 1e-12))
+    checks.append(_check("herald_row_oracle", row_dev, 1e-12))
+    checks.append(_check("herald_leakage_oracle", leak_dev, 1e-12))
 
-    # Number conservation: no amplitude crosses total-occupation sectors.
-    totals = _total_occupation(cutoff)[keep]
-    cross = np.abs(w_impl)[totals[:, None] != totals[None, :]]
-    checks.append(_check("bs_number_conservation", float(np.max(cross)), 1e-10))
-
-    # Elementwise magnitudes against the dense oracle (convention-blind).
-    checks.append(
-        _check(
-            "bs_dense_oracle_magnitudes",
-            float(np.max(np.abs(np.abs(w_impl) - np.abs(w_oracle)))),
-            1e-10,
-        )
-    )
-
-    # Hong-Ou-Mandel null: |1,1> on a balanced splitter never exits as |1,1>.
-    psi_hom = tensor_product(number_state(1, cutoff), number_state(1, cutoff))
-    out_hom = bs_apply(psi_hom, math.sqrt(0.5))
-    idx_11 = psi_hom.index(1, 1)
-    checks.append(_check("bs_hom_null", abs(out_hom.amplitudes[idx_11]), 1e-12))
-
-    # Composition: oracle inverse undoes the implementation forward. This is
-    # the one sign-sensitive check; a flipped convention passes everything
-    # above but lands on the wrong state here.
-    probe = np.zeros((cutoff + 1) ** 2, dtype=np.complex128)
-    for m, n, amp in ((0, 1, 1.0), (1, 0, 0.8), (1, 1, 0.6j), (2, 1, 0.4), (0, 3, 0.2)):
-        probe[m * (cutoff + 1) + n] = amp
-    probe /= np.linalg.norm(probe)
-    forward = bs_apply(PureState(probe, cutoff, 2), _BS_T).amplitudes
-    round_trip = dense_bs_matrix(cutoff, _BS_T).T @ forward
-    checks.append(
-        _check("bs_composition_with_oracle", float(np.max(np.abs(round_trip - probe))), 1e-10)
-    )
+    # Hong-Ou-Mandel null: on a balanced splitter the signal's |1> and the
+    # photon never exit as |1, 1>, so the one-click row has no |1> entry.
+    hom = 0.0
+    for coherent, mode in itertools.product((False, True), "AB"):
+        w = HeraldModel(mode=mode).click_weights(cutoff)
+        row = closed_form(alpha, math.sqrt(0.5), cutoff, coherent, 1.0, w, mode)[1]
+        hom = max(hom, abs(row[1]))
+    checks.append(_check("herald_hom_null", hom, 1e-12))
 
     # Coherent overlap law |<beta|alpha>|^2 = exp(-|alpha-beta|^2).
     dev = 0.0
@@ -182,31 +198,27 @@ def run_checks(bs_apply: Optional[ApplyFn] = None) -> List[CheckResult]:
     )
 
     # POVM completeness: click and no-click probabilities sum to one on a
-    # genuinely mixed protocol output state, taken as its p1-weighted pure
-    # branches.
-    config = ProtocolConfig(alpha=0.02, t=0.2, source_efficiency=0.9)
-    branches = _protocol_output_branches(config)
+    # genuinely mixed protocol output (a p1 = 0.9 source and the two-term
+    # signal, which leaks nothing past cutoff 12).
     dev = 0.0
     for resolving in (True, False):
-        model = HeraldModel(read_efficiency=0.6, dark_count=1e-3, resolving=resolving)
-        w = model.click_weights(config.cutoff)
-        total = 0.0
-        for weight, psi in branches:
-            amp = psi.as_two_mode_matrix()
-            for outcome in (w, 1.0 - w):
-                total += weight * float(np.trace(herald_operator(amp, outcome, model.mode)).real)
+        w = HeraldModel(read_efficiency=0.6, dark_count=1e-3, resolving=resolving).click_weights(12)
+        total = sum(
+            float(np.trace(closed_form(0.02, 0.2, 12, False, 0.9, outcome, "A")[0]).real)
+            for outcome in (w, 1.0 - w)
+        )
         dev = max(dev, abs(total - 1.0))
         dev = max(dev, float(np.max(np.maximum(-w, w - 1.0), initial=0.0)))
     checks.append(_check("povm_completeness", dev, 1e-10))
 
-    # Herald probability against an all-dense independent pipeline.
+    # run_exact's click probability against the dense oracle's.
     herald = HeraldModel(read_efficiency=0.6, dark_count=1e-4)
-    lossy = ProtocolConfig(alpha=0.01, t=0.1, source_efficiency=0.97, herald=herald)
-    p_impl = run_exact(lossy).success_probability
+    lossy = ProtocolConfig(alpha=0.01, t=t, cutoff=cutoff, source_efficiency=0.97, herald=herald)
+    ref_rho = _oracle_herald(_oracle_branches(0.01, False, cutoff, u), cutoff, 0.97, herald)[0]
     checks.append(
         _check(
             "herald_probability_consistency",
-            abs(p_impl - _oracle_click_probability(lossy)),
+            abs(run_exact(lossy).success_probability - np.trace(ref_rho).real),
             1e-12,
         )
     )
@@ -239,44 +251,3 @@ def run_checks(bs_apply: Optional[ApplyFn] = None) -> List[CheckResult]:
 
     return checks
 
-
-def _protocol_output_branches(config: ProtocolConfig) -> List[Tuple[float, PureState]]:
-    """Post-splitter (weight, two-mode state) branches, before any heralding.
-
-    The imperfect source is |1> with weight p1 and |0> with weight 1 - p1.
-    """
-    amp = np.zeros(config.cutoff + 1, dtype=np.complex128)
-    amp[0] = 1.0
-    amp[1] = config.alpha
-    signal = PureState(amp, config.cutoff, 1).normalized()
-    p1 = config.source_efficiency
-    return [
-        (w, apply_beam_splitter(tensor_product(signal, number_state(k, config.cutoff)), config.t))
-        for w, k in ((p1, 1), (1.0 - p1, 0))
-    ]
-
-
-def _oracle_click_probability(config: ProtocolConfig) -> float:
-    """Success probability through a dense kron pipeline, POVM from scratch."""
-    cutoff = config.cutoff
-    dim = cutoff + 1
-    amp = np.zeros(dim, dtype=np.complex128)
-    amp[0] = 1.0
-    amp[1] = config.alpha
-    amp /= np.linalg.norm(amp)
-    sig = np.outer(amp, amp.conj())
-    src = np.zeros((dim, dim))
-    src[1, 1] = config.source_efficiency
-    src[0, 0] = 1.0 - config.source_efficiency
-    u = dense_bs_matrix(cutoff, config.t)
-    rho = u @ np.kron(sig, src) @ u.conj().T
-    # occupation distribution of mode A: sum the joint diagonal over mode B
-    p_read = np.real(np.diag(rho)).reshape(dim, dim).sum(axis=1)
-    eta, pd = config.herald.read_efficiency, config.herald.dark_count
-    n = np.arange(dim, dtype=float)
-    if config.herald.resolving:
-        w = (1.0 - pd) * n * eta * (1.0 - eta) ** np.maximum(n - 1, 0.0) + pd * (1.0 - eta) ** n
-        w[0] = pd
-    else:
-        w = 1.0 - (1.0 - pd) * (1.0 - eta) ** n
-    return float(np.dot(w, p_read))

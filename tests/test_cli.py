@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,40 @@ def test_huge_amplitudes_exit_cleanly(argv, rc, capsys):
     assert err.count("\n") == (1 if rc else 0)
     if rc:
         assert "finite |" in err
+
+
+@pytest.mark.parametrize(
+    "alpha, t, message",
+    [
+        # 1/t overflows below the smallest normal double: rejected where t enters
+        ("0.5", "4e-324", repr(sys.float_info.min)),
+        ("0.5", "1e-320", repr(sys.float_info.min)),
+        # a normal t: the gain is finite, the target state's alpha / t is not
+        ("1e10", "3e-308", "amplitudes must be finite"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
+def test_tiny_t_exits_2_without_a_numpy_warning(alpha, t, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["protocol", "--alpha", alpha, "--t", t]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+def test_protocol_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the herald is elementwise, with no matrix product whose summation order
+    # a BLAS thread count could change
+    args = ["protocol", "--alpha", "3", "--t", "0.2", "--cutoff", "150", "--input", "coherent",
+            "--source-eff", "0.9", "--read-eff", "0.9", "--dark-count", "1e-4",
+            "--out", str(tmp_path / "p.json")]
+    docs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "hal.cli", *args], env=env, capture_output=True,
+                       timeout=120, check=True)
+        docs.append((tmp_path / "p.json").read_bytes())
+    assert docs[0] == docs[1]
 
 
 def _peak_bytes(fn):

@@ -11,7 +11,6 @@ from hal.fock_core import (
     coherent_state,
     fidelity,
     number_state,
-    tensor_product,
 )
 from hal.protocol import ProtocolConfig
 from hal.spin_ensemble import EnsembleSpec
@@ -51,13 +50,13 @@ def test_ensemble_alpha_must_have_a_finite_square():
 
 def test_pure_state_norm_survives_overflowing_squares(recwarn):
     # the plain sum of squares overflows; the rescaled norm does not
-    psi = PureState([3e200, 4e200j], 1, 1)
+    psi = PureState([3e200, 4e200j], 1)
     assert psi.norm() == pytest.approx(5e200, rel=1e-15)
     np.testing.assert_allclose(np.abs(psi.normalized().amplitudes), [0.6, 0.8], rtol=1e-15)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     # ordinary states keep the plain norm, bit for bit
     amp = np.array([0.3, 0.4j, 0.5])
-    assert PureState(amp, 2, 1).norm() == float(np.linalg.norm(amp))
+    assert PureState(amp, 2).norm() == float(np.linalg.norm(amp))
 
 
 def test_number_state_basics():
@@ -170,35 +169,17 @@ def test_pure_state_is_immutable_and_validates():
     with pytest.raises(AttributeError):
         psi.cutoff = 7
     with pytest.raises(ValidationError):
-        PureState(np.zeros(4, dtype=np.complex128), 3, 1)
+        PureState(np.zeros(4, dtype=np.complex128), 3)
     with pytest.raises(ShapeError):
-        PureState(np.ones(5, dtype=np.complex128), 3, 1)
+        PureState(np.ones(5, dtype=np.complex128), 3)
 
 
 def test_pure_state_normalized():
-    raw = PureState(np.array([3.0, 4.0], dtype=np.complex128), 1, 1)
+    raw = PureState(np.array([3.0, 4.0], dtype=np.complex128), 1)
     assert abs(raw.norm() - 5.0) < 1e-12
     unit = raw.normalized()
     assert abs(unit.norm() - 1.0) < 1e-15
     assert abs(unit.amplitudes[0] - 0.6) < 1e-15
-
-
-def test_tensor_product_index_layout():
-    # mode A is the slow (major) index: |m>_A |n>_B sits at m*(cutoff+1)+n
-    psi = tensor_product(number_state(1, 2), number_state(2, 2))
-    assert psi.mode_count == 2
-    idx = psi.index(1, 2)
-    assert idx == 1 * 3 + 2
-    assert psi.amplitudes[idx] == 1.0
-    assert np.sum(np.abs(psi.amplitudes) ** 2) == 1.0
-
-
-def test_two_mode_matrix_view():
-    psi = tensor_product(number_state(1, 2), number_state(2, 2))
-    grid = psi.as_two_mode_matrix()
-    assert grid.shape == (3, 3)
-    assert grid[1, 2] == 1.0
-    assert np.count_nonzero(grid) == 1
 
 
 def test_density_operator_validation():
@@ -230,8 +211,8 @@ def test_fidelity_mixed_pure():
 
 
 def test_fidelity_normalizes_and_clamps():
-    a = PureState(np.array([2.0, 0.0], dtype=np.complex128), 1, 1)
-    b = PureState(np.array([1.0, 0.0], dtype=np.complex128), 1, 1)
+    a = PureState(np.array([2.0, 0.0], dtype=np.complex128), 1)
+    b = PureState(np.array([1.0, 0.0], dtype=np.complex128), 1)
     f = fidelity(a, b)
     assert abs(f - 1.0) < 1e-12
     assert 0.0 <= f <= 1.0
@@ -240,4 +221,4 @@ def test_fidelity_normalizes_and_clamps():
 def test_fidelity_rejects_zero_state():
     a = number_state(0, 2)
     with pytest.raises(ValidationError):
-        fidelity(a, PureState(np.array([1e-320, 0.0, 0.0], dtype=np.complex128), 2, 1))
+        fidelity(a, PureState(np.array([1e-320, 0.0, 0.0], dtype=np.complex128), 2))

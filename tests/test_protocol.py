@@ -15,9 +15,8 @@ from hal.fock_core import (
     coherent_state,
     fidelity,
     number_state,
-    tensor_product,
 )
-from hal.optics_ops import HeraldModel, apply_beam_splitter
+from hal.optics_ops import HeraldModel
 from hal.protocol import (
     MAX_CUTOFF,
     ProtocolConfig,
@@ -43,6 +42,11 @@ def test_config_validation():
         ProtocolConfig(alpha=0.01, t=0.0)
     with pytest.raises(ValidationError):
         ProtocolConfig(alpha=0.01, t=1.0)
+    # below the smallest normal double 1/t overflows: rejected, naming the bound
+    for t in (4e-324, 1e-320):
+        with pytest.raises(ValidationError, match=repr(sys.float_info.min)):
+            ProtocolConfig(alpha=0.01, t=t)
+    assert ProtocolConfig(alpha=0.01, t=sys.float_info.min).t == sys.float_info.min
     with pytest.raises(ValidationError):
         ProtocolConfig(alpha=0.01, t=0.1, input_kind="squeezed")
     with pytest.raises(ValidationError):
@@ -358,17 +362,37 @@ def _oracle(config, u):
     return p, gain, fid, cond
 
 
+@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 def test_run_exact_matches_dense_kron_oracle():
-    alpha, t = 0.02 + 0.01j, 0.2
+    heralds = [
+        HeraldModel(read_efficiency=eta, dark_count=pd, mode=mode, resolving=resolving)
+        for eta, pd, resolving, mode in itertools.product(
+            (1.0, 0.6), (0.0, 1e-4), (True, False), ("A", "B")
+        )
+    ]
     configs = [
         ProtocolConfig(
-            alpha=alpha, t=t, cutoff=cutoff, input_kind=kind, source_efficiency=p1,
-            herald=HeraldModel(read_efficiency=eta, dark_count=pd, mode=mode, resolving=resolving),
+            alpha=0.02 + 0.01j, t=0.2, cutoff=cutoff, input_kind=kind, source_efficiency=p1,
+            herald=herald,
         )
-        for cutoff, p1, eta, pd, resolving, mode, kind in itertools.product(
-            (6, 12), (0.0, 0.5, 0.9, 1.0), (1.0, 0.6), (0.0, 1e-4), (True, False), ("A", "B"),
-            ("truncated", "coherent"),
+        for cutoff, p1, herald, kind in itertools.product(
+            (6, 12), (0.0, 0.5, 0.9, 1.0), heralds, ("truncated", "coherent")
         )
+    ]
+    # at cutoff 6, t = 0.7, where mode B's swap of t and r is far from
+    # symmetric, and a large complex alpha; the coherent state at alpha
+    # 0.5 - 0.3j leaves a tail of 1e-7 past cutoff 6, so it is truncated only
+    configs += [
+        ProtocolConfig(
+            alpha=alpha, t=t, cutoff=6, input_kind=kind, source_efficiency=p1, herald=herald,
+        )
+        for alpha, t, kind in (
+            (0.02 + 0.01j, 0.7, "truncated"),
+            (0.02 + 0.01j, 0.7, "coherent"),
+            (0.5 - 0.3j, 0.2, "truncated"),
+            (0.5 - 0.3j, 0.7, "truncated"),
+        )
+        for p1, herald in itertools.product((0.0, 0.9, 1.0), heralds)
     ]
     # the documented working point: truncated input, ideal source and herald
     configs.append(ProtocolConfig(alpha=0.01, t=0.1))
@@ -406,12 +430,11 @@ def test_vacuum_branch_without_click_is_not_impossible():
 @pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 def test_truncation_threshold_applies_to_weighted_leakage():
     base = ProtocolConfig(alpha=0.3, t=0.2, cutoff=6, input_kind="coherent")
-    psi = tensor_product(coherent_state(0.3, 6), number_state(1, 6))
     # the entries a cutoff-6 splitter drops: the same input run at cutoff 7,
     # whose images all fit, read off on row and column 7
-    wide = np.zeros((8, 8), dtype=complex)
-    wide[:7, :7] = psi.as_two_mode_matrix()
-    out = apply_beam_splitter(PureState(wide, 7, 2), 0.2).as_two_mode_matrix()
+    sig = np.zeros(8, dtype=complex)
+    sig[:7] = coherent_state(0.3, 6).amplitudes
+    out = (_oracle_bs(7, 0.2) @ np.kron(sig, np.eye(8)[1])).reshape(8, 8)
     photon_leak = float(np.sum(np.abs(out[7]) ** 2) + np.sum(np.abs(out[:7, 7]) ** 2))
     # the photon branch alone leaks past the threshold; the vacuum branch
     # stays inside the cutoff, so p1 scales the leakage
@@ -543,8 +566,8 @@ def test_tiny_click_probability_matches_mpmath():
 
 
 def test_cutoff_400_point_memory_is_bounded():
-    # the coherent alpha = 15 point fills every sector up to cutoff 400; its
-    # branches need the images of two input columns, not sector unitaries
+    # the coherent alpha = 15 point fills every sector up to cutoff 400; the
+    # closed form needs a few (cutoff + 1)^2 arrays, no two-mode state
     import tracemalloc
 
     herald = HeraldModel(read_efficiency=0.9, dark_count=1e-4)

@@ -1,13 +1,13 @@
-from hal.fock_core import PureState
-from hal.optics_ops import apply_beam_splitter
+from hal import optics_ops
+from hal.optics_ops import herald_click
 from hal.validate import dense_bs_matrix, run_checks
 
 EXPECTED = {
-    "bs_unitarity",
-    "bs_number_conservation",
-    "bs_dense_oracle_magnitudes",
-    "bs_hom_null",
-    "bs_composition_with_oracle",
+    "herald_oracle_truncated",
+    "herald_oracle_coherent",
+    "herald_row_oracle",
+    "herald_leakage_oracle",
+    "herald_hom_null",
     "coherent_overlap_law",
     "two_atom_dicke_expansion",
     "povm_completeness",
@@ -16,6 +16,9 @@ EXPECTED = {
     "quadrature_convention",
     "gain_law",
 }
+
+# the checks that compare the injected closed form's state with the oracle's
+ORACLE_CHECKS = {"herald_oracle_truncated", "herald_oracle_coherent", "herald_row_oracle"}
 
 
 def test_fresh_suite_passes():
@@ -33,21 +36,34 @@ def test_dense_oracle_is_unitary():
     assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-12
 
 
-def _swap_modes(state):
-    return PureState(state.as_two_mode_matrix().T, state.cutoff, 2)
+def _failed(closed_form=None):
+    return {r.name for r in run_checks(closed_form) if not r.passed}
 
 
-def test_sign_flip_caught_only_by_composition():
-    # a beam splitter with the conjugate convention keeps every magnitude
-    # intact; only the oracle round-trip composition check can see it.
-    # Swapping the modes around the splitter gives exactly that convention.
-    def flipped(state, t):
-        return _swap_modes(apply_beam_splitter(_swap_modes(state), t))
+def test_faulted_closed_forms_are_caught(monkeypatch):
+    # t's sign flipped: the conjugate convention. Every probability and
+    # magnitude is intact, and only the phase-sensitive oracle checks see it.
+    def flipped(alpha, t, *rest):
+        return herald_click(alpha, -t, *rest)
 
-    results = {r.name: r for r in run_checks(bs_apply=flipped)}
-    assert not results["bs_composition_with_oracle"].passed
-    for name in EXPECTED - {"bs_composition_with_oracle"}:
-        assert results[name].passed, name
+    assert _failed(flipped) == ORACLE_CHECKS
+
+    # mode B read without swapping u with v and t with r: mode A's formula
+    def unswapped(*args):
+        return herald_click(*args[:-1], "A")
+
+    assert _failed(unswapped) == ORACLE_CHECKS
+
+    # every prefix sum read one entry short, in run_exact's closed form too;
+    # the one-click row reads no prefix sum
+    prefix = optics_ops._prefix
+    monkeypatch.setattr(optics_ops, "_prefix", lambda terms, index: prefix(terms, index - 1))
+    assert _failed() == {
+        "herald_oracle_truncated",
+        "herald_oracle_coherent",
+        "povm_completeness",
+        "herald_probability_consistency",
+    }
 
 
 def test_dense_oracle_matches_scipy_expm():
