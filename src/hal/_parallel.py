@@ -30,11 +30,15 @@ def worker_count() -> int:
     return min(n, os.cpu_count() or 1)
 
 
-def map_indexed(fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-    """Apply fn to each item, possibly on a thread pool, preserving order."""
+def map_indexed(fn: Callable[[T], R], items: Iterable[T], inline: bool = False) -> List[R]:
+    """Apply fn to each item, possibly on a thread pool, preserving order.
+
+    inline runs every item on the calling thread; HAL_THREADS is checked
+    all the same.
+    """
     seq = list(items)
     n = worker_count()
-    if n <= 1 or len(seq) <= 1:
+    if inline or n <= 1 or len(seq) <= 1:
         return [fn(item) for item in seq]
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, seq))

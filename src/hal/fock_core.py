@@ -49,14 +49,18 @@ def _finite_amplitude(value, name: str) -> complex:
     return z
 
 
+def _sum_of_squares(amp: np.ndarray) -> float:
+    return float(np.sum(amp.real * amp.real) + np.sum(amp.imag * amp.imag))
+
+
 def _norm(amp: np.ndarray) -> float:
-    """Euclidean norm of finite amplitudes, rescaled by the largest magnitude
-    only when the plain sum of squares overflows."""
+    """Euclidean norm of finite amplitudes, an elementwise sum of squares
+    (no BLAS), rescaled by the largest magnitude only when it overflows."""
     with np.errstate(over="ignore"):
-        n = float(np.linalg.norm(amp))
+        n = math.sqrt(_sum_of_squares(amp))
     if n == math.inf:
         peak = float(np.max(np.abs(amp)))
-        n = peak * float(np.linalg.norm(amp / peak))
+        n = peak * math.sqrt(_sum_of_squares(amp / peak))
     return n
 
 
@@ -131,7 +135,8 @@ class DensityOperator:
     The conditional state of a herald is mixed when the source or the
     detector is imperfect; it is the only mixed state hal forms, and no
     two-mode state is formed at all. Construction validates hermiticity (1e-10
-    entrywise), finiteness, a positive finite trace, and eigenvalues >= -1e-9.
+    entrywise), finiteness, a positive finite trace, and eigenvalues >= -1e-9;
+    run_exact, whose conditional state is one by construction, skips that.
     """
 
     __slots__ = ("matrix", "cutoff")
@@ -160,6 +165,17 @@ class DensityOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "cutoff", int(cutoff))
+
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray, cutoff: int) -> "DensityOperator":
+        """A density operator from a matrix that is one by construction (the
+        protocol's conditional state), without the O(d^3) validation."""
+        state = object.__new__(cls)
+        mat = np.array(matrix, dtype=np.complex128)
+        mat.setflags(write=False)
+        object.__setattr__(state, "matrix", mat)
+        object.__setattr__(state, "cutoff", int(cutoff))
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityOperator is immutable")
@@ -272,7 +288,10 @@ def number_state(n: int, cutoff: int) -> PureState:
 
 
 def fidelity(a: Union[PureState, DensityOperator], b: PureState) -> float:
-    """|<a|b>|^2 for pure a, <b|rho|b> for mixed a; inputs normalized first."""
+    """|<a|b>|^2 for pure a, <b|rho|b> for mixed a; inputs normalized first.
+
+    Both are elementwise sums, so no BLAS thread count changes their rounding.
+    """
     if not isinstance(b, PureState):
         raise ValidationError("second argument must be a pure state")
     if isinstance(a, PureState):
@@ -281,7 +300,7 @@ def fidelity(a: Union[PureState, DensityOperator], b: PureState) -> float:
         an, bn = a.norm(), b.norm()
         if an < 1e-300 or bn < 1e-300:
             raise ValidationError("fidelity of a zero-norm state is undefined")
-        val = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 / (an * bn) ** 2
+        val = abs(np.sum(a.amplitudes.conj() * b.amplitudes)) ** 2 / (an * bn) ** 2
     elif isinstance(a, DensityOperator):
         if a.cutoff != b.cutoff:
             raise ShapeError("fidelity requires a common basis")
@@ -289,7 +308,8 @@ def fidelity(a: Union[PureState, DensityOperator], b: PureState) -> float:
         if bn < 1e-300:
             raise ValidationError("fidelity of a zero-norm state is undefined")
         v = b.amplitudes / bn
-        val = float(np.real(np.vdot(v, a.matrix @ v))) / a.trace()
+        rho_v = np.sum(a.matrix * v, axis=1)
+        val = float(np.sum(v.conj() * rho_v).real) / a.trace()
     else:
         raise ValidationError("first argument must be a PureState or DensityOperator")
     # clamp floating-point spill just outside [0, 1]

@@ -252,6 +252,23 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return u
 
 
+def _combine(coefficients: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_n c_n u_n over the rows of u for real c, as axpy passes that skip
+    zero coefficients (no BLAS)."""
+    out = np.zeros(u.shape[1])
+    term = np.empty(u.shape[1])
+    for c, row in zip(coefficients.tolist(), u):
+        if c:
+            np.multiply(row, c, out=term)
+            out += term
+    return out
+
+
+def _last_nonzero(values: np.ndarray) -> int:
+    nonzero = np.flatnonzero(values)
+    return int(nonzero[-1]) if nonzero.size else 0
+
+
 def quadrature_pdf(
     state: State,
     phase: float = 0.0,
@@ -264,6 +281,12 @@ def quadrature_pdf(
     state the bilinear generalization over the density matrix. The tabulated
     density must integrate to 1 within tol on the supplied grid.
 
+    The Hermite functions u_n are real, so both are sums of real rows: the
+    real and imaginary parts of the pure sum, and for a mixed state
+    P(x) = sum_m u_m(x) sum_n Re(rho_mn e^{-i (m - n) phase}) u_n(x), the
+    real part being all that survives of a Hermitian form. Rows past the
+    last nonzero coefficient are never computed.
+
     Raises
     ------
     GridError
@@ -273,17 +296,19 @@ def quadrature_pdf(
     x = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2 or not np.all(np.diff(x) > 0):
         raise GridError("grid must be a strictly increasing 1-d array")
-    u = hermite_functions(state.cutoff, x)
-    n = np.arange(state.cutoff + 1)
-    rot = np.exp(-1j * n * phase)
+    rot = np.exp(-1j * np.arange(state.cutoff + 1) * phase)
     if isinstance(state, PureState):
-        amp = state.amplitudes / state.norm()
-        psi = (amp * rot) @ u.astype(np.complex128)
-        dens = np.abs(psi) ** 2
+        amp = state.amplitudes * rot / state.norm()
+        u = hermite_functions(_last_nonzero(amp), x)
+        amp = amp[: len(u)]
+        dens = _combine(amp.real, u) ** 2 + _combine(amp.imag, u) ** 2
     else:
-        rho = state.matrix / state.trace()
-        chi = rot[:, None] * u  # chi_n(x)
-        dens = np.real(np.einsum("mx,mn,nx->x", chi, rho, chi.conj()))
+        form = (state.matrix * np.multiply.outer(rot, rot.conj())).real / state.trace()
+        u = hermite_functions(_last_nonzero(form.any(axis=0)), x)
+        dens = np.zeros_like(x)
+        for m, row in enumerate(form[: len(u), : len(u)]):
+            if row.any():
+                dens += u[m] * _combine(row, u)
         dens = np.maximum(dens, 0.0)
     result = TabulatedDensity(x=x, density=dens)
     err = abs(result.integral() - 1.0)
@@ -542,7 +567,9 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
     child stream spawn_key=(replica, 0), conditioned on those sums
     (`_direct_records`), so the estimate equals the mean of the recorded
     samples over sqrt(2) up to rounding and is the same number with or
-    without record_runs.
+    without record_runs. Unrecorded direct replicas run inline, on no
+    worker thread whatever HAL_THREADS says: each takes about 30 us and
+    holds the GIL, so a pool would only add its own overhead.
 
     record_runs keeps every attempt, so it is refused above
     MAX_RECORDED_ATTEMPTS attempts in all. The records are allocated once,
@@ -597,7 +624,8 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
             records[2][own] = noise
         return est, n_success
 
-    outcomes = map_indexed(one_replica, range(config.replicas))
+    inline = config.scheme == "direct" and not record_runs
+    outcomes = map_indexed(one_replica, range(config.replicas), inline)
     estimates = tuple(o[0] for o in outcomes)
     successes = tuple(o[1] for o in outcomes)
     no_success = tuple(i for i, e in enumerate(estimates) if e is None)

@@ -59,14 +59,15 @@ REGIME_T_MAX = 0.3
 
 
 #: Largest Fock cutoff per mode a ProtocolConfig accepts. run_exact's
-#: closed form takes O(cutoff^2) time and memory, the validation of its
-#: mixed conditional state an O(cutoff^3) eigvalsh, and hal protocol then
-#: writes a (cutoff+1)^2 conditional state, which dominates. One hal
-#: protocol process (t 0.2, p1 0.9, read efficiency 0.9, dark count 1e-4;
-#: one CPU of a 2-vCPU x86 VM, 3 runs) at cutoff 400 took 0.63-0.82 s and
-#: 59 MB peak RSS for alpha 0.01, and 0.86-0.93 s and 67 MB for a coherent
-#: input at alpha 15, which fills every occupation. At cutoff 700 these were
-#: 1.4-2.2 s / 112 MB and 1.9-2.4 s / 118 MB.
+#: closed form takes O(cutoff^2) time and memory (its mixed conditional
+#: state skips DensityOperator's O(cutoff^3) eigenvalue check, being one by
+#: construction), and hal protocol then writes a (cutoff+1)^2 conditional
+#: state, which dominates. One hal protocol process (t 0.2, p1 0.9, read
+#: efficiency 0.9, dark count 1e-4; one CPU of a 2-vCPU x86 VM, 3 runs, with
+#: that check still made) at cutoff 400 took 0.63-0.82 s and 59 MB peak RSS
+#: for alpha 0.01, and 0.86-0.93 s and 67 MB for a coherent input at alpha
+#: 15, which fills every occupation. At cutoff 700 these were 1.4-2.2 s /
+#: 112 MB and 1.9-2.4 s / 118 MB.
 MAX_CUTOFF = 400
 
 
@@ -251,7 +252,7 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
         conditional = PureState(row, cutoff).normalized()
         gain = _pure_gain(conditional, alpha_mag)
     else:
-        conditional = DensityOperator(rho / p, cutoff)
+        conditional = DensityOperator._unchecked(rho / p, cutoff)
         gain = _mixed_gain(conditional, alpha_mag)
     fid = fidelity(conditional, target_state(config.alpha, config.t, cutoff))
     return HeraldResult(

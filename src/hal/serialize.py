@@ -14,14 +14,17 @@ in [-6, 16], so x * 10**(16 - E) needs a power of ten no larger than
 10**22, which is an exact double; Dekker's two-product (Numer. Math. 18,
 1971) gives that product exactly as hi + lo, and hi + rint(lo) is the
 correctly rounded (round-half-even) 17-digit significand that
-format(x, ".17g") prints. NaN and +-0 are rendered from fixed patterns.
-Every other float (infinities, |x| <= 1e-6 including subnormals,
-|x| >= 1e17) is formatted by fmt_float's rule one cell at a time and then
-placed with the rest.
+format(x, ".17g") prints. The significands of all float columns of a block
+are found in one pass, and their digits formed eight at a time in uint64
+words (SWAR), as are the digits of integers. NaN and +-0 are rendered from
+fixed patterns. Every other float (infinities, |x| <= 1e-6 including
+subnormals, |x| >= 1e17) is formatted by fmt_float's rule one cell at a
+time and then placed with the rest.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Any, List, Mapping, Sequence, Tuple
@@ -103,13 +106,16 @@ def state_to_jsonable(state) -> Mapping[str, Any]:
     raise TypeError(f"cannot serialize {type(state).__name__} as a state")
 
 
-# Layout of one float cell in csv_block: a sign slot, the "0.000" prefix of
-# fixed notation below 1, the 17 significand digits each followed by a
-# point slot, and the exponent "e-0d" (in the exact range, scientific
-# notation only occurs at E = -5 and -6).
+# Layout of one float cell in csv_block, at its widest: a sign slot, the
+# "0.000" prefix of fixed notation below 1, the 17 significand digits each
+# followed by a point slot, and the exponent "e-0d" (in the exact range,
+# scientific notation only occurs at E = -5 and -6). The point follows digit
+# E in fixed notation and digit 0 in scientific notation, so a column whose
+# exact cells in a block have fixed-notation exponents of at most P >= 0 only
+# needs the point slots after digits 0..P: its cell is 28 + P of these 44
+# slots (_float_layout).
 _F_WIDTH = 44
 _F_DIGIT0 = 6
-_F_EXP_DIGIT = 43
 _E_MIN, _E_MAX = -6, 16
 _POW10 = np.array([10.0**k for k in range(23)])  # exact doubles
 _NAN_TEMPLATE = np.frombuffer(
@@ -143,6 +149,15 @@ _F_KEEP = _float_keep_table()
 _NAN_CODE, _ZERO_CODE = len(_F_KEEP) - 2, len(_F_KEEP) - 1
 
 
+@functools.lru_cache(maxsize=None)
+def _float_layout(p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The nan text and the keep table of a cell with point slots after
+    digits 0..p only: 28 + p of the widest cell's slots."""
+    points = _F_DIGIT0 + 2 * p + 2
+    slots = np.r_[0:points, points : _F_DIGIT0 + 34 : 2, _F_WIDTH - 4 : _F_WIDTH]
+    return _NAN_TEMPLATE[slots], np.ascontiguousarray(_F_KEEP[:, slots])
+
+
 def _split(a: np.ndarray):
     """Veltkamp's split of each a into two halves of at most 26 bits."""
     c = 134217729.0 * a  # 2**27 + 1
@@ -159,76 +174,144 @@ def _two_product(a: np.ndarray, b: np.ndarray):
     return hi, lo
 
 
+def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The integer nearest a * 10**(16 - e), ties to even."""
+    hi, lo = _two_product(a, _POW10[16 - e])
+    # hi is an even integer above 2**53, so adding rint(lo) rounds half to even
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
 def _significands(a: np.ndarray):
     """Decimal exponent E and 17-digit significand D of each 1e-6 < a < 1e17.
 
     D is the correctly rounded integer nearest a * 10**(16 - E), with
-    10**16 <= D < 10**17.
+    10**16 <= D < 10**17. log10 can miss E by one next to a power of ten,
+    which D shows: in this range the largest double below each power of ten
+    scales to at least 8.3 below 10**17, so an E one too high gives a D
+    below 10**16, one too low a D of at least 10**17, and the right E never
+    rounds D up to 10**17.
     """
     e = np.floor(np.log10(a)).astype(np.int64)
     np.clip(e, _E_MIN, _E_MAX, out=e)
-    hi, lo = _two_product(a, _POW10[16 - e])
-    # log10 can miss by one next to a power of ten; compare the exact product
-    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    fix = np.flatnonzero(low | high)
+    d = _scaled(a, e)
+    fix = np.flatnonzero((d < 10**16) | (d >= 10**17))
     if fix.size:
-        e[fix] += high[fix].astype(np.int64) - low[fix]
-        hi[fix], lo[fix] = _two_product(a[fix], _POW10[16 - e[fix]])
-    # hi is an even integer above 2**53, so adding rint(lo) rounds half to
-    # even. D never rounds up to 10**17: in this range the largest double
-    # below each power of ten scales to at least 8.7 below 10**17.
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        e[fix] += np.where(d[fix] < 10**16, -1, 1)
+        d[fix] = _scaled(a[fix], e[fix])
     return e, d
 
 
-def _put_digits(values: np.ndarray, out: np.ndarray) -> None:
-    """Decimal digits of non-negative integers, as ASCII, into out (n, k)."""
-    k = out.shape[1]
-    if k > 9:  # peel off the low nine digits so both parts divide as int32
-        high = values // 10**9
-        _put_digits(values - high * 10**9, out[:, k - 9 :])
-        _put_digits(high, out[:, : k - 9])
+def _digits(v: np.ndarray, k: int) -> np.ndarray:
+    """ASCII decimal digits of integers 0 <= v < 10**k, as an (n, k) view of
+    little-endian uint64 words.
+
+    Each group of 8 digits becomes its digits at once (SWAR): the word is
+    split into two 4-digit lanes of 32 bits, each lane into two 2-digit
+    lanes of 16 bits, each of those into two digit bytes, every split a
+    multiply-shift division that cannot carry across lanes. The first digit
+    lands in the lowest byte. A single group of at most 4, 2 or 1 digits
+    skips the splits it does not need.
+    """
+    groups = -(-k // 8)
+    per = 8 if groups > 1 or k > 4 else 4 if k > 2 else k  # digits per word
+    w = np.empty((len(v), groups), dtype=np.uint64)
+    for j in range(groups - 1, 0, -1):
+        q = v // 10**8
+        w[:, j] = v - q * 10**8
+        v = q
+    w[:, 0] = v
+    # a split of lane x at 10**h into b-bit halves is q + ((x - q * 10**h) << b),
+    # computed as (x << b) - q * (10**h * 2**b - 1)
+    if per > 4:
+        q = w // 10**4
+        w <<= 32
+        w -= q * ((10**4 << 32) - 1)
+    if per > 2:
+        q = (w * 5243 >> 19) & 0x7F0000007F  # x // 100 in each lane x < 43699
+        w <<= 16
+        w -= q * ((100 << 16) - 1)
+    if per > 1:
+        q = (w * 103 >> 10) & 0x000F000F000F000F  # x // 10 in each lane x < 179
+        w <<= 8
+        w -= q * ((10 << 8) - 1)
+    w |= 0x3030303030303030  # "0" is 0x30
+    stop = 8 * (groups - 1) + per
+    return w.astype("<u8", copy=False).view(np.uint8)[:, stop - k : stop]
+
+
+def _cells(a: np.ndarray) -> np.ndarray:
+    """The rows of an (n, w) byte array whose rows are contiguous, as n items
+    of w bytes, which numpy copies and gathers whole instead of byte by byte."""
+    return a.view(np.dtype((np.void, a.shape[1])))[:, 0]
+
+
+def _significant_bytes(w: np.ndarray) -> np.ndarray:
+    """Bytes up to the last nonzero one of little-endian words of digit
+    values (0-9): the float exponent of the word's top bit, which rounding
+    to 53 bits cannot carry past bit 3 of its byte."""
+    return (np.frexp(w.astype(np.float64))[1] + 7) >> 3
+
+
+def _float_columns(xs: Sequence[np.ndarray]) -> List[tuple]:
+    """The float columns of a block, their exact cells found and converted
+    to digits in one pass over all of them.
+
+    Per column, a tuple: x; P, the largest fixed-notation exponent among
+    its exact cells (at least 0); the exact-range mask; the exact rows, a
+    slice when every row is exact; and per exact row E, the first digit and
+    the other 16 in ASCII, and the _F_KEEP code.
+    """
+    n = len(xs[0])
+    a = np.abs(np.concatenate(xs))
+    exact = (a > 1e-6) & (a < 1e17)
+    at = np.flatnonzero(exact)
+    e, d = _significands(a.take(at))
+    first = d // 10**16
+    digits = _digits(d - first * 10**16, 16)
+    values = digits.view("<u8") ^ 0x3030303030303030  # digits 1-8 and 9-16
+    low = values[:, 1] != 0
+    nz = np.where(low, 9, 1) + _significant_bytes(np.where(low, values[:, 1], values[:, 0]))
+    code = (e - _E_MIN) * 18 + nz
+    first += 48
+    ends = np.searchsorted(at, np.arange(len(xs) + 1) * n).tolist()
+    columns = []
+    for j, (x, lo, hi) in enumerate(zip(xs, ends[:-1], ends[1:])):
+        rows = slice(None) if hi - lo == n else at[lo:hi] - j * n
+        p = max(0, int(e[lo:hi].max())) if hi > lo else 0
+        columns.append(
+            (x, p, exact[j * n : (j + 1) * n], rows, e[lo:hi], first[lo:hi], digits[lo:hi], code[lo:hi])
+        )
+    return columns
+
+
+def _put_floats(column: tuple, text: np.ndarray, keep: np.ndarray) -> None:
+    """A _float_columns column into (n, 28 + P) views that hold the nan
+    cell: the exact cells, then zero and fallback cells where it has any."""
+    x, p, exact, rows, e, first, digits, code = column
+    table = _float_layout(p)[1]
+    points = _F_DIGIT0 + 2 * p + 2
+    text[rows, _F_DIGIT0] = first
+    text[rows, _F_DIGIT0 + 2 : points : 2] = digits[:, :p]
+    if p < 16:
+        _cells(text[:, points : points + 16 - p])[rows] = _cells(digits[:, p:])
+    text[rows, -1] = 48 - e  # read only where E is -5 or -6
+    _cells(keep)[rows] = np.take(_cells(table), code, mode="clip")
+    if isinstance(rows, slice):
+        keep[:, 0] = np.signbit(x)
         return
-    values = values.astype(np.int32)
-    for i in range(k - 1, 0, -1):
-        q = values // 10
-        out[:, i] = values - q * 10 + 48
-        values = q
-    out[:, 0] = values + 48
-
-
-def _put_floats(x: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
-    """Float cells into (n, _F_WIDTH) views: the nan pattern, then every other value."""
-    text[:] = _NAN_TEMPLATE
-    keep[:] = _F_KEEP[_NAN_CODE]
-    a = np.abs(x)
     nan = np.isnan(x)
     keep[:, 0] = np.signbit(x) & ~nan
-    exact = (a > 1e-6) & (a < 1e17)
-    if exact.any():
-        rows = slice(None) if exact.all() else np.flatnonzero(exact)
-        e, d = _significands(a[rows])
-        digits = np.empty((len(d), 17), dtype=np.uint8)
-        _put_digits(d, digits)
-        nz = 17 - np.argmax(digits[:, ::-1] != 48, axis=1)
-        text[rows, _F_DIGIT0 : _F_DIGIT0 + 34 : 2] = digits
-        text[rows, _F_EXP_DIGIT] = 48 - e  # read only where E is -5 or -6
-        keep[rows, 1:] = _F_KEEP[(e - _E_MIN) * 18 + nz, 1:]
-    zero = np.flatnonzero(a == 0)
+    zero = np.flatnonzero(x == 0)
     if zero.size:
         text[zero, _F_DIGIT0] = 48
-        keep[zero, 1:] = _F_KEEP[_ZERO_CODE, 1:]
-    other = np.flatnonzero(~(exact | nan) & (a != 0))
+        keep[zero, 1:] = table[_ZERO_CODE, 1:]
+    other = np.flatnonzero(~(exact | nan) & (x != 0))
     if other.size:
-        cells = np.array([fmt_float(v) for v in x[other].tolist()], dtype=f"S{_F_WIDTH}")
-        cells = cells.view(np.uint8).reshape(-1, _F_WIDTH)
+        w = text.shape[1]
+        cells = np.array([fmt_float(v) for v in x[other].tolist()], dtype=f"S{w}")
+        cells = cells.view(np.uint8).reshape(-1, w)
         text[other] = cells
         keep[other] = cells != 0
-
-
-# Digit i of k is kept when the value reaches _INT_FLOOR[i - k]; the last always.
-_INT_FLOOR = np.array([10**i for i in range(18, 0, -1)] + [0], dtype=np.uint64)
 
 
 def _int_layout(v: np.ndarray) -> Tuple[bool, int]:
@@ -246,8 +329,11 @@ def _put_ints(v: np.ndarray, signed: bool, text: np.ndarray, keep: np.ndarray) -
         v = np.abs(v)  # the int64 minimum stays negative, but reads 2**63 below
         text, keep = text[:, 1:], keep[:, 1:]
     magnitude = v.view(np.uint64)
-    _put_digits(magnitude, text)
-    np.greater_equal(magnitude[:, None], _INT_FLOOR[-text.shape[1] :], out=keep)
+    k = text.shape[1]
+    _cells(text)[:] = _cells(_digits(magnitude, k))
+    for i in range(k - 1):  # digit i is kept when the value has k - i digits
+        np.greater_equal(magnitude, 10 ** (k - 1 - i), out=keep[:, i])
+    keep[:, k - 1] = True
 
 
 def csv_block(columns: Sequence[np.ndarray]) -> bytes:
@@ -257,34 +343,51 @@ def csv_block(columns: Sequence[np.ndarray]) -> bytes:
     columns (dtype S) as their bytes up to the first NUL, so b"" is an empty
     cell, and every other column as fmt_float renders its float values.
     Each row is laid out at fixed width, every cell followed by a separator;
-    a keep mask then drops the unused bytes in one np.compress. Returning
-    bytes lets a caller write each block to a binary file as soon as it is
-    rendered, with no decode or encode pass. The working memory is 520-660 B
-    per row (tracemalloc peak at 1024-16384 rows of the runs CSV's columns),
-    so a caller bounds it by the rows it passes.
+    a keep mask then drops the unused bytes in one np.compress. A float
+    cell is 28 + P bytes wide, P the largest fixed-notation exponent among
+    the column's exact cells in this block (at least 0), so a runs CSV row
+    (three small integers and two floats below 10) is laid out in 68 bytes
+    and keeps about 34. Returning bytes lets a caller write each block to a
+    binary file as soon as it is rendered, with no decode or encode pass.
+    The working memory is 480-490 B per row (tracemalloc peak at 1024-16384
+    rows of the runs CSV's columns), most of it np.compress's indices, so a
+    caller bounds it by the rows it passes.
     """
-    layouts = [_int_layout(c) if c.dtype.kind in "biu" else None for c in columns]
-    widths = [
-        c.itemsize if c.dtype.kind == "S" else _F_WIDTH if lay is None else lay[0] + lay[1]
-        for c, lay in zip(columns, layouts)
+    kinds = [c.dtype.kind for c in columns]
+    xs = [np.asarray(c, dtype=np.float64) for c, kind in zip(columns, kinds) if kind not in "biuS"]
+    floats = iter(_float_columns(xs) if xs else ())
+    layouts = [
+        col.itemsize if kind == "S" else _int_layout(col) if kind in "biu" else next(floats)
+        for col, kind in zip(columns, kinds)
     ]
+    widths = [
+        lay if kind == "S" else lay[0] + lay[1] if kind in "biu" else 28 + lay[1]
+        for kind, lay in zip(kinds, layouts)
+    ]
+    # one row of separators and of the float cells' constant bytes and nan
+    # pattern, repeated for every row; the columns then overwrite their cells
+    starts = np.cumsum([0] + [w + 1 for w in widths])
+    row_text = np.zeros(starts[-1], dtype=np.uint8)
+    row_keep = np.zeros(starts[-1], dtype=bool)
+    row_text[starts[1:] - 1] = 44  # ","
+    row_text[-1] = 10  # "\n"
+    row_keep[starts[1:] - 1] = True
+    for kind, lay, at, w in zip(kinds, layouts, starts.tolist(), widths):
+        if kind not in "biuS":
+            nan_text, table = _float_layout(lay[1])
+            row_text[at : at + w] = nan_text
+            row_keep[at : at + w] = table[_NAN_CODE]
     n = len(columns[0])
-    text = np.empty((n, sum(widths) + len(widths)), dtype=np.uint8)
-    keep = np.empty(text.shape, dtype=bool)
-    at = 0
-    for col, layout, w in zip(columns, layouts, widths):
+    text = np.repeat(row_text[None], n, axis=0)
+    keep = np.repeat(row_keep[None], n, axis=0)
+    for col, kind, lay, at, w in zip(columns, kinds, layouts, starts.tolist(), widths):
         cell_text, cell_keep = text[:, at : at + w], keep[:, at : at + w]
-        if col.dtype.kind == "S":
+        if kind == "S":
             cell_text[:] = np.ascontiguousarray(col).view(np.uint8).reshape(n, w)
             np.logical_and.accumulate(cell_text != 0, axis=1, out=cell_keep)
-        elif layout is None:
-            _put_floats(np.asarray(col, dtype=np.float64), cell_text, cell_keep)
+        elif kind in "biu":
+            _put_ints(col, lay[0], cell_text, cell_keep)
         else:
-            _put_ints(col, layout[0], cell_text, cell_keep)
-        at += w
-        text[:, at] = 44  # ","
-        keep[:, at] = True
-        at += 1
-    text[:, -1] = 10  # "\n"
+            _put_floats(lay, cell_text, cell_keep)
     out = np.compress(keep.ravel(), text.ravel())
     return out[:-1].tobytes()

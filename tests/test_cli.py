@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hal import _parallel
 from hal.cli import (
     MAX_GRID_POINTS,
     RUN_COLUMNS,
@@ -784,6 +785,33 @@ def test_ar1_campaign_on_two_threads_never_loads_scipy_signal(tmp_path, capsys):
     fresh = _fresh_hal(code, ["campaign", str(cfg)], threads="2").stdout
     assert main(["campaign", str(cfg)]) == 0
     assert fresh == capsys.readouterr().out
+
+
+def test_unrecorded_direct_campaign_runs_inline(tmp_path, monkeypatch, capsysbinary):
+    # O(1) direct replicas hold the GIL: no thread pool, whatever HAL_THREADS
+    # says, and the summary does not depend on it
+    pools = []
+
+    class CountingPool(_parallel.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(AR1_DIRECT_CFG)
+    summaries = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HAL_THREADS", threads)
+        assert main(["campaign", "c.ini"]) == 0
+        summaries.append(capsysbinary.readouterr().out)
+    assert summaries[0] == summaries[1] and pools == []
+    # a recorded direct campaign still fans its records out
+    assert main(["campaign", "c.ini", "--out", "s.json", "--runs-csv", "runs.csv"]) == 0
+    assert len(pools) == 1
+    monkeypatch.setenv("HAL_THREADS", "many")
+    assert main(["campaign", "c.ini"]) == 2
 
 
 def test_no_command_loads_scipy(tmp_path):

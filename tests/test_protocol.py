@@ -1,12 +1,17 @@
+import ast
+import inspect
 import itertools
 import math
 import sys
+import textwrap
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hal
 from hal.errors import ImpossibleOutcomeError, TruncationError, ValidationError
 from hal.fock_core import (
     TAIL_THRESHOLD,
@@ -16,6 +21,7 @@ from hal.fock_core import (
     fidelity,
     number_state,
 )
+from hal.metrology import quadrature_pdf
 from hal.optics_ops import HeraldModel
 from hal.protocol import (
     MAX_CUTOFF,
@@ -583,3 +589,60 @@ def test_cutoff_400_point_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20
+
+
+HAL_SOURCES = str(Path(hal.__file__).parent)
+
+
+def _hal_code_run_by(fn):
+    """The code objects of every function in hal's sources that fn runs."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(HAL_SOURCES):
+            seen.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_result_path_makes_no_blas_call(monkeypatch):
+    # no matrix product or LAPACK routine on the result path, so no BLAS
+    # thread count can change its rounding: the numpy entry points raise, and
+    # no function that runs holds an @ or a .dot() call
+    def blas(*args, **kwargs):
+        raise AssertionError("a BLAS or LAPACK routine was called")
+
+    for name in ("matmul", "dot", "vdot"):
+        monkeypatch.setattr(np, name, blas)
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, blas)
+    configs = [
+        ProtocolConfig(alpha=0.01, t=0.1, cutoff=12),  # pure
+        ProtocolConfig(alpha=0.01, t=0.1, cutoff=12, source_efficiency=0.9,
+                       herald=HeraldModel(read_efficiency=0.9, dark_count=1e-4)),
+        ProtocolConfig(alpha=0.3 - 0.2j, t=0.2, cutoff=30, input_kind="coherent",
+                       herald=HeraldModel(mode="B", resolving=False)),
+    ]
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            for config in configs:
+                state = run_exact(config).conditional_state
+                fidelity(state, target_state(config.alpha, config.t, config.cutoff))
+                for phase in (0.0, 0.5):
+                    quadrature_pdf(state, phase)
+
+    code = _hal_code_run_by(run)
+    assert {c.co_name for c in code} >= {"run_exact", "herald_click", "fidelity", "quadrature_pdf"}
+    for c in code:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(c)))
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)), c
+            assert not (isinstance(node, ast.Attribute) and node.attr in ("dot", "vdot")), c

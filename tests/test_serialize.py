@@ -1,6 +1,9 @@
 import json
+import math
+import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,3 +171,43 @@ def test_csv_block_text_columns():
     assert csv_block(cells) == b"truncation,7,1,0,0.25,nan"
     # a cell is its bytes up to the first NUL
     assert csv_block((np.array([b"a\x00b", b"cd"]), np.array([1, 2]))) == b"a,1\ncd,2"
+
+
+RAW_DOUBLES = st.integers(min_value=0, max_value=2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+)
+SPECIAL_DOUBLES = st.sampled_from([
+    math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -1e-310,
+    2.2250738585072014e-308, 1e-6, -1e-7, 1e17, -1.7976931348623157e308,
+])
+
+
+def _in_decade(e, bits, negative):
+    """A double in [10**e, 10**(e + 1)], its 53 low mantissa bits from bits."""
+    x = 10.0**e * (1.0 + 9.0 * (bits / 2**53))
+    return -x if negative else x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(RAW_DOUBLES, RAW_DOUBLES), min_size=1, max_size=64))
+def test_csv_block_matches_format_on_raw_bit_patterns(rows):
+    xs, ys = (np.array(c) for c in zip(*rows))
+    _assert_block(xs, ys)
+
+
+@pytest.mark.parametrize("p", range(17))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_csv_block_matches_format_at_every_point_layout(p, data):
+    # a float cell holds point slots after digits 0..P only, P the largest
+    # fixed-notation exponent among its column's exact cells in the block:
+    # one column has exactly P, next to columns that mix exact cells with
+    # nan, +-0, +-inf, subnormal and fallback cells
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    draws = st.tuples(st.integers(min_value=-7, max_value=p), st.integers(0, 2**53 - 1), st.booleans())
+    forced = [_in_decade(min(e, p - 1), bits, neg) for e, bits, neg in
+              data.draw(st.lists(draws, min_size=n - 1, max_size=n - 1))]
+    forced.insert(data.draw(st.integers(min_value=0, max_value=n - 1)), -1.5 * 10.0**p)
+    mixed = st.one_of(RAW_DOUBLES, SPECIAL_DOUBLES, draws.map(lambda d: _in_decade(*d)))
+    others = [np.array(data.draw(st.lists(mixed, min_size=n, max_size=n))) for _ in range(2)]
+    _assert_block(np.array(forced), others[0], np.arange(n) - 20, others[1])
