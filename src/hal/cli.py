@@ -465,9 +465,11 @@ def cmd_campaign(args) -> int:
         "bias": summary.bias,
         "variance": summary.variance,
         "rmse": summary.rmse,
-        "per_replica_estimates": list(summary.per_replica_estimates),
-        "per_replica_successes": list(summary.per_replica_successes),
-        "no_success_replicas": list(summary.no_success_replicas),
+        "per_replica_estimates": [  # None prints null like NaN and is one shared object
+            None if math.isnan(e) else e for e in summary.per_replica_estimates.tolist()
+        ],
+        "per_replica_successes": summary.per_replica_successes.tolist(),
+        "no_success_replicas": summary.no_success_replicas.tolist(),
         "elapsed_model_time": summary.elapsed_model_time,
     }
     _write(dumps(doc) + "\n", args.out)
@@ -553,10 +555,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ImpossibleOutcomeError as exc:
         print(f"hal: impossible outcome: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, OSError) as exc:
-        print(f"hal: error: {exc}", file=sys.stderr)
-        return 2
-    except HalError as exc:
+    except (HalError, OSError) as exc:
         print(f"hal: error: {exc}", file=sys.stderr)
         return 2
 

@@ -272,7 +272,7 @@ def coherent_state(
     log_factorial = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
     log_mag = n * np.log(abs(a)) - 0.5 * log_factorial - mu / 2.0
     amp = np.exp(log_mag) * np.exp(1j * n * np.angle(a))
-    amp /= np.linalg.norm(amp)
+    amp /= _norm(amp)
     return PureState(amp, cutoff)
 
 

@@ -59,13 +59,16 @@ GRID_POINTS = 16001
 #: costs O(1) whatever its size (two normal draws, about 30 us with its
 #: stream).
 #: Every replica also keeps its entry in the summary: a `hal campaign`
-#: process of 1 attempt x 1e5 / 2e5 replicas on one thread took 2.5 / 5.3 s
-#: and 63 / 90 MB ru_maxrss (direct, unrecorded), and 3.9 / 8.8 s and
-#: 69 / 96 MB with --runs-csv (amplified; the records are three
-#: replica-major arrays, 17 B per attempt, and tracemalloc finds 74 B held
-#: per recorded replica after run_campaign returns, 62 B unrecorded).
+#: process of 1 attempt x 1e5 / 2e5 replicas on one thread took 2.5 / 5.8 s
+#: and 63 / 89 MB ru_maxrss (direct, unrecorded), and 3.5 / 7.0 s and
+#: 65 / 94 MB with --runs-csv (amplified), most of it the JSON summary's
+#: rendering. run_campaign keeps a float64 estimate and an int64 success
+#: count per replica, and the records are three replica-major arrays of 17 B
+#: per attempt: tracemalloc finds 41 B held per recorded amplified replica
+#: after it returns, 24 B unrecorded (direct 17 B), and a peak of 45 / 28 B
+#: inside it (bench protocol, white noise, 2e5 one-attempt replicas).
 #: MAX_REPLICAS therefore keeps the worst case, 1e6 recorded replicas, near
-#: 45 s and 0.31 GB (linear extrapolation; 2-vCPU Xeon VM, numpy 2.4).
+#: 40 s and 0.33 GB (linear extrapolation; 2-vCPU Xeon VM, numpy 2.4).
 #: The CSV is written in blocks of a few thousand rows as they are
 #: rendered, about 2.4 MB whatever its length. 1.25e6 attempts x 4 replicas
 #: recorded (MAX_RECORDED_ATTEMPTS) took 3.3 s and 131 MB ru_maxrss, against
@@ -182,8 +185,8 @@ class CampaignSummary:
 
     rmse is sqrt(bias^2 + variance) where variance is the population variance
     of the per-replica estimates and bias is their mean minus true_alpha.
-    Replicas that produced no heralded sample are listed in
-    no_success_replicas and excluded from the aggregates.
+    The per-replica fields are arrays; a replica with no heralded sample has
+    a NaN estimate, is listed in no_success_replicas and is not aggregated.
     """
 
     attempts: int
@@ -193,9 +196,9 @@ class CampaignSummary:
     bias: float
     variance: float
     rmse: float
-    per_replica_estimates: Tuple[Optional[float], ...]
-    per_replica_successes: Tuple[int, ...]
-    no_success_replicas: Tuple[int, ...]
+    per_replica_estimates: np.ndarray
+    per_replica_successes: np.ndarray
+    no_success_replicas: np.ndarray
     elapsed_model_time: float
     # with record_runs: (heralded, x_sample, noise_value), replica-major, so
     # attempt k of replica i is element i * attempts + k of each; heralded is
@@ -572,8 +575,9 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
     holds the GIL, so a pool would only add its own overhead.
 
     record_runs keeps every attempt, so it is refused above
-    MAX_RECORDED_ATTEMPTS attempts in all. The records are allocated once,
-    replica-major, and each replica fills its own slice of them.
+    MAX_RECORDED_ATTEMPTS attempts in all. Estimates (NaN without a success),
+    success counts and replica-major records are allocated once, and each
+    replica writes its own slots and slice of them.
     """
     r_attempts = config.attempts
     if record_runs and r_attempts * config.replicas > MAX_RECORDED_ATTEMPTS:
@@ -592,44 +596,41 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
         draws_noise = model.kind != "systematic" and model.sigma_tech > 0.0
         noise_mean = r_attempts * model.offset
         noise_sd = model.sigma_tech * math.sqrt(_ar1_sum_variance(model.lam, r_attempts))
+    direct = config.scheme == "direct"  # every direct attempt heralds
     records = None
     if record_runs:
         rows = r_attempts * config.replicas
-        direct = config.scheme == "direct"  # every direct attempt heralds
         records = (np.full(rows, direct, dtype=np.int8), np.full(rows, np.nan), np.empty(rows))
+    estimates = np.full(config.replicas, np.nan)
+    successes = np.full(config.replicas, r_attempts * direct, dtype=np.int64)
 
-    def one_replica(replica: int):
+    def one_replica(replica: int) -> None:
         rng = _replica_rng(config.seed, replica)
         own = slice(replica * r_attempts, (replica + 1) * r_attempts)
-        if config.scheme == "direct":
+        if direct:
             sum_quad = quad_mean + quad_sd * rng.standard_normal()
             sum_noise = noise_sd * rng.standard_normal() if draws_noise else noise_mean
             if record_runs:
                 records[1][own], records[2][own] = _direct_records(
                     config, sum_quad, sum_noise, _replica_rng(config.seed, replica, 0)
                 )
-            return (sum_quad + sum_noise) / r_attempts / math.sqrt(2.0), r_attempts
+            estimates[replica] = (sum_quad + sum_noise) / r_attempts / math.sqrt(2.0)
+            return
         heralded = rng.random(r_attempts) < p_success
         n_success = int(np.count_nonzero(heralded))
         quad = _sample_from_density(table, n_success, rng)
         noise = noise_series(model, r_attempts, rng)
         samples = quad + noise[heralded]
-        try:
-            est: Optional[float] = estimate_alpha(samples, "amplified", config.protocol.t)
-        except NoSuccessError:
-            est = None
+        if n_success:
+            estimates[replica] = estimate_alpha(samples, "amplified", config.protocol.t)
+        successes[replica] = n_success
         if record_runs:
             records[0][own] = heralded
             records[1][own][heralded] = samples
             records[2][own] = noise
-        return est, n_success
 
-    inline = config.scheme == "direct" and not record_runs
-    outcomes = map_indexed(one_replica, range(config.replicas), inline)
-    estimates = tuple(o[0] for o in outcomes)
-    successes = tuple(o[1] for o in outcomes)
-    no_success = tuple(i for i, e in enumerate(estimates) if e is None)
-    usable = np.array([e for e in estimates if e is not None], dtype=float)
+    map_indexed(one_replica, range(config.replicas), direct and not record_runs)
+    usable = estimates[successes > 0]
     if usable.shape[0] > 0:
         estimate_mean = float(np.mean(usable))
         bias = estimate_mean - config.true_alpha
@@ -640,14 +641,14 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
     return CampaignSummary(
         attempts=r_attempts,
         replicas=config.replicas,
-        successes=int(sum(successes)),
+        successes=int(successes.sum()),
         estimate_mean=estimate_mean,
         bias=bias,
         variance=variance,
         rmse=rmse,
         per_replica_estimates=estimates,
         per_replica_successes=successes,
-        no_success_replicas=no_success,
+        no_success_replicas=np.flatnonzero(successes == 0),
         elapsed_model_time=r_attempts * config.run_period,
         run_records=records,
     )

@@ -247,7 +247,7 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
     if p < IMPOSSIBLE_PROBABILITY:
         raise ImpossibleOutcomeError(f"herald click has probability {p:.3e}", p)
     alpha_mag = abs(config.alpha)
-    if p1 == 1.0 and np.array_equal(w, np.eye(cutoff + 1)[1]):
+    if p1 == 1.0 and w[1] == 1.0 and np.count_nonzero(w) == 1:
         # the photon branch alone under the n = 1 projector stays pure
         conditional = PureState(row, cutoff).normalized()
         gain = _pure_gain(conditional, alpha_mag)

@@ -35,6 +35,7 @@ from .fock_core import (
     TAIL_THRESHOLD,
     PureState,
     _finite_amplitude,
+    _norm,
     coherent_state,
     tail_beyond,
 )
@@ -85,7 +86,7 @@ class DickeState:
             raise ShapeError(f"k_max must satisfy 0 <= k_max <= N, got {amp.shape[0] - 1}")
         if not np.all(np.isfinite(amp.view(np.float64))):
             raise ValidationError("amplitudes must be finite")
-        norm = float(np.linalg.norm(amp))
+        norm = _norm(amp)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValidationError(f"Dicke amplitudes must be normalized, norm={norm!r}")
         amp.setflags(write=False)
@@ -145,7 +146,7 @@ def rotated_product_state(
     log_binom = np.concatenate(([0.0], np.cumsum(np.log((n - j + 1.0) / j))))
     log_mag = 0.5 * log_binom + k * math.log(r) - (n / 2.0) * math.log1p(r * r)
     amp = np.exp(log_mag) * np.exp(1j * k * np.angle(eps))
-    amp /= np.linalg.norm(amp)
+    amp /= _norm(amp)
     return DickeState(amp, spec.N, tail)
 
 
@@ -202,10 +203,11 @@ def collective_expectations(state: DickeState) -> CollectiveExpectations:
     jx = float(np.sum(jx_diag * np.abs(c) ** 2))
     yv = (plus + minus) / 2.0
     zv = (plus - minus) / 2.0j
-    jy = float(np.real(np.vdot(c, yv)))
-    jz = float(np.real(np.vdot(c, zv)))
-    jy2 = float(np.real(np.vdot(yv, yv)))
-    jz2 = float(np.real(np.vdot(zv, zv)))
+    # elementwise sums, as in fock_core.fidelity: no BLAS call
+    jy = float(np.sum(c.conj() * yv).real)
+    jz = float(np.sum(c.conj() * zv).real)
+    jy2 = float(np.sum(yv.conj() * yv).real)
+    jz2 = float(np.sum(zv.conj() * zv).real)
     half_n = n / 2.0
     var_x = (jy2 - jy * jy) / half_n
     var_p = (jz2 - jz * jz) / half_n

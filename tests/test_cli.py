@@ -503,6 +503,24 @@ def test_campaign_run_and_seed_override(tmp_path, capsys):
     assert doc2["estimate_mean"] != doc["estimate_mean"]
 
 
+def test_campaign_without_a_herald_prints_null(tmp_path, capsys):
+    # a replica with no success has a NaN estimate, printed as null
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(
+        "[campaign]\nscheme = amplified\ntrue_alpha = 0.001\ntotal_time = 3\n"
+        "run_period = 0.1\nreplicas = 6\nseed = 3\n"
+        "[noise]\nkind = ar1\nsigma_tech = 0.1\nlambda = 0.5\n"
+        "[protocol]\nalpha = 0.001\nt = 0.05\n"
+    )
+    assert main(["campaign", str(cfg)]) == 0
+    text = capsys.readouterr().out
+    assert "NaN" not in text
+    doc = json.loads(text)
+    nulls = [i for i, e in enumerate(doc["per_replica_estimates"]) if e is None]
+    assert len(nulls) == 5 and doc["no_success_replicas"] == nulls
+    assert [doc["per_replica_successes"][i] for i in nulls] == [0] * 5
+
+
 def test_direct_campaign_has_no_fock_cutoff(tmp_path):
     # a coherent state of amplitude 2 leaves 2.7e-4 of its mass past cutoff
     # 12, where the direct scheme once tabulated it (exit 3); its quadrature

@@ -327,9 +327,9 @@ def test_direct_summary_does_not_depend_on_recording(name):
     plain, recorded = run_campaign(cfg), run_campaign(cfg, record_runs=True)
     assert plain.run_records is None
     assert [a.shape for a in recorded.run_records] == [(2 * attempts,)] * 3
-    fields = ("estimate_mean", "bias", "variance", "rmse", "per_replica_estimates", "successes")
-    for field in fields:
+    for field in ("estimate_mean", "bias", "variance", "rmse", "successes"):
         assert getattr(plain, field) == getattr(recorded, field), field
+    assert np.array_equal(plain.per_replica_estimates, recorded.per_replica_estimates)
 
 
 def test_unrecorded_direct_campaign_memory_is_flat():
@@ -565,8 +565,8 @@ def test_direct_campaign_unbiased_and_rmse_identity():
     s = run_campaign(cfg)
     assert s.attempts == 2000
     assert s.successes == 2000 * 24
-    assert s.no_success_replicas == ()
-    est = np.array(s.per_replica_estimates, dtype=float)
+    assert s.no_success_replicas.size == 0
+    est = s.per_replica_estimates
     assert s.estimate_mean == pytest.approx(est.mean(), abs=0.0)
     assert s.bias == pytest.approx(est.mean() - 0.05, abs=0.0)
     assert s.rmse == pytest.approx(math.sqrt(s.bias ** 2 + s.variance), abs=0.0)
@@ -581,7 +581,7 @@ def test_campaign_is_deterministic():
                          seed=123, replicas=4)
     a = run_campaign(cfg)
     b = run_campaign(cfg)
-    assert a.per_replica_estimates == b.per_replica_estimates
+    assert np.array_equal(a.per_replica_estimates, b.per_replica_estimates)
     assert a.rmse == b.rmse
 
 
@@ -606,9 +606,25 @@ def test_all_replicas_can_fail_to_herald():
                          noise=NoiseModel(), seed=5, replicas=3, protocol=proto)
     s = run_campaign(cfg)
     assert s.successes == 0
-    assert s.no_success_replicas == (0, 1, 2)
-    assert s.per_replica_estimates == (None, None, None)
+    assert np.array_equal(s.no_success_replicas, [0, 1, 2])
+    assert np.isnan(s.per_replica_estimates).all()
+    assert np.array_equal(s.per_replica_successes, [0, 0, 0])
     assert math.isnan(s.rmse) and math.isnan(s.estimate_mean)
+
+
+def test_replicas_without_a_herald_hold_nan_and_are_listed():
+    # five of these six 30-attempt replicas see no herald
+    cfg = CampaignConfig(scheme="amplified", true_alpha=0.001, total_time=3.0,
+                         noise=NoiseModel(kind="ar1", sigma_tech=0.1, lam=0.5), seed=3,
+                         replicas=6, protocol=ProtocolConfig(alpha=0.001, t=0.05))
+    s = run_campaign(cfg)
+    assert s.per_replica_estimates.dtype == np.float64
+    assert s.per_replica_successes.dtype == np.int64
+    failed = np.isnan(s.per_replica_estimates)
+    assert failed.sum() == 5
+    assert np.array_equal(s.no_success_replicas, np.flatnonzero(failed))
+    assert np.array_equal(failed, s.per_replica_successes == 0)
+    assert s.estimate_mean == float(np.mean(s.per_replica_estimates[~failed]))
 
 
 def _replica_runs(summary):

@@ -1,4 +1,9 @@
+import operator
 import os
+import sys
+import threading
+import time
+import tracemalloc
 
 import pytest
 
@@ -36,3 +41,62 @@ def test_bad_hal_threads_exits_2(monkeypatch, tmp_path, capsys):
     assert "HAL_THREADS" in capsys.readouterr().err
     monkeypatch.setenv("HAL_THREADS", "2")
     assert main(["sweep", "--grid", str(grid)]) == 0
+
+
+def test_threaded_map_holds_one_slot_per_item(monkeypatch):
+    # the workers claim indices from a counter and fill one preallocated
+    # list: no copy of the items and no future per item (a pool.map over
+    # every item held about 1.6 kB per item on two threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HAL_THREADS", "2")
+    count = 20_000
+    map_indexed(int, range(4))  # warm the pool machinery outside the trace
+    tracemalloc.start()
+    try:
+        results = map_indexed(operator.not_, range(count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert results == [True] + [False] * (count - 1)
+    assert peak <= 64 * count, peak / count
+
+
+def test_threaded_map_keeps_order_and_claims_every_index_once(monkeypatch):
+    # more workers than cores and a short switch interval, so that claims
+    # interleave; a lost or repeated claim breaks the invariant
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("HAL_THREADS", "8")
+    count, claimed, out = 20_000, [], []
+
+    def fn(i):
+        claimed.append(i)
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: out.append(map_indexed(fn, range(count))))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert out == [[-i for i in range(count)]]
+    assert sorted(claimed) == list(range(count))
+
+
+def test_threaded_map_stops_at_the_first_error(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HAL_THREADS", "2")
+    claimed = []
+
+    def fn(i):
+        claimed.append(i)
+        if i == 3:
+            raise KeyError(i)
+        time.sleep(0.001)
+
+    with pytest.raises(KeyError, match="3"):
+        map_indexed(fn, range(1000))
+    # claims run in index order and end soon after the failing item
+    assert sorted(claimed) == list(range(len(claimed))) and len(claimed) < 10

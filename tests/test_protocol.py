@@ -33,6 +33,13 @@ from hal.protocol import (
     sweep,
     target_state,
 )
+from hal.spin_ensemble import (
+    EnsembleSpec,
+    collective_expectations,
+    embed_as_fock,
+    oscillator_approximation,
+    rotated_product_state,
+)
 from hal.validate import dense_bs_matrix
 
 # reference values for alpha=0.01, t=0.1 (truncated input, ideal herald),
@@ -611,9 +618,9 @@ def _hal_code_run_by(fn):
 
 
 def test_result_path_makes_no_blas_call(monkeypatch):
-    # no matrix product or LAPACK routine on the result path, so no BLAS
-    # thread count can change its rounding: the numpy entry points raise, and
-    # no function that runs holds an @ or a .dot() call
+    # no matrix product or LAPACK routine on the protocol or the ensemble
+    # result path, so no BLAS thread count can change its rounding: the numpy
+    # entry points raise, and no function that runs holds an @ or a .dot() call
     def blas(*args, **kwargs):
         raise AssertionError("a BLAS or LAPACK routine was called")
 
@@ -638,9 +645,17 @@ def test_result_path_makes_no_blas_call(monkeypatch):
                 fidelity(state, target_state(config.alpha, config.t, config.cutoff))
                 for phase in (0.0, 0.5):
                     quadrature_pdf(state, phase)
+        # the `hal ensemble` report
+        for spec, cutoff in ((EnsembleSpec(10**9, 3e-6), 12), (EnsembleSpec(10**4, 1e-3), 12)):
+            state = rotated_product_state(spec, k_max=min(spec.N, cutoff))
+            collective_expectations(state)
+            fidelity(embed_as_fock(state, cutoff), oscillator_approximation(spec, cutoff))
 
     code = _hal_code_run_by(run)
-    assert {c.co_name for c in code} >= {"run_exact", "herald_click", "fidelity", "quadrature_pdf"}
+    assert {c.co_name for c in code} >= {
+        "run_exact", "herald_click", "fidelity", "quadrature_pdf", "rotated_product_state",
+        "collective_expectations", "embed_as_fock", "oscillator_approximation", "coherent_state",
+    }
     for c in code:
         tree = ast.parse(textwrap.dedent(inspect.getsource(c)))
         for node in ast.walk(tree):
