@@ -2,21 +2,20 @@
 
 Worker count comes from the HAL_THREADS environment variable: an integer
 >= 1, default 1 (fully sequential), capped at os.cpu_count(). Any other
-value is a ValidationError. Results are always returned in input order, so
-output never depends on scheduling.
+value is a ValidationError. The runner returns nothing: each item writes
+its own slot of an array its caller allocated, so output never depends on
+scheduling.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Sequence, TypeVar
 
 from .errors import ValidationError
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 
 def worker_count() -> int:
@@ -31,20 +30,20 @@ def worker_count() -> int:
     return min(n, os.cpu_count() or 1)
 
 
-def map_indexed(fn: Callable[[T], R], items: Sequence[T], inline: bool = False) -> List[R]:
-    """Apply fn to each item, possibly on a thread pool, preserving order.
+def map_indexed(fn: Callable[[T], object], items: Sequence[T], inline: bool = False) -> None:
+    """Call fn on each item, possibly on worker threads; fn's results are dropped.
 
     inline runs every item on the calling thread; HAL_THREADS is checked
-    all the same. Otherwise min(HAL_THREADS, len(items)) workers each loop
-    claiming the next index under a lock and storing fn's result in its
-    slot of one preallocated list, so the runner holds one pointer per item
-    (about 8 B) and no per-item future. The first exception stops every
-    claim after it and is re-raised once the workers have finished.
+    all the same. Otherwise min(HAL_THREADS, len(items)) plain threads each
+    loop claiming the next index under a lock, so the runner holds nothing
+    per item. The first exception stops every claim after it and is
+    re-raised once the threads have been joined.
     """
     n = min(worker_count(), len(items))
     if inline or n <= 1:
-        return [fn(item) for item in items]
-    results: List[R] = [None] * len(items)
+        for item in items:
+            fn(item)
+        return
     claims = iter(range(len(items)))
     failures: List[BaseException] = []
     lock = threading.Lock()
@@ -56,16 +55,16 @@ def map_indexed(fn: Callable[[T], R], items: Sequence[T], inline: bool = False) 
             if i is None:
                 return
             try:
-                results[i] = fn(items[i])
+                fn(items[i])
             except BaseException as exc:
                 with lock:
                     failures.append(exc)
                 return
 
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        workers = [pool.submit(work) for _ in range(n)]
+    workers = [threading.Thread(target=work) for _ in range(n)]
     for worker in workers:
-        worker.result()  # work itself raises nothing; fn's errors are in failures
+        worker.start()
+    for worker in workers:
+        worker.join()
     if failures:
         raise failures[0]
-    return results

@@ -230,21 +230,15 @@ def _csv_chunks(
         yield csv_block(block(start, min(rows, start + _ROW_CHUNK))) + b"\n"
 
 
-def _sweep_csv(rows, manifest_json: str):
-    """The sweep CSV of sweep()'s row dicts, as byte chunks.
+def _sweep_csv(rows: np.ndarray, manifest_json: str):
+    """The sweep CSV of sweep()'s table, as byte chunks: its float columns
+    as they are, the cutoff (an object column) and error_code as ASCII."""
 
-    Float fields become float64 columns. The cutoff and error_code become
-    ASCII text columns of str(value): a grid's integer cutoff may lie beyond
-    int64.
-    """
-    columns = []
-    for name in ROW_COLUMNS:
-        values = [row[name] for row in rows]
-        if isinstance(values[0], float):
-            columns.append(np.array(values, dtype=np.float64))
-        else:
-            columns.append(np.array([str(v) for v in values], dtype="S"))
-    block = lambda start, stop: [c[start:stop] for c in columns]
+    def block(start: int, stop: int):
+        part = rows[start:stop]
+        return [part[name].astype("S") if name in ("cutoff", "error_code") else part[name]
+                for name in ROW_COLUMNS]
+
     return _csv_chunks(ROW_COLUMNS, len(rows), block, manifest_json)
 
 

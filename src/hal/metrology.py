@@ -49,6 +49,8 @@ State = Union[PureState, DensityOperator]
 #: Default homodyne tabulation grid: [-8, 8] in steps of 1e-3.
 GRID_HALF_WIDTH = 8.0
 GRID_POINTS = 16001
+#: Largest error of a tabulated homodyne density's integral.
+_PDF_TOLERANCE = 1e-6
 
 #: Campaign size ceilings, checked before anything is allocated. A running
 #: amplified replica holds about 34 bytes per attempt (measured with AR(1)
@@ -81,6 +83,18 @@ MAX_TOTAL_ATTEMPTS = 10**9
 MAX_RECORDED_ATTEMPTS = 5 * 10**6
 MAX_REPLICAS = 10**6
 
+#: Largest |true_alpha|, sigma_tech and |offset| a campaign accepts, so
+#: that no statistic overflows. A standard normal draw of numpy's generator
+#: is below 14 in magnitude (its ziggurat tail is 3.65 + x with x at most
+#: 53 ln 2 / 3.65 = 10.1), and an AR(1) value sums such draws times
+#: sigma_tech to at most 14 sigma_tech (1 + sqrt(2 / (1 - lambda))), below
+#: 2e9 sigma_tech for every double lambda < 1. So at this bound B every
+#: quadrature and noise value is below 2e9 B, a sum of MAX_ATTEMPTS of them
+#: below 2e16 B, an estimate below 2e9 B, its squared deviation from the
+#: mean below 1.6e19 B^2, and the sum of MAX_REPLICAS of those below
+#: 1.6e25 B^2 = 1.6e305: a finite double.
+_MAX_INPUT = 1e140
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -103,12 +117,14 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("white", "ar1", "systematic"):
             raise ValidationError(f"noise kind must be white|ar1|systematic, got {self.kind!r}")
-        if not (np.isfinite(self.sigma_tech) and self.sigma_tech >= 0.0):
-            raise ValidationError(f"sigma_tech must be >= 0, got {self.sigma_tech!r}")
+        if not (0.0 <= self.sigma_tech <= _MAX_INPUT):
+            raise ValidationError(
+                f"sigma_tech must be in [0, {_MAX_INPUT:g}], got {self.sigma_tech!r}"
+            )
         if not (0.0 <= self.lam < 1.0):
             raise ValidationError(f"lambda must be in [0,1), got {self.lam!r}")
-        if not np.isfinite(self.offset):
-            raise ValidationError(f"offset must be finite, got {self.offset!r}")
+        if not abs(self.offset) <= _MAX_INPUT:
+            raise ValidationError(f"|offset| must be at most {_MAX_INPUT:g}, got {self.offset!r}")
         unused = {
             "white": ("lam", "offset"),
             "ar1": ("offset",),
@@ -145,8 +161,10 @@ class CampaignConfig:
             raise ValidationError("amplified scheme requires a protocol")
         if self.scheme == "direct" and self.protocol is not None:
             raise ValidationError("direct scheme takes no protocol")
-        if not np.isfinite(self.true_alpha):
-            raise ValidationError("true_alpha must be finite")
+        if not abs(self.true_alpha) <= _MAX_INPUT:
+            raise ValidationError(
+                f"|true_alpha| must be at most {_MAX_INPUT:g}, got {self.true_alpha!r}"
+            )
         if self.protocol is not None and self.protocol.alpha != complex(self.true_alpha):
             raise ValidationError(
                 f"protocol alpha {self.protocol.alpha!r} differs from "
@@ -156,6 +174,11 @@ class CampaignConfig:
             raise ValidationError(f"run_period must be positive, got {self.run_period!r}")
         if not (self.total_time > 0 and np.isfinite(self.total_time)):
             raise ValidationError(f"total_time must be positive, got {self.total_time!r}")
+        if not math.isfinite(float(self.total_time) / float(self.run_period)):
+            raise ValidationError(
+                f"total_time / run_period overflows; attempts per replica exceed the limit "
+                f"of {MAX_ATTEMPTS}"
+            )
         if self.attempts < 1:
             raise ValidationError("time budget is shorter than one run period")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -276,13 +299,12 @@ def quadrature_pdf(
     state: State,
     phase: float = 0.0,
     grid: Optional[np.ndarray] = None,
-    tol: float = 1e-6,
 ) -> TabulatedDensity:
     """Tabulate the homodyne outcome density of a single-mode state.
 
     For a pure state, P(x) = |sum_n c_n e^{-i n phase} u_n(x)|^2; for a mixed
     state the bilinear generalization over the density matrix. The tabulated
-    density must integrate to 1 within tol on the supplied grid.
+    density must integrate to 1 within 1e-6 on the supplied grid.
 
     The Hermite functions u_n are real, so both are sums of real rows: the
     real and imaginary parts of the pure sum, and for a mixed state
@@ -293,7 +315,7 @@ def quadrature_pdf(
     Raises
     ------
     GridError
-        If the integral misses 1 by more than tol (grid too coarse or too
+        If the integral misses 1 by more than 1e-6 (grid too coarse or too
         narrow for this state).
     """
     x = default_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -315,10 +337,10 @@ def quadrature_pdf(
         dens = np.maximum(dens, 0.0)
     result = TabulatedDensity(x=x, density=dens)
     err = abs(result.integral() - 1.0)
-    if err > tol:
+    if err > _PDF_TOLERANCE:
         raise GridError(
             f"tabulated density integrates to 1 with error {err:.3e}, "
-            f"above tolerance {tol:.1e}; refine or widen the grid"
+            f"above tolerance {_PDF_TOLERANCE:.1e}; refine or widen the grid"
         )
     return result
 
@@ -572,7 +594,7 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
     samples over sqrt(2) up to rounding and is the same number with or
     without record_runs. Unrecorded direct replicas run inline, on no
     worker thread whatever HAL_THREADS says: each takes about 30 us and
-    holds the GIL, so a pool would only add its own overhead.
+    holds the GIL, so worker threads would only add their own overhead.
 
     record_runs keeps every attempt, so it is refused above
     MAX_RECORDED_ATTEMPTS attempts in all. Estimates (NaN without a success),

@@ -25,12 +25,11 @@ closed form; no two-mode state is ever formed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -265,7 +264,7 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
     )
 
 
-#: Column order for serialized sweep rows (CSV header and JSON key order).
+#: Field order of sweep()'s table, which is the sweep CSV's column order.
 ROW_COLUMNS = (
     "alpha_re",
     "alpha_im",
@@ -285,12 +284,16 @@ ROW_COLUMNS = (
 #: Sweepable axis names and how they rewrite a ProtocolConfig.
 SWEEP_AXES = ("alpha", "t", "p1", "eta_r", "p_d", "cutoff")
 
+#: A sweep row's error_code: the first entry the point's error is an instance of.
 _ERROR_CODES = (
     (TruncationError, "truncation"),
     (ImpossibleOutcomeError, "impossible"),
     (ValidationError, "validation"),
     (HalError, "error"),
 )
+
+_FIELD_TYPES = {"cutoff": object, "error_code": f"U{max(len(code) for _, code in _ERROR_CODES)}"}
+_ROW_DTYPE = np.dtype([(name, _FIELD_TYPES.get(name, np.float64)) for name in ROW_COLUMNS])
 
 
 def _point_config(base: ProtocolConfig, params: Mapping[str, object]) -> ProtocolConfig:
@@ -306,23 +309,17 @@ def _point_config(base: ProtocolConfig, params: Mapping[str, object]) -> Protoco
     )
 
 
-def _error_code(exc: HalError) -> str:
-    for cls, code in _ERROR_CODES:
-        if isinstance(exc, cls):
-            return code
-    return "error"
+def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarray:
+    """Evaluate run_exact over a cartesian grid into one table, a row per point.
 
-
-def sweep(
-    base: ProtocolConfig, axes: Mapping[str, Sequence[float]]
-) -> List[Dict[str, object]]:
-    """Evaluate run_exact over a cartesian grid, one row dict per point.
-
-    Rows follow row-major order over the axes in their declared order (the
-    last-declared axis varies fastest). A point that raises a validation,
-    truncation, or impossible-outcome error yields a row with NaN results
-    and a nonempty error_code; the sweep itself never aborts. Rows carry the
-    fields in ROW_COLUMNS order.
+    The table is a structured array with the fields of ROW_COLUMNS: float64
+    numbers, the cutoff as an object (a grid's int may lie beyond int64) and
+    the error code as text as wide as the longest code. Rows follow
+    row-major order over the axes in their declared order (the last-declared
+    axis varies fastest); point i takes its axis values from i and writes
+    row i, so the sweep holds 136 B per point. A point that raises a
+    validation, truncation, or impossible-outcome error yields a row with
+    NaN results and a nonempty error_code; the sweep itself never aborts.
     """
     for name in axes:
         if name not in SWEEP_AXES:
@@ -343,9 +340,12 @@ def sweep(
         "p_d": base.herald.dark_count,
         "cutoff": base.cutoff,
     }
-    points = [{**base_params, **dict(zip(axes, values))} for values in itertools.product(*grids)]
+    shape = tuple(len(grid) for grid in grids)
+    rows = np.empty(math.prod(shape), dtype=_ROW_DTYPE)
 
-    def evaluate(params: Dict[str, object]) -> Dict[str, object]:
+    def evaluate(i: int) -> None:
+        at = np.unravel_index(i, shape)
+        params = {**base_params, **{name: grid[k] for name, grid, k in zip(axes, grids, at)}}
         t = params["t"]
         try:
             result = run_exact(_point_config(base, params))
@@ -359,14 +359,15 @@ def sweep(
             )
         except HalError as exc:
             leading = (t ** 2, 1.0 / t) if sys.float_info.min <= t < 1.0 else (math.nan, math.nan)
-            outcome = (math.nan, math.nan, math.nan, *leading, _error_code(exc))
+            code = next(c for cls, c in _ERROR_CODES if isinstance(exc, cls))
+            outcome = (math.nan, math.nan, math.nan, *leading, code)
         alpha = params["alpha"]
         # ROW_COLUMNS: alpha split in two, the other axes in SWEEP_AXES order, the outcome
-        fields = (alpha.real, alpha.imag, *(params[name] for name in SWEEP_AXES[1:]), *outcome)
-        return dict(zip(ROW_COLUMNS, fields))
+        rows[i] = (alpha.real, alpha.imag, *(params[name] for name in SWEEP_AXES[1:]), *outcome)
 
     # catch_warnings is not thread-safe: it is entered once, here, around
     # every worker, never inside one
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        return map_indexed(evaluate, points)
+        map_indexed(evaluate, range(len(rows)))
+    return rows

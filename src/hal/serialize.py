@@ -93,15 +93,15 @@ def state_to_jsonable(state) -> Mapping[str, Any]:
             "kind": "pure",
             "cutoff": state.cutoff,
             "modes": state.mode_count,
-            "amplitudes": [complex(a) for a in state.amplitudes],
+            "amplitudes": state.amplitudes.tolist(),
         }
     if isinstance(state, DensityOperator):
         return {
             "kind": "mixed",
             "cutoff": state.cutoff,
             "modes": state.mode_count,
-            "diagonal": [float(p) for p in state.diagonal()],
-            "matrix": [[complex(v) for v in row] for row in state.matrix],
+            "diagonal": state.diagonal().tolist(),
+            "matrix": state.matrix.tolist(),
         }
     raise TypeError(f"cannot serialize {type(state).__name__} as a state")
 

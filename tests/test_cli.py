@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -231,6 +232,59 @@ def test_campaign_above_replica_limit_exit_2_without_allocating(replicas, tmp_pa
     assert peak < 1e6
     assert f"{replicas} replicas exceed the limit of {MAX_REPLICAS}" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+def test_campaign_attempt_count_overflow_exit_2(tmp_path, capsys):
+    # 1e300 / 1e-10 is inf, which no attempt count can hold
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(DIRECT_CFG.replace("total_time = 10", "total_time = 1e300\nrun_period = 1e-10"))
+    assert main(["campaign", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
+    assert "total_time / run_period overflows" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def _direct_cfg(true_alpha: str, noise: str) -> str:
+    return (
+        f"[campaign]\nscheme = direct\ntrue_alpha = {true_alpha}\ntotal_time = 100\n"
+        f"replicas = 3\nseed = 1\n[noise]\n{noise}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "true_alpha, noise, message",
+    [
+        ("1e308", "kind = white\nsigma_tech = 0.1", "|true_alpha| must be at most 1e+140"),
+        ("0.01", "kind = ar1\nsigma_tech = 1e300\nlambda = 0.5", "sigma_tech must be in [0, 1e+140]"),
+        ("0.01", "kind = systematic\noffset = -1e308", "|offset| must be at most 1e+140"),
+    ],
+    ids=["true_alpha", "sigma_tech", "offset"],
+)
+def test_campaign_input_that_overflows_the_statistics_exit_2(
+    true_alpha, noise, message, tmp_path, capsys
+):
+    # each ran with a numpy overflow or invalid-value warning and printed
+    # null statistics; the suite turns such a warning into an error
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(_direct_cfg(true_alpha, noise))
+    assert main(["campaign", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "true_alpha, noise",
+    [
+        ("-1e140", "kind = ar1\nsigma_tech = 1e140\nlambda = 0.999"),
+        ("1e140", "kind = systematic\noffset = 1e140"),
+    ],
+    ids=["ar1", "systematic"],
+)
+def test_campaign_at_the_input_bound_has_finite_statistics(true_alpha, noise, tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(_direct_cfg(true_alpha, noise))
+    assert main(["campaign", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for name in ("estimate_mean", "bias", "variance", "rmse"):
+        assert math.isfinite(doc[name]), name
 
 
 def test_impossible_outcome_exit_2(capsys):
@@ -806,16 +860,16 @@ def test_ar1_campaign_on_two_threads_never_loads_scipy_signal(tmp_path, capsys):
 
 
 def test_unrecorded_direct_campaign_runs_inline(tmp_path, monkeypatch, capsysbinary):
-    # O(1) direct replicas hold the GIL: no thread pool, whatever HAL_THREADS
-    # says, and the summary does not depend on it
-    pools = []
+    # O(1) direct replicas hold the GIL: no worker thread, whatever
+    # HAL_THREADS says, and the summary does not depend on it
+    started = []
 
-    class CountingPool(_parallel.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(_parallel.threading, "Thread", CountingThread)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.ini").write_text(AR1_DIRECT_CFG)
@@ -824,10 +878,10 @@ def test_unrecorded_direct_campaign_runs_inline(tmp_path, monkeypatch, capsysbin
         monkeypatch.setenv("HAL_THREADS", threads)
         assert main(["campaign", "c.ini"]) == 0
         summaries.append(capsysbinary.readouterr().out)
-    assert summaries[0] == summaries[1] and pools == []
-    # a recorded direct campaign still fans its records out
+    assert summaries[0] == summaries[1] and started == []
+    # a recorded direct campaign still fans its records out, on two threads
     assert main(["campaign", "c.ini", "--out", "s.json", "--runs-csv", "runs.csv"]) == 0
-    assert len(pools) == 1
+    assert len(started) == 2
     monkeypatch.setenv("HAL_THREADS", "many")
     assert main(["campaign", "c.ini"]) == 2
 

@@ -1,10 +1,13 @@
 import operator
 import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hal._parallel import map_indexed, worker_count
@@ -44,20 +47,27 @@ def test_bad_hal_threads_exits_2(monkeypatch, tmp_path, capsys):
 
 
 def test_threaded_map_holds_one_slot_per_item(monkeypatch):
-    # the workers claim indices from a counter and fill one preallocated
-    # list: no copy of the items and no future per item (a pool.map over
-    # every item held about 1.6 kB per item on two threads)
+    # the workers claim indices from a counter and each item writes its own
+    # slot of the caller's array: no copy of the items, no result list and
+    # no future per item (a pool.map over every item held about 1.6 kB per
+    # item on two threads)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("HAL_THREADS", "2")
     count = 20_000
-    map_indexed(int, range(4))  # warm the pool machinery outside the trace
+    out = np.zeros(count, dtype=bool)
+
+    def fn(i):
+        out[i] = operator.not_(i)
+
+    map_indexed(int, range(4))  # warm the thread machinery outside the trace
     tracemalloc.start()
     try:
-        results = map_indexed(operator.not_, range(count))
+        returned = map_indexed(fn, range(count))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert results == [True] + [False] * (count - 1)
+    assert returned is None
+    assert out.tolist() == [True] + [False] * (count - 1)
     assert peak <= 64 * count, peak / count
 
 
@@ -67,10 +77,11 @@ def test_threaded_map_keeps_order_and_claims_every_index_once(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("HAL_THREADS", "8")
     count, claimed, out = 20_000, [], []
+    results = [None] * count
 
     def fn(i):
         claimed.append(i)
-        return -i
+        results[i] = -i
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -81,7 +92,8 @@ def test_threaded_map_keeps_order_and_claims_every_index_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
-    assert out == [[-i for i in range(count)]]
+    assert out == [None]
+    assert results == [-i for i in range(count)]
     assert sorted(claimed) == list(range(count))
 
 
@@ -100,3 +112,24 @@ def test_threaded_map_stops_at_the_first_error(monkeypatch):
         map_indexed(fn, range(1000))
     # claims run in index order and end soon after the failing item
     assert sorted(claimed) == list(range(len(claimed))) and len(claimed) < 10
+
+
+def test_no_command_imports_concurrent_futures(tmp_path):
+    # the runner starts plain threads; concurrent.futures cost most of
+    # hal._parallel's import time
+    (tmp_path / "grid.txt").write_text("t = 0.1, 0.2, 0.3\n")
+    code = (
+        "import contextlib, io, sys, hal.cli\n"
+        "loaded = ['concurrent.futures' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    loaded.append(hal.cli.main(['sweep', '--grid', 'grid.txt']))\n"
+        "loaded.append('concurrent.futures' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "HAL_THREADS": "2"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.split() == ["[False,", "0,", "False]"]
