@@ -16,11 +16,20 @@ the output needs no splitter matrix. A coherent state splits into a product
 is sum u_m v_n |m, n> with u_m = (r alpha)^m / sqrt(m!) and v_n =
 (-t alpha)^n / sqrt(n!), over m + n <= K (K = 1 for the two-term signal).
 The photon branch is that product with U b^dag U^dag = t a^dag + r b^dag
-applied (Agarwal & Tara, PRA 43, 492, 1991). herald_click reads one mode of
-both branches out with the detector's click weights in O(cutoff^2): the
-off-diagonal entries from three prefix sums over the read mode, the diagonal
-from the photon branch's amplitudes. Only the single-mode conditional state
-is ever formed; no two-mode state is.
+applied (Agarwal & Tara, PRA 43, 492, 1991). So both branches hold at most
+K + 1 quanta per mode: the conditional state lives on the signal's support,
+occupations 0..min(cutoff, K + 1), which is three levels for the two-term
+signal at every cutoff >= 2 and 0..cutoff for the coherent one
+(support_size).
+
+herald_click evaluates a batch of points at once, with a leading batch axis
+on alpha, t, the source efficiency and the click weights, on that support:
+O(B d^2) for d support levels. It reads one mode of both branches out with
+the detector's click weights: the off-diagonal entries from three prefix
+sums over the read mode, the diagonal from the photon branch's amplitudes.
+Only the single-mode conditional state is ever formed; no two-mode state
+is. A point's numbers are the same bits in any batch, a batch of one
+included, which is how run_exact calls it.
 """
 
 from __future__ import annotations
@@ -89,30 +98,63 @@ class HeraldModel:
 
 
 
+def support_size(cutoff: int, coherent: bool) -> int:
+    """The number of occupations, 0..min(cutoff, K + 1), that a herald's
+    conditional state and one-click row can hold: cutoff + 1 for the
+    coherent signal, min(cutoff, 2) + 1 for the two-term one (K = 1)."""
+    return cutoff + 1 if coherent else min(cutoff, 2) + 1
+
+
 def _prefix(terms: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """terms[0] + ... + terms[index] at every entry of index, 0 where index < 0."""
-    sums = np.concatenate(([0.0], np.cumsum(terms)))
-    return sums[np.maximum(index, -1) + 1]
+    """terms[b, 0] + ... + terms[b, index] for every point b and every entry
+    of index, 0 where index < 0."""
+    sums = np.zeros((len(terms), terms.shape[1] + 1), dtype=terms.dtype)
+    np.cumsum(terms, axis=1, out=sums[:, 1:])
+    return sums[:, np.maximum(index, -1) + 1]
+
+
+def _term(factor: np.ndarray, a: np.ndarray, b: np.ndarray, prefix=None) -> np.ndarray:
+    """factor * np.outer(a[k], b[k]) * prefix[k] for every point k: the same
+    roundings, computed in place in one (B, d, d) array."""
+    out = a[:, :, None] * b[:, None, :]
+    out *= factor
+    if prefix is not None:
+        out *= prefix
+    return out
+
+
+def _abs2_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """abs(a * b) ** 2 entrywise, in Python's scalar arithmetic: the product
+    with no fused multiply-add, and the square by pow, as a single point's
+    scalar code computes it."""
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    return np.reshape([h ** 2 for h in np.hypot(re, im).ravel().tolist()], re.shape)
 
 
 def herald_click(
-    alpha: complex,
-    t: float,
+    alpha: np.ndarray,
+    t: np.ndarray,
     cutoff: int,
     coherent: bool,
-    p1: float,
+    p1: np.ndarray,
     weights: np.ndarray,
     mode: str,
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """The herald on the splitter's output, in closed form.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The herald on the splitter's output, in closed form, for a batch of points.
 
-    The signal (coherent, or |0> + alpha|1> normalized) enters mode A and a
-    source that emits one photon with probability p1, vacuum otherwise,
-    enters mode B. With N the signal's normalization, the vacuum branch is
-    N u_m v_n on |m, n>, m + n <= K, and the photon branch is N (t sqrt(m)
-    u_(m-1) v_n + r sqrt(n) u_m v_(n-1)), m + n <= K + 1 and m, n <= cutoff.
-    Reading mode A with weights w, entry (i, i') of the conditional state is
-    v_i v_i'* C[K - max(i, i')] for the vacuum branch and
+    Every point b has its own signal amplitude alpha[b], transmission t[b],
+    source efficiency p1[b] and click weights weights[b]; the cutoff, the
+    input kind and the read mode are shared. The signal (coherent, or
+    |0> + alpha|1> normalized) enters mode A and a source that emits one
+    photon with probability p1, vacuum otherwise, enters mode B. With N the
+    signal's normalization, the vacuum branch is N u_m v_n on |m, n>,
+    m + n <= K, and the photon branch is N (t sqrt(m) u_(m-1) v_n + r sqrt(n)
+    u_m v_(n-1)), m + n <= K + 1 and m, n <= cutoff. So both branches live on
+    occupations 0..S, S = min(cutoff, K + 1), in either mode: d =
+    support_size(cutoff, coherent) levels, three for the two-term signal at
+    any cutoff >= 2. Reading mode A with weights w, entry (i, i') of the
+    conditional state is v_i v_i'* C[K - max(i, i')] for the vacuum branch and
 
         t^2 v_i v_i'* A[L] + t r (v_i y_i'* B[L] + y_i v_i'* B[L]*)
             + r^2 y_i y_i'* C[L],     L = min(cutoff, K + 1 - max(i, i')),
@@ -126,64 +168,99 @@ def herald_click(
     coherent input, its share of exp(-|alpha|^2 / 2), so every factor stays
     bounded.
 
+    Each point's numbers do not depend on the other points of its batch: the
+    per-point scalars (the normalization, the coherent vacuum amplitude, the
+    leakage) are taken in Python's scalar arithmetic and the rest elementwise.
+
+    Parameters
+    ----------
+    alpha : (B,) complex array
+    t : (B,) float array, each in (0, 1)
+    p1 : (B,) float array, each in [0, 1]
+    weights : (B, d) float array
+        Click weights on the read mode's occupations 0..d-1.
+
     Returns
     -------
-    rho : (cutoff+1, cutoff+1) complex array
+    rho : (B, d, d) complex array
         The p1-weighted conditional state of the unread mode, unnormalized:
-        its trace is the click probability.
-    row : (cutoff+1,) complex array
+        its trace is the click probability. Every entry past occupation d-1
+        of a (cutoff+1)^2 state is zero.
+    row : (B, d) complex array
         The photon branch's amplitudes on the unread mode when the read mode
         holds exactly one excitation (the pure conditional state, unnormalized).
-    leakage : float
+    leakage : (B,) float array
         p1 times the probability of the photon branch's two entries |K+1, 0>
         and |0, K+1>, which fall past the cutoff when K = cutoff.
 
     Raises
     ------
     TruncationError
-        If the coherent signal's tail past the cutoff exceeds TAIL_THRESHOLD.
+        If a coherent signal's tail past the cutoff exceeds TAIL_THRESHOLD.
     """
-    r = math.sqrt(1.0 - t * t)
+    d = support_size(cutoff, coherent)
+    top = cutoff if coherent else 1
+    amps = alpha.tolist()
     if coherent:
-        top, scale = cutoff, (1.0 - _coherent_tail(alpha, cutoff)) ** -0.25
+        tails = {a: _coherent_tail(a, cutoff) for a in dict.fromkeys(amps)}
+        scale = [(1.0 - tails[a]) ** -0.25 for a in amps]
     else:
-        top, scale = 1, (1.0 + abs(alpha) ** 2) ** -0.25
-    root = np.sqrt(np.arange(cutoff + 1))
+        scale = [(1.0 + abs(a) ** 2) ** -0.25 for a in amps]
+    r = np.sqrt(1.0 - t * t)
+    root = np.sqrt(np.arange(d))
 
-    def factor(amp: complex) -> np.ndarray:
-        out = np.zeros(cutoff + 1, dtype=np.complex128)
-        first = scale * math.exp(-0.5 * abs(amp) ** 2) if coherent else scale
-        out[: top + 1] = np.cumprod(np.concatenate(([first], amp / root[1 : top + 1])))
+    def factor(amp: np.ndarray) -> np.ndarray:
+        if coherent:
+            first = [s * math.exp(-0.5 * abs(a) ** 2) for s, a in zip(scale, amp.tolist())]
+        else:
+            first = scale
+        steps = np.empty((len(amp), top + 1), dtype=np.complex128)
+        steps[:, 0] = first
+        np.divide(amp[:, None], root[1 : top + 1], out=steps[:, 1:])
+        out = np.zeros((len(amp), d), dtype=np.complex128)
+        np.cumprod(steps, axis=1, out=out[:, : top + 1])
         return out
 
     u, v = factor(r * alpha), factor(-t * alpha)
-    leakage = 0.0
+    leakage = np.zeros(len(alpha))
     if top == cutoff:
-        dropped = t * t * abs(u[top] * v[0]) ** 2 + r * r * abs(u[0] * v[top]) ** 2
-        leakage = p1 * (top + 1) * dropped
+        lost = _abs2_of_product(u[:, [top, 0]], v[:, [0, top]])
+        leakage = p1 * (top + 1) * (t * t * lost[:, 0] + r * r * lost[:, 1])
     if mode == "B":
         u, v, t, r = v, u, r, t
-    x = np.concatenate(([0.0], root[1:] * u[:-1]))
-    y = np.concatenate(([0.0], root[1:] * v[:-1]))
-    i = np.arange(cutoff + 1)
+    x = np.zeros_like(u)
+    x[:, 1:] = root[1:] * u[:, :-1]
+    y = np.zeros_like(v)
+    y[:, 1:] = root[1:] * v[:, :-1]
+    t3, r3 = t[:, None, None], r[:, None, None]
+    i = np.arange(d)
     # the photon branch on |j, i>, read mode first
-    phi = t * np.outer(x, v) + r * np.outer(u, y)
-    phi[np.add.outer(i, i) > top + 1] = 0.0
+    phi = _term(t3, x, v)
+    phi += _term(r3, u, y)
+    phi[:, np.add.outer(i, i) > top + 1] = 0.0
+    row = phi[:, 1].copy()
+    # the click probability and the gain are read off the photon branch's
+    # diagonal; an elementwise sum, so no BLAS thread count changes its rounding
+    clicks = np.abs(phi)
+    del phi
+    clicks *= clicks
+    clicks *= weights[:, :, None]
+    diagonal = clicks.sum(axis=1)
+    del clicks
     far = np.maximum.outer(i, i)
-    rho = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    if p1 < 1.0:
-        rho += (1.0 - p1) * np.outer(v, v.conj()) * _prefix(weights * np.abs(u) ** 2, top - far)
-    if p1 > 0.0:
+    rho = np.zeros((len(alpha), d, d), dtype=np.complex128)
+    if (p1 < 1.0).any():
+        vacuum = _prefix(weights * np.abs(u) ** 2, top - far)
+        rho += _term((1.0 - p1)[:, None, None], v, v.conj(), vacuum)
+    if (p1 > 0.0).any():
         reach = np.minimum(cutoff, top + 1 - far)
-        cross = t * r * np.outer(v, y.conj()) * _prefix(weights * x * u.conj(), reach)
-        photon = (
-            t * t * np.outer(v, v.conj()) * _prefix(weights * np.abs(x) ** 2, reach)
-            + cross
-            + cross.conj().T
-            + r * r * np.outer(y, y.conj()) * _prefix(weights * np.abs(u) ** 2, reach)
-        )
-        # the click probability and the gain are read off this diagonal; an
-        # elementwise sum, so no BLAS thread count changes its rounding
-        np.fill_diagonal(photon, (weights[:, None] * np.abs(phi) ** 2).sum(axis=0))
-        rho += p1 * photon
-    return rho, phi[1], leakage
+        photon = _term(t3 * t3, v, v.conj(), _prefix(weights * np.abs(x) ** 2, reach))
+        cross = _term(t3 * r3, v, y.conj(), _prefix(weights * x * u.conj(), reach))
+        photon += cross
+        photon += np.conjugate(cross, out=cross).transpose(0, 2, 1)
+        del cross
+        photon += _term(r3 * r3, y, y.conj(), _prefix(weights * np.abs(u) ** 2, reach))
+        photon[:, i, i] = diagonal
+        photon *= p1[:, None, None]
+        rho += photon
+    return rho, row, leakage

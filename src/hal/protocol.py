@@ -20,7 +20,10 @@ photon and a vacuum branch, and the herald POVM is diagonal in the read
 mode's occupation, so the conditional state is exactly rho = sum_b p_b
 sum_n w(n) v_{b,n} v_{b,n}^dag, with v_{b,n} the other mode's amplitudes
 when the read mode holds n. optics_ops.herald_click evaluates this sum in
-closed form; no two-mode state is ever formed.
+closed form, for a batch of points; no two-mode state is ever formed.
+run_exact calls it as a batch of one and sweep() batch by batch, and both
+read the success probability, gain and fidelity off its result through one
+routine (_figures), so a sweep row is run_exact's result bit for bit.
 """
 
 from __future__ import annotations
@@ -29,13 +32,12 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from ._parallel import map_indexed
 from .errors import (
-    HalError,
     ImpossibleOutcomeError,
     TruncationError,
     ValidationError,
@@ -45,10 +47,10 @@ from .fock_core import (
     TAIL_THRESHOLD,
     DensityOperator,
     PureState,
+    _coherent_tail,
     _finite_amplitude,
-    fidelity,
 )
-from .optics_ops import IMPOSSIBLE_PROBABILITY, HeraldModel, herald_click
+from .optics_ops import IMPOSSIBLE_PROBABILITY, HeraldModel, herald_click, support_size
 
 State = Union[PureState, DensityOperator]
 
@@ -58,15 +60,16 @@ REGIME_T_MAX = 0.3
 
 
 #: Largest Fock cutoff per mode a ProtocolConfig accepts. run_exact's
-#: closed form takes O(cutoff^2) time and memory (its mixed conditional
+#: closed form runs on the signal's support: O(1) for the two-term signal
+#: and O(cutoff^2) time and memory for a coherent one (its mixed conditional
 #: state skips DensityOperator's O(cutoff^3) eigenvalue check, being one by
-#: construction), and hal protocol then writes a (cutoff+1)^2 conditional
+#: construction). hal protocol then writes a (cutoff+1)^2 conditional
 #: state, which dominates. One hal protocol process (t 0.2, p1 0.9, read
-#: efficiency 0.9, dark count 1e-4; one CPU of a 2-vCPU x86 VM, 3 runs, with
-#: that check still made) at cutoff 400 took 0.63-0.82 s and 59 MB peak RSS
-#: for alpha 0.01, and 0.86-0.93 s and 67 MB for a coherent input at alpha
-#: 15, which fills every occupation. At cutoff 700 these were 1.4-2.2 s /
-#: 112 MB and 1.9-2.4 s / 118 MB.
+#: efficiency 0.9, dark count 1e-4; one CPU of a 2-vCPU x86 VM, 3 runs) at
+#: cutoff 400 took 0.36-0.39 s and 53 MB peak RSS for alpha 0.01, and
+#: 0.50-0.54 s and 59-60 MB for a coherent input at alpha 15, which fills
+#: every occupation. At cutoff 700, measured with the eigenvalue check
+#: still made, these were 1.4-2.2 s / 112 MB and 1.9-2.4 s / 118 MB.
 MAX_CUTOFF = 400
 
 
@@ -92,6 +95,12 @@ class ProtocolConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _finite_amplitude(self.alpha, "alpha"))
+        # |alpha|^2 subnormal: with a dark count the gain, about 1/|alpha|,
+        # overflows; without one rho_11 is subnormal too (see _figures)
+        if 0.0 < abs(self.alpha) ** 2 < sys.float_info.min:
+            raise ValidationError(
+                f"|alpha|^2 must be 0 or at least {sys.float_info.min!r}, got alpha={self.alpha!r}"
+            )
         # t in (0, 1), and normal: below sys.float_info.min 1/t overflows
         if not (isinstance(self.t, (int, float)) and sys.float_info.min <= self.t < 1.0):
             raise ValidationError(
@@ -189,32 +198,151 @@ def run_first_order(alpha, t: float) -> HeraldResult:
     )
 
 
-def _pure_gain(conditional: PureState, alpha_mag: float) -> float:
-    c = conditional.amplitudes
-    if alpha_mag == 0.0 or abs(c[0]) == 0.0:
-        return float("nan")
-    # |c0| |alpha| is about t / |1 - 2t^2| for large alpha, a normal double
-    # for every accepted t; the quotient |c1| / |c0| alone can overflow
-    return float(abs(c[1]) / (abs(c[0]) * alpha_mag))
+def _trace(matrices: np.ndarray) -> np.ndarray:
+    """The trace of every (d, d) matrix of a (B, d, d) stack, summed as np.trace sums."""
+    return matrices.diagonal(axis1=1, axis2=2).sum(axis=1)
 
 
-def _mixed_gain(conditional: DensityOperator, alpha_mag: float) -> float:
-    d = conditional.diagonal()
-    if alpha_mag == 0.0 or d[0] <= 0.0:
-        return float("nan")
-    return float(math.sqrt(d[1] / d[0]) / alpha_mag)
+def _norm(amplitudes: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row of a (B, d) complex array, summed as
+    PureState.norm sums (its rows here are bounded, so nothing overflows)."""
+    re, im = amplitudes.real, amplitudes.imag
+    return np.sqrt((re * re).sum(axis=1) + (im * im).sum(axis=1))
+
+
+def _target(alpha: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The target's amplitudes 1 and alpha / t (Python's complex / float),
+    unnormalized: a (B, 2) complex array, inf where alpha / t overflows."""
+    target = np.zeros((len(t), 2), dtype=np.complex128)
+    target[:, 0] = 1.0
+    with np.errstate(over="ignore"):
+        target[:, 1].real = (alpha.real + alpha.imag * 0.0) / t
+        target[:, 1].imag = (alpha.imag - alpha.real * 0.0) / t
+    return target
+
+
+def _normalized(amplitudes: np.ndarray) -> np.ndarray:
+    """Every row divided by its norm, as PureState.normalized divides: where
+    the sum of squares overflows, the norm is taken on the rows divided by
+    their largest magnitude."""
+    with np.errstate(over="ignore"):
+        norm = _norm(amplitudes)
+    big = norm == math.inf
+    if big.any():
+        peak = np.abs(amplitudes[big]).max(axis=1)
+        norm[big] = peak * _norm(amplitudes[big] / peak[:, None])
+    return amplitudes / norm[:, None]
+
+
+def _figures(
+    rho: np.ndarray,
+    row: np.ndarray,
+    leakage: np.ndarray,
+    alpha: np.ndarray,
+    t: np.ndarray,
+    p1: np.ndarray,
+    weights: np.ndarray,
+    one_quantum: bool,
+) -> Tuple[np.ndarray, ...]:
+    """Success probability, gain and target fidelity of herald_click's batch.
+
+    Returns (p, gain, fidelity, leaked, impossible, unbounded, faint, pure),
+    one entry per point. p is the click probability, the trace of rho; gain
+    and fidelity are NaN where the point failed. A point fails, in this order
+    of precedence, on leakage above TAIL_THRESHOLD (leaked), on a click
+    probability below IMPOSSIBLE_PROBABILITY (impossible), on a target
+    amplitude alpha / t that overflows (unbounded), or, at alpha != 0, on an
+    unnormalized rho_11 below sys.float_info.min (faint): rho_11 is about
+    p1 w(1) |alpha|^2 without dark counts, and once it is subnormal the gain
+    loses digits, or all of them where it underflows to zero. Only a signal
+    of one_quantum (K = 1: the two-term one, or any at cutoff 1) has an
+    exact zero there, when a vacuum source (p1 = 0) is read without dark
+    counts: the click takes the quantum, and the gain is 0. pure marks a
+    perfect source under the n = 1 projector, whose conditional state is the
+    one-click row (and rho_11 its |row_1|^2).
+
+    The gain is the one-excitation/vacuum amplitude-magnitude ratio of the
+    normalized conditional state, sqrt(rho_11/rho_00) when it is mixed,
+    divided by |alpha|; NaN at alpha = 0. The target |0> + (alpha/t)|1>
+    has two nonzero amplitudes, so the fidelity reads the state's first two
+    levels only (the 2 x 2 corner of rho) and its trace. Every step repeats
+    the rounding of one point's scalar evaluation (PureState.normalized,
+    DensityOperator, fidelity), whatever the batch.
+    """
+    batch = len(p1)
+    click = _trace(rho).real
+    leaked = leakage > TAIL_THRESHOLD
+    impossible = ~leaked & (click < IMPOSSIBLE_PROBABILITY)
+    unbounded = np.zeros(batch, dtype=bool)
+    faint = np.zeros(batch, dtype=bool)
+    projector = (p1 == 1.0) & (weights[:, 1] == 1.0) & ((weights != 0.0).sum(axis=1) == 1)
+    gain = np.full(batch, math.nan)
+    fid = np.full(batch, math.nan)
+    ok = np.flatnonzero(~(leaked | impossible))
+    target = _target(alpha[ok], t[ok])
+    bounded = np.isfinite(target[:, 1].real) & np.isfinite(target[:, 1].imag)
+    exact_zero = one_quantum & (p1[ok] == 0.0) & (weights[ok, 0] == 0.0)
+    resolved = (alpha[ok] == 0.0) | (rho[ok, 1, 1].real >= sys.float_info.min) | exact_zero
+    unbounded[ok[~bounded]] = True
+    faint[ok[bounded & ~resolved]] = True
+    ok, target = ok[bounded & resolved], target[bounded & resolved]
+    if not len(ok):
+        return click, gain, fid, leaked, impossible, unbounded, faint, projector
+    if len(ok) < batch:
+        rho, row, alpha = rho[ok], row[ok], alpha[ok]
+    p, pure = click[ok], projector[ok]
+    alpha_mag = np.hypot(alpha.real, alpha.imag)
+    target = _normalized(target)
+    target_norm = _norm(target)
+    out_gain = np.full(len(ok), math.nan)
+    out_fid = np.empty(len(ok))
+    if pure.any():
+        c = row / _norm(row)[:, None]
+        c0 = np.hypot(c[:, 0].real, c[:, 0].imag)
+        c1 = np.hypot(c[:, 1].real, c[:, 1].imag)
+        # |c0| |alpha| is about t / |1 - 2t^2| for large alpha, a normal double
+        # for every accepted t; the quotient |c1| / |c0| alone can overflow
+        defined = pure & (alpha_mag != 0.0) & (c0 != 0.0)
+        np.divide(c1, c0 * alpha_mag, out=out_gain, where=defined)
+        overlap = c[:, 0].conj() * target[:, 0] + c[:, 1].conj() * target[:, 1]
+        scale = _norm(c) * target_norm
+        out_fid[pure] = [
+            s ** 2 / q ** 2
+            for s, q in zip(
+                np.hypot(overlap.real, overlap.imag)[pure].tolist(), scale[pure].tolist()
+            )
+        ]
+    if not pure.all():
+        mixed = ~pure
+        diagonal = rho.diagonal(axis1=1, axis2=2) / p[:, None]
+        d0, d1 = diagonal[:, 0].real, diagonal[:, 1].real
+        defined = mixed & (alpha_mag != 0.0) & (d0 > 0.0)
+        ratio = np.divide(d1, d0, out=np.zeros(len(ok)), where=defined)
+        np.divide(np.sqrt(ratio), alpha_mag, out=out_gain, where=defined)
+        v = target / target_norm[:, None]
+        corner = rho[:, :2, :2] / p[:, None, None]
+        rho_v = corner[:, :, 0] * v[:, None, 0] + corner[:, :, 1] * v[:, None, 1]
+        overlap = v[:, 0].conj() * rho_v[:, 0] + v[:, 1].conj() * rho_v[:, 1]
+        out_fid[mixed] = (overlap.real / diagonal.sum(axis=1).real)[mixed]
+    gain[ok] = out_gain
+    # clamp floating-point spill just outside [0, 1]
+    fid[ok] = np.minimum(np.maximum(out_fid, 0.0), 1.0)
+    return click, gain, fid, leaked, impossible, unbounded, faint, projector
 
 
 def run_exact(config: ProtocolConfig) -> HeraldResult:
     """Evaluate the protocol exactly in truncated Fock space.
 
     The source terms signal x |1> (weight p1) and signal x |0> (weight
-    1 - p1) are the branches; a zero-weight term is skipped.
-    optics_ops.herald_click gives their weighted sum, reduced on the read
-    mode by the herald's click weights w, as an unnormalized conditional
-    state whose trace is the click probability. The photon branch loses the
-    two entries its splitter moves past the cutoff; their probability is
-    the leakage (the vacuum branch loses none).
+    1 - p1) are the branches. optics_ops.herald_click, called as a batch of
+    one, gives their weighted sum, reduced on the read mode by the herald's
+    click weights w, as an unnormalized conditional state on the signal's
+    support (occupations 0..min(cutoff, K + 1)) whose trace is the click
+    probability; it is embedded here in the (cutoff+1)^2 state, whose other
+    entries are zero. The photon branch loses the two entries its splitter
+    moves past the cutoff; their probability is the leakage (the vacuum
+    branch loses none). The figures come from the routine sweep() uses, so
+    a sweep row is this result bit for bit.
 
     The conditional state is a PureState when the source is perfect and the
     herald is the n = 1 projector (a lossless, dark-count-free,
@@ -228,39 +356,56 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
     ImpossibleOutcomeError
         If the total click probability is below 1e-300. A branch that cannot
         click on its own (the vacuum branch at alpha = 0) is not an error.
+    ValidationError
+        If the target's alpha / t overflows, or, at alpha != 0, the
+        unnormalized rho_11 is below sys.float_info.min (see _figures).
     """
     _warn_if_out_of_regime(config)
     cutoff = config.cutoff
-    w = config.herald.click_weights(cutoff)
-    p1 = config.source_efficiency
-    rho, row, leakage = herald_click(
-        config.alpha, config.t, cutoff, config.input_kind == "coherent", p1, w, config.herald.mode
+    coherent = config.input_kind == "coherent"
+    d = support_size(cutoff, coherent)
+    weights = config.herald.click_weights(d - 1)[None]
+    alpha = np.array([config.alpha])
+    t = np.array([float(config.t)])
+    p1 = np.array([float(config.source_efficiency)])
+    rho, row, leakage = herald_click(alpha, t, cutoff, coherent, p1, weights, config.herald.mode)
+    p, gain, fid, leaked, impossible, unbounded, faint, pure = _figures(
+        rho, row, leakage, alpha, t, p1, weights, not coherent or cutoff == 1
     )
-    if leakage > TAIL_THRESHOLD:
+    leak = float(leakage[0])
+    if leaked[0]:
         raise TruncationError(
-            f"beam-splitter leakage {leakage:.3e} exceeds threshold {TAIL_THRESHOLD:.1e}",
-            tail_mass=leakage,
+            f"beam-splitter leakage {leak:.3e} exceeds threshold {TAIL_THRESHOLD:.1e}",
+            tail_mass=leak,
             threshold=TAIL_THRESHOLD,
         )
-    p = float(np.trace(rho).real)
-    if p < IMPOSSIBLE_PROBABILITY:
+    p = float(p[0])
+    if impossible[0]:
         raise ImpossibleOutcomeError(f"herald click has probability {p:.3e}", p)
-    alpha_mag = abs(config.alpha)
-    if p1 == 1.0 and w[1] == 1.0 and np.count_nonzero(w) == 1:
+    if unbounded[0]:
+        raise ValidationError("amplitudes must be finite")
+    if faint[0]:
+        raise ValidationError(
+            f"the conditional state's one-excitation population {rho[0, 1, 1].real:.3e} "
+            f"is below {sys.float_info.min!r}, so the gain at alpha={config.alpha!r} "
+            "is not resolved"
+        )
+    if pure[0]:
         # the photon branch alone under the n = 1 projector stays pure
-        conditional = PureState(row, cutoff).normalized()
-        gain = _pure_gain(conditional, alpha_mag)
+        amplitudes = np.zeros(cutoff + 1, dtype=np.complex128)
+        amplitudes[:d] = row[0]
+        conditional = PureState(amplitudes, cutoff).normalized()
     else:
-        conditional = DensityOperator._unchecked(rho / p, cutoff)
-        gain = _mixed_gain(conditional, alpha_mag)
-    fid = fidelity(conditional, target_state(config.alpha, config.t, cutoff))
+        matrix = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+        matrix[:d, :d] = rho[0]
+        conditional = DensityOperator._unchecked(matrix / p, cutoff)
     return HeraldResult(
         success_probability=p,
         conditional_state=conditional,
-        gain=gain,
-        fidelity_to_target=fid,
+        gain=float(gain[0]),
+        fidelity_to_target=float(fid[0]),
         leading_order=LeadingOrder(p=config.t ** 2, gain=1.0 / config.t),
-        leakage=leakage,
+        leakage=leak,
     )
 
 
@@ -284,29 +429,51 @@ ROW_COLUMNS = (
 #: Sweepable axis names and how they rewrite a ProtocolConfig.
 SWEEP_AXES = ("alpha", "t", "p1", "eta_r", "p_d", "cutoff")
 
-#: A sweep row's error_code: the first entry the point's error is an instance of.
-_ERROR_CODES = (
-    (TruncationError, "truncation"),
-    (ImpossibleOutcomeError, "impossible"),
-    (ValidationError, "validation"),
-    (HalError, "error"),
-)
+#: A sweep row's error_code names the error run_exact raises at its point:
+#: a TruncationError, an ImpossibleOutcomeError or a ValidationError.
+_ERROR_CODES = ("truncation", "impossible", "validation")
 
-_FIELD_TYPES = {"cutoff": object, "error_code": f"U{max(len(code) for _, code in _ERROR_CODES)}"}
+_FIELD_TYPES = {"cutoff": object, "error_code": f"U{max(len(code) for code in _ERROR_CODES)}"}
 _ROW_DTYPE = np.dtype([(name, _FIELD_TYPES.get(name, np.float64)) for name in ROW_COLUMNS])
 
+#: Bytes of temporaries one sweep batch may hold: a batch takes as many
+#: points of one cutoff as _point_bytes says fit, and at least one.
+SWEEP_BATCH_BYTES = 1 << 16
 
-def _point_config(base: ProtocolConfig, params: Mapping[str, object]) -> ProtocolConfig:
-    """base with every sweep parameter rewritten from params (keyed by SWEEP_AXES)."""
-    herald = replace(base.herald, read_efficiency=params["eta_r"], dark_count=params["p_d"])
-    return replace(
-        base,
-        alpha=params["alpha"],
-        t=params["t"],
-        cutoff=params["cutoff"],
-        source_efficiency=params["p1"],
-        herald=herald,
-    )
+
+def _point_bytes(levels: int) -> int:
+    """One point's share of a batch's temporaries when the signal's support
+    has `levels` occupations, as tracemalloc measures a batch's peak: six or
+    so (levels, levels) complex arrays and a few dozen smaller ones."""
+    return 640 + 48 * levels + 100 * levels * levels
+
+
+def _with_axis(base: ProtocolConfig, name: str, value) -> ProtocolConfig:
+    """base with one sweep axis (a name of SWEEP_AXES) set to value."""
+    if name == "eta_r":
+        return replace(base, herald=replace(base.herald, read_efficiency=value))
+    if name == "p_d":
+        return replace(base, herald=replace(base.herald, dark_count=value))
+    return replace(base, **{"source_efficiency" if name == "p1" else name: value})
+
+
+def _accepted(base: ProtocolConfig, name: str, values: Sequence) -> np.ndarray:
+    """Whether ProtocolConfig and HeraldModel accept each value of one axis."""
+    ok = np.ones(len(values), dtype=bool)
+    for k, value in enumerate(values):
+        try:
+            _with_axis(base, name, value)
+        except ValidationError:
+            ok[k] = False
+    return ok
+
+
+def _tail_exceeds(alpha: complex, cutoff: int) -> bool:
+    try:
+        _coherent_tail(alpha, cutoff)
+    except TruncationError:
+        return True
+    return False
 
 
 def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarray:
@@ -316,10 +483,20 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
     numbers, the cutoff as an object (a grid's int may lie beyond int64) and
     the error code as text as wide as the longest code. Rows follow
     row-major order over the axes in their declared order (the last-declared
-    axis varies fastest); point i takes its axis values from i and writes
-    row i, so the sweep holds 136 B per point. A point that raises a
-    validation, truncation, or impossible-outcome error yields a row with
-    NaN results and a nonempty error_code; the sweep itself never aborts.
+    axis varies fastest). A point whose run_exact would raise a validation,
+    truncation, or impossible-outcome error yields a row with NaN results
+    and that error's code; the sweep itself never aborts, and it never warns.
+
+    Each row is run_exact's result at its point, bit for bit, but no point
+    runs run_exact. Every check ProtocolConfig and HeraldModel make reads one
+    field, so each axis value is checked once and a point is valid when all
+    of its values are; a coherent signal's tail is checked once per (alpha,
+    cutoff) pair. The valid points of one cutoff are evaluated in batches
+    whose temporaries stay near SWEEP_BATCH_BYTES (one point at least): one
+    herald_click call and one pass of the figures routine run_exact uses
+    per batch, which writes its rows as one block of the table. So the sweep
+    holds 136 B per point plus a batch's temporaries per running thread.
+    map_indexed runs the batches.
     """
     for name in axes:
         if name not in SWEEP_AXES:
@@ -328,11 +505,11 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
             )
     # an alpha axis takes real amplitudes and replaces the whole complex value
     cast = {"alpha": lambda v: complex(float(v)), "cutoff": int}
-    grids = [[cast.get(name, float)(v) for v in axes[name]] for name in axes]
-    for name, grid in zip(axes, grids):
+    grids = {name: [cast.get(name, float)(v) for v in axes[name]] for name in axes}
+    for name, grid in grids.items():
         if not grid:
             raise ValidationError(f"sweep axis {name!r} is empty")
-    base_params = {
+    base_values = {
         "alpha": base.alpha,
         "t": base.t,
         "p1": base.source_efficiency,
@@ -340,34 +517,125 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
         "p_d": base.herald.dark_count,
         "cutoff": base.cutoff,
     }
-    shape = tuple(len(grid) for grid in grids)
+    # each axis's values: its grid where swept, base's value otherwise
+    values = {name: grids.get(name, [base_values[name]]) for name in SWEEP_AXES}
+    accepted = {
+        name: _accepted(base, name, values[name]) if name in grids else np.ones(1, dtype=bool)
+        for name in SWEEP_AXES
+    }
+    numbers = {
+        name: np.array(values[name], dtype=np.complex128 if name == "alpha" else np.float64)
+        for name in ("alpha", "t", "p1", "eta_r", "p_d")
+    }
+    leading = np.array([
+        (t ** 2, 1.0 / t) if ok else (math.nan, math.nan)
+        for t, ok in zip(values["t"], accepted["t"])
+    ])
+    cutoffs = values["cutoff"]
+    coherent = base.input_kind == "coherent"
+    truncated = {
+        c: np.array([
+            ok and _tail_exceeds(a, cutoff) for a, ok in zip(values["alpha"], accepted["alpha"])
+        ])
+        for c, cutoff in enumerate(cutoffs)
+        if coherent and accepted["cutoff"][c]
+    }
+
+    names = list(grids)
+    shape = tuple(len(grids[name]) for name in names)
     rows = np.empty(math.prod(shape), dtype=_ROW_DTYPE)
+    # the table as (points before the cutoff axis, cutoff, points after it)
+    axis = names.index("cutoff") if "cutoff" in grids else len(names)
+    outer, inner = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
+    blocks = rows.reshape(outer, len(cutoffs), inner)
+    batches = []
+    for c, cutoff in enumerate(cutoffs):
+        levels = support_size(cutoff, coherent) if accepted["cutoff"][c] else 1
+        cap = max(1, SWEEP_BATCH_BYTES // _point_bytes(levels))
+        if inner >= cap:
+            batches += [
+                (c, o, o + 1, i, min(i + cap, inner))
+                for o in range(outer)
+                for i in range(0, inner, cap)
+            ]
+        else:
+            step = cap // inner
+            batches += [(c, o, min(o + step, outer), 0, inner) for o in range(0, outer, step)]
+    herald = base.herald
+    swept = [name for name in SWEEP_AXES if name in grids and name != "cutoff"]
 
-    def evaluate(i: int) -> None:
-        at = np.unravel_index(i, shape)
-        params = {**base_params, **{name: grid[k] for name, grid, k in zip(axes, grids, at)}}
-        t = params["t"]
-        try:
-            result = run_exact(_point_config(base, params))
-            outcome = (
-                result.success_probability,
-                result.gain,
-                result.fidelity_to_target,
-                result.leading_order.p,
-                result.leading_order.gain,
-                "",
+    def weights_at(levels: int, eta: np.ndarray, pd: np.ndarray) -> np.ndarray:
+        """Click weights at each point, made once per distinct (eta_r, p_d) pair."""
+        pairs, pair_of = np.unique(np.stack([eta, pd], axis=1), axis=0, return_inverse=True)
+        weights = np.array([
+            replace(
+                herald, read_efficiency=values["eta_r"][e], dark_count=values["p_d"][d]
+            ).click_weights(levels - 1)
+            for e, d in pairs.tolist()
+        ])
+        return weights[pair_of.reshape(-1)]
+
+    def evaluate(batch) -> None:
+        c, o0, o1, i0, i1 = batch
+        block = blocks[o0:o1, c, i0:i1]
+        n = block.size
+        flat = (np.arange(o0, o1)[:, None] * len(cutoffs) + c) * inner + np.arange(i0, i1)
+        index = dict(zip(names, np.unravel_index(flat.ravel(), shape)))
+        # each axis's values at the batch's points: an array where swept, a scalar otherwise
+        at = {
+            name: column[index[name]] if name in index else column[0]
+            for name, column in numbers.items()
+        }
+        code = np.full(n, "", dtype=_ROW_DTYPE["error_code"])
+        valid = np.full(n, bool(accepted["cutoff"][c]))
+        for name in swept:
+            valid &= accepted[name][index[name]]
+        code[~valid] = "validation"
+        if c in truncated:
+            cut = valid & truncated[c][index["alpha"] if "alpha" in index else 0]
+            code[cut] = "truncation"
+            valid &= ~cut
+        outcome = np.full((3, n), math.nan)
+        k = np.flatnonzero(valid)
+        if len(k):
+            levels = support_size(cutoffs[c], coherent)
+            if "eta_r" in index or "p_d" in index:
+                zero = np.zeros(n, dtype=np.intp)
+                weights = weights_at(levels, index.get("eta_r", zero)[k], index.get("p_d", zero)[k])
+            else:
+                weights = np.broadcast_to(herald.click_weights(levels - 1), (len(k), levels))
+            alpha, t, p1 = (np.broadcast_to(at[name], n)[k] for name in ("alpha", "t", "p1"))
+            heralded = herald_click(alpha, t, cutoffs[c], coherent, p1, weights, herald.mode)
+            figures = _figures(
+                *heralded, alpha, t, p1, weights, not coherent or cutoffs[c] == 1
             )
-        except HalError as exc:
-            leading = (t ** 2, 1.0 / t) if sys.float_info.min <= t < 1.0 else (math.nan, math.nan)
-            code = next(c for cls, c in _ERROR_CODES if isinstance(exc, cls))
-            outcome = (math.nan, math.nan, math.nan, *leading, code)
-        alpha = params["alpha"]
+            outcome[:, k] = figures[:3]
+            leaked, impossible, unbounded, faint = figures[3:7]
+            for failed, name in (
+                (leaked, "truncation"),
+                (impossible, "impossible"),
+                (unbounded | faint, "validation"),
+            ):
+                code[k[failed]] = name
+                outcome[0, k[failed]] = math.nan
+        lead = leading[index["t"]] if "t" in index else leading[0]
         # ROW_COLUMNS: alpha split in two, the other axes in SWEEP_AXES order, the outcome
-        rows[i] = (alpha.real, alpha.imag, *(params[name] for name in SWEEP_AXES[1:]), *outcome)
+        for name, column in (
+            ("alpha_re", at["alpha"].real),
+            ("alpha_im", at["alpha"].imag),
+            ("t", at["t"]),
+            ("p1", at["p1"]),
+            ("eta_r", at["eta_r"]),
+            ("p_d", at["p_d"]),
+            ("success_prob", outcome[0]),
+            ("gain", outcome[1]),
+            ("fidelity", outcome[2]),
+            ("leading_p", lead[..., 0]),
+            ("leading_gain", lead[..., 1]),
+            ("error_code", code),
+        ):
+            block[name] = np.reshape(column, block.shape) if np.ndim(column) else column
+        block["cutoff"] = cutoffs[c]
 
-    # catch_warnings is not thread-safe: it is entered once, here, around
-    # every worker, never inside one
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        map_indexed(evaluate, range(len(rows)))
+    map_indexed(evaluate, batches)
     return rows

@@ -24,13 +24,14 @@ import numpy as np
 
 from .fock_core import coherent_state, number_state
 from .metrology import quadrature_pdf
-from .optics_ops import HeraldModel, herald_click
+from .optics_ops import HeraldModel, herald_click, support_size
 from .protocol import ProtocolConfig, run_exact
 from .spin_ensemble import EnsembleSpec, rotated_product_state
 
 #: herald_click's signature: (alpha, t, cutoff, coherent, p1, weights, mode)
-#: -> (rho, row, leakage).
-ClosedForm = Callable[..., Tuple[np.ndarray, np.ndarray, float]]
+#: -> (rho, row, leakage), with a leading batch axis on alpha, t, p1, weights
+#: and the results, and the states on the signal's support.
+ClosedForm = Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 # The oracle's splitter is dense_bs_matrix(2 * _HERALD_CUTOFF, _HERALD_T),
 # a 169 x 169 matrix; _HERALD_ALPHA's coherent tail past the cutoff is 2e-12.
@@ -141,6 +142,37 @@ def _oracle_herald(
     return rho, boxes[0][1], leakage
 
 
+def _heralds(
+    closed_form: ClosedForm,
+    alpha: complex,
+    t: float,
+    cutoff: int,
+    coherent: bool,
+    p1: float,
+    weights: Sequence[np.ndarray],
+    mode: str,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """closed_form on one batch, a point per entry of weights (click weights
+    on occupations 0..cutoff): the (cutoff+1)^2 conditional states and the
+    one-click rows, zero past the support, and the leakages."""
+    d = support_size(cutoff, coherent)
+    n = len(weights)
+    rho, row, leakage = closed_form(
+        np.full(n, alpha, dtype=np.complex128),
+        np.full(n, t),
+        cutoff,
+        coherent,
+        np.full(n, p1),
+        np.array([w[:d] for w in weights]),
+        mode,
+    )
+    full_rho = np.zeros((n, cutoff + 1, cutoff + 1), dtype=np.complex128)
+    full_rho[:, :d, :d] = rho
+    full_row = np.zeros((n, cutoff + 1), dtype=np.complex128)
+    full_row[:, :d] = row
+    return full_rho, full_row, leakage
+
+
 def run_checks(closed_form: Optional[ClosedForm] = None) -> List[CheckResult]:
     """Run every oracle comparison; the returned list drives the CLI table."""
     if closed_form is None:
@@ -157,15 +189,18 @@ def run_checks(closed_form: Optional[ClosedForm] = None) -> List[CheckResult]:
     row_dev = leak_dev = 0.0
     for coherent in (False, True):
         branches = _oracle_branches(alpha, coherent, cutoff, u)
-        for mode, resolving in itertools.product("AB", (True, False)):
-            herald = HeraldModel(0.7, 1e-3, mode, resolving)
-            rho, row, leak = closed_form(
-                alpha, t, cutoff, coherent, 0.9, herald.click_weights(cutoff), mode
+        for mode in "AB":
+            # both detector kinds as one batch
+            heralds = [HeraldModel(0.7, 1e-3, mode, resolving) for resolving in (True, False)]
+            got = _heralds(
+                closed_form, alpha, t, cutoff, coherent, 0.9,
+                [herald.click_weights(cutoff) for herald in heralds], mode,
             )
-            ref_rho, ref_row, ref_leak = _oracle_herald(branches, cutoff, 0.9, herald)
-            rho_dev[coherent] = max(rho_dev[coherent], float(np.max(np.abs(rho - ref_rho))))
-            row_dev = max(row_dev, float(np.max(np.abs(row - ref_row))))
-            leak_dev = max(leak_dev, abs(leak - ref_leak) / ref_leak if ref_leak else abs(leak))
+            for herald, rho, row, leak in zip(heralds, *got):
+                ref_rho, ref_row, ref_leak = _oracle_herald(branches, cutoff, 0.9, herald)
+                rho_dev[coherent] = max(rho_dev[coherent], float(np.max(np.abs(rho - ref_rho))))
+                row_dev = max(row_dev, float(np.max(np.abs(row - ref_row))))
+                leak_dev = max(leak_dev, abs(leak - ref_leak) / ref_leak if ref_leak else abs(leak))
     checks.append(_check("herald_oracle_truncated", rho_dev[False], 1e-12))
     checks.append(_check("herald_oracle_coherent", rho_dev[True], 1e-12))
     checks.append(_check("herald_row_oracle", row_dev, 1e-12))
@@ -176,7 +211,7 @@ def run_checks(closed_form: Optional[ClosedForm] = None) -> List[CheckResult]:
     hom = 0.0
     for coherent, mode in itertools.product((False, True), "AB"):
         w = HeraldModel(mode=mode).click_weights(cutoff)
-        row = closed_form(alpha, math.sqrt(0.5), cutoff, coherent, 1.0, w, mode)[1]
+        row = _heralds(closed_form, alpha, math.sqrt(0.5), cutoff, coherent, 1.0, [w], mode)[1][0]
         hom = max(hom, abs(row[1]))
     checks.append(_check("herald_hom_null", hom, 1e-12))
 
@@ -201,12 +236,15 @@ def run_checks(closed_form: Optional[ClosedForm] = None) -> List[CheckResult]:
     # genuinely mixed protocol output (a p1 = 0.9 source and the two-term
     # signal, which leaks nothing past cutoff 12).
     dev = 0.0
-    for resolving in (True, False):
-        w = HeraldModel(read_efficiency=0.6, dark_count=1e-3, resolving=resolving).click_weights(12)
-        total = sum(
-            float(np.trace(closed_form(0.02, 0.2, 12, False, 0.9, outcome, "A")[0]).real)
-            for outcome in (w, 1.0 - w)
-        )
+    clicks = [
+        HeraldModel(read_efficiency=0.6, dark_count=1e-3, resolving=resolving).click_weights(12)
+        for resolving in (True, False)
+    ]
+    # both outcomes of both detector kinds as one batch
+    outcomes = [outcome for w in clicks for outcome in (w, 1.0 - w)]
+    rhos = _heralds(closed_form, 0.02, 0.2, 12, False, 0.9, outcomes, "A")[0]
+    for k, w in enumerate(clicks):
+        total = sum(float(np.trace(rho).real) for rho in rhos[2 * k : 2 * k + 2])
         dev = max(dev, abs(total - 1.0))
         dev = max(dev, float(np.max(np.maximum(-w, w - 1.0), initial=0.0)))
     checks.append(_check("povm_completeness", dev, 1e-10))

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from hal.cli import (
     RUN_COLUMNS,
     _ROW_CHUNK,
     _runs_csv,
+    _sweep_csv,
     _write_chunks,
     main,
     parse_campaign_file,
@@ -155,6 +157,98 @@ def test_tiny_t_exits_2_without_a_numpy_warning(alpha, t, message, capsys):
         assert main(["protocol", "--alpha", alpha, "--t", t]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
+def test_subnormal_alpha_squared_exits_2_without_a_numpy_warning(capsys):
+    # |alpha|^2 below the smallest normal double: rho_11, proportional to
+    # it, is subnormal or zero and the mixed gain reads 0.0 at 1e-162
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["protocol", "--alpha", "1e-160", "--t", "0.1", "--source-eff", "0.9"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(sys.float_info.min) in err
+    # just above that bound, with a dark count (rho_11 stays normal, the gain
+    # grows like 1/|alpha|), and at alpha = 0 the gain is defined (or NaN)
+    boundary = math.sqrt(sys.float_info.min) * (1 + 1e-7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        args = ["protocol", "--alpha", repr(boundary), "--t", "0.1", "--source-eff", "0.9"]
+        assert main(args + ["--dark-count", "1e-4"]) == 0
+        assert 1e152 < json.loads(capsys.readouterr().out)["gain"] < 1e153
+        assert main(["protocol", "--alpha", "0", "--t", "0.1", "--source-eff", "0.9"]) == 0
+        assert json.loads(capsys.readouterr().out)["gain"] is None  # NaN
+    base = ProtocolConfig(alpha=0.0, t=0.1, herald=HeraldModel(dark_count=1e-4))
+    rows = sweep(base, {"alpha": [1e-160, boundary]})
+    assert rows["error_code"].tolist() == ["validation", ""]
+
+
+@pytest.mark.parametrize(
+    "alpha, read_eff, rc",
+    [
+        # without dark counts rho_11 is about 0.864 |alpha|^2 here: subnormal
+        # at the |alpha|^2 bound itself, normal 8% above it
+        (math.sqrt(sys.float_info.min) * (1 + 1e-7), "1", 2),
+        (math.sqrt(sys.float_info.min) * 1.07, "1", 2),
+        (math.sqrt(sys.float_info.min) * 1.08, "1", 0),
+        # a normal |alpha|^2, but a read efficiency that takes rho_11 to zero
+        # while the click probability, about 1e-282, is still possible
+        (1e-22, "1e-280", 2),
+        (1e-22, "1e-250", 0),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
+def test_subnormal_one_excitation_population_exits_2(alpha, read_eff, rc, capsys):
+    args = ["protocol", "--alpha", repr(alpha), "--t", "0.1", "--source-eff", "0.9",
+            "--read-eff", read_eff]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(args) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert err.count("\n") == 1 and "one-excitation population" in err
+    else:
+        assert abs(json.loads(out)["gain"] - 9.8) < 1e-12
+    herald = HeraldModel(read_efficiency=float(read_eff))
+    rows = sweep(ProtocolConfig(alpha=alpha, t=0.1, source_efficiency=0.9, herald=herald),
+                 {"t": [0.1, 0.2]})
+    assert rows["error_code"][0] == ("validation" if rc else "")
+
+
+def _csv_lines(rows):
+    return b"".join(_sweep_csv(rows, "{}")).split(b"\n")[2:-1]
+
+
+def test_sweep_rows_do_not_depend_on_their_batch(monkeypatch):
+    # a point's CSV bytes are the same swept alone, inside a 2000-point grid
+    # (many batches), and on two worker threads
+    base = ProtocolConfig(alpha=0.01, t=0.1, cutoff=3, source_efficiency=0.9,
+                          herald=HeraldModel(read_efficiency=0.9, dark_count=1e-4))
+    axes = {"t": np.linspace(0.05, 0.3, 40).tolist(), "alpha": np.linspace(0, 0.02, 50).tolist(),
+            "p1": [0.9, 1.0]}
+    grid = _csv_lines(sweep(base, axes))
+    assert len(grid) == 4000
+    for k in (0, 1, 1337, 3999):
+        i, j, m = np.unravel_index(k, (40, 50, 2))
+        alone = {"t": [axes["t"][i]], "alpha": [axes["alpha"][j]], "p1": [axes["p1"][m]]}
+        assert _csv_lines(sweep(base, alone)) == [grid[k]]
+    monkeypatch.setenv("HAL_THREADS", "2")
+    assert _csv_lines(sweep(base, axes)) == grid
+    # coherent points at cutoff 130, one per batch, with eta_r and p_d swept
+    # on worker threads; a tiny switch interval makes the workers interleave
+    # on nearly every call
+    coherent = replace(base, input_kind="coherent", cutoff=130)
+    axes = {"alpha": [0.5, 2.0, 3.0], "t": [0.1, 0.2], "eta_r": [0.9, 0.5], "p_d": [1e-4, 0.0]}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _csv_lines(sweep(coherent, axes))
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setenv("HAL_THREADS", "1")
+    assert _csv_lines(sweep(coherent, axes)) == threaded
+    alone = {"alpha": [3.0], "t": [0.2], "eta_r": [0.5], "p_d": [0.0]}
+    assert _csv_lines(sweep(coherent, alone)) == threaded[-1:]
 
 
 def test_protocol_bytes_do_not_depend_on_blas_threads(tmp_path):

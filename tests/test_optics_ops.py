@@ -5,16 +5,32 @@ import pytest
 
 from hal.errors import ImpossibleOutcomeError, ShapeError, ValidationError
 from hal.fock_core import DensityOperator, PureState, coherent_state, fidelity, number_state
-from hal.optics_ops import HeraldModel, herald_click
+from hal.optics_ops import HeraldModel, herald_click, support_size
 from hal.protocol import ProtocolConfig, run_exact
 from hal.validate import dense_bs_matrix
 
 CUTOFF = 6
 
 
+def _click(alpha, t, cutoff, coherent, p1, weights, mode):
+    """herald_click at one point, as a batch of one, with its state and row
+    padded with zeros from the signal's support to occupations 0..cutoff;
+    weights are given on 0..cutoff."""
+    d = support_size(cutoff, coherent)
+    rho, row, leak = herald_click(
+        np.array([alpha], dtype=complex), np.array([t]), cutoff, coherent, np.array([p1]),
+        np.asarray(weights, dtype=float)[None, :d], mode,
+    )
+    full = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    full[:d, :d] = rho[0]
+    full_row = np.zeros(cutoff + 1, dtype=complex)
+    full_row[:d] = row[0]
+    return full, full_row, float(leak[0])
+
+
 def _photon(alpha, t, mode="A", cutoff=CUTOFF, coherent=False):
     """herald_click's photon branch alone (p1 = 1) under the ideal detector."""
-    return herald_click(alpha, t, cutoff, coherent, 1.0, np.eye(cutoff + 1)[1], mode)
+    return _click(alpha, t, cutoff, coherent, 1.0, np.eye(cutoff + 1)[1], mode)
 
 
 def test_beam_splitter_parameter_range():
@@ -36,7 +52,7 @@ def test_single_photon_splitting_amplitudes():
     # |1,0> -> r|1,0> - t|0,1>: the signal's photon (alpha = 1, weight 1/2)
     # against the source's vacuum clicks on A with r^2 / 2, on B with t^2 / 2
     for mode, p in (("A", r * r / 2.0), ("B", t * t / 2.0)):
-        rho = herald_click(1.0, t, CUTOFF, False, 0.0, np.eye(CUTOFF + 1)[1], mode)[0]
+        rho = _click(1.0, t, CUTOFF, False, 0.0, np.eye(CUTOFF + 1)[1], mode)[0]
         assert abs(np.trace(rho).real - p) < 1e-15
     # with the photon, |1,1> keeps the amplitude r^2 - t^2 (the signs of the
     # two paths differ), the gain law gain * t = 1 - 2 t^2
@@ -51,8 +67,8 @@ def test_beam_splitter_unitary_on_full_sectors():
         for mode in "AB":
             w = HeraldModel(read_efficiency=0.45, dark_count=1e-3, mode=mode).click_weights(CUTOFF)
             for p1 in (0.0, 0.3, 1.0):
-                click, _, leak = herald_click(alpha, 0.45, CUTOFF, coherent, p1, w, mode)
-                none, _, _ = herald_click(alpha, 0.45, CUTOFF, coherent, p1, 1.0 - w, mode)
+                click, _, leak = _click(alpha, 0.45, CUTOFF, coherent, p1, w, mode)
+                none, _, _ = _click(alpha, 0.45, CUTOFF, coherent, p1, 1.0 - w, mode)
                 assert abs(np.trace(click + none).real + leak - 1.0) < 1e-15
 
 
@@ -65,7 +81,7 @@ def test_beam_splitter_number_conservation():
         for j in range(CUTOFF + 1):
             for p1, total in ((1.0, 2), (0.0, 1)):
                 read_j = np.eye(CUTOFF + 1)[j]
-                rho = herald_click(0.6 + 0.3j, 0.45, CUTOFF, False, p1, read_j, mode)[0]
+                rho = _click(0.6 + 0.3j, 0.45, CUTOFF, False, p1, read_j, mode)[0]
                 beyond = (n[:, None] > total - j) | (n[None, :] > total - j)
                 assert np.all(rho[beyond] == 0.0)
                 assert (np.trace(rho).real > 0.0) == (j <= total)
@@ -79,7 +95,7 @@ def test_hong_ou_mandel_null():
         assert abs(_photon(1.0, t, mode)[1][1]) < 1e-15
     # they bunch: the signal's |1> (weight 1/2) reads two on A or on B
     two = np.eye(CUTOFF + 1)[2]
-    p = [np.trace(herald_click(1.0, t, CUTOFF, False, 1.0, two, m)[0]).real for m in "AB"]
+    p = [np.trace(_click(1.0, t, CUTOFF, False, 1.0, two, m)[0]).real for m in "AB"]
     assert abs(sum(p) - 0.5) < 1e-15
 
 
@@ -88,7 +104,7 @@ def test_leaked_amplitude_is_dropped_not_renormalized():
     # past the cutoff. Their probability, read off the dense splitter at
     # cutoff 4, is the leakage and is missing from the state, not rescaled in
     alpha, t = 0.02 + 0.01j, 0.5
-    rho, _, leak = herald_click(alpha, t, 2, True, 1.0, np.ones(3), "A")
+    rho, _, leak = _click(alpha, t, 2, True, 1.0, np.ones(3), "A")
     sig = np.zeros(5, dtype=complex)
     sig[:3] = coherent_state(alpha, 2).amplitudes
     out = (dense_bs_matrix(4, t) @ np.kron(sig, np.eye(5)[1])).reshape(5, 5)
@@ -145,7 +161,7 @@ def test_click_weights_resolving_formula():
 
 def _herald(alpha, t, cutoff, p1, weights, mode, coherent=False):
     """Outcome probability and normalized conditional state of a herald."""
-    rho = herald_click(alpha, t, cutoff, coherent, p1, weights, mode)[0]
+    rho = _click(alpha, t, cutoff, coherent, p1, weights, mode)[0]
     p = float(np.trace(rho).real)
     return p, DensityOperator(rho / p, cutoff)
 
@@ -157,7 +173,7 @@ def test_herald_completeness_on_mixed_state():
         p_click, cond_click = _herald(0.1, 0.2, 5, 1.0, w, "A", coherent=True)
         p_none, cond_none = _herald(0.1, 0.2, 5, 1.0, 1.0 - w, "A", coherent=True)
         # click and no-click split the output's probability, leaked mass excluded
-        leak = herald_click(0.1, 0.2, 5, True, 1.0, w, "A")[2]
+        leak = _click(0.1, 0.2, 5, True, 1.0, w, "A")[2]
         assert abs(p_click + p_none + leak - 1.0) < 1e-15
         assert abs(p_click + p_none - 1.0) < 1e-12
         assert abs(cond_click.trace() - 1.0) < 1e-12
@@ -206,7 +222,7 @@ def test_herald_operator_matches_its_projector():
                 click = model.click_weights(cutoff)
                 for weights in (click, 1.0 - click):
                     for p1 in (0.0, 0.6, 1.0):
-                        rho, row, _ = herald_click(alpha, t, cutoff, coherent, p1, weights, mode)
+                        rho, row, _ = _click(alpha, t, cutoff, coherent, p1, weights, mode)
                         ref = sum(
                             p * np.einsum(spec, weights, psi, psi.conj())
                             for p, psi in ((p1, photon), (1.0 - p1, vacuum))
@@ -286,3 +302,23 @@ def test_sector_block_matches_mpmath(t):
         ref = c * [_mp_sector_entry(j + 1, row_of(j), j, t) for j in k]
         row = _photon(2.0 - 1.0j, t, mode, cutoff=cutoff, coherent=True)[1]
         assert np.all(np.abs(row - ref) <= 1e-13 * np.abs(ref)), mode
+
+
+@pytest.mark.parametrize("coherent, cutoff", [(False, 1), (False, 2), (False, 9), (True, 9)])
+def test_herald_batch_points_are_independent(coherent, cutoff):
+    # a point's state, row and leakage are the same bits in any batch
+    rng = np.random.default_rng(5)
+    n = 24
+    alpha = (rng.random(n) - 0.5) * 0.6 + 1j * (rng.random(n) - 0.5) * 0.3
+    alpha[::5] = 0.0
+    t = rng.uniform(0.05, 0.95, n)
+    p1 = rng.choice([0.0, 0.4, 1.0], n)
+    d = support_size(cutoff, coherent)
+    weights = np.array([HeraldModel(e, pd, "B", False).click_weights(d - 1)
+                        for e, pd in zip(rng.choice([0.5, 1.0], n), rng.choice([0.0, 1e-3], n))])
+    batch = herald_click(alpha, t, cutoff, coherent, p1, weights, "B")
+    for k in range(n):
+        alone = herald_click(alpha[k:k + 1], t[k:k + 1], cutoff, coherent, p1[k:k + 1],
+                             weights[k:k + 1], "B")
+        for got, want in zip(batch, alone):
+            assert got[k].tobytes() == want[0].tobytes()

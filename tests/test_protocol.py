@@ -28,7 +28,11 @@ from hal.protocol import (
     MAX_CUTOFF,
     ProtocolConfig,
     ROW_COLUMNS,
+    SWEEP_BATCH_BYTES,
     RegimeWarning,
+    _norm,
+    _normalized,
+    _target,
     run_exact,
     run_first_order,
     sweep,
@@ -315,6 +319,159 @@ def test_sweep_holds_one_table_row_per_point():
     assert not rows["error_code"].any()
 
 
+_RUN_EXACT_CODES = (
+    (TruncationError, "truncation"),
+    (ImpossibleOutcomeError, "impossible"),
+    (ValidationError, "validation"),
+)
+
+
+def _same(a, b):
+    """a and b are the same double, the sign of zero included (NaN is NaN)."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _point(base, row, axes):
+    """The ProtocolConfig of one sweep row, built the way a user would, or the
+    ValidationError that building it raises."""
+    alpha = complex(row["alpha_re"], row["alpha_im"]) if "alpha" in axes else base.alpha
+    herald = replace(base.herald, read_efficiency=float(row["eta_r"]), dark_count=float(row["p_d"]))
+    return replace(
+        base,
+        alpha=alpha,
+        t=float(row["t"]),
+        cutoff=row["cutoff"],
+        source_efficiency=float(row["p1"]),
+        herald=herald,
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha, t, cutoff, input_kind, p1, herald",
+    [
+        (0.01, 0.2, 12, "truncated", 1.0, HeraldModel()),
+        (0.01 + 0.02j, 0.2, 12, "truncated", 0.9, HeraldModel(read_efficiency=0.9)),
+        (-0.3j, 0.7, 2, "truncated", 1.0, HeraldModel(mode="B", resolving=False)),
+        (0.5 - 0.25j, 0.1, 30, "coherent", 1.0, HeraldModel()),
+        (2.0, 0.3, 40, "coherent", 0.9, HeraldModel(dark_count=1e-4)),
+        # |alpha / t|^2 overflows, so the target's norm is taken rescaled
+        (1e5, 1e-150, 3, "truncated", 1.0, HeraldModel()),
+        (1e5 + 1e5j, 1e-150, 3, "truncated", 0.9, HeraldModel(read_efficiency=0.9)),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
+def test_batched_figures_match_the_scalar_state_helpers(alpha, t, cutoff, input_kind, p1, herald):
+    # _figures repeats target_state, PureState.norm / normalized and
+    # fock_core.fidelity on a batch; on one point they agree bit for bit
+    config = ProtocolConfig(alpha=alpha, t=t, cutoff=cutoff, input_kind=input_kind,
+                            source_efficiency=p1, herald=herald)
+    result = run_exact(config)
+    target = target_state(config.alpha, t, cutoff)
+    batched = _normalized(_target(np.array([config.alpha]), np.array([t])))[0]
+    assert batched.tobytes() == target.amplitudes[:2].tobytes()
+    assert not target.amplitudes[2:].any()
+    assert _norm(batched[None])[0] == target.norm()
+    assert result.fidelity_to_target == fidelity(result.conditional_state, target)
+    state = result.conditional_state
+    if isinstance(state, PureState):
+        assert _norm(state.amplitudes[None])[0] == state.norm()
+
+
+@pytest.mark.parametrize("coherent", [False, True])
+@pytest.mark.parametrize("mode", ["A", "B"])
+@pytest.mark.parametrize("resolving", [True, False])
+def test_sweep_rows_are_run_exact_bit_for_bit(coherent, mode, resolving):
+    # a grid across all six axes, each with values run_exact rejects or that
+    # fail inside it; cutoffs 1 and 2 are where the two-term signal's support
+    # meets the cutoff. Every valid row is run_exact at its point, bit for
+    # bit; every error row carries the code of the error run_exact raises.
+    axes = {
+        "alpha": [0.0, 0.01, 0.3],
+        "t": [0.05, 0.2, 0.7, 1.0],
+        "p1": [0.0, 0.9, 1.0, 1.2],
+        "eta_r": [0.6, 1.0],
+        "p_d": [0.0, 1e-4],
+        "cutoff": [1, 2, 12, 30],
+    }
+    base = ProtocolConfig(
+        alpha=0.02 - 0.01j, t=0.1, input_kind="coherent" if coherent else "truncated",
+        herald=HeraldModel(mode=mode, resolving=resolving),
+    )
+    # and a complex base alpha, not swept
+    grids = [(axes, sweep(base, axes))]
+    unswept = {name: values for name, values in axes.items() if name not in ("alpha", "p_d")}
+    grids.append((unswept, sweep(base, unswept)))
+    codes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        for grid, rows in grids:
+            for row in rows:
+                t = float(row["t"])
+                leading = (t ** 2, 1.0 / t) if sys.float_info.min <= t < 1.0 else (math.nan, math.nan)
+                assert _same(row["leading_p"], leading[0]) and _same(row["leading_gain"], leading[1])
+                try:
+                    result = run_exact(_point(base, row, grid))
+                except (TruncationError, ImpossibleOutcomeError, ValidationError) as exc:
+                    code = next(c for cls, c in _RUN_EXACT_CODES if isinstance(exc, cls))
+                    assert row["error_code"] == code, (row, exc)
+                    assert all(math.isnan(row[name]) for name in ("success_prob", "gain", "fidelity"))
+                    codes.add(code)
+                    continue
+                assert row["error_code"] == "", row
+                for name, value in (
+                    ("success_prob", result.success_probability),
+                    ("gain", result.gain),
+                    ("fidelity", result.fidelity_to_target),
+                    ("leading_p", result.leading_order.p),
+                    ("leading_gain", result.leading_order.gain),
+                ):
+                    assert _same(row[name], value), (name, row, value)
+    assert codes == {"validation", "truncation", "impossible"}
+
+
+def test_sweep_checks_each_axis_value_once(monkeypatch):
+    # ProtocolConfig and HeraldModel check one field each, so the sweep asks
+    # them once per axis value, not once per point
+    calls = []
+    post_init = ProtocolConfig.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ProtocolConfig, "__post_init__", counted)
+    base = ProtocolConfig(alpha=0.01, t=0.1)
+    calls.clear()
+    rows = sweep(base, {"t": [0.1, 0.2, 1.5], "alpha": np.linspace(0, 0.02, 30).tolist()})
+    assert len(calls) == 3 + 30
+    assert [r["error_code"] for r in rows[-30:]] == ["validation"] * 30
+
+
+def test_coherent_sweep_batches_by_bytes(monkeypatch):
+    # at cutoff 200 one coherent point's temporaries pass SWEEP_BATCH_BYTES,
+    # so a batch holds that one point: 100 points peak within their table
+    # and the batch constant of one point's peak (a batch sized in points
+    # would hold many of these 3.5 MB at once)
+    monkeypatch.setenv("HAL_THREADS", "1")
+    base = ProtocolConfig(alpha=0.5, t=0.2, cutoff=200, input_kind="coherent",
+                          source_efficiency=0.9, herald=HeraldModel(0.9, 1e-4))
+    axes = {"t": np.linspace(0.05, 0.3, 10).tolist(), "alpha": np.linspace(0.1, 2.0, 10).tolist()}
+    peaks = []
+    for grid in ({"t": [0.3], "alpha": [2.0]}, axes):
+        sweep(base, {"t": [0.1]})  # warm the caches outside the trace
+        tracemalloc.start()
+        try:
+            rows = sweep(base, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1] - rows.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] > SWEEP_BATCH_BYTES
+    assert peaks[1] <= peaks[0] + SWEEP_BATCH_BYTES, peaks
+    assert not rows["error_code"].any()
+
+
 def test_threaded_sweep_leaves_the_warning_filters_alone(recwarn, monkeypatch):
     # catch_warnings is not thread-safe: entered in each worker, two workers
     # that interleave restore each other's filters, which can leave an
@@ -456,6 +613,27 @@ def test_vacuum_branch_without_click_is_not_impossible():
     assert math.isfinite(res.success_probability)
     assert abs(res.success_probability - 0.9 * 0.1 ** 2) < 1e-15
     assert math.isnan(res.gain)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1e-100])
+def test_vacuum_source_one_excitation_population(alpha):
+    # a vacuum source read without dark counts: the click takes the
+    # two-term signal's one quantum, so rho_11 is exactly 0 and the gain 0
+    # at any alpha; a coherent signal's rho_11 is about t^2 r^2 |alpha|^4,
+    # which underflows to zero at alpha = 1e-100, where the gain is about t
+    config = ProtocolConfig(alpha=alpha, t=0.1, cutoff=5, source_efficiency=0.0)
+    assert run_exact(config).gain == 0.0
+    coherent = replace(config, input_kind="coherent")
+    rows = sweep(coherent, {"alpha": [alpha], "cutoff": [1, 5]})
+    if alpha == 0.01:
+        assert abs(run_exact(coherent).gain - 0.1) < 1e-6
+        assert rows["error_code"].tolist() == ["truncation", ""]
+    else:
+        # at cutoff 1 the coherent signal holds one quantum too
+        assert run_exact(replace(coherent, cutoff=1)).gain == 0.0
+        with pytest.raises(ValidationError, match="one-excitation population"):
+            run_exact(coherent)
+        assert rows["error_code"].tolist() == ["", "validation"]
 
 
 @pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
