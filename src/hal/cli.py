@@ -11,21 +11,27 @@ malformed grid or config file, impossible herald), 3 truncation error,
 64 usage error (unknown flag, missing required flag).
 
 The environment variable HAL_THREADS (integer >= 1, default 1, capped at
-the CPU count) sets worker threads inside sweep and campaign; any other
-value exits 2. Output never depends on it.
+the CPU count) sets worker threads inside sweep and amplified campaign; any
+other value exits 2. Direct campaigns and campaigns with --runs-csv run on
+the calling thread. Output never depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import functools
 import math
+import os
 import sys
+import tempfile
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
+from ._parallel import worker_count
 from .errors import (
     GridError,
     HalError,
@@ -34,7 +40,13 @@ from .errors import (
     ValidationError,
 )
 from .fock_core import fidelity
-from .metrology import CampaignConfig, NoiseModel, run_campaign
+from .metrology import (
+    CampaignConfig,
+    CampaignSummary,
+    NoiseModel,
+    check_recording,
+    run_campaign,
+)
 from .optics_ops import HeraldModel
 from .protocol import (
     ProtocolConfig,
@@ -193,12 +205,12 @@ def _manifest(subcommand: str, parameters, seed: Optional[int], outputs: List[st
     }
 
 
-def _write_chunks(chunks: Iterable[bytes], path: Optional[str]) -> None:
-    """Write byte chunks to path (None or "-": standard output) as each is produced."""
-    if path is not None and path != "-":
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
-        return
+def _is_stdout(path: Optional[str]) -> bool:
+    return path is None or path == "-"
+
+
+def _write_stdout(chunks: Iterable[bytes]) -> None:
+    """Write byte chunks to standard output as each is produced."""
     sys.stdout.flush()  # text already written to stdout goes first
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:  # a text-only stdout, such as an io.StringIO redirect
@@ -208,38 +220,39 @@ def _write_chunks(chunks: Iterable[bytes], path: Optional[str]) -> None:
         buffer.flush()
 
 
+def _write_chunks(chunks: Iterable[bytes], path: Optional[str]) -> None:
+    """Write byte chunks to path (None or "-": standard output) as each is produced."""
+    if _is_stdout(path):
+        _write_stdout(chunks)
+        return
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
+
+
 def _write(text: str, path: Optional[str]) -> None:
     _write_chunks((text.encode("utf-8"),), path)
 
 
 #: Rows rendered per csv_block call. A block is written before the next is
-#: rendered, so this bounds the writer's memory whatever the row count.
+#: rendered, so this bounds the writer's memory whatever the row count: about
+#: 320 B per row in csv_block, 1.3 MB at 4096 rows.
 _ROW_CHUNK = 1 << 12
 
 
-def _csv_chunks(
-    header: Sequence[str],
-    rows: int,
-    block: Callable[[int, int], Sequence[np.ndarray]],
-    manifest_json: str,
-):
-    """A CSV document as byte chunks: the manifest line and the header, then
-    one csv_block of the columns block(start, stop) per _ROW_CHUNK rows."""
-    yield f"# manifest: {manifest_json}\n{','.join(header)}\n".encode("utf-8")
-    for start in range(0, rows, _ROW_CHUNK):
-        yield csv_block(block(start, min(rows, start + _ROW_CHUNK))) + b"\n"
+def _csv_head(header: Sequence[str], manifest_json: str) -> bytes:
+    """A CSV document's first two lines: the manifest and the header."""
+    return f"# manifest: {manifest_json}\n{','.join(header)}\n".encode("utf-8")
 
 
 def _sweep_csv(rows: np.ndarray, manifest_json: str):
-    """The sweep CSV of sweep()'s table, as byte chunks: its float columns
+    """The sweep CSV of sweep()'s table, as byte chunks: the manifest line and
+    the header, then one csv_block per _ROW_CHUNK rows of its float columns
     as they are, the cutoff (an object column) and error_code as ASCII."""
-
-    def block(start: int, stop: int):
-        part = rows[start:stop]
-        return [part[name].astype("S") if name in ("cutoff", "error_code") else part[name]
-                for name in ROW_COLUMNS]
-
-    return _csv_chunks(ROW_COLUMNS, len(rows), block, manifest_json)
+    yield _csv_head(ROW_COLUMNS, manifest_json)
+    for start in range(0, len(rows), _ROW_CHUNK):
+        part = rows[start : start + _ROW_CHUNK]
+        yield csv_block([part[name].astype("S") if name in ("cutoff", "error_code") else part[name]
+                         for name in ROW_COLUMNS]) + b"\n"
 
 
 def cmd_protocol(args) -> int:
@@ -424,33 +437,55 @@ def _campaign_params(config: CampaignConfig) -> Dict[str, object]:
     return params
 
 
-def _runs_csv(records, attempts: int, manifest_json: str):
-    """The runs CSV of run_campaign's replica-major records, as byte chunks.
+class _RunsCsv:
+    """The runs CSV, written while run_campaign runs: a sink (see
+    metrology.RunSink) that gathers the replicas' rows into _ROW_CHUNK-row
+    csv_blocks and passes each to write as soon as it is rendered.
 
-    Row r is attempt r % attempts of replica r // attempts, so a block is a
-    slice of each record and may end one replica and start the next.
+    Row r is attempt r % attempts of replica r // attempts, so blocks are
+    the same whatever the replicas' length: a block may end one replica and
+    start the next, and 1e5 one-attempt replicas take 25 blocks. Rows are
+    copied into one block of buffers, so no replica's arrays outlive its
+    call. flush() writes what is left after the last replica.
     """
-    heralded, x_sample, noise_value = records
 
-    def block(start: int, stop: int):
-        replica, attempt_index = np.divmod(np.arange(start, stop), attempts)
-        rows = slice(start, stop)
-        return replica, attempt_index, heralded[rows], x_sample[rows], noise_value[rows]
+    def __init__(self, attempts: int, manifest_json: str, write: Callable[[bytes], object]):
+        self._attempts = attempts
+        self._write = write
+        self._written = 0  # rows
+        self._held = 0  # rows in the buffers
+        self._buffers = (np.empty(_ROW_CHUNK, np.int8), np.empty(_ROW_CHUNK), np.empty(_ROW_CHUNK))
+        write(_csv_head(RUN_COLUMNS, manifest_json))
 
-    return _csv_chunks(RUN_COLUMNS, len(heralded), block, manifest_json)
+    def __call__(self, heralded: np.ndarray, x_sample: np.ndarray, noise_value: np.ndarray):
+        record = (heralded, x_sample, noise_value)
+        at, count = 0, len(heralded)
+        while count - at >= _ROW_CHUNK - self._held:  # enough rows to fill the block
+            take = _ROW_CHUNK - self._held
+            self._hold(record, at, take)
+            at += take
+            self.flush()
+        self._hold(record, at, count - at)  # the rest waits for the next replica's rows
+
+    def _hold(self, record: Sequence[np.ndarray], at: int, take: int) -> None:
+        rows = slice(self._held, self._held + take)
+        for buffer, column in zip(self._buffers, record):
+            buffer[rows] = column[at : at + take]
+        self._held += take
+
+    def flush(self) -> None:
+        """Render and write the rows held, if any."""
+        if not self._held:
+            return
+        stop = self._written + self._held
+        replica, attempt_index = np.divmod(np.arange(self._written, stop), self._attempts)
+        record = (buffer[: self._held] for buffer in self._buffers)
+        self._write(csv_block((replica, attempt_index, *record)) + b"\n")
+        self._written, self._held = stop, 0
 
 
-def cmd_campaign(args) -> int:
-    seed_override = _parse_int(args.seed, "--seed") if args.seed is not None else None
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = parse_campaign_file(fh.read(), seed_override)
-    record = args.runs_csv is not None
-    summary = run_campaign(config, record_runs=record)
-    outputs = [args.out or "-"]
-    if record:
-        outputs.append(args.runs_csv)
-    manifest = _manifest("campaign", _campaign_params(config), config.seed, outputs)
-    doc = {
+def _summary_doc(manifest, summary: CampaignSummary) -> Dict[str, object]:
+    return {
         "manifest": manifest,
         "attempts": summary.attempts,
         "replicas": summary.replicas,
@@ -466,10 +501,48 @@ def cmd_campaign(args) -> int:
         "no_success_replicas": summary.no_success_replicas.tolist(),
         "elapsed_model_time": summary.elapsed_model_time,
     }
-    _write(dumps(doc) + "\n", args.out)
+
+
+def cmd_campaign(args) -> int:
+    seed_override = _parse_int(args.seed, "--seed") if args.seed is not None else None
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config = parse_campaign_file(fh.read(), seed_override)
+    # every check of the input runs before any output is opened
+    worker_count()
+    record = args.runs_csv is not None
+    outputs = [args.out or "-"]
     if record:
-        runs = _runs_csv(summary.run_records, summary.attempts, dumps(manifest))
-        _write_chunks(runs, args.runs_csv)
+        check_recording(config)
+        outputs.append(args.runs_csv)
+        if not (_is_stdout(args.out) or _is_stdout(args.runs_csv)) and (
+            os.path.realpath(args.out) == os.path.realpath(args.runs_csv)
+        ):
+            raise ValidationError("--out and --runs-csv name the same file")
+    manifest = _manifest("campaign", _campaign_params(config), config.seed, outputs)
+    with contextlib.ExitStack() as files:
+        # both outputs are opened before the first replica runs, --out first
+        out = None if _is_stdout(args.out) else files.enter_context(open(args.out, "wb"))
+        runs = spool = None
+        if record:
+            if not _is_stdout(args.runs_csv):
+                write = files.enter_context(open(args.runs_csv, "wb")).write
+            elif out is None:  # the summary goes to stdout first; the CSV waits in a spool
+                spool = files.enter_context(tempfile.TemporaryFile())
+                write = spool.write
+            else:
+                write = lambda chunk: _write_stdout((chunk,))
+            runs = _RunsCsv(config.attempts, dumps(manifest), write)
+        summary = run_campaign(config, runs)
+        if runs is not None:
+            runs.flush()
+        text = (dumps(_summary_doc(manifest, summary)) + "\n").encode("utf-8")
+        if out is None:
+            _write_stdout((text,))
+        else:
+            out.write(text)
+        if spool is not None:
+            spool.seek(0)
+            _write_stdout(iter(functools.partial(spool.read, 1 << 20), b""))
     return 0
 
 

@@ -19,6 +19,11 @@ noise; a zero-sigma or systematic noise model consumes no draws. A direct
 replica's records (the runs CSV) come afterwards from its child stream,
 spawn_key=(i, 0), in the same order.
 
+Records: run_campaign keeps none. A recorded campaign hands each replica's
+per-attempt arrays to the caller's sink as soon as the replica is simulated,
+in replica order, so what it holds is one replica's arrays whatever the
+replica count (see `run_campaign`).
+
 Direct estimator: mean(quad + noise)/sqrt(2) is linear in Gaussian
 variables, so a direct replica draws it in closed form from one standard
 normal per sum. The R coherent-state quadratures sum to exactly
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,32 +60,37 @@ _PDF_TOLERANCE = 1e-6
 #: Campaign size ceilings, checked before anything is allocated. A running
 #: amplified replica holds about 34 bytes per attempt (measured with AR(1)
 #: noise on one worker), so MAX_ATTEMPTS keeps each worker near 350 MB;
-#: HAL_THREADS workers (at most the CPU count) hold that each.
-#: MAX_TOTAL_ATTEMPTS bounds the run time: 56 ns per amplified attempt with
-#: ar1 noise on one thread, so about a minute. An unrecorded direct replica
-#: costs O(1) whatever its size (two normal draws, about 30 us with its
-#: stream).
+#: HAL_THREADS workers (at most the CPU count) hold that each. A recorded
+#: replica runs on the calling thread alone and also builds its 8 B x_sample
+#: per attempt (tracemalloc peak per attempt: 10 -> 18 B with white noise,
+#: 26 B either way with ar1). MAX_TOTAL_ATTEMPTS bounds the run time: 56 ns per amplified
+#: attempt with ar1 noise on one thread, so about a minute. An unrecorded
+#: direct replica costs O(1) whatever its size (two normal draws, about
+#: 30 us with its stream).
 #: Every replica also keeps its entry in the summary: a `hal campaign`
 #: process of 1 attempt x 1e5 / 2e5 replicas on one thread took 2.5 / 5.8 s
-#: and 63 / 89 MB ru_maxrss (direct, unrecorded), and 3.5 / 7.0 s and
-#: 65 / 94 MB with --runs-csv (amplified), most of it the JSON summary's
-#: rendering. run_campaign keeps a float64 estimate and an int64 success
-#: count per replica, and the records are three replica-major arrays of 17 B
-#: per attempt: tracemalloc finds 41 B held per recorded amplified replica
-#: after it returns, 24 B unrecorded (direct 17 B), and a peak of 45 / 28 B
-#: inside it (bench protocol, white noise, 2e5 one-attempt replicas).
-#: MAX_REPLICAS therefore keeps the worst case, 1e6 recorded replicas, near
-#: 40 s and 0.33 GB (linear extrapolation; 2-vCPU Xeon VM, numpy 2.4).
-#: The CSV is written in blocks of a few thousand rows as they are
-#: rendered, about 2.4 MB whatever its length. 1.25e6 attempts x 4 replicas
-#: recorded (MAX_RECORDED_ATTEMPTS) took 3.3 s and 131 MB ru_maxrss, against
-#: 50 MB unrecorded: the 17 B per recorded attempt, plus the running
-#: replica's own arrays, which it copies into its slice of the records.
-#: MAX_RECORDED_ATTEMPTS stays at 5e6, well inside that, so that exit codes
-#: do not change.
+#: and 63 / 89 MB ru_maxrss (direct, unrecorded), and 3.5-3.7 / 7.9-8.5 s
+#: and 64 / 91 MB with --runs-csv (amplified), most of it the replicas' own
+#: streams and the JSON summary's rendering. run_campaign keeps a float64 estimate and an
+#: int64 success count per replica, and no records: tracemalloc finds 24 B
+#: held per amplified replica after it returns, recorded or not (direct
+#: 17 B), and a peak of 28 B inside it (bench protocol, white noise, 2e5
+#: one-attempt replicas). MAX_REPLICAS therefore keeps the worst case, 1e6
+#: recorded replicas, near 45 s and 0.31 GB (linear extrapolation; 2-vCPU
+#: Xeon VM, numpy 2.4).
+#: A recorded campaign hands each replica's arrays to its sink and keeps
+#: none, and the runs CSV is written in blocks of 4096 rows as they are
+#: rendered, so memory does not grow with recorded attempts. What a recorded
+#: row still costs is its rendering and its bytes, about 0.3 us to render,
+#: 0.5-0.6 us in all and 35-37 B of CSV (bench protocol, white noise, one
+#: thread): 1.25e6 attempts x 4 replicas took 1.8-2.5 s to a file, 1.6 s to
+#: /dev/null, and 66 MB ru_maxrss (57 MB unrecorded) for 174 MB of CSV;
+#: 1e7 x 5 took 29 s (25 s to /dev/null), 203 MB ru_maxrss, the replica's
+#: own arrays, for 1.86 GB. MAX_RECORDED_ATTEMPTS, 5e7, keeps a recorded
+#: campaign near half a minute and 2 GB of disk.
 MAX_ATTEMPTS = 10**7
 MAX_TOTAL_ATTEMPTS = 10**9
-MAX_RECORDED_ATTEMPTS = 5 * 10**6
+MAX_RECORDED_ATTEMPTS = 5 * 10**7
 MAX_REPLICAS = 10**6
 
 #: Largest |true_alpha|, sigma_tech and |offset| a campaign accepts, so
@@ -223,11 +233,6 @@ class CampaignSummary:
     per_replica_successes: np.ndarray
     no_success_replicas: np.ndarray
     elapsed_model_time: float
-    # with record_runs: (heralded, x_sample, noise_value), replica-major, so
-    # attempt k of replica i is element i * attempts + k of each; heralded is
-    # int8, 1 where an estimate sample exists, x_sample NaN where none does,
-    # noise_value the technical-noise value of every attempt
-    run_records: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -576,7 +581,25 @@ def _direct_records(
     return x, noise
 
 
-def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignSummary:
+#: A recorded campaign's per-replica receiver: sink(heralded, x_sample,
+#: noise_value), called once per replica in replica order, each array one
+#: element per attempt. heralded is int8, 1 where an estimate sample exists;
+#: x_sample is NaN where none does; noise_value is the technical-noise value
+#: of every attempt. The arrays are the replica's own; a sink that keeps
+#: them past its return keeps them alive.
+RunSink = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+
+
+def check_recording(config: CampaignConfig) -> None:
+    """Refuse to record a campaign of more than MAX_RECORDED_ATTEMPTS attempts."""
+    if config.attempts * config.replicas > MAX_RECORDED_ATTEMPTS:
+        raise ValidationError(
+            f"recording {config.attempts} attempts x {config.replicas} replicas exceeds the "
+            f"limit of {MAX_RECORDED_ATTEMPTS} recorded attempts"
+        )
+
+
+def run_campaign(config: CampaignConfig, sink: Optional[RunSink] = None) -> CampaignSummary:
     """Simulate the full campaign and aggregate per-replica estimates.
 
     Amplified scheme: the herald succeeds per attempt with the exact protocol
@@ -588,25 +611,27 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
     A direct replica costs O(1) in time and memory: its estimate
     (sum_quad + sum_noise)/R/sqrt(2) comes from the two sums drawn in closed
     form, one standard normal each, quadrature first (see the module
-    docstring). With record_runs its R attempts are then drawn from the
-    child stream spawn_key=(replica, 0), conditioned on those sums
+    docstring). When recorded, its R attempts are then drawn from the child
+    stream spawn_key=(replica, 0), conditioned on those sums
     (`_direct_records`), so the estimate equals the mean of the recorded
-    samples over sqrt(2) up to rounding and is the same number with or
-    without record_runs. Unrecorded direct replicas run inline, on no
-    worker thread whatever HAL_THREADS says: each takes about 30 us and
-    holds the GIL, so worker threads would only add their own overhead.
+    samples over sqrt(2) up to rounding and is the same number recorded or
+    not. Direct replicas run inline, on no worker thread whatever
+    HAL_THREADS says: each takes about 30 us and holds the GIL, so worker
+    threads would only add their own overhead.
 
-    record_runs keeps every attempt, so it is refused above
-    MAX_RECORDED_ATTEMPTS attempts in all. Estimates (NaN without a success),
-    success counts and replica-major records are allocated once, and each
-    replica writes its own slots and slice of them.
+    With a sink (see `RunSink`) every replica's attempts are handed to it as
+    soon as the replica is simulated, so recorded campaigns run inline too,
+    and the campaign keeps no records: it holds one replica's arrays
+    whatever the replica count (a tracemalloc peak of 18 B per attempt for
+    an amplified replica with white noise, 10 B unrecorded; 26 B either way
+    with ar1 noise). A sink is refused above
+    MAX_RECORDED_ATTEMPTS attempts in all (`check_recording`). Estimates
+    (NaN without a success) and success counts are allocated once, and each
+    replica writes its own slots of them.
     """
     r_attempts = config.attempts
-    if record_runs and r_attempts * config.replicas > MAX_RECORDED_ATTEMPTS:
-        raise ValidationError(
-            f"recording {r_attempts} attempts x {config.replicas} replicas exceeds the "
-            f"limit of {MAX_RECORDED_ATTEMPTS} recorded attempts"
-        )
+    if sink is not None:
+        check_recording(config)
     model = config.noise
     if config.scheme == "amplified":
         protocol_result = run_exact(config.protocol)
@@ -619,24 +644,20 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
         noise_mean = r_attempts * model.offset
         noise_sd = model.sigma_tech * math.sqrt(_ar1_sum_variance(model.lam, r_attempts))
     direct = config.scheme == "direct"  # every direct attempt heralds
-    records = None
-    if record_runs:
-        rows = r_attempts * config.replicas
-        records = (np.full(rows, direct, dtype=np.int8), np.full(rows, np.nan), np.empty(rows))
     estimates = np.full(config.replicas, np.nan)
     successes = np.full(config.replicas, r_attempts * direct, dtype=np.int64)
 
     def one_replica(replica: int) -> None:
         rng = _replica_rng(config.seed, replica)
-        own = slice(replica * r_attempts, (replica + 1) * r_attempts)
         if direct:
             sum_quad = quad_mean + quad_sd * rng.standard_normal()
             sum_noise = noise_sd * rng.standard_normal() if draws_noise else noise_mean
-            if record_runs:
-                records[1][own], records[2][own] = _direct_records(
+            estimates[replica] = (sum_quad + sum_noise) / r_attempts / math.sqrt(2.0)
+            if sink is not None:
+                x_sample, noise = _direct_records(
                     config, sum_quad, sum_noise, _replica_rng(config.seed, replica, 0)
                 )
-            estimates[replica] = (sum_quad + sum_noise) / r_attempts / math.sqrt(2.0)
+                sink(np.ones(r_attempts, dtype=np.int8), x_sample, noise)
             return
         heralded = rng.random(r_attempts) < p_success
         n_success = int(np.count_nonzero(heralded))
@@ -646,12 +667,13 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
         if n_success:
             estimates[replica] = estimate_alpha(samples, "amplified", config.protocol.t)
         successes[replica] = n_success
-        if record_runs:
-            records[0][own] = heralded
-            records[1][own][heralded] = samples
-            records[2][own] = noise
+        if sink is not None:
+            x_sample = np.empty(r_attempts)
+            x_sample.fill(np.nan)
+            x_sample[heralded] = samples
+            sink(heralded.view(np.int8), x_sample, noise)
 
-    map_indexed(one_replica, range(config.replicas), direct and not record_runs)
+    map_indexed(one_replica, range(config.replicas), direct or sink is not None)
     usable = estimates[successes > 0]
     if usable.shape[0] > 0:
         estimate_mean = float(np.mean(usable))
@@ -672,7 +694,6 @@ def run_campaign(config: CampaignConfig, record_runs: bool = False) -> CampaignS
         per_replica_successes=successes,
         no_success_replicas=np.flatnonzero(successes == 0),
         elapsed_model_time=r_attempts * config.run_period,
-        run_records=records,
     )
 
 

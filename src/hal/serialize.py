@@ -343,15 +343,16 @@ def csv_block(columns: Sequence[np.ndarray]) -> bytes:
     columns (dtype S) as their bytes up to the first NUL, so b"" is an empty
     cell, and every other column as fmt_float renders its float values.
     Each row is laid out at fixed width, every cell followed by a separator;
-    a keep mask then drops the unused bytes in one np.compress. A float
-    cell is 28 + P bytes wide, P the largest fixed-notation exponent among
-    the column's exact cells in this block (at least 0), so a runs CSV row
-    (three small integers and two floats below 10) is laid out in 68 bytes
-    and keeps about 34. Returning bytes lets a caller write each block to a
-    binary file as soon as it is rendered, with no decode or encode pass.
-    The working memory is 480-490 B per row (tracemalloc peak at 1024-16384
-    rows of the runs CSV's columns), most of it np.compress's indices, so a
-    caller bounds it by the rows it passes.
+    a keep mask then zeroes the unused bytes in place, and bytes.translate
+    drops them: no kept byte is NUL (a text cell is kept up to its first
+    NUL). A float cell is 28 + P bytes wide, P the largest fixed-notation
+    exponent among the column's exact cells in this block (at least 0), so
+    a runs CSV row (three small integers and two floats below 10) is laid
+    out in 68 bytes and keeps about 34. Returning bytes lets a caller write
+    each block to a binary file as soon as it is rendered, with no decode or
+    encode pass. The working memory is about 320 B per row (tracemalloc peak
+    at 1024-16384 rows of the runs CSV's columns): the laid-out text, its
+    mask, and their copy as bytes. A caller bounds it by the rows it passes.
     """
     kinds = [c.dtype.kind for c in columns]
     xs = [np.asarray(c, dtype=np.float64) for c, kind in zip(columns, kinds) if kind not in "biuS"]
@@ -389,5 +390,6 @@ def csv_block(columns: Sequence[np.ndarray]) -> bytes:
             _put_ints(col, lay[0], cell_text, cell_keep)
         else:
             _put_floats(lay, cell_text, cell_keep)
-    out = np.compress(keep.ravel(), text.ravel())
-    return out[:-1].tobytes()
+    text *= keep
+    text[-1:, -1] = 0  # the last row's newline
+    return text.tobytes().translate(None, b"\0")

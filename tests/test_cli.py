@@ -19,15 +19,14 @@ from hal.cli import (
     MAX_GRID_POINTS,
     RUN_COLUMNS,
     _ROW_CHUNK,
-    _runs_csv,
+    _RunsCsv,
     _sweep_csv,
-    _write_chunks,
     main,
     parse_campaign_file,
     parse_grid_file,
 )
 from hal.errors import GridError, ValidationError
-from hal.metrology import MAX_REPLICAS, run_campaign
+from hal.metrology import MAX_RECORDED_ATTEMPTS, MAX_REPLICAS, run_campaign
 from hal.optics_ops import HeraldModel
 from hal.protocol import MAX_CUTOFF, ROW_COLUMNS, ProtocolConfig, sweep
 from hal.serialize import fmt_float
@@ -751,6 +750,14 @@ def _csv_row(values):
     return ",".join(_csv_cell(v) for v in values)
 
 
+def _recorded(cfg):
+    """run_campaign with a sink that keeps every replica's arrays: the
+    summary and the replica-major records (heralded, x_sample, noise_value)."""
+    runs = []
+    summary = run_campaign(cfg, lambda *record: runs.append(record))
+    return summary, tuple(np.concatenate(column) for column in zip(*runs))
+
+
 def _run_rows(records, attempts):
     """(replica, attempt_index, heralded, x_sample, noise_value) of every row
     of replica-major records, one attempt at a time."""
@@ -767,14 +774,14 @@ def test_runs_csv_matches_per_cell_reference(tmp_path):
     data = runs.read_bytes()
 
     # reference: the per-cell rendering of the recorded attempts
-    summary = run_campaign(parse_campaign_file(AR1_AMPLIFIED_CFG), record_runs=True)
+    summary, records = _recorded(parse_campaign_file(AR1_AMPLIFIED_CFG))
     manifest_line = data.decode().split("\n", 1)[0]
     assert manifest_line.startswith("# manifest: ")
     ref = [manifest_line, ",".join(RUN_COLUMNS)]
-    ref += [_csv_row(cells) for cells in _run_rows(summary.run_records, summary.attempts)]
+    ref += [_csv_row(cells) for cells in _run_rows(records, summary.attempts)]
     assert data == ("\n".join(ref) + "\n").encode()
     assert summary.attempts == 2000 and len(ref) == 2 + 2 * 2000
-    heralded = int(summary.run_records[0].sum())
+    heralded = int(records[0].sum())
     assert 0 < heralded < 2 * 2000
     assert data.count(b",0,nan,") == 2 * 2000 - heralded
 
@@ -812,17 +819,23 @@ def test_runs_csv_matches_per_row_csv_row(name, tmp_path, monkeypatch):
     assert main(["campaign", str(cfg), "--out", str(tmp_path / "s.json"), "--runs-csv", str(runs)]) == 0
     data = runs.read_bytes()
 
-    summary = run_campaign(parse_campaign_file(text), record_runs=True)
+    summary, records = _recorded(parse_campaign_file(text))
     ref = data.decode().split("\n", 2)[:2]
-    ref += [_csv_row(values) for values in _run_rows(summary.run_records, summary.attempts)]
+    ref += [_csv_row(values) for values in _run_rows(records, summary.attempts)]
     assert data == ("\n".join(ref) + "\n").encode()
     assert len(ref) == 2 + 2 * 2000
 
 
 def _run_lines(records, attempts):
-    """The data lines of the runs CSV, as _runs_csv renders them (without the
-    manifest and header chunk), and each block's line count."""
-    blocks = list(_runs_csv(records, attempts, "{}"))[1:]
+    """The data lines of the runs CSV, as _RunsCsv renders replica-major
+    records handed to it replica by replica (without the manifest and header
+    chunk), and each block's line count."""
+    chunks = []
+    runs = _RunsCsv(attempts, "{}", chunks.append)
+    for start in range(0, len(records[0]), attempts):
+        runs(*(column[start : start + attempts] for column in records))
+    runs.flush()
+    blocks = chunks[1:]
     assert all(b.endswith(b"\n") for b in blocks)
     return b"".join(blocks), [b.count(b"\n") for b in blocks]
 
@@ -861,16 +874,22 @@ def _write_amplified_runs(tmp_path, attempts):
         "amplified", "kind = white\nsigma_tech = 0.05",
         "[protocol]\nalpha = 0.01\nt = 0.1\nsource_efficiency = 0.9\n",
     ).replace("total_time = 2000", f"total_time = {attempts}").replace("replicas = 2", "replicas = 1")
-    summary = run_campaign(parse_campaign_file(text), record_runs=True)
+    summary, records = _recorded(parse_campaign_file(text))
     path = tmp_path / "runs.csv"
-    runs = _runs_csv(summary.run_records, summary.attempts, "{}")
-    _, peak = _peak_bytes(lambda: _write_chunks(runs, str(path)))
+
+    def write():
+        with open(path, "wb") as fh:
+            runs = _RunsCsv(summary.attempts, "{}", fh.write)
+            runs(*records)
+            runs.flush()
+
+    _, peak = _peak_bytes(write)
     return path.stat().st_size, peak
 
 
 def test_runs_csv_writer_memory_is_flat(tmp_path):
     # the whole document (7 MB at 2e5 rows, 28 MB at 8e5) is over the bound;
-    # the writer holds one rendered block, 520-660 B per row of peak
+    # the writer holds one rendered block, about 365 B per row of peak
     bound = 1024 * _ROW_CHUNK
     small_size, small_peak = _write_amplified_runs(tmp_path, 200_000)
     large_size, large_peak = _write_amplified_runs(tmp_path, 800_000)
@@ -907,6 +926,91 @@ def test_runs_csv_to_stdout_matches_the_file(tmp_path, capsysbinary, monkeypatch
     with contextlib.redirect_stdout(io.StringIO()) as text_out:
         assert main(["campaign", "c.ini", "--out", "s.json", "--runs-csv", "-"]) == 0
     assert text_out.getvalue().encode("ascii") == named(runs, "s.json", "-")
+
+
+def test_recorded_campaign_above_its_ceiling_touches_no_file(tmp_path, capsys, monkeypatch):
+    # the ceiling is checked before either output is opened: an existing
+    # summary keeps its bytes and no runs CSV appears
+    def no_run(*args):
+        raise AssertionError("a refused campaign ran")
+
+    monkeypatch.setattr("hal.metrology.run_exact", no_run)
+    cfg = tmp_path / "c.ini"
+    attempts = MAX_RECORDED_ATTEMPTS // 8 + 1
+    cfg.write_text(AMPLIFIED_CFG.replace("total_time = 200", f"total_time = {attempts}\nrun_period = 1")
+                   .replace("replicas = 4", "replicas = 8"))
+    out, runs = tmp_path / "s.json", tmp_path / "runs.csv"
+    out.write_bytes(b"an earlier summary\n")
+    assert main(["campaign", str(cfg), "--out", str(out), "--runs-csv", str(runs)]) == 2
+    assert "recorded attempts" in capsys.readouterr().err
+    assert out.read_bytes() == b"an earlier summary\n"
+    assert not runs.exists()
+
+
+def test_unwritable_summary_leaves_no_runs_csv(tmp_path, capsys):
+    # --out is opened first, before the runs CSV and before any replica runs
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(AMPLIFIED_CFG)
+    out, runs = tmp_path / "missing" / "s.json", tmp_path / "runs.csv"
+    assert main(["campaign", str(cfg), "--out", str(out), "--runs-csv", str(runs)]) == 2
+    assert "hal: error:" in capsys.readouterr().err
+    assert not runs.exists()
+
+
+def test_summary_and_runs_csv_must_differ(tmp_path, capsys):
+    (tmp_path / "c.ini").write_text(AMPLIFIED_CFG)
+    path = tmp_path / "both.txt"
+    argv = ["campaign", str(tmp_path / "c.ini"), "--out", str(path)]
+    assert main(argv + ["--runs-csv", str(tmp_path / "." / "both.txt")]) == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_one_attempt_replicas_share_blocks(tmp_path, monkeypatch):
+    # the sink gathers rows across replicas: 2e4 one-attempt replicas are
+    # ceil(2e4 / _ROW_CHUNK) csv_block calls, not one per replica
+    from hal import cli
+
+    calls = []
+
+    def counted(columns):
+        calls.append(len(columns[0]))
+        return csv_block(columns)
+
+    csv_block = cli.csv_block
+    monkeypatch.setattr(cli, "csv_block", counted)
+    cfg = tmp_path / "c.ini"
+    replicas = 20_000
+    cfg.write_text(AMPLIFIED_CFG.replace("total_time = 200", "total_time = 0.1")
+                   .replace("replicas = 4", f"replicas = {replicas}"))
+    runs = tmp_path / "runs.csv"
+    assert main(["campaign", str(cfg), "--out", str(tmp_path / "s.json"), "--runs-csv", str(runs)]) == 0
+    assert len(calls) == -(-replicas // _ROW_CHUNK)
+    assert calls[:-1] == [_ROW_CHUNK] * (len(calls) - 1) and sum(calls) == replicas
+    lines = runs.read_bytes().splitlines()
+    assert len(lines) == 2 + replicas
+    assert lines[-1].startswith(f"{replicas - 1},0,".encode())
+
+
+def test_recorded_campaign_memory_does_not_grow_with_replicas(tmp_path):
+    # the campaign keeps no records and the CSV is written block by block,
+    # so 16 replicas peak within one replica's arrays (30000 attempts of
+    # 17 B) of 4 replicas
+    text = _campaign_cfg(
+        "amplified", "kind = white\nsigma_tech = 0.05",
+        "[protocol]\nalpha = 0.01\nt = 0.1\nsource_efficiency = 0.9\n",
+    ).replace("total_time = 2000", "total_time = 30000")
+    peaks = []
+    for replicas in (4, 16):
+        cfg = tmp_path / f"c{replicas}.ini"
+        cfg.write_text(text.replace("replicas = 2", f"replicas = {replicas}"))
+        argv = ["campaign", str(cfg), "--out", str(tmp_path / "s.json"),
+                "--runs-csv", str(tmp_path / "runs.csv")]
+        rc, peak = _peak_bytes(lambda: main(argv))
+        assert rc == 0
+        peaks.append(peak)
+        assert (tmp_path / "runs.csv").read_bytes().count(b"\n") == 2 + replicas * 30000
+    assert abs(peaks[1] - peaks[0]) < 30000 * 17
 
 
 def _fresh_hal(code, args=(), threads="1"):
@@ -973,9 +1077,9 @@ def test_unrecorded_direct_campaign_runs_inline(tmp_path, monkeypatch, capsysbin
         assert main(["campaign", "c.ini"]) == 0
         summaries.append(capsysbinary.readouterr().out)
     assert summaries[0] == summaries[1] and started == []
-    # a recorded direct campaign still fans its records out, on two threads
+    # a recorded campaign hands its records on in replica order, inline too
     assert main(["campaign", "c.ini", "--out", "s.json", "--runs-csv", "runs.csv"]) == 0
-    assert len(started) == 2
+    assert started == []
     monkeypatch.setenv("HAL_THREADS", "many")
     assert main(["campaign", "c.ini"]) == 2
 

@@ -20,6 +20,7 @@ from hal.metrology import (
     _replica_rng,
     _sample_from_density,
     _sum_weights,
+    check_recording,
     default_grid,
     estimate_alpha,
     hermite_functions,
@@ -206,6 +207,15 @@ DIRECT_NOISES = {
 DIRECT_COUNTS = (1, 2, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 7)
 
 
+def _recorded(cfg):
+    """run_campaign with a sink that keeps every replica's arrays: the
+    summary and the records (heralded, x_sample, noise_value), replica-major,
+    so attempt k of replica i is element i * attempts + k of each."""
+    runs = []
+    summary = run_campaign(cfg, lambda *record: runs.append(record))
+    return summary, tuple(np.concatenate(column) for column in zip(*runs))
+
+
 def _direct_cfg(model, count, seed=5, replicas=1, alpha=0.01):
     cfg = CampaignConfig(scheme="direct", true_alpha=alpha, total_time=count + 0.5,
                          run_period=1.0, noise=model, seed=seed, replicas=replicas)
@@ -225,7 +235,7 @@ def test_streamed_direct_estimate_matches_the_sample_mean(name):
     for seed, count in enumerate(DIRECT_COUNTS):
         cfg = _direct_cfg(model, count, seed)
         (est,) = run_campaign(cfg).per_replica_estimates
-        _, x_sample, noise_value = run_campaign(cfg, record_runs=True).run_records
+        _, x_sample, noise_value = _recorded(cfg)[1]
         assert abs(est - estimate_alpha(x_sample, "direct")) <= 1e-15, count
         # the replica stream holds the two sums: quadrature, then noise
         rng = _replica_rng(seed, 0)
@@ -324,9 +334,8 @@ def test_direct_summary_does_not_depend_on_recording(name):
     cfg = CampaignConfig(scheme="direct", true_alpha=0.01, total_time=attempts * 0.1 + 0.05,
                          noise=DIRECT_NOISES[name], seed=19, replicas=2)
     assert cfg.attempts == attempts
-    plain, recorded = run_campaign(cfg), run_campaign(cfg, record_runs=True)
-    assert plain.run_records is None
-    assert [a.shape for a in recorded.run_records] == [(2 * attempts,)] * 3
+    plain, (recorded, records) = run_campaign(cfg), _recorded(cfg)
+    assert [a.shape for a in records] == [(2 * attempts,)] * 3
     for field in ("estimate_mean", "bias", "variance", "rmse", "successes"):
         assert getattr(plain, field) == getattr(recorded, field), field
     assert np.array_equal(plain.per_replica_estimates, recorded.per_replica_estimates)
@@ -387,9 +396,9 @@ def test_direct_closed_form_matches_the_per_attempt_reference(name):
     model = REFERENCE_NOISES[name]
     count, replicas = 50, 2000
     ref_est, ref_records = reference_direct(_direct_cfg(model, count, 1001, replicas, 0.3))
-    s = run_campaign(_direct_cfg(model, count, 2002, replicas, 0.3), record_runs=True)
+    s, records = _recorded(_direct_cfg(model, count, 2002, replicas, 0.3))
     _matched_in_distribution(np.array(s.per_replica_estimates), ref_est, "estimate")
-    _, got_x, got_noise = (a.reshape(replicas, count) for a in s.run_records)
+    _, got_x, got_noise = (a.reshape(replicas, count) for a in records)
     ref_x = np.array([r[0] for r in ref_records])
     ref_noise = np.array([r[1] for r in ref_records])
     for got, ref, what in ((got_x, ref_x, "x_sample"), (got_noise, ref_noise, "noise_value")):
@@ -506,9 +515,10 @@ def test_campaign_size_limits_reject_before_running(monkeypatch):
         _sized("direct", MAX_ATTEMPTS + 1, 1)
     with pytest.raises(ValidationError, match="replicas exceed"):
         _sized("direct", MAX_ATTEMPTS, MAX_TOTAL_ATTEMPTS // MAX_ATTEMPTS + 1)
-    big = _sized("amplified", MAX_RECORDED_ATTEMPTS // 4 + 1, 4)
+    big = _sized("amplified", MAX_RECORDED_ATTEMPTS // 8 + 1, 8)
     with pytest.raises(ValidationError, match="recorded attempts"):
-        run_campaign(big, record_runs=True)
+        run_campaign(big, lambda *record: None)
+    check_recording(_sized("amplified", MAX_RECORDED_ATTEMPTS // 8, 8))  # at the ceiling
 
 
 def test_campaign_size_limits_accept_the_benchmark_inputs(monkeypatch):
@@ -525,7 +535,7 @@ def test_campaign_size_limits_accept_the_benchmark_inputs(monkeypatch):
         ("direct", 10**6, 32, False), ("amplified", 10**5, 4, True),
     ):
         with pytest.raises(Reached):
-            run_campaign(_sized(scheme, attempts, replicas), record_runs=record)
+            run_campaign(_sized(scheme, attempts, replicas), (lambda *r: None) if record else None)
     _sized("direct", MAX_ATTEMPTS, MAX_TOTAL_ATTEMPTS // MAX_ATTEMPTS)
 
 
@@ -627,11 +637,12 @@ def test_replicas_without_a_herald_hold_nan_and_are_listed():
     assert s.estimate_mean == float(np.mean(s.per_replica_estimates[~failed]))
 
 
-def _replica_runs(summary):
-    """(replica, heralded, x_sample, noise_value) per replica, as views of
-    the replica-major records."""
-    shape = (summary.replicas, summary.attempts)
-    return list(zip(range(summary.replicas), *(a.reshape(shape) for a in summary.run_records)))
+def _replica_runs(cfg):
+    """The summary of a recorded run, and (replica, heralded, x_sample,
+    noise_value) per replica, in the order the sink received them."""
+    runs = []
+    summary = run_campaign(cfg, lambda *record: runs.append(record))
+    return summary, [(replica, *record) for replica, record in enumerate(runs)]
 
 
 def test_record_runs_alignment():
@@ -639,42 +650,44 @@ def test_record_runs_alignment():
     cfg = CampaignConfig(scheme="amplified", true_alpha=0.01, total_time=50.0,
                          noise=NoiseModel(kind="white", sigma_tech=0.05),
                          seed=31, replicas=2, protocol=proto)
-    s = run_campaign(cfg, record_runs=True)
-    assert s.run_records is not None
-    assert [a.shape for a in s.run_records] == [(2 * cfg.attempts,)] * 3
-    assert s.run_records[0].dtype == np.int8
-    for replica, heralded, x_sample, _ in _replica_runs(s):
+    s, runs = _replica_runs(cfg)
+    assert [a.shape for run in runs for a in run[1:]] == [(cfg.attempts,)] * 6
+    assert all(run[1].dtype == np.int8 for run in runs)
+    for replica, heralded, x_sample, _ in runs:
         mask = heralded.astype(bool)
         assert np.all(np.isnan(x_sample[~mask]))
         assert np.all(np.isfinite(x_sample[mask]))
         assert int(mask.sum()) == s.per_replica_successes[replica]
-    # without the flag nothing is recorded
-    assert run_campaign(cfg).run_records is None
 
 
-def test_recorded_runs_hold_their_attempts_only():
-    # a recorded attempt is 17 B of data (int8 heralded, float64 x_sample
-    # and noise_value); what a recorded run holds after it returns, beyond
-    # an unrecorded one's, stays near that whatever the replica count
+def test_recorded_runs_hold_no_records():
+    # the sink receives every attempt and the campaign keeps none: after it
+    # returns, a recorded run holds no more than an unrecorded one, whatever
+    # the replica count (20000 one-attempt replicas held 41 B each when the
+    # campaign kept its records)
     proto = ProtocolConfig(alpha=0.01, t=0.1)
     cfg = CampaignConfig(scheme="amplified", true_alpha=0.01, total_time=0.1,
                          noise=NoiseModel(kind="white", sigma_tech=0.05),
                          seed=3, replicas=20_000, protocol=proto)
     assert cfg.attempts == 1
+    received = [0]
 
-    def held(record_runs):
+    def count(heralded, x_sample, noise_value):
+        received[0] += len(heralded)
+
+    def held(sink):
         tracemalloc.start()
         try:
-            summary = run_campaign(cfg, record_runs=record_runs)
-            return tracemalloc.get_traced_memory()[0], summary
+            run_campaign(cfg, sink)
+            return tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
 
-    run_campaign(replace(cfg, replicas=2), record_runs=True)  # first-call allocations that stay
-    plain, _ = held(False)
-    recorded, summary = held(True)
-    assert (recorded - plain) / cfg.replicas < 64
-    assert summary.run_records[0].shape == (cfg.replicas,)
+    for sink in (None, count):  # first-call allocations that stay
+        run_campaign(replace(cfg, replicas=2), sink)
+    plain, recorded = held(None), held(count)
+    assert recorded - plain < 1024  # kept records would be 340 kB
+    assert received == [cfg.replicas + 2]
 
 
 def test_replica_draw_order_contract():
@@ -684,9 +697,9 @@ def test_replica_draw_order_contract():
     noise = NoiseModel(kind="white", sigma_tech=0.05)
     cfg = CampaignConfig(scheme="amplified", true_alpha=0.01, total_time=30.0,
                          noise=noise, seed=77, replicas=2, protocol=proto)
-    s = run_campaign(cfg, record_runs=True)
+    s, runs = _replica_runs(cfg)
     res = run_exact(proto)
-    for replica, rec_heralded, x_sample, noise_value in _replica_runs(s):
+    for replica, rec_heralded, x_sample, noise_value in runs:
         rng = _replica_rng(77, replica)
         heralded = rng.random(cfg.attempts) < res.success_probability
         assert np.array_equal(heralded.astype(np.int8), rec_heralded)
