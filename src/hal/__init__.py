@@ -46,7 +46,6 @@ from .protocol import (
     run_exact,
     run_first_order,
     sweep,
-    target_state,
 )
 from .metrology import (
     CampaignConfig,
@@ -94,7 +93,6 @@ __all__ = [
     "run_exact",
     "run_first_order",
     "sweep",
-    "target_state",
     "CampaignConfig",
     "CampaignSummary",
     "NoiseModel",

@@ -507,7 +507,7 @@ def cmd_campaign(args) -> int:
     seed_override = _parse_int(args.seed, "--seed") if args.seed is not None else None
     with open(args.config, "r", encoding="utf-8") as fh:
         config = parse_campaign_file(fh.read(), seed_override)
-    # every check of the input runs before any output is opened
+    # every check of the input, and the herald, run before any output is opened
     worker_count()
     record = args.runs_csv is not None
     outputs = [args.out or "-"]
@@ -518,6 +518,7 @@ def cmd_campaign(args) -> int:
             os.path.realpath(args.out) == os.path.realpath(args.runs_csv)
         ):
             raise ValidationError("--out and --runs-csv name the same file")
+    protocol_result = run_exact(config.protocol) if config.scheme == "amplified" else None
     manifest = _manifest("campaign", _campaign_params(config), config.seed, outputs)
     with contextlib.ExitStack() as files:
         # both outputs are opened before the first replica runs, --out first
@@ -532,7 +533,7 @@ def cmd_campaign(args) -> int:
             else:
                 write = lambda chunk: _write_stdout((chunk,))
             runs = _RunsCsv(config.attempts, dumps(manifest), write)
-        summary = run_campaign(config, runs)
+        summary = run_campaign(config, runs, protocol_result)
         if runs is not None:
             runs.flush()
         text = (dumps(_summary_doc(manifest, summary)) + "\n").encode("utf-8")

@@ -49,19 +49,63 @@ def _finite_amplitude(value, name: str) -> complex:
     return z
 
 
-def _sum_of_squares(amp: np.ndarray) -> float:
-    return float(np.sum(amp.real * amp.real) + np.sum(amp.imag * amp.imag))
+def _sum_of_squares(amplitudes: np.ndarray) -> np.ndarray:
+    re, im = amplitudes.real, amplitudes.imag
+    return np.add.reduce(re * re, axis=1) + np.add.reduce(im * im, axis=1)
 
 
-def _norm(amp: np.ndarray) -> float:
-    """Euclidean norm of finite amplitudes, an elementwise sum of squares
-    (no BLAS), rescaled by the largest magnitude only when it overflows."""
+def _norm(amplitudes: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row of a (B, d) array of finite
+    amplitudes: an elementwise sum of squares (no BLAS), rescaled by the
+    row's largest magnitude only where it overflows."""
     with np.errstate(over="ignore"):
-        n = math.sqrt(_sum_of_squares(amp))
-    if n == math.inf:
-        peak = float(np.max(np.abs(amp)))
-        n = peak * math.sqrt(_sum_of_squares(amp / peak))
-    return n
+        norm = np.sqrt(_sum_of_squares(amplitudes))
+    if math.inf in norm.tolist():  # cheaper than an ndarray method on one point
+        big = norm == math.inf
+        peak = np.abs(amplitudes[big]).max(axis=1)
+        norm[big] = peak * np.sqrt(_sum_of_squares(amplitudes[big] / peak[:, None]))
+    return norm
+
+
+def _normalized(amplitudes: np.ndarray) -> np.ndarray:
+    """Every row of a (B, d) array divided by its norm."""
+    return amplitudes / _norm(amplitudes)[:, None]
+
+
+def _trace(matrices: np.ndarray) -> np.ndarray:
+    """The complex trace of every (d, d) matrix of a (B, d, d) stack."""
+    return np.add.reduce(matrices.diagonal(axis1=1, axis2=2), axis=1)
+
+
+def _clamped(values) -> np.ndarray:
+    """values clamped to [0, 1], the floating-point spill of a fidelity."""
+    return np.minimum(np.maximum(values, 0.0), 1.0)
+
+
+def _pure_fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<a|b>|^2 / (|a| |b|)^2 for the rows of a (B, d) a and a (B, k) b,
+    k <= d, b read as zero past its k levels. The squares and the quotient
+    are Python's scalar arithmetic, so a row's bits do not depend on its batch.
+    """
+    overlap = np.add.reduce(a[:, : b.shape[1]].conj() * b, axis=1)
+    scale = _norm(a) * _norm(b)
+    magnitude = np.hypot(overlap.real, overlap.imag)
+    return _clamped([s ** 2 / q ** 2 for s, q in zip(magnitude.tolist(), scale.tolist())])
+
+
+def _mixed_fidelity(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """<v|rho|v> / tr rho for the (d, d) matrices rho of a (B, d, d) stack and
+    the rows of a (B, k) array, k <= d, normalized to v and read as zero past
+    their k levels. The entries read (the k x k corner and the diagonal) are
+    divided by the trace first, so rho need not be normalized."""
+    k = vectors.shape[1]
+    trace = _trace(matrices).real[:, None]
+    v = _normalized(vectors)
+    corner = matrices[:, :k, :k] / trace[:, :, None]
+    rho_v = np.add.reduce(corner * v[:, None, :], axis=2)
+    overlap = np.add.reduce(v.conj() * rho_v, axis=1).real
+    diagonal = matrices.diagonal(axis1=1, axis2=2) / trace
+    return _clamped(overlap / np.add.reduce(diagonal, axis=1).real)
 
 
 def _check_cutoff(cutoff: int) -> None:
@@ -100,7 +144,7 @@ class PureState:
             )
         if not np.all(np.isfinite(amp.view(np.float64))):
             raise ValidationError("amplitudes must be finite")
-        n = _norm(amp)
+        n = _norm(amp[None])[0]
         if not np.isfinite(n) or n <= 0.0:
             raise ValidationError("state norm must be finite and positive")
         amp.setflags(write=False)
@@ -111,10 +155,10 @@ class PureState:
         raise AttributeError("PureState is immutable")
 
     def norm(self) -> float:
-        return _norm(self.amplitudes)
+        return float(_norm(self.amplitudes[None])[0])
 
     def normalized(self) -> "PureState":
-        return PureState(self.amplitudes / self.norm(), self.cutoff)
+        return PureState(_normalized(self.amplitudes[None])[0], self.cutoff)
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other> (no normalization applied)."""
@@ -155,7 +199,7 @@ class DensityOperator:
             raise ValidationError("matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_TOL:
             raise ValidationError("matrix is not Hermitian within 1e-10")
-        tr = float(np.trace(mat).real)
+        tr = float(_trace(mat[None])[0].real)
         if not np.isfinite(tr) or tr <= 0.0:
             raise ValidationError("trace must be finite and positive")
         # smallest eigenvalue may round slightly negative; beyond -1e-9 it is a bug
@@ -181,7 +225,7 @@ class DensityOperator:
         raise AttributeError("DensityOperator is immutable")
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(_trace(self.matrix[None])[0].real)
 
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal().real.copy()
@@ -220,17 +264,21 @@ def tail_beyond(k: int, log_p0: float, ratio: Callable) -> float:
     return float(pmf[-1] * total)
 
 
-def _coherent_tail(alpha: complex, cutoff: int, tail_threshold: float = TAIL_THRESHOLD) -> float:
+def _coherent_tail(alpha: complex, cutoff: int) -> float:
     """The Poisson tail P(N > cutoff; |alpha|^2) a truncated coherent state
-    discards.
+    discards."""
+    mu = abs(alpha) ** 2
+    return tail_beyond(cutoff, -mu, lambda j: mu / (j + 1.0)) if mu else 0.0
+
+
+def _checked_tail(tail: float, cutoff: int, tail_threshold: float = TAIL_THRESHOLD) -> float:
+    """A coherent tail past the cutoff, returned if it is at most tail_threshold.
 
     Raises
     ------
     TruncationError
         If the tail exceeds ``tail_threshold``.
     """
-    mu = abs(alpha) ** 2
-    tail = tail_beyond(cutoff, -mu, lambda j: mu / (j + 1.0)) if mu else 0.0
     if tail > tail_threshold:
         raise TruncationError(
             f"coherent tail mass {tail:.3e} beyond cutoff {cutoff} exceeds "
@@ -261,7 +309,7 @@ def coherent_state(
     a = _finite_amplitude(alpha, "alpha")
     if cutoff < 1:
         raise ValidationError("coherent_state requires cutoff >= 1")
-    _coherent_tail(a, cutoff, tail_threshold)
+    _checked_tail(_coherent_tail(a, cutoff), cutoff, tail_threshold)
     mu = abs(a) ** 2
     n = np.arange(cutoff + 1)
     if a == 0:
@@ -272,8 +320,7 @@ def coherent_state(
     log_factorial = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
     log_mag = n * np.log(abs(a)) - 0.5 * log_factorial - mu / 2.0
     amp = np.exp(log_mag) * np.exp(1j * n * np.angle(a))
-    amp /= _norm(amp)
-    return PureState(amp, cutoff)
+    return PureState(_normalized(amp[None])[0], cutoff)
 
 
 def number_state(n: int, cutoff: int) -> PureState:
@@ -295,23 +342,13 @@ def fidelity(a: Union[PureState, DensityOperator], b: PureState) -> float:
     if not isinstance(b, PureState):
         raise ValidationError("second argument must be a pure state")
     if isinstance(a, PureState):
-        if a.cutoff != b.cutoff:
-            raise ShapeError("fidelity requires a common basis")
-        an, bn = a.norm(), b.norm()
-        if an < 1e-300 or bn < 1e-300:
-            raise ValidationError("fidelity of a zero-norm state is undefined")
-        val = abs(np.sum(a.amplitudes.conj() * b.amplitudes)) ** 2 / (an * bn) ** 2
+        formula, values, norms = _pure_fidelity, a.amplitudes, (a.norm(), b.norm())
     elif isinstance(a, DensityOperator):
-        if a.cutoff != b.cutoff:
-            raise ShapeError("fidelity requires a common basis")
-        bn = b.norm()
-        if bn < 1e-300:
-            raise ValidationError("fidelity of a zero-norm state is undefined")
-        v = b.amplitudes / bn
-        rho_v = np.sum(a.matrix * v, axis=1)
-        val = float(np.sum(v.conj() * rho_v).real) / a.trace()
+        formula, values, norms = _mixed_fidelity, a.matrix, (b.norm(),)
     else:
         raise ValidationError("first argument must be a PureState or DensityOperator")
-    # clamp floating-point spill just outside [0, 1]
-    return float(min(max(val, 0.0), 1.0))
-
+    if a.cutoff != b.cutoff:
+        raise ShapeError("fidelity requires a common basis")
+    if min(norms) < 1e-300:
+        raise ValidationError("fidelity of a zero-norm state is undefined")
+    return float(formula(values[None], b.amplitudes[None])[0])

@@ -47,7 +47,7 @@ import numpy as np
 from ._parallel import map_indexed
 from .errors import GridError, NoSuccessError, ValidationError
 from .fock_core import DensityOperator, PureState
-from .protocol import ProtocolConfig, run_exact
+from .protocol import HeraldResult, ProtocolConfig, run_exact
 
 State = Union[PureState, DensityOperator]
 
@@ -599,7 +599,11 @@ def check_recording(config: CampaignConfig) -> None:
         )
 
 
-def run_campaign(config: CampaignConfig, sink: Optional[RunSink] = None) -> CampaignSummary:
+def run_campaign(
+    config: CampaignConfig,
+    sink: Optional[RunSink] = None,
+    protocol_result: Optional[HeraldResult] = None,
+) -> CampaignSummary:
     """Simulate the full campaign and aggregate per-replica estimates.
 
     Amplified scheme: the herald succeeds per attempt with the exact protocol
@@ -628,13 +632,16 @@ def run_campaign(config: CampaignConfig, sink: Optional[RunSink] = None) -> Camp
     MAX_RECORDED_ATTEMPTS attempts in all (`check_recording`). Estimates
     (NaN without a success) and success counts are allocated once, and each
     replica writes its own slots of them.
+    protocol_result, if given, is run_exact(config.protocol), evaluated by
+    the caller (the CLI does so before it opens any output).
     """
     r_attempts = config.attempts
     if sink is not None:
         check_recording(config)
     model = config.noise
     if config.scheme == "amplified":
-        protocol_result = run_exact(config.protocol)
+        if protocol_result is None:
+            protocol_result = run_exact(config.protocol)
         p_success = protocol_result.success_probability
         table = _InverseCdf.of(quadrature_pdf(protocol_result.conditional_state, 0.0))
     else:

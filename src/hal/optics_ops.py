@@ -24,7 +24,10 @@ signal at every cutoff >= 2 and 0..cutoff for the coherent one
 
 herald_click evaluates a batch of points at once, with a leading batch axis
 on alpha, t, the source efficiency and the click weights, on that support:
-O(B d^2) for d support levels. It reads one mode of both branches out with
+O(B d^2) for d support levels. A coherent signal's tail past the cutoff,
+which sets its normalization, comes from the caller, which has checked it
+against the truncation threshold once per (alpha, cutoff) pair; herald_click
+neither computes nor checks it. It reads one mode of both branches out with
 the detector's click weights: the off-diagonal entries from three prefix
 sums over the read mode, the diagonal from the photon branch's amplitudes.
 Only the single-mode conditional state is ever formed; no two-mode state
@@ -41,7 +44,6 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .fock_core import _coherent_tail
 
 #: Probabilities below this are treated as genuinely impossible outcomes.
 IMPOSSIBLE_PROBABILITY = 1e-300
@@ -134,6 +136,7 @@ def _abs2_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def herald_click(
     alpha: np.ndarray,
+    tail: np.ndarray,
     t: np.ndarray,
     cutoff: int,
     coherent: bool,
@@ -143,8 +146,9 @@ def herald_click(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The herald on the splitter's output, in closed form, for a batch of points.
 
-    Every point b has its own signal amplitude alpha[b], transmission t[b],
-    source efficiency p1[b] and click weights weights[b]; the cutoff, the
+    Every point b has its own signal amplitude alpha[b], the coherent
+    signal's tail tail[b] past the cutoff, transmission t[b], source
+    efficiency p1[b] and click weights weights[b]; the cutoff, the
     input kind and the read mode are shared. The signal (coherent, or
     |0> + alpha|1> normalized) enters mode A and a source that emits one
     photon with probability p1, vacuum otherwise, enters mode B. With N the
@@ -175,6 +179,10 @@ def herald_click(
     Parameters
     ----------
     alpha : (B,) complex array
+    tail : (B,) float array
+        The coherent signal's Poisson tail P(N > cutoff; |alpha|^2), which
+        sets its normalization; the caller has checked it against
+        TAIL_THRESHOLD. Unread for the two-term signal (pass zeros).
     t : (B,) float array, each in (0, 1)
     p1 : (B,) float array, each in [0, 1]
     weights : (B, d) float array
@@ -192,20 +200,13 @@ def herald_click(
     leakage : (B,) float array
         p1 times the probability of the photon branch's two entries |K+1, 0>
         and |0, K+1>, which fall past the cutoff when K = cutoff.
-
-    Raises
-    ------
-    TruncationError
-        If a coherent signal's tail past the cutoff exceeds TAIL_THRESHOLD.
     """
     d = support_size(cutoff, coherent)
     top = cutoff if coherent else 1
-    amps = alpha.tolist()
     if coherent:
-        tails = {a: _coherent_tail(a, cutoff) for a in dict.fromkeys(amps)}
-        scale = [(1.0 - tails[a]) ** -0.25 for a in amps]
+        scale = [(1.0 - s) ** -0.25 for s in tail.tolist()]
     else:
-        scale = [(1.0 + abs(a) ** 2) ** -0.25 for a in amps]
+        scale = [(1.0 + abs(a) ** 2) ** -0.25 for a in alpha.tolist()]
     r = np.sqrt(1.0 - t * t)
     root = np.sqrt(np.arange(d))
 

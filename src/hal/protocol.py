@@ -24,6 +24,11 @@ closed form, for a batch of points; no two-mode state is ever formed.
 run_exact calls it as a batch of one and sweep() batch by batch, and both
 read the success probability, gain and fidelity off its result through one
 routine (_figures), so a sweep row is run_exact's result bit for bit.
+_figures takes the norms, traces and fidelities from fock_core, the one copy
+of that algebra, which PureState, DensityOperator and fidelity() use too.
+The coherent signal's tail past the cutoff is computed once per (alpha,
+cutoff) pair by the caller, checked there (run_exact raises TruncationError,
+sweep() writes a truncation row) and handed to herald_click.
 """
 
 from __future__ import annotations
@@ -47,8 +52,13 @@ from .fock_core import (
     TAIL_THRESHOLD,
     DensityOperator,
     PureState,
+    _checked_tail,
     _coherent_tail,
     _finite_amplitude,
+    _mixed_fidelity,
+    _normalized,
+    _pure_fidelity,
+    _trace,
 )
 from .optics_ops import IMPOSSIBLE_PROBABILITY, HeraldModel, herald_click, support_size
 
@@ -156,14 +166,6 @@ class HeraldResult:
     leakage: float
 
 
-def target_state(alpha: complex, t: float, cutoff: int = 1) -> PureState:
-    """The ideal amplified state: |0> + (alpha/t)|1> normalized."""
-    amp = np.zeros(cutoff + 1, dtype=np.complex128)
-    amp[0] = 1.0
-    amp[1] = complex(alpha) / t
-    return PureState(amp, cutoff).normalized()
-
-
 def _warn_if_out_of_regime(config: ProtocolConfig) -> None:
     if not config.in_recommended_regime:
         warnings.warn(
@@ -198,18 +200,6 @@ def run_first_order(alpha, t: float) -> HeraldResult:
     )
 
 
-def _trace(matrices: np.ndarray) -> np.ndarray:
-    """The trace of every (d, d) matrix of a (B, d, d) stack, summed as np.trace sums."""
-    return matrices.diagonal(axis1=1, axis2=2).sum(axis=1)
-
-
-def _norm(amplitudes: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of every row of a (B, d) complex array, summed as
-    PureState.norm sums (its rows here are bounded, so nothing overflows)."""
-    re, im = amplitudes.real, amplitudes.imag
-    return np.sqrt((re * re).sum(axis=1) + (im * im).sum(axis=1))
-
-
 def _target(alpha: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The target's amplitudes 1 and alpha / t (Python's complex / float),
     unnormalized: a (B, 2) complex array, inf where alpha / t overflows."""
@@ -219,19 +209,6 @@ def _target(alpha: np.ndarray, t: np.ndarray) -> np.ndarray:
         target[:, 1].real = (alpha.real + alpha.imag * 0.0) / t
         target[:, 1].imag = (alpha.imag - alpha.real * 0.0) / t
     return target
-
-
-def _normalized(amplitudes: np.ndarray) -> np.ndarray:
-    """Every row divided by its norm, as PureState.normalized divides: where
-    the sum of squares overflows, the norm is taken on the rows divided by
-    their largest magnitude."""
-    with np.errstate(over="ignore"):
-        norm = _norm(amplitudes)
-    big = norm == math.inf
-    if big.any():
-        peak = np.abs(amplitudes[big]).max(axis=1)
-        norm[big] = peak * _norm(amplitudes[big] / peak[:, None])
-    return amplitudes / norm[:, None]
 
 
 def _figures(
@@ -246,88 +223,65 @@ def _figures(
 ) -> Tuple[np.ndarray, ...]:
     """Success probability, gain and target fidelity of herald_click's batch.
 
-    Returns (p, gain, fidelity, leaked, impossible, unbounded, faint, pure),
-    one entry per point. p is the click probability, the trace of rho; gain
-    and fidelity are NaN where the point failed. A point fails, in this order
-    of precedence, on leakage above TAIL_THRESHOLD (leaked), on a click
-    probability below IMPOSSIBLE_PROBABILITY (impossible), on a target
-    amplitude alpha / t that overflows (unbounded), or, at alpha != 0, on an
-    unnormalized rho_11 below sys.float_info.min (faint): rho_11 is about
-    p1 w(1) |alpha|^2 without dark counts, and once it is subnormal the gain
-    loses digits, or all of them where it underflows to zero. Only a signal
-    of one_quantum (K = 1: the two-term one, or any at cutoff 1) has an
-    exact zero there, when a vacuum source (p1 = 0) is read without dark
-    counts: the click takes the quantum, and the gain is 0. pure marks a
-    perfect source under the n = 1 projector, whose conditional state is the
-    one-click row (and rho_11 its |row_1|^2).
+    Returns (p, gain, fidelity, code, pure), one entry per point. p is the
+    click probability, the trace of rho; gain and fidelity are NaN where the
+    point failed, and code is "" or the name in _ERROR_CODES of how it
+    failed. In this order of precedence a point fails on leakage above
+    TAIL_THRESHOLD ("truncation"), on a click probability below
+    IMPOSSIBLE_PROBABILITY ("impossible"), and on a target amplitude
+    alpha / t that overflows or, at alpha != 0, an unnormalized rho_11 below
+    sys.float_info.min ("validation"): rho_11 is about p1 w(1) |alpha|^2
+    without dark counts, and once it is subnormal the gain loses digits, or
+    all of them where it underflows to zero. Only a signal of one_quantum
+    (K = 1: the two-term one, or any at cutoff 1) has an exact zero there,
+    when a vacuum source (p1 = 0) is read without dark counts: the click
+    takes the quantum, and the gain is 0. pure marks a perfect source under
+    the n = 1 projector, whose conditional state is the one-click row (and
+    rho_11 its |row_1|^2).
 
     The gain is the one-excitation/vacuum amplitude-magnitude ratio of the
     normalized conditional state, sqrt(rho_11/rho_00) when it is mixed,
-    divided by |alpha|; NaN at alpha = 0. The target |0> + (alpha/t)|1>
-    has two nonzero amplitudes, so the fidelity reads the state's first two
-    levels only (the 2 x 2 corner of rho) and its trace. Every step repeats
-    the rounding of one point's scalar evaluation (PureState.normalized,
-    DensityOperator, fidelity), whatever the batch.
+    divided by |alpha|; NaN at alpha = 0. The fidelity is fock_core's, to
+    the normalized target |0> + (alpha/t)|1>, whose two levels are all it
+    reads of the state besides its norm or trace; its rounding is the same
+    whatever the batch.
     """
     batch = len(p1)
     click = _trace(rho).real
-    leaked = leakage > TAIL_THRESHOLD
-    impossible = ~leaked & (click < IMPOSSIBLE_PROBABILITY)
-    unbounded = np.zeros(batch, dtype=bool)
-    faint = np.zeros(batch, dtype=bool)
+    code = np.full(batch, "", dtype=_ROW_DTYPE["error_code"])
+    code[leakage > TAIL_THRESHOLD] = "truncation"
+    code[(code == "") & (click < IMPOSSIBLE_PROBABILITY)] = "impossible"
     projector = (p1 == 1.0) & (weights[:, 1] == 1.0) & ((weights != 0.0).sum(axis=1) == 1)
     gain = np.full(batch, math.nan)
     fid = np.full(batch, math.nan)
-    ok = np.flatnonzero(~(leaked | impossible))
+    ok = np.flatnonzero(code == "")
     target = _target(alpha[ok], t[ok])
     bounded = np.isfinite(target[:, 1].real) & np.isfinite(target[:, 1].imag)
     exact_zero = one_quantum & (p1[ok] == 0.0) & (weights[ok, 0] == 0.0)
     resolved = (alpha[ok] == 0.0) | (rho[ok, 1, 1].real >= sys.float_info.min) | exact_zero
-    unbounded[ok[~bounded]] = True
-    faint[ok[bounded & ~resolved]] = True
-    ok, target = ok[bounded & resolved], target[bounded & resolved]
-    if not len(ok):
-        return click, gain, fid, leaked, impossible, unbounded, faint, projector
-    if len(ok) < batch:
-        rho, row, alpha = rho[ok], row[ok], alpha[ok]
-    p, pure = click[ok], projector[ok]
-    alpha_mag = np.hypot(alpha.real, alpha.imag)
-    target = _normalized(target)
-    target_norm = _norm(target)
-    out_gain = np.full(len(ok), math.nan)
-    out_fid = np.empty(len(ok))
-    if pure.any():
-        c = row / _norm(row)[:, None]
+    code[ok[~(bounded & resolved)]] = "validation"
+    ok, target = ok[bounded & resolved], _normalized(target[bounded & resolved])
+    on_row = projector[ok]
+    pure, mixed = ok[on_row], ok[~on_row]
+    if len(pure):
+        c = _normalized(row[pure])
         c0 = np.hypot(c[:, 0].real, c[:, 0].imag)
         c1 = np.hypot(c[:, 1].real, c[:, 1].imag)
+        mag = np.hypot(alpha[pure].real, alpha[pure].imag)
         # |c0| |alpha| is about t / |1 - 2t^2| for large alpha, a normal double
         # for every accepted t; the quotient |c1| / |c0| alone can overflow
-        defined = pure & (alpha_mag != 0.0) & (c0 != 0.0)
-        np.divide(c1, c0 * alpha_mag, out=out_gain, where=defined)
-        overlap = c[:, 0].conj() * target[:, 0] + c[:, 1].conj() * target[:, 1]
-        scale = _norm(c) * target_norm
-        out_fid[pure] = [
-            s ** 2 / q ** 2
-            for s, q in zip(
-                np.hypot(overlap.real, overlap.imag)[pure].tolist(), scale[pure].tolist()
-            )
-        ]
-    if not pure.all():
-        mixed = ~pure
-        diagonal = rho.diagonal(axis1=1, axis2=2) / p[:, None]
-        d0, d1 = diagonal[:, 0].real, diagonal[:, 1].real
-        defined = mixed & (alpha_mag != 0.0) & (d0 > 0.0)
-        ratio = np.divide(d1, d0, out=np.zeros(len(ok)), where=defined)
-        np.divide(np.sqrt(ratio), alpha_mag, out=out_gain, where=defined)
-        v = target / target_norm[:, None]
-        corner = rho[:, :2, :2] / p[:, None, None]
-        rho_v = corner[:, :, 0] * v[:, None, 0] + corner[:, :, 1] * v[:, None, 1]
-        overlap = v[:, 0].conj() * rho_v[:, 0] + v[:, 1].conj() * rho_v[:, 1]
-        out_fid[mixed] = (overlap.real / diagonal.sum(axis=1).real)[mixed]
-    gain[ok] = out_gain
-    # clamp floating-point spill just outside [0, 1]
-    fid[ok] = np.minimum(np.maximum(out_fid, 0.0), 1.0)
-    return click, gain, fid, leaked, impossible, unbounded, faint, projector
+        defined = (mag != 0.0) & (c0 != 0.0)
+        gain[pure] = np.divide(c1, c0 * mag, out=np.full(len(pure), math.nan), where=defined)
+        fid[pure] = _pure_fidelity(c, target[on_row])
+    if len(mixed):
+        states = rho if len(mixed) == batch else rho[mixed]
+        d0, d1 = (states[:, [0, 1], [0, 1]] / click[mixed, None]).real.T
+        mag = np.hypot(alpha[mixed].real, alpha[mixed].imag)
+        defined = (mag != 0.0) & (d0 > 0.0)
+        ratio = np.divide(d1, d0, out=np.zeros(len(mixed)), where=defined)
+        gain[mixed] = np.divide(np.sqrt(ratio), mag, out=np.full(len(mixed), math.nan), where=defined)
+        fid[mixed] = _mixed_fidelity(states, target[~on_row])
+    return click, gain, fid, code, projector
 
 
 def run_exact(config: ProtocolConfig) -> HeraldResult:
@@ -363,28 +317,30 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
     _warn_if_out_of_regime(config)
     cutoff = config.cutoff
     coherent = config.input_kind == "coherent"
+    tail = _checked_tail(_coherent_tail(config.alpha, cutoff), cutoff) if coherent else 0.0
     d = support_size(cutoff, coherent)
     weights = config.herald.click_weights(d - 1)[None]
     alpha = np.array([config.alpha])
     t = np.array([float(config.t)])
     p1 = np.array([float(config.source_efficiency)])
-    rho, row, leakage = herald_click(alpha, t, cutoff, coherent, p1, weights, config.herald.mode)
-    p, gain, fid, leaked, impossible, unbounded, faint, pure = _figures(
+    rho, row, leakage = herald_click(
+        alpha, np.array([tail]), t, cutoff, coherent, p1, weights, config.herald.mode
+    )
+    p, gain, fid, code, pure = _figures(
         rho, row, leakage, alpha, t, p1, weights, not coherent or cutoff == 1
     )
-    leak = float(leakage[0])
-    if leaked[0]:
+    leak, p = float(leakage[0]), float(p[0])
+    if code[0] == "truncation":
         raise TruncationError(
             f"beam-splitter leakage {leak:.3e} exceeds threshold {TAIL_THRESHOLD:.1e}",
             tail_mass=leak,
             threshold=TAIL_THRESHOLD,
         )
-    p = float(p[0])
-    if impossible[0]:
+    if code[0] == "impossible":
         raise ImpossibleOutcomeError(f"herald click has probability {p:.3e}", p)
-    if unbounded[0]:
-        raise ValidationError("amplitudes must be finite")
-    if faint[0]:
+    if code[0] == "validation":
+        if not np.isfinite(_target(alpha, t)).all():
+            raise ValidationError("amplitudes must be finite")
         raise ValidationError(
             f"the conditional state's one-excitation population {rho[0, 1, 1].real:.3e} "
             f"is below {sys.float_info.min!r}, so the gain at alpha={config.alpha!r} "
@@ -392,9 +348,9 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
         )
     if pure[0]:
         # the photon branch alone under the n = 1 projector stays pure
-        amplitudes = np.zeros(cutoff + 1, dtype=np.complex128)
-        amplitudes[:d] = row[0]
-        conditional = PureState(amplitudes, cutoff).normalized()
+        amplitudes = np.zeros((1, cutoff + 1), dtype=np.complex128)
+        amplitudes[0, :d] = row[0]
+        conditional = PureState(_normalized(amplitudes)[0], cutoff)
     else:
         matrix = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
         matrix[:d, :d] = rho[0]
@@ -468,14 +424,6 @@ def _accepted(base: ProtocolConfig, name: str, values: Sequence) -> np.ndarray:
     return ok
 
 
-def _tail_exceeds(alpha: complex, cutoff: int) -> bool:
-    try:
-        _coherent_tail(alpha, cutoff)
-    except TruncationError:
-        return True
-    return False
-
-
 def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarray:
     """Evaluate run_exact over a cartesian grid into one table, a row per point.
 
@@ -490,11 +438,12 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
     Each row is run_exact's result at its point, bit for bit, but no point
     runs run_exact. Every check ProtocolConfig and HeraldModel make reads one
     field, so each axis value is checked once and a point is valid when all
-    of its values are; a coherent signal's tail is checked once per (alpha,
-    cutoff) pair. The valid points of one cutoff are evaluated in batches
-    whose temporaries stay near SWEEP_BATCH_BYTES (one point at least): one
-    herald_click call and one pass of the figures routine run_exact uses
-    per batch, which writes its rows as one block of the table. So the sweep
+    of its values are; a coherent signal's tail is computed and checked once
+    per (alpha, cutoff) pair, and herald_click reads it from there. The
+    valid points of one cutoff are evaluated in batches whose temporaries
+    stay near SWEEP_BATCH_BYTES (one point at least): one herald_click call
+    and one pass of the figures routine run_exact uses per batch, which
+    writes its rows as one block of the table. So the sweep
     holds 136 B per point plus a batch's temporaries per running thread.
     map_indexed runs the batches.
     """
@@ -533,9 +482,11 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
     ])
     cutoffs = values["cutoff"]
     coherent = base.input_kind == "coherent"
-    truncated = {
+    # the coherent signal's tail at each (alpha, cutoff) pair, 0 where either is rejected
+    tails = {
         c: np.array([
-            ok and _tail_exceeds(a, cutoff) for a, ok in zip(values["alpha"], accepted["alpha"])
+            _coherent_tail(a, cutoff) if ok else 0.0
+            for a, ok in zip(values["alpha"], accepted["alpha"])
         ])
         for c, cutoff in enumerate(cutoffs)
         if coherent and accepted["cutoff"][c]
@@ -591,10 +542,11 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
         for name in swept:
             valid &= accepted[name][index[name]]
         code[~valid] = "validation"
-        if c in truncated:
-            cut = valid & truncated[c][index["alpha"] if "alpha" in index else 0]
-            code[cut] = "truncation"
-            valid &= ~cut
+        tail = np.zeros(n)
+        if c in tails:
+            tail = np.broadcast_to(tails[c][index["alpha"] if "alpha" in index else 0], n)
+            code[valid & (tail > TAIL_THRESHOLD)] = "truncation"
+            valid &= tail <= TAIL_THRESHOLD
         outcome = np.full((3, n), math.nan)
         k = np.flatnonzero(valid)
         if len(k):
@@ -605,19 +557,12 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
             else:
                 weights = np.broadcast_to(herald.click_weights(levels - 1), (len(k), levels))
             alpha, t, p1 = (np.broadcast_to(at[name], n)[k] for name in ("alpha", "t", "p1"))
-            heralded = herald_click(alpha, t, cutoffs[c], coherent, p1, weights, herald.mode)
-            figures = _figures(
-                *heralded, alpha, t, p1, weights, not coherent or cutoffs[c] == 1
+            heralded = herald_click(
+                alpha, tail[k], t, cutoffs[c], coherent, p1, weights, herald.mode
             )
-            outcome[:, k] = figures[:3]
-            leaked, impossible, unbounded, faint = figures[3:7]
-            for failed, name in (
-                (leaked, "truncation"),
-                (impossible, "impossible"),
-                (unbounded | faint, "validation"),
-            ):
-                code[k[failed]] = name
-                outcome[0, k[failed]] = math.nan
+            figures = _figures(*heralded, alpha, t, p1, weights, not coherent or cutoffs[c] == 1)
+            outcome[:, k], code[k] = figures[:3], figures[3]
+            outcome[0, k[code[k] != ""]] = math.nan
         lead = leading[index["t"]] if "t" in index else leading[0]
         # ROW_COLUMNS: alpha split in two, the other axes in SWEEP_AXES order, the outcome
         for name, column in (

@@ -36,6 +36,7 @@ from .fock_core import (
     PureState,
     _finite_amplitude,
     _norm,
+    _normalized,
     coherent_state,
     tail_beyond,
 )
@@ -86,7 +87,7 @@ class DickeState:
             raise ShapeError(f"k_max must satisfy 0 <= k_max <= N, got {amp.shape[0] - 1}")
         if not np.all(np.isfinite(amp.view(np.float64))):
             raise ValidationError("amplitudes must be finite")
-        norm = _norm(amp)
+        norm = float(_norm(amp[None])[0])
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValidationError(f"Dicke amplitudes must be normalized, norm={norm!r}")
         amp.setflags(write=False)
@@ -146,8 +147,7 @@ def rotated_product_state(
     log_binom = np.concatenate(([0.0], np.cumsum(np.log((n - j + 1.0) / j))))
     log_mag = 0.5 * log_binom + k * math.log(r) - (n / 2.0) * math.log1p(r * r)
     amp = np.exp(log_mag) * np.exp(1j * k * np.angle(eps))
-    amp /= _norm(amp)
-    return DickeState(amp, spec.N, tail)
+    return DickeState(_normalized(amp[None])[0], spec.N, tail)
 
 
 def oscillator_approximation(spec: EnsembleSpec, cutoff: int = DEFAULT_CUTOFF) -> PureState:

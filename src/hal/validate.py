@@ -22,15 +22,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fock_core import coherent_state, number_state
+from .fock_core import _coherent_tail, coherent_state, number_state
 from .metrology import quadrature_pdf
 from .optics_ops import HeraldModel, herald_click, support_size
 from .protocol import ProtocolConfig, run_exact
 from .spin_ensemble import EnsembleSpec, rotated_product_state
 
-#: herald_click's signature: (alpha, t, cutoff, coherent, p1, weights, mode)
-#: -> (rho, row, leakage), with a leading batch axis on alpha, t, p1, weights
-#: and the results, and the states on the signal's support.
+#: herald_click's signature: (alpha, tail, t, cutoff, coherent, p1, weights,
+#: mode) -> (rho, row, leakage), with a leading batch axis on alpha, tail, t,
+#: p1, weights and the results, and the states on the signal's support.
 ClosedForm = Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 # The oracle's splitter is dense_bs_matrix(2 * _HERALD_CUTOFF, _HERALD_T),
@@ -159,6 +159,7 @@ def _heralds(
     n = len(weights)
     rho, row, leakage = closed_form(
         np.full(n, alpha, dtype=np.complex128),
+        np.full(n, _coherent_tail(alpha, cutoff) if coherent else 0.0),
         np.full(n, t),
         cutoff,
         coherent,

@@ -934,7 +934,8 @@ def test_recorded_campaign_above_its_ceiling_touches_no_file(tmp_path, capsys, m
     def no_run(*args):
         raise AssertionError("a refused campaign ran")
 
-    monkeypatch.setattr("hal.metrology.run_exact", no_run)
+    for where in ("hal.cli.run_exact", "hal.metrology.run_exact"):
+        monkeypatch.setattr(where, no_run)
     cfg = tmp_path / "c.ini"
     attempts = MAX_RECORDED_ATTEMPTS // 8 + 1
     cfg.write_text(AMPLIFIED_CFG.replace("total_time = 200", f"total_time = {attempts}\nrun_period = 1")
@@ -945,6 +946,18 @@ def test_recorded_campaign_above_its_ceiling_touches_no_file(tmp_path, capsys, m
     assert "recorded attempts" in capsys.readouterr().err
     assert out.read_bytes() == b"an earlier summary\n"
     assert not runs.exists()
+
+
+def test_campaign_with_an_impossible_herald_touches_no_file(tmp_path, capsys):
+    # the herald is evaluated before either output is opened: a vacuum source
+    # against alpha = 0 never clicks, so the campaign exits 2 and writes nothing
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(AMPLIFIED_CFG.replace("true_alpha = 0.01", "true_alpha = 0")
+                   .replace("alpha = 0.01\nt = 0.1", "alpha = 0\nt = 0.1\nsource_efficiency = 0"))
+    out, runs = tmp_path / "s.json", tmp_path / "runs.csv"
+    assert main(["campaign", str(cfg), "--out", str(out), "--runs-csv", str(runs)]) == 2
+    assert "impossible outcome" in capsys.readouterr().err
+    assert not out.exists() and not runs.exists()
 
 
 def test_unwritable_summary_leaves_no_runs_csv(tmp_path, capsys):

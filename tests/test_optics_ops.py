@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from hal.errors import ImpossibleOutcomeError, ShapeError, ValidationError
-from hal.fock_core import DensityOperator, PureState, coherent_state, fidelity, number_state
+from hal.fock_core import (
+    DensityOperator,
+    PureState,
+    _coherent_tail,
+    coherent_state,
+    fidelity,
+    number_state,
+)
 from hal.optics_ops import HeraldModel, herald_click, support_size
 from hal.protocol import ProtocolConfig, run_exact
 from hal.validate import dense_bs_matrix
@@ -17,9 +24,10 @@ def _click(alpha, t, cutoff, coherent, p1, weights, mode):
     padded with zeros from the signal's support to occupations 0..cutoff;
     weights are given on 0..cutoff."""
     d = support_size(cutoff, coherent)
+    tail = _coherent_tail(alpha, cutoff) if coherent else 0.0
     rho, row, leak = herald_click(
-        np.array([alpha], dtype=complex), np.array([t]), cutoff, coherent, np.array([p1]),
-        np.asarray(weights, dtype=float)[None, :d], mode,
+        np.array([alpha], dtype=complex), np.array([tail]), np.array([t]), cutoff, coherent,
+        np.array([p1]), np.asarray(weights, dtype=float)[None, :d], mode,
     )
     full = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     full[:d, :d] = rho[0]
@@ -316,9 +324,10 @@ def test_herald_batch_points_are_independent(coherent, cutoff):
     d = support_size(cutoff, coherent)
     weights = np.array([HeraldModel(e, pd, "B", False).click_weights(d - 1)
                         for e, pd in zip(rng.choice([0.5, 1.0], n), rng.choice([0.0, 1e-3], n))])
-    batch = herald_click(alpha, t, cutoff, coherent, p1, weights, "B")
+    tail = np.array([_coherent_tail(a, cutoff) if coherent else 0.0 for a in alpha])
+    batch = herald_click(alpha, tail, t, cutoff, coherent, p1, weights, "B")
     for k in range(n):
-        alone = herald_click(alpha[k:k + 1], t[k:k + 1], cutoff, coherent, p1[k:k + 1],
-                             weights[k:k + 1], "B")
+        alone = herald_click(alpha[k:k + 1], tail[k:k + 1], t[k:k + 1], cutoff, coherent,
+                             p1[k:k + 1], weights[k:k + 1], "B")
         for got, want in zip(batch, alone):
             assert got[k].tobytes() == want[0].tobytes()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hal
+from hal import fock_core
 from hal.errors import ImpossibleOutcomeError, TruncationError, ValidationError
 from hal.fock_core import (
     TAIL_THRESHOLD,
@@ -30,13 +31,10 @@ from hal.protocol import (
     ROW_COLUMNS,
     SWEEP_BATCH_BYTES,
     RegimeWarning,
-    _norm,
-    _normalized,
     _target,
     run_exact,
     run_first_order,
     sweep,
-    target_state,
 )
 from hal.spin_ensemble import (
     EnsembleSpec,
@@ -224,8 +222,15 @@ def test_gain_convergence_as_t_shrinks():
     assert fids[-1] > 1.0 - 1e-6
 
 
+def _target_state(alpha, t, cutoff):
+    """The normalized target |0> + (alpha/t)|1> on occupations 0..cutoff."""
+    amplitudes = np.zeros(cutoff + 1, dtype=np.complex128)
+    amplitudes[:2] = _target(np.array([complex(alpha)]), np.array([t]))[0]
+    return PureState(amplitudes, cutoff).normalized()
+
+
 def test_target_state():
-    psi = target_state(0.01, 0.1, cutoff=3)
+    psi = _target_state(0.01, 0.1, cutoff=3)
     assert abs(psi.norm() - 1.0) < 1e-15
     assert abs(psi.amplitudes[1] / psi.amplitudes[0] - 0.1) < 1e-15
 
@@ -348,6 +353,63 @@ def _point(base, row, axes):
     )
 
 
+def _mp_figures(config):
+    """run_exact's gain and fidelity_to_target in mpmath (40 digits).
+
+    The splitter's images are expanded in full: U takes a^dag to
+    r a^dag - t b^dag and b^dag to t a^dag + r b^dag, so the signal
+    sum_k (alpha^k / k!) a^dag^k |0> (k <= 1 for the two-term signal) leaves
+    as a polynomial in a^dag and b^dag, times t a^dag + r b^dag for the
+    photon branch. Entries past the cutoff in either mode are dropped, and
+    the read mode's occupation n weighs each branch's rows by w(n). The
+    signal's normalization is common to both branches and cancels.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        alpha = mpmath.mpc(config.alpha.real, config.alpha.imag)
+        t = mpmath.mpf(config.t)
+        r = mpmath.sqrt(1 - t * t)
+        cutoff, herald = config.cutoff, config.herald
+        eta, pd = mpmath.mpf(herald.read_efficiency), mpmath.mpf(herald.dark_count)
+        vacuum = {}  # coefficient of a^dag^m b^dag^n
+        for k in range((cutoff if config.input_kind == "coherent" else 1) + 1):
+            for m in range(k + 1):
+                term = alpha**k / mpmath.factorial(k) * mpmath.binomial(k, m) * r**m * (-t) ** (k - m)
+                vacuum[m, k - m] = vacuum.get((m, k - m), 0) + term
+        photon = {}
+        for (m, n), x in vacuum.items():
+            for key, factor in (((m + 1, n), t), ((m, n + 1), r)):
+                photon[key] = photon.get(key, 0) + factor * x
+
+        def w(n):
+            if not herald.resolving:
+                return 1 - (1 - pd) * (1 - eta) ** n
+            return pd if n == 0 else (1 - pd) * n * eta * (1 - eta) ** (n - 1) + pd * (1 - eta) ** n
+
+        read = 0 if herald.mode == "A" else 1
+        p1 = mpmath.mpf(config.source_efficiency)
+        corner = [[mpmath.mpc(0)] * 2 for _ in range(2)]  # rho on occupations 0, 1
+        trace = mpmath.mpf(0)
+        for weight, branch in ((p1, photon), (1 - p1, vacuum)):
+            rows = {}  # read occupation -> {other occupation: amplitude}
+            for key, x in branch.items():
+                if max(key) <= cutoff:
+                    amplitude = x * mpmath.sqrt(mpmath.factorial(key[0]) * mpmath.factorial(key[1]))
+                    rows.setdefault(key[read], {})[key[1 - read]] = amplitude
+            for n, row in rows.items():
+                scale = weight * w(n)
+                trace += scale * mpmath.fsum(abs(x) ** 2 for x in row.values())
+                for i, j in itertools.product((0, 1), repeat=2):
+                    corner[i][j] += scale * row.get(i, 0) * mpmath.conj(row.get(j, 0))
+        gain = mpmath.sqrt(corner[1][1].real / corner[0][0].real) / abs(alpha)
+        v = (1, alpha / t)
+        overlap = mpmath.fsum(
+            mpmath.conj(v[i]) * corner[i][j] * v[j] for i, j in itertools.product((0, 1), repeat=2)
+        )
+        return float(gain), float(overlap.real / (1 + abs(v[1]) ** 2) / trace)
+
+
 @pytest.mark.parametrize(
     "alpha, t, cutoff, input_kind, p1, herald",
     [
@@ -362,21 +424,19 @@ def _point(base, row, axes):
     ],
 )
 @pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
-def test_batched_figures_match_the_scalar_state_helpers(alpha, t, cutoff, input_kind, p1, herald):
-    # _figures repeats target_state, PureState.norm / normalized and
-    # fock_core.fidelity on a batch; on one point they agree bit for bit
+def test_figures_match_mpmath(alpha, t, cutoff, input_kind, p1, herald):
+    # gain and fidelity against _mp_figures; at (1e5, 1e-150) |alpha / t|^2
+    # overflows, so the target's norm is taken rescaled (a double-precision
+    # oracle's np.linalg.norm overflows there). The bounds are about ten
+    # times the largest error measured on these points: 5.6e-15 relative for
+    # the gain (at t = 0.7, where gain * t = r^2 - t^2 cancels) and 3.1e-16
+    # for the fidelity.
     config = ProtocolConfig(alpha=alpha, t=t, cutoff=cutoff, input_kind=input_kind,
                             source_efficiency=p1, herald=herald)
     result = run_exact(config)
-    target = target_state(config.alpha, t, cutoff)
-    batched = _normalized(_target(np.array([config.alpha]), np.array([t])))[0]
-    assert batched.tobytes() == target.amplitudes[:2].tobytes()
-    assert not target.amplitudes[2:].any()
-    assert _norm(batched[None])[0] == target.norm()
-    assert result.fidelity_to_target == fidelity(result.conditional_state, target)
-    state = result.conditional_state
-    if isinstance(state, PureState):
-        assert _norm(state.amplitudes[None])[0] == state.norm()
+    gain, fid = _mp_figures(config)
+    assert abs(result.gain - gain) <= 5e-14 * gain
+    assert abs(result.fidelity_to_target - fid) <= 3e-15
 
 
 @pytest.mark.parametrize("coherent", [False, True])
@@ -447,6 +507,33 @@ def test_sweep_checks_each_axis_value_once(monkeypatch):
     rows = sweep(base, {"t": [0.1, 0.2, 1.5], "alpha": np.linspace(0, 0.02, 30).tolist()})
     assert len(calls) == 3 + 30
     assert [r["error_code"] for r in rows[-30:]] == ["validation"] * 30
+
+
+@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
+def test_coherent_sweep_takes_one_tail_per_alpha_and_cutoff(monkeypatch):
+    # the sweep computes each (alpha, cutoff) pair's Poisson tail once and
+    # hands it to herald_click, which computes none of its own
+    calls = []
+    tail_beyond = fock_core.tail_beyond
+
+    def counted(*args):
+        calls.append(args)
+        return tail_beyond(*args)
+
+    monkeypatch.setattr(fock_core, "tail_beyond", counted)
+    base = ProtocolConfig(alpha=0.5, t=0.2, input_kind="coherent", source_efficiency=0.9,
+                          herald=HeraldModel(0.9, 1e-4))
+    axes = {"alpha": np.linspace(0.25, 4.0, 16).tolist(), "t": [0.1, 0.2, 0.3, 0.4],
+            "cutoff": [30, 60, 100, 200]}
+    rows = sweep(base, axes)
+    assert len(rows) == 256 and len(calls) == 64
+    assert set(rows["error_code"]) == {"", "truncation"}
+    # run_exact checks its one tail at the boundary: past TAIL_THRESHOLD it
+    # raises, whatever the beam splitter would leak
+    calls.clear()
+    with pytest.raises(TruncationError, match="coherent tail mass") as caught:
+        run_exact(replace(base, alpha=4.0, cutoff=30))
+    assert caught.value.tail_mass > TAIL_THRESHOLD and len(calls) == 1
 
 
 def test_coherent_sweep_batches_by_bytes(monkeypatch):
@@ -836,7 +923,7 @@ def test_result_path_makes_no_blas_call(monkeypatch):
             warnings.simplefilter("ignore", RegimeWarning)
             for config in configs:
                 state = run_exact(config).conditional_state
-                fidelity(state, target_state(config.alpha, config.t, config.cutoff))
+                fidelity(state, _target_state(config.alpha, config.t, config.cutoff))
                 for phase in (0.0, 0.5):
                     quadrature_pdf(state, phase)
         # the `hal ensemble` report

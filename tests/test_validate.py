@@ -43,8 +43,8 @@ def _failed(closed_form=None):
 def test_faulted_closed_forms_are_caught(monkeypatch):
     # t's sign flipped: the conjugate convention. Every probability and
     # magnitude is intact, and only the phase-sensitive oracle checks see it.
-    def flipped(alpha, t, *rest):
-        return herald_click(alpha, -t, *rest)
+    def flipped(alpha, tail, t, *rest):
+        return herald_click(alpha, tail, -t, *rest)
 
     assert _failed(flipped) == ORACLE_CHECKS
 
