@@ -234,8 +234,9 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 #: Rows rendered per csv_block call. A block is written before the next is
-#: rendered, so this bounds the writer's memory whatever the row count: about
-#: 320 B per row in csv_block, 1.3 MB at 4096 rows.
+#: rendered, so this bounds the writer's memory whatever the row count: 136 B
+#: per row of peak in csv_block for a runs CSV block, 0.56 MB at 4096 rows
+#: (226 B, 0.93 MB, when both float columns are dense).
 _ROW_CHUNK = 1 << 12
 
 
@@ -252,7 +253,8 @@ def _sweep_csv(rows: np.ndarray, manifest_json: str):
     for start in range(0, len(rows), _ROW_CHUNK):
         part = rows[start : start + _ROW_CHUNK]
         yield csv_block([part[name].astype("S") if name in ("cutoff", "error_code") else part[name]
-                         for name in ROW_COLUMNS]) + b"\n"
+                         for name in ROW_COLUMNS])
+        yield b"\n"
 
 
 def cmd_protocol(args) -> int:
@@ -480,7 +482,8 @@ class _RunsCsv:
         stop = self._written + self._held
         replica, attempt_index = np.divmod(np.arange(self._written, stop), self._attempts)
         record = (buffer[: self._held] for buffer in self._buffers)
-        self._write(csv_block((replica, attempt_index, *record)) + b"\n")
+        self._write(csv_block((replica, attempt_index, *record)))
+        self._write(b"\n")
         self._written, self._held = stop, 0
 
 

@@ -212,12 +212,13 @@ class DensityOperator:
 
     @classmethod
     def _unchecked(cls, matrix: np.ndarray, cutoff: int) -> "DensityOperator":
-        """A density operator from a matrix that is one by construction (the
-        protocol's conditional state), without the O(d^3) validation."""
+        """A density operator from a complex128 matrix that is one by
+        construction (the protocol's conditional state), without the O(d^3)
+        validation. The state keeps the matrix it is handed, read-only, so
+        the caller gives it up."""
         state = object.__new__(cls)
-        mat = np.array(matrix, dtype=np.complex128)
-        mat.setflags(write=False)
-        object.__setattr__(state, "matrix", mat)
+        matrix.setflags(write=False)
+        object.__setattr__(state, "matrix", matrix)
         object.__setattr__(state, "cutoff", int(cutoff))
         return state
 

@@ -81,10 +81,11 @@ _PDF_TOLERANCE = 1e-6
 #: A recorded campaign hands each replica's arrays to its sink and keeps
 #: none, and the runs CSV is written in blocks of 4096 rows as they are
 #: rendered, so memory does not grow with recorded attempts. What a recorded
-#: row still costs is its rendering and its bytes, about 0.3 us to render,
-#: 0.5-0.6 us in all and 35-37 B of CSV (bench protocol, white noise, one
-#: thread): 1.25e6 attempts x 4 replicas took 1.8-2.5 s to a file, 1.6 s to
-#: /dev/null, and 66 MB ru_maxrss (57 MB unrecorded) for 174 MB of CSV;
+#: row still costs is its rendering and its bytes, about 0.3-0.35 us to
+#: render and write, 0.35-0.4 us in all and 35-37 B of CSV (bench protocol,
+#: white noise, one thread): 1.25e6 attempts x 4 replicas took 1.8-2.5 s to
+#: a file, 1.6 s to /dev/null, and 66 MB ru_maxrss (57 MB unrecorded) for
+#: 174 MB of CSV;
 #: 1e7 x 5 took 29 s (25 s to /dev/null), 203 MB ru_maxrss, the replica's
 #: own arrays, for 1.86 GB. MAX_RECORDED_ATTEMPTS, 5e7, keeps a recorded
 #: campaign near half a minute and 2 GB of disk.

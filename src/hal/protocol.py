@@ -353,8 +353,8 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
         conditional = PureState(_normalized(amplitudes)[0], cutoff)
     else:
         matrix = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-        matrix[:d, :d] = rho[0]
-        conditional = DensityOperator._unchecked(matrix / p, cutoff)
+        np.divide(rho[0], p, out=matrix[:d, :d])
+        conditional = DensityOperator._unchecked(matrix, cutoff)
     return HeraldResult(
         success_probability=p,
         conditional_state=conditional,

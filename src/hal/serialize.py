@@ -118,44 +118,54 @@ _F_WIDTH = 44
 _F_DIGIT0 = 6
 _E_MIN, _E_MAX = -6, 16
 _POW10 = np.array([10.0**k for k in range(23)])  # exact doubles
-_NAN_TEMPLATE = np.frombuffer(
-    b"-0.000" + b"".join(bytes([d, 46]) for d in b"nan00000000000000") + b"e-00", np.uint8
-)
+_MINUS = np.uint8(45)  # "-"
 
 
-def _float_keep_table() -> np.ndarray:
-    """Bytes kept per code (E - _E_MIN) * 18 + significant digit count, for
-    E in [_E_MIN, _E_MAX] and 1 to 17 digits; then the nan and zero codes."""
+@functools.lru_cache(maxsize=None)
+def _float_text_table() -> np.ndarray:
+    """Cell text per code (E - _E_MIN) * 18 + significant digit count, for
+    E in [_E_MIN, _E_MAX] and 1 to 17 digits; then the nan and zero codes.
+    A code's row holds the bytes its cells keep that the sign and digits do
+    not set: the "0." prefix and its zeros, the point and "e-0d". Every
+    other slot, the sign and digit slots included, is NUL. Built on first
+    use, so commands that write no CSV do not pay for it."""
     e = np.arange(_E_MIN, _E_MAX + 1)[:, None, None]
     nz = np.arange(18)[None, :, None]
     pos = np.arange(_F_WIDTH)
     i, is_point = np.divmod(pos - _F_DIGIT0, 2)  # slot of digit i, or the point after it
     in_digits = (i >= 0) & (i < 17)
     scientific = e < -4
-    digit = in_digits & (is_point == 0) & (i < np.maximum(nz, e + 1))
     point = in_digits & (is_point == 1) & (
         ((e >= 0) & (i == e) & (nz > e + 1)) | (scientific & (i == 0) & (nz > 1))
     )
     prefix = (e < 0) & ~scientific & (pos >= 1) & (pos < 2 - e)  # "0." and -E-1 zeros
     exponent = scientific & (pos >= _F_WIDTH - 4)
-    table = ((digit | point | prefix | exponent) & (nz > 0)).reshape(-1, _F_WIDTH)
-    special = np.zeros((2, _F_WIDTH), dtype=bool)
-    special[0, [_F_DIGIT0, _F_DIGIT0 + 2, _F_DIGIT0 + 4]] = True  # "nan"
-    special[1, _F_DIGIT0] = True  # "0"
-    return np.concatenate([table, special])
+    const = np.frombuffer(b" 0.000" + b"\0." * 17 + b"e-0\0", np.uint8)
+    table = const * ((point | prefix | exponent) & (nz > 0))
+    table[: -4 - _E_MIN, 1:, -1] = 48 - e[: -4 - _E_MIN, :, 0]  # the d of "e-0d"
+    special = np.zeros((2, _F_WIDTH), dtype=np.uint8)
+    special[0, _F_DIGIT0 : _F_DIGIT0 + 6 : 2] = np.frombuffer(b"nan", np.uint8)
+    special[1, _F_DIGIT0] = 48  # "0"
+    return np.concatenate([table.reshape(-1, _F_WIDTH), special])
 
 
-_F_KEEP = _float_keep_table()
-_NAN_CODE, _ZERO_CODE = len(_F_KEEP) - 2, len(_F_KEEP) - 1
+_NAN_CODE = (_E_MAX - _E_MIN + 1) * 18
+_ZERO_CODE = _NAN_CODE + 1
+# Row m keeps digits 1..m-1 of the 16 after a significand's first, as masks
+# of the two little-endian words that hold them (digits 1-8 and 9-16), and
+# makes the rest NUL.
+_DIGIT_MASK = np.array(
+    [[(1 << 8 * min(max(m - 1 - 8 * j, 0), 8)) - 1 for j in (0, 1)] for m in range(18)], dtype=np.uint64
+)
 
 
 @functools.lru_cache(maxsize=None)
-def _float_layout(p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The nan text and the keep table of a cell with point slots after
-    digits 0..p only: 28 + p of the widest cell's slots."""
+def _float_layout(p: int) -> np.ndarray:
+    """The text table of a cell with point slots after digits 0..p only:
+    28 + p of the widest cell's slots."""
     points = _F_DIGIT0 + 2 * p + 2
     slots = np.r_[0:points, points : _F_DIGIT0 + 34 : 2, _F_WIDTH - 4 : _F_WIDTH]
-    return _NAN_TEMPLATE[slots], np.ascontiguousarray(_F_KEEP[:, slots])
+    return np.ascontiguousarray(_float_text_table()[:, slots])
 
 
 def _split(a: np.ndarray):
@@ -165,18 +175,20 @@ def _split(a: np.ndarray):
     return hi, a - hi
 
 
-def _two_product(a: np.ndarray, b: np.ndarray):
-    """a * b exactly as hi + lo (Dekker)."""
-    hi = a * b
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
-    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return hi, lo
+_POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The integer nearest a * 10**(16 - e), ties to even."""
-    hi, lo = _two_product(a, _POW10[16 - e])
+    """The integer nearest a * 10**(16 - e), ties to even.
+
+    Dekker's two-product gives a * b exactly as hi + lo from the halves of
+    a and of b = 10**(16 - e), whose split is taken once, above.
+    """
+    k = 16 - e
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    hi = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     # hi is an even integer above 2**53, so adding rint(lo) rounds half to even
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
@@ -192,7 +204,8 @@ def _significands(a: np.ndarray):
     rounds D up to 10**17.
     """
     e = np.floor(np.log10(a)).astype(np.int64)
-    np.clip(e, _E_MIN, _E_MAX, out=e)
+    np.maximum(e, _E_MIN, out=e)
+    np.minimum(e, _E_MAX, out=e)
     d = _scaled(a, e)
     fix = np.flatnonzero((d < 10**16) | (d >= 10**17))
     if fix.size:
@@ -201,9 +214,10 @@ def _significands(a: np.ndarray):
     return e, d
 
 
-def _digits(v: np.ndarray, k: int) -> np.ndarray:
+def _digits(v: np.ndarray, k: int, zeros: bool = True) -> np.ndarray:
     """ASCII decimal digits of integers 0 <= v < 10**k, as an (n, k) view of
-    little-endian uint64 words.
+    little-endian uint64 words; with zeros=False, leading zeros are NUL
+    (0 itself is "0").
 
     Each group of 8 digits becomes its digits at once (SWAR): the word is
     split into two 4-digit lanes of 32 bits, each lane into two 2-digit
@@ -234,7 +248,17 @@ def _digits(v: np.ndarray, k: int) -> np.ndarray:
         q = (w * 103 >> 10) & 0x000F000F000F000F  # x // 10 in each lane x < 179
         w <<= 8
         w -= q * ((10 << 8) - 1)
-    w |= 0x3030303030303030  # "0" is 0x30
+    if zeros:
+        w |= 0x3030303030303030  # "0" is 0x30
+    else:
+        # -w sets every bit from w's lowest set bit up, which a digit byte
+        # (0-9) holds below bit 4: "0" is ORed into the bytes from the first
+        # nonzero digit on, and into every byte after a nonzero word
+        lead = -w
+        if groups > 1:
+            lead[:, 1:][np.logical_or.accumulate(w[:, :-1] != 0, axis=1)] = ~np.uint64(0)
+        w |= lead & 0x3030303030303030
+        w[:, -1] |= 0x30 << 8 * (per - 1)
     stop = 8 * (groups - 1) + per
     return w.astype("<u8", copy=False).view(np.uint8)[:, stop - k : stop]
 
@@ -258,19 +282,23 @@ def _float_columns(xs: Sequence[np.ndarray]) -> List[tuple]:
 
     Per column, a tuple: x; P, the largest fixed-notation exponent among
     its exact cells (at least 0); the exact-range mask; the exact rows, a
-    slice when every row is exact; and per exact row E, the first digit and
-    the other 16 in ASCII, and the _F_KEEP code.
+    slice when every row is exact; and per exact row the first digit and
+    the other 16 in ASCII, NUL past the last one the cell keeps, and the
+    _float_text_table code.
     """
     n = len(xs[0])
-    a = np.abs(np.concatenate(xs))
+    a = np.concatenate(xs)
+    np.abs(a, out=a)
     exact = (a > 1e-6) & (a < 1e17)
     at = np.flatnonzero(exact)
     e, d = _significands(a.take(at))
     first = d // 10**16
     digits = _digits(d - first * 10**16, 16)
-    values = digits.view("<u8") ^ 0x3030303030303030  # digits 1-8 and 9-16
+    words = digits.view("<u8")  # digits 1-8 and 9-16
+    values = words ^ 0x3030303030303030
     low = values[:, 1] != 0
     nz = np.where(low, 9, 1) + _significant_bytes(np.where(low, values[:, 1], values[:, 0]))
+    words &= np.take(_DIGIT_MASK, np.maximum(nz, e + 1), axis=0)  # a cell keeps digits 0..max(nz, E + 1) - 1
     code = (e - _E_MIN) * 18 + nz
     first += 48
     ends = np.searchsorted(at, np.arange(len(xs) + 1) * n).tolist()
@@ -278,40 +306,34 @@ def _float_columns(xs: Sequence[np.ndarray]) -> List[tuple]:
     for j, (x, lo, hi) in enumerate(zip(xs, ends[:-1], ends[1:])):
         rows = slice(None) if hi - lo == n else at[lo:hi] - j * n
         p = max(0, int(e[lo:hi].max())) if hi > lo else 0
-        columns.append(
-            (x, p, exact[j * n : (j + 1) * n], rows, e[lo:hi], first[lo:hi], digits[lo:hi], code[lo:hi])
-        )
+        columns.append((x, p, exact[j * n : (j + 1) * n], rows, first[lo:hi], digits[lo:hi], code[lo:hi]))
     return columns
 
 
-def _put_floats(column: tuple, text: np.ndarray, keep: np.ndarray) -> None:
-    """A _float_columns column into (n, 28 + P) views that hold the nan
-    cell: the exact cells, then zero and fallback cells where it has any."""
-    x, p, exact, rows, e, first, digits, code = column
-    table = _float_layout(p)[1]
+def _put_floats(column: tuple, text: np.ndarray) -> None:
+    """A _float_columns column into an (n, 28 + P) view that holds the nan
+    cell: the exact cells, then zero cells, the signs and fallback cells."""
+    x, p, exact, rows, first, digits, code = column
+    table = _float_layout(p)
     points = _F_DIGIT0 + 2 * p + 2
+    _cells(text)[rows] = np.take(_cells(table), code, mode="clip")
     text[rows, _F_DIGIT0] = first
     text[rows, _F_DIGIT0 + 2 : points : 2] = digits[:, :p]
     if p < 16:
         _cells(text[:, points : points + 16 - p])[rows] = _cells(digits[:, p:])
-    text[rows, -1] = 48 - e  # read only where E is -5 or -6
-    _cells(keep)[rows] = np.take(_cells(table), code, mode="clip")
     if isinstance(rows, slice):
-        keep[:, 0] = np.signbit(x)
+        np.multiply(np.signbit(x), _MINUS, out=text[:, 0])
         return
     nan = np.isnan(x)
-    keep[:, 0] = np.signbit(x) & ~nan
     zero = np.flatnonzero(x == 0)
     if zero.size:
-        text[zero, _F_DIGIT0] = 48
-        keep[zero, 1:] = table[_ZERO_CODE, 1:]
+        _cells(text)[zero] = _cells(table)[_ZERO_CODE]
+    np.multiply(np.signbit(x) & ~nan, _MINUS, out=text[:, 0])
     other = np.flatnonzero(~(exact | nan) & (x != 0))
     if other.size:
         w = text.shape[1]
         cells = np.array([fmt_float(v) for v in x[other].tolist()], dtype=f"S{w}")
-        cells = cells.view(np.uint8).reshape(-1, w)
-        text[other] = cells
-        keep[other] = cells != 0
+        text[other] = cells.view(np.uint8).reshape(-1, w)  # NUL-padded
 
 
 def _int_layout(v: np.ndarray) -> Tuple[bool, int]:
@@ -320,20 +342,67 @@ def _int_layout(v: np.ndarray) -> Tuple[bool, int]:
     return low < 0, len(str(max(top, -low)))
 
 
-def _put_ints(v: np.ndarray, signed: bool, text: np.ndarray, keep: np.ndarray) -> None:
-    """Integer cells into (n, signed + digit count) views."""
-    v = v.astype(np.int64)
+def _put_ints(v: np.ndarray, signed: bool, text: np.ndarray) -> None:
+    """Integer cells into an (n, signed + digit count) view."""
     if signed:
-        text[:, 0] = 45  # "-"
-        keep[:, 0] = v < 0
+        v = v.astype(np.int64)
+        np.multiply(v < 0, _MINUS, out=text[:, 0])
         v = np.abs(v)  # the int64 minimum stays negative, but reads 2**63 below
-        text, keep = text[:, 1:], keep[:, 1:]
-    magnitude = v.view(np.uint64)
-    k = text.shape[1]
-    _cells(text)[:] = _cells(_digits(magnitude, k))
-    for i in range(k - 1):  # digit i is kept when the value has k - i digits
-        np.greater_equal(magnitude, 10 ** (k - 1 - i), out=keep[:, i])
-    keep[:, k - 1] = True
+        text = text[:, 1:]
+    if text.shape[1] == 1:  # 0 to 9
+        np.add(v, 48, out=text[:, 0], casting="unsafe")  # "0" is 48
+    else:
+        magnitude = v.astype(np.int64, copy=False).view(np.uint64)
+        _cells(text)[:] = _cells(_digits(magnitude, text.shape[1], zeros=False))
+
+
+@functools.lru_cache(maxsize=256)
+def _row_text(cells: Tuple[Tuple[int, int], ...]) -> bytes:
+    """One laid-out row of cells (width, P), P -1 for every cell but a float
+    one: each cell followed by "," (the last by a newline), a float cell
+    holding the nan cell, every other byte NUL."""
+    row = np.zeros(sum(w + 1 for w, _ in cells), dtype=np.uint8)
+    at = 0
+    for w, p in cells:
+        if p >= 0:
+            row[at : at + w] = _float_layout(p)[_NAN_CODE]
+        at += w + 1
+        row[at - 1] = 44  # ","
+    row[-1] = 10  # "\n"
+    return row.tobytes()
+
+
+def _laid_out(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """csv_block's rows at fixed width, every byte it drops NUL. A step of
+    its own, so the float columns' digit arithmetic is freed before
+    csv_block copies the text to bytes."""
+    kinds = [c.dtype.kind for c in columns]
+    xs = [np.asarray(c, dtype=np.float64) for c, kind in zip(columns, kinds) if kind not in "biuS"]
+    floats = iter(_float_columns(xs) if xs else ())
+    layouts = [
+        col.itemsize if kind == "S" else _int_layout(col) if kind in "biu" else next(floats)
+        for col, kind in zip(columns, kinds)
+    ]
+    cells = tuple(
+        (lay, -1) if kind == "S" else (lay[0] + lay[1], -1) if kind in "biu" else (28 + lay[1], lay[1])
+        for kind, lay in zip(kinds, layouts)
+    )
+    row = _row_text(cells)
+    n = len(columns[0])
+    text = np.frombuffer(bytearray(row) * n, dtype=np.uint8).reshape(n, len(row))  # writable
+    at = 0
+    for col, kind, lay, (w, _) in zip(columns, kinds, layouts, cells):
+        cell = text[:, at : at + w]
+        at += w + 1
+        if kind == "S":
+            cell[:] = np.ascontiguousarray(col).view(np.uint8).reshape(n, w)
+            cell *= np.logical_and.accumulate(cell != 0, axis=1)
+        elif kind in "biu":
+            _put_ints(col, lay[0], cell)
+        else:
+            _put_floats(lay, cell)
+    text[-1:, -1] = 0  # the last row's newline
+    return text
 
 
 def csv_block(columns: Sequence[np.ndarray]) -> bytes:
@@ -342,54 +411,20 @@ def csv_block(columns: Sequence[np.ndarray]) -> bytes:
     Integer and bool columns (int64 range) render as decimal integers, text
     columns (dtype S) as their bytes up to the first NUL, so b"" is an empty
     cell, and every other column as fmt_float renders its float values.
-    Each row is laid out at fixed width, every cell followed by a separator;
-    a keep mask then zeroes the unused bytes in place, and bytes.translate
-    drops them: no kept byte is NUL (a text cell is kept up to its first
-    NUL). A float cell is 28 + P bytes wide, P the largest fixed-notation
-    exponent among the column's exact cells in this block (at least 0), so
-    a runs CSV row (three small integers and two floats below 10) is laid
-    out in 68 bytes and keeps about 34. Returning bytes lets a caller write
-    each block to a binary file as soon as it is rendered, with no decode or
-    encode pass. The working memory is about 320 B per row (tracemalloc peak
-    at 1024-16384 rows of the runs CSV's columns): the laid-out text, its
-    mask, and their copy as bytes. A caller bounds it by the rows it passes.
+    Each row is laid out at fixed width, every cell followed by a separator,
+    and every byte a cell does not use is written as NUL: a leading zero of
+    an integer, a float's unused prefix, point, digit and exponent slots, a
+    text cell's bytes from its first NUL on. bytes.translate then drops the
+    NULs; no other byte is NUL. A float cell is 28 + P bytes wide, P the
+    largest fixed-notation exponent among the column's exact cells in this
+    block (at least 0), so a runs CSV row (three small integers and two
+    floats below 10) is laid out in 68 bytes and keeps about 34. Returning
+    bytes lets a caller write each block to a binary file as soon as it is
+    rendered, with no decode or encode pass. The working memory is the
+    laid-out text and its copy as bytes, 136 B per row of tracemalloc peak
+    at 4096 rows of the runs CSV's columns, or the text and the float
+    columns' digit arithmetic where that is larger: 226 B per row when both
+    float columns are exact in every row. A caller bounds it by the rows it
+    passes.
     """
-    kinds = [c.dtype.kind for c in columns]
-    xs = [np.asarray(c, dtype=np.float64) for c, kind in zip(columns, kinds) if kind not in "biuS"]
-    floats = iter(_float_columns(xs) if xs else ())
-    layouts = [
-        col.itemsize if kind == "S" else _int_layout(col) if kind in "biu" else next(floats)
-        for col, kind in zip(columns, kinds)
-    ]
-    widths = [
-        lay if kind == "S" else lay[0] + lay[1] if kind in "biu" else 28 + lay[1]
-        for kind, lay in zip(kinds, layouts)
-    ]
-    # one row of separators and of the float cells' constant bytes and nan
-    # pattern, repeated for every row; the columns then overwrite their cells
-    starts = np.cumsum([0] + [w + 1 for w in widths])
-    row_text = np.zeros(starts[-1], dtype=np.uint8)
-    row_keep = np.zeros(starts[-1], dtype=bool)
-    row_text[starts[1:] - 1] = 44  # ","
-    row_text[-1] = 10  # "\n"
-    row_keep[starts[1:] - 1] = True
-    for kind, lay, at, w in zip(kinds, layouts, starts.tolist(), widths):
-        if kind not in "biuS":
-            nan_text, table = _float_layout(lay[1])
-            row_text[at : at + w] = nan_text
-            row_keep[at : at + w] = table[_NAN_CODE]
-    n = len(columns[0])
-    text = np.repeat(row_text[None], n, axis=0)
-    keep = np.repeat(row_keep[None], n, axis=0)
-    for col, kind, lay, at, w in zip(columns, kinds, layouts, starts.tolist(), widths):
-        cell_text, cell_keep = text[:, at : at + w], keep[:, at : at + w]
-        if kind == "S":
-            cell_text[:] = np.ascontiguousarray(col).view(np.uint8).reshape(n, w)
-            np.logical_and.accumulate(cell_text != 0, axis=1, out=cell_keep)
-        elif kind in "biu":
-            _put_ints(col, lay[0], cell_text, cell_keep)
-        else:
-            _put_floats(lay, cell_text, cell_keep)
-    text *= keep
-    text[-1:, -1] = 0  # the last row's newline
-    return text.tobytes().translate(None, b"\0")
+    return _laid_out(columns).tobytes().translate(None, b"\0")

@@ -835,8 +835,11 @@ def _run_lines(records, attempts):
     for start in range(0, len(records[0]), attempts):
         runs(*(column[start : start + attempts] for column in records))
     runs.flush()
-    blocks = chunks[1:]
-    assert all(b.endswith(b"\n") for b in blocks)
+    # each block is written as its lines, then as the newline after the last
+    lines, newlines = chunks[1::2], chunks[2::2]
+    assert len(lines) == len(newlines) and set(newlines) <= {b"\n"}
+    assert not any(b.endswith(b"\n") for b in lines)
+    blocks = [b + b"\n" for b in lines]
     return b"".join(blocks), [b.count(b"\n") for b in blocks]
 
 
