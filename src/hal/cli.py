@@ -259,7 +259,8 @@ def _sweep_csv(rows: np.ndarray, manifest_json: str):
 
 def cmd_protocol(args) -> int:
     config = _protocol_config(args)
-    result = run_first_order(config.alpha, config.t) if args.mode == "first-order" else run_exact(config)
+    exact = args.mode == "exact"
+    result = run_exact(config) if exact else run_first_order(config.alpha, config.t)
     manifest = _manifest(
         "protocol", _protocol_params(config, args.mode), None, [args.out or "-"]
     )
@@ -271,7 +272,11 @@ def cmd_protocol(args) -> int:
         "leading_p": result.leading_order.p,
         "leading_gain": result.leading_order.gain,
         "leakage": result.leakage,
-        "conditional_state": state_to_jsonable(result.conditional_state),
+        # run_exact's state is its support block at the config's cutoff; the
+        # first-order state is its own two-level truncation, cutoff 1
+        "conditional_state": state_to_jsonable(
+            result.conditional_state, config.cutoff if exact else None
+        ),
     }
     _write(dumps(doc) + "\n", args.out)
     return 0
@@ -293,6 +298,8 @@ def cmd_ensemble(args) -> int:
     epsilon = _parse_float(args.epsilon, "--epsilon")
     spec = EnsembleSpec(_parse_int(args.n_atoms, "--n-atoms"), epsilon)
     cutoff = _parse_int(args.cutoff, "--cutoff")
+    if cutoff < 1:
+        raise ValidationError(f"cutoff must be a positive integer, got {cutoff!r}")
     if cutoff > MAX_ENSEMBLE_CUTOFF:
         raise ValidationError(f"cutoff {cutoff} exceeds the limit of {MAX_ENSEMBLE_CUTOFF}")
     k_max = min(spec.N, cutoff)

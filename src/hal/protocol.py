@@ -73,13 +73,15 @@ REGIME_T_MAX = 0.3
 #: closed form runs on the signal's support: O(1) for the two-term signal
 #: and O(cutoff^2) time and memory for a coherent one (its mixed conditional
 #: state skips DensityOperator's O(cutoff^3) eigenvalue check, being one by
-#: construction). hal protocol then writes a (cutoff+1)^2 conditional
-#: state, which dominates. One hal protocol process (t 0.2, p1 0.9, read
-#: efficiency 0.9, dark count 1e-4; one CPU of a 2-vCPU x86 VM, 3 runs) at
-#: cutoff 400 took 0.36-0.39 s and 53 MB peak RSS for alpha 0.01, and
-#: 0.50-0.54 s and 59-60 MB for a coherent input at alpha 15, which fills
-#: every occupation. At cutoff 700, measured with the eigenvalue check
-#: still made, these were 1.4-2.2 s / 112 MB and 1.9-2.4 s / 118 MB.
+#: construction). hal protocol writes the conditional state on that support,
+#: three levels for the two-term signal and (cutoff+1)^2 entries for a
+#: coherent one, whose document dominates. One hal protocol process (t 0.2,
+#: p1 0.9, read efficiency 0.9, dark count 1e-4; one CPU of a 2-vCPU x86 VM,
+#: 3 runs) at cutoff 400 took 0.18-0.27 s and 29-30 MB peak RSS for alpha
+#: 0.01 (a 926 B document), and 0.61-0.96 s and 63-64 MB for a coherent input
+#: at alpha 15, which fills every occupation (4.9 MB). At cutoff 700,
+#: measured when the state was still (cutoff+1)^2 and its eigenvalues were
+#: checked, these were 1.4-2.2 s / 112 MB and 1.9-2.4 s / 118 MB.
 MAX_CUTOFF = 400
 
 
@@ -149,8 +151,11 @@ class LeadingOrder:
 class HeraldResult:
     """Outcome of one protocol evaluation.
 
-    gain is the one-excitation/vacuum amplitude-magnitude ratio of the
-    conditional state divided by the same ratio |alpha| of the input; for
+    conditional_state lives on the signal's support, occupations 0..d-1
+    (run_exact: d = support_size(cutoff, coherent), so three levels for the
+    two-term signal at any cutoff >= 2; run_first_order: two), and is zero
+    past it. gain is the one-excitation/vacuum amplitude-magnitude ratio of
+    the conditional state divided by the same ratio |alpha| of the input; for
     mixed conditional states the ratio is sqrt(rho_11/rho_00). It is NaN at
     alpha = 0, where the input ratio vanishes. fidelity_to_target compares
     against the normalized |0> + (alpha/t)|1>. leakage is the probability
@@ -292,15 +297,18 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
     one, gives their weighted sum, reduced on the read mode by the herald's
     click weights w, as an unnormalized conditional state on the signal's
     support (occupations 0..min(cutoff, K + 1)) whose trace is the click
-    probability; it is embedded here in the (cutoff+1)^2 state, whose other
-    entries are zero. The photon branch loses the two entries its splitter
-    moves past the cutoff; their probability is the leakage (the vacuum
-    branch loses none). The figures come from the routine sweep() uses, so
+    probability. That support block, d = support_size levels (three for the
+    two-term signal, cutoff + 1 for a coherent one), divided by the click
+    probability, is the conditional state: every occupation past it holds
+    exactly zero at any cutoff, so none is stored. The photon branch loses
+    the two entries its splitter moves past the cutoff; their probability is
+    the leakage (the vacuum branch loses none). The figures come from the routine sweep() uses, so
     a sweep row is this result bit for bit.
 
     The conditional state is a PureState when the source is perfect and the
     herald is the n = 1 projector (a lossless, dark-count-free,
-    number-resolving detector), and a DensityOperator otherwise.
+    number-resolving detector), and a DensityOperator otherwise; its cutoff
+    is d - 1, not the config's.
 
     Raises
     ------
@@ -348,13 +356,9 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
         )
     if pure[0]:
         # the photon branch alone under the n = 1 projector stays pure
-        amplitudes = np.zeros((1, cutoff + 1), dtype=np.complex128)
-        amplitudes[0, :d] = row[0]
-        conditional = PureState(_normalized(amplitudes)[0], cutoff)
+        conditional = PureState(_normalized(row)[0], d - 1)
     else:
-        matrix = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-        np.divide(rho[0], p, out=matrix[:d, :d])
-        conditional = DensityOperator._unchecked(matrix, cutoff)
+        conditional = DensityOperator._unchecked(rho[0] / p, d - 1)
     return HeraldResult(
         success_probability=p,
         conditional_state=conditional,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from typing import Any, List, Mapping, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,24 +86,29 @@ def dumps(obj: Any) -> str:
     return "".join(out)
 
 
-def state_to_jsonable(state) -> Mapping[str, Any]:
-    """A JSON-ready description of a pure or mixed state."""
+def state_to_jsonable(state, cutoff: Optional[int] = None) -> Mapping[str, Any]:
+    """A JSON-ready description of a pure or mixed state.
+
+    "levels" is the number of occupations the state holds, state.cutoff + 1,
+    and the amplitudes, diagonal and matrix are that long. "cutoff" is the
+    given cutoff, by default the state's own: a protocol passes its own, so
+    a conditional state on its support (every occupation from "levels" up
+    to "cutoff" zero) names the truncation it was computed at.
+    """
     if isinstance(state, PureState):
-        return {
-            "kind": "pure",
-            "cutoff": state.cutoff,
-            "modes": state.mode_count,
-            "amplitudes": state.amplitudes.tolist(),
-        }
-    if isinstance(state, DensityOperator):
-        return {
-            "kind": "mixed",
-            "cutoff": state.cutoff,
-            "modes": state.mode_count,
-            "diagonal": state.diagonal().tolist(),
-            "matrix": state.matrix.tolist(),
-        }
-    raise TypeError(f"cannot serialize {type(state).__name__} as a state")
+        kind, values = "pure", {"amplitudes": state.amplitudes.tolist()}
+    elif isinstance(state, DensityOperator):
+        kind = "mixed"
+        values = {"diagonal": state.diagonal().tolist(), "matrix": state.matrix.tolist()}
+    else:
+        raise TypeError(f"cannot serialize {type(state).__name__} as a state")
+    return {
+        "kind": kind,
+        "cutoff": state.cutoff if cutoff is None else cutoff,
+        "levels": state.cutoff + 1,
+        "modes": state.mode_count,
+        **values,
+    }
 
 
 # Layout of one float cell in csv_block, at its widest: a sign slot, the

@@ -33,8 +33,9 @@ from .spin_ensemble import EnsembleSpec, rotated_product_state
 #: p1, weights and the results, and the states on the signal's support.
 ClosedForm = Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-# The oracle's splitter is dense_bs_matrix(2 * _HERALD_CUTOFF, _HERALD_T),
-# a 169 x 169 matrix; _HERALD_ALPHA's coherent tail past the cutoff is 2e-12.
+# The oracle's splitter is dense_bs_matrix(_HERALD_CUTOFF + 1, _HERALD_T),
+# a 64 x 64 matrix (see _oracle_branches); _HERALD_ALPHA's coherent tail past
+# the cutoff is 2e-12.
 _HERALD_CUTOFF = 6
 _HERALD_T = 0.3
 _HERALD_ALPHA = 0.25 - 0.1j
@@ -101,13 +102,16 @@ def _oracle_branches(
     alpha: complex, coherent: bool, cutoff: int, u: np.ndarray
 ) -> List[np.ndarray]:
     """The photon and vacuum branches after the splitter, as (m, n) amplitude
-    matrices on occupations 0..2 cutoff.
+    matrices on occupations 0..cutoff + 1.
 
-    u is dense_bs_matrix(2 cutoff, t), exact on every sector an input with
-    both occupations <= cutoff reaches, so the entries past `cutoff` are the
-    ones the truncated protocol drops.
+    u is dense_bs_matrix(cutoff + 1, t). The inputs carry at most cutoff
+    signal photons and one source photon, so they reach only the sectors of
+    total occupation N <= cutoff + 1. The box 0..cutoff + 1 per mode holds
+    each such sector whole, and the generator conserves N, so its truncation
+    to the box is exact there: the entries past `cutoff` are the ones the
+    truncated protocol drops.
     """
-    big = 2 * cutoff + 1
+    big = cutoff + 2
     sig = np.zeros(big, dtype=np.complex128)
     if coherent:
         sig[: cutoff + 1] = [alpha**k / math.sqrt(math.factorial(k)) for k in range(cutoff + 1)]
@@ -180,7 +184,7 @@ def run_checks(closed_form: Optional[ClosedForm] = None) -> List[CheckResult]:
         closed_form = herald_click
     checks: List[CheckResult] = []
     cutoff, t, alpha = _HERALD_CUTOFF, _HERALD_T, _HERALD_ALPHA
-    u = dense_bs_matrix(2 * cutoff, t)
+    u = dense_bs_matrix(cutoff + 1, t)
 
     # The heralded state against the dense oracle: the complex conditional
     # state, phases included, of a p1 = 0.9 source for both inputs, both read

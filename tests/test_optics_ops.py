@@ -126,9 +126,12 @@ def test_project_number_normalizes_and_reports_probability():
     # signal that happens with probability t^2 and leaves mode B in |0>
     res = run_exact(ProtocolConfig(alpha=0.0, t=0.1, cutoff=4))
     assert abs(res.success_probability - 0.1 ** 2) < 1e-12
-    assert isinstance(res.conditional_state, PureState)
-    assert abs(res.conditional_state.norm() - 1.0) < 1e-12
-    assert abs(fidelity(res.conditional_state, number_state(0, 4)) - 1.0) < 1e-12
+    state = res.conditional_state
+    assert isinstance(state, PureState)
+    assert abs(state.norm() - 1.0) < 1e-12
+    # the state is held on the signal's support; zero-padded to the cutoff
+    padded = PureState(np.pad(state.amplitudes, (0, 4 - state.cutoff)), 4)
+    assert abs(fidelity(padded, number_state(0, 4)) - 1.0) < 1e-12
 
 
 def test_project_number_impossible_outcome():

@@ -1,3 +1,7 @@
+import itertools
+
+import numpy as np
+
 from hal import optics_ops
 from hal.optics_ops import herald_click
 from hal.validate import dense_bs_matrix, run_checks
@@ -30,10 +34,29 @@ def test_fresh_suite_passes():
 
 
 def test_dense_oracle_is_unitary():
-    import numpy as np
-
     u = dense_bs_matrix(5, 0.4)
     assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-12
+
+
+def test_oracle_box_holds_every_reached_sector():
+    # run_checks builds its splitter as dense_bs_matrix(c + 1, t): its inputs
+    # hold at most c signal photons and one source photon, so they reach only
+    # the sectors of total occupation <= c + 1, which the box 0..c + 1 holds
+    # whole. There it equals the splitter of the box 0..2c, entry for entry,
+    # up to the two exponentials' rounding: the 0..2c box, with one squaring
+    # more, is itself up to 9.2e-15 from scipy's expm (c = 12, t = 0.7), and
+    # the two differ by up to 1.04e-14
+    for c, t in itertools.product((3, 6, 12), (0.1, 0.3, 0.7)):
+        kept = []
+        for size in (c + 1, 2 * c):
+            m, n = np.divmod(np.arange((size + 1) ** 2), size + 1)
+            reached = m + n <= c + 1
+            u = dense_bs_matrix(size, t)
+            kept.append((u[np.ix_(reached, reached)], m[reached], n[reached]))
+        (small, m_small, n_small), (large, m_large, n_large) = kept
+        # both list the reached states |m, n> in the same order
+        assert (m_small == m_large).all() and (n_small == n_large).all()
+        assert np.max(np.abs(small - large)) <= 2e-14, (c, t)
 
 
 def _failed(closed_form=None):
@@ -71,7 +94,6 @@ def test_dense_oracle_matches_scipy_expm():
     # scaling-and-squaring exponential
     import math
 
-    import numpy as np
     from scipy.linalg import expm
 
     from hal.validate import _dense_ladder
