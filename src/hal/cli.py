@@ -165,17 +165,24 @@ def parse_grid_file(text: str) -> Dict[str, List[float]]:
     return axes
 
 
+#: Defaults of the protocol flags that only the exact protocol reads. The
+#: parser leaves them None, so that a flag given explicitly shows.
+_EXACT_FLAGS = {"cutoff": "12", "input": "truncated", "source_eff": "1", "read_eff": "1", "dark_count": "0"}
+
+
 def _protocol_config(args) -> ProtocolConfig:
+    flags = {name: default if getattr(args, name) is None else getattr(args, name)
+             for name, default in _EXACT_FLAGS.items()}
     herald = HeraldModel(
-        read_efficiency=_parse_float(args.read_eff, "--read-eff"),
-        dark_count=_parse_float(args.dark_count, "--dark-count"),
+        read_efficiency=_parse_float(flags["read_eff"], "--read-eff"),
+        dark_count=_parse_float(flags["dark_count"], "--dark-count"),
     )
     return ProtocolConfig(
         alpha=_parse_amplitude(args.alpha),
         t=_parse_float(args.t, "--t"),
-        cutoff=_parse_int(args.cutoff, "--cutoff"),
-        input_kind=args.input,
-        source_efficiency=_parse_float(args.source_eff, "--source-eff"),
+        cutoff=_parse_int(flags["cutoff"], "--cutoff"),
+        input_kind=flags["input"],
+        source_efficiency=_parse_float(flags["source_eff"], "--source-eff"),
         herald=herald,
     )
 
@@ -234,9 +241,12 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 #: Rows rendered per csv_block call. A block is written before the next is
-#: rendered, so this bounds the writer's memory whatever the row count: 136 B
-#: per row of peak in csv_block for a runs CSV block, 0.56 MB at 4096 rows
-#: (226 B, 0.93 MB, when both float columns are dense).
+#: rendered, so this bounds the writer's memory whatever the row count: 115 B
+#: per row of peak in csv_block for a runs CSV block, 0.47 MB at 4096 rows
+#: (197 B, 0.81 MB, when both float columns are dense). It is also the
+#: fastest size: the bench's 4e5-row runs CSV rendered in 325 / 241 / 173 /
+#: 195 / 227 / 200 ns per row at 1024 / 2048 / 4096 / 8192 / 16384 / 65536
+#: rows per block (medians of three runs, one pinned CPU of a 2-vCPU VM).
 _ROW_CHUNK = 1 << 12
 
 
@@ -258,8 +268,12 @@ def _sweep_csv(rows: np.ndarray, manifest_json: str):
 
 
 def cmd_protocol(args) -> int:
-    config = _protocol_config(args)
     exact = args.mode == "exact"
+    given = [name for name in _EXACT_FLAGS if getattr(args, name) is not None]
+    if given and not exact:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ValidationError(f"--mode first-order reads only --alpha and --t, not {flags}")
+    config = _protocol_config(args)
     result = run_exact(config) if exact else run_first_order(config.alpha, config.t)
     manifest = _manifest(
         "protocol", _protocol_params(config, args.mode), None, [args.out or "-"]
@@ -454,8 +468,9 @@ class _RunsCsv:
     Row r is attempt r % attempts of replica r // attempts, so blocks are
     the same whatever the replicas' length: a block may end one replica and
     start the next, and 1e5 one-attempt replicas take 25 blocks. Rows are
-    copied into one block of buffers, so no replica's arrays outlive its
-    call. flush() writes what is left after the last replica.
+    copied into one block of buffers, the x_sample column NaN but where an
+    attempt heralded, so no replica's arrays outlive its call. flush()
+    writes what is left after the last replica.
     """
 
     def __init__(self, attempts: int, manifest_json: str, write: Callable[[bytes], object]):
@@ -466,28 +481,38 @@ class _RunsCsv:
         self._buffers = (np.empty(_ROW_CHUNK, np.int8), np.empty(_ROW_CHUNK), np.empty(_ROW_CHUNK))
         write(_csv_head(RUN_COLUMNS, manifest_json))
 
-    def __call__(self, heralded: np.ndarray, x_sample: np.ndarray, noise_value: np.ndarray):
-        record = (heralded, x_sample, noise_value)
-        at, count = 0, len(heralded)
+    def __call__(self, heralded: np.ndarray, samples: np.ndarray, noise_value: np.ndarray):
+        at, count, sampled = 0, len(heralded), 0
         while count - at >= _ROW_CHUNK - self._held:  # enough rows to fill the block
             take = _ROW_CHUNK - self._held
-            self._hold(record, at, take)
+            sampled = self._hold(heralded, samples, noise_value, at, take, sampled)
             at += take
             self.flush()
-        self._hold(record, at, count - at)  # the rest waits for the next replica's rows
+        self._hold(heralded, samples, noise_value, at, count - at, sampled)  # the rest waits
 
-    def _hold(self, record: Sequence[np.ndarray], at: int, take: int) -> None:
+    def _hold(self, heralded, samples, noise_value, at: int, take: int, sampled: int) -> int:
+        """Rows at..at + take - 1 of a replica into the buffers, its samples
+        from sampled on; returns the samples used up to the last of them."""
         rows = slice(self._held, self._held + take)
-        for buffer, column in zip(self._buffers, record):
-            buffer[rows] = column[at : at + take]
+        flags, x, noise = (buffer[rows] for buffer in self._buffers)
+        flags[:] = heralded[at : at + take]
+        noise[:] = noise_value[at : at + take]
+        x.fill(np.nan)
+        hits = flags.nonzero()[0]
+        x[hits] = samples[sampled : sampled + hits.size]
         self._held += take
+        return sampled + hits.size
 
     def flush(self) -> None:
         """Render and write the rows held, if any."""
         if not self._held:
             return
         stop = self._written + self._held
-        replica, attempt_index = np.divmod(np.arange(self._written, stop), self._attempts)
+        first, at = divmod(self._written, self._attempts)
+        if at + self._held <= self._attempts:  # one replica's rows: no division per row
+            replica, attempt_index = np.full(self._held, first), np.arange(at, at + self._held)
+        else:
+            replica, attempt_index = np.divmod(np.arange(self._written, stop), self._attempts)
         record = (buffer[: self._held] for buffer in self._buffers)
         self._write(csv_block((replica, attempt_index, *record)))
         self._write(b"\n")
@@ -577,12 +602,13 @@ def _add_protocol_flags(p: argparse.ArgumentParser, require_t: bool) -> None:
     p.add_argument("--alpha", default="0", help="input amplitude RE or RE,IM (default 0)")
     p.add_argument("--t", required=require_t, default=None if require_t else "0.1",
                    help="beam-splitter transmission amplitude")
-    p.add_argument("--cutoff", default="12", help="Fock cutoff per mode (default 12)")
-    p.add_argument("--input", choices=("truncated", "coherent"), default="truncated",
-                   help="signal form: |0>+alpha|1> or the full coherent state")
-    p.add_argument("--source-eff", default="1", help="single-photon source efficiency p1")
-    p.add_argument("--read-eff", default="1", help="herald read efficiency")
-    p.add_argument("--dark-count", default="0", help="herald dark-count probability")
+    # defaults in _EXACT_FLAGS
+    p.add_argument("--cutoff", help="Fock cutoff per mode (default 12)")
+    p.add_argument("--input", choices=("truncated", "coherent"),
+                   help="signal form: |0>+alpha|1> (default) or the full coherent state")
+    p.add_argument("--source-eff", help="single-photon source efficiency p1 (default 1)")
+    p.add_argument("--read-eff", help="herald read efficiency (default 1)")
+    p.add_argument("--dark-count", help="herald dark-count probability (default 0)")
     p.add_argument("--out", default=None, help="output path (default: standard output)")
 
 

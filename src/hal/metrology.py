@@ -61,10 +61,11 @@ _PDF_TOLERANCE = 1e-6
 #: amplified replica holds about 34 bytes per attempt (measured with AR(1)
 #: noise on one worker), so MAX_ATTEMPTS keeps each worker near 350 MB;
 #: HAL_THREADS workers (at most the CPU count) hold that each. A recorded
-#: replica runs on the calling thread alone and also builds its 8 B x_sample
-#: per attempt (tracemalloc peak per attempt: 10 -> 18 B with white noise,
-#: 26 B either way with ar1). MAX_TOTAL_ATTEMPTS bounds the run time: 56 ns per amplified
-#: attempt with ar1 noise on one thread, so about a minute. An unrecorded
+#: replica runs on the calling thread alone and hands its sink the samples
+#: it holds anyway, so it peaks as an unrecorded one does (tracemalloc peak
+#: per attempt: 10 B with white noise, 26 B with ar1). MAX_TOTAL_ATTEMPTS
+#: bounds the run time: 56 ns per amplified attempt with ar1 noise on one
+#: thread, so about a minute. An unrecorded
 #: direct replica costs O(1) whatever its size (two normal draws, about
 #: 30 us with its stream).
 #: Every replica also keeps its entry in the summary: a `hal campaign`
@@ -81,14 +82,14 @@ _PDF_TOLERANCE = 1e-6
 #: A recorded campaign hands each replica's arrays to its sink and keeps
 #: none, and the runs CSV is written in blocks of 4096 rows as they are
 #: rendered, so memory does not grow with recorded attempts. What a recorded
-#: row still costs is its rendering and its bytes, about 0.3-0.35 us to
-#: render and write, 0.35-0.4 us in all and 35-37 B of CSV (bench protocol,
-#: white noise, one thread): 1.25e6 attempts x 4 replicas took 1.8-2.5 s to
-#: a file, 1.6 s to /dev/null, and 66 MB ru_maxrss (57 MB unrecorded) for
-#: 174 MB of CSV;
-#: 1e7 x 5 took 29 s (25 s to /dev/null), 203 MB ru_maxrss, the replica's
-#: own arrays, for 1.86 GB. MAX_RECORDED_ATTEMPTS, 5e7, keeps a recorded
-#: campaign near half a minute and 2 GB of disk.
+#: row still costs is its rendering and its bytes, about 0.2-0.3 us in all
+#: and 35-37 B of CSV (bench protocol, white noise, one thread): 1.25e6
+#: attempts x 4 replicas took 1.3-1.8 s to a file, 1.2-1.3 s to /dev/null
+#: (0.3 s unrecorded), and 49 MB ru_maxrss (57 MB unrecorded) for 182 MB of
+#: CSV; 1e7 x 5 took 11 s to /dev/null (1.7 s unrecorded) and 128 MB
+#: ru_maxrss, the replica's own arrays, for 1.86 GB. MAX_RECORDED_ATTEMPTS,
+#: 5e7, keeps a recorded campaign near a quarter of a minute and 2 GB of
+#: disk.
 MAX_ATTEMPTS = 10**7
 MAX_TOTAL_ATTEMPTS = 10**9
 MAX_RECORDED_ATTEMPTS = 5 * 10**7
@@ -582,12 +583,13 @@ def _direct_records(
     return x, noise
 
 
-#: A recorded campaign's per-replica receiver: sink(heralded, x_sample,
-#: noise_value), called once per replica in replica order, each array one
-#: element per attempt. heralded is int8, 1 where an estimate sample exists;
-#: x_sample is NaN where none does; noise_value is the technical-noise value
-#: of every attempt. The arrays are the replica's own; a sink that keeps
-#: them past its return keeps them alive.
+#: A recorded campaign's per-replica receiver: sink(heralded, samples,
+#: noise_value), called once per replica in replica order. heralded is
+#: int8, one element per attempt, 1 where an estimate sample exists;
+#: samples holds those samples (noise included), one per heralded attempt
+#: in attempt order; noise_value is the technical-noise value of every
+#: attempt. The arrays are the replica's own; a sink that keeps them past
+#: its return keeps them alive.
 RunSink = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
@@ -627,9 +629,9 @@ def run_campaign(
     With a sink (see `RunSink`) every replica's attempts are handed to it as
     soon as the replica is simulated, so recorded campaigns run inline too,
     and the campaign keeps no records: it holds one replica's arrays
-    whatever the replica count (a tracemalloc peak of 18 B per attempt for
-    an amplified replica with white noise, 10 B unrecorded; 26 B either way
-    with ar1 noise). A sink is refused above
+    whatever the replica count (a tracemalloc peak of 10 B per attempt for
+    an amplified replica with white noise, recorded or not; 26 B with ar1
+    noise). A sink is refused above
     MAX_RECORDED_ATTEMPTS attempts in all (`check_recording`). Estimates
     (NaN without a success) and success counts are allocated once, and each
     replica writes its own slots of them.
@@ -662,10 +664,10 @@ def run_campaign(
             sum_noise = noise_sd * rng.standard_normal() if draws_noise else noise_mean
             estimates[replica] = (sum_quad + sum_noise) / r_attempts / math.sqrt(2.0)
             if sink is not None:
-                x_sample, noise = _direct_records(
+                samples, noise = _direct_records(
                     config, sum_quad, sum_noise, _replica_rng(config.seed, replica, 0)
                 )
-                sink(np.ones(r_attempts, dtype=np.int8), x_sample, noise)
+                sink(np.ones(r_attempts, dtype=np.int8), samples, noise)
             return
         heralded = rng.random(r_attempts) < p_success
         n_success = int(np.count_nonzero(heralded))
@@ -676,10 +678,7 @@ def run_campaign(
             estimates[replica] = estimate_alpha(samples, "amplified", config.protocol.t)
         successes[replica] = n_success
         if sink is not None:
-            x_sample = np.empty(r_attempts)
-            x_sample.fill(np.nan)
-            x_sample[heralded] = samples
-            sink(heralded.view(np.int8), x_sample, noise)
+            sink(heralded.view(np.int8), samples, noise)
 
     map_indexed(one_replica, range(config.replicas), direct or sink is not None)
     usable = estimates[successes > 0]

@@ -14,12 +14,13 @@ in [-6, 16], so x * 10**(16 - E) needs a power of ten no larger than
 10**22, which is an exact double; Dekker's two-product (Numer. Math. 18,
 1971) gives that product exactly as hi + lo, and hi + rint(lo) is the
 correctly rounded (round-half-even) 17-digit significand that
-format(x, ".17g") prints. The significands of all float columns of a block
-are found in one pass, and their digits formed eight at a time in uint64
-words (SWAR), as are the digits of integers. NaN and +-0 are rendered from
-fixed patterns. Every other float (infinities, |x| <= 1e-6 including
-subnormals, |x| >= 1e17) is formatted by fmt_float's rule one cell at a
-time and then placed with the rest.
+format(x, ".17g") prints. The significands of all dense float columns of
+a block (an exact cell in at least one row in 8) are found in one pass, and
+their digits formed eight at a time in uint64 words (SWAR), as are the
+digits of integers. NaN and +-0 are rendered from fixed patterns. A sparse
+column's exact cells and every other float (infinities, |x| <= 1e-6
+including subnormals, |x| >= 1e17) are formatted by fmt_float's rule one
+cell at a time and spliced in with the rest.
 """
 
 from __future__ import annotations
@@ -111,29 +112,54 @@ def state_to_jsonable(state, cutoff: Optional[int] = None) -> Mapping[str, Any]:
     }
 
 
-# Layout of one float cell in csv_block, at its widest: a sign slot, the
-# "0.000" prefix of fixed notation below 1, the 17 significand digits each
-# followed by a point slot, and the exponent "e-0d" (in the exact range,
-# scientific notation only occurs at E = -5 and -6). The point follows digit
-# E in fixed notation and digit 0 in scientific notation, so a column whose
-# exact cells in a block have fixed-notation exponents of at most P >= 0 only
-# needs the point slots after digits 0..P: its cell is 28 + P of these 44
-# slots (_float_layout).
+# Layout of one float cell in csv_block, at its widest (_float_text_table):
+# a sign slot, the "0.000" prefix of fixed notation below 1, the 17
+# significand digits each followed by a point slot, and the exponent "e-0d"
+# (in the exact range, scientific notation only occurs at E = -5 and -6).
+# A column's cell in a block keeps only the slots its exact cells there can
+# use (_float_layout): with their exponents from L to P, the point slots
+# after digits 0..P (none if every exponent is below 0), the prefix slots of
+# "0." and -L - 1 zeros (none for L >= 0, all five from L = -4 down) and the
+# exponent slots if L < -4: 18 + (P + 1) + 5 + 4 = 28 + P slots at most, 18
+# at least. Scientific cells (L < -4) that are rare in a column are spliced
+# in like fallback cells (_float_columns), so they widen no cell.
 _F_WIDTH = 44
 _F_DIGIT0 = 6
 _E_MIN, _E_MAX = -6, 16
-_POW10 = np.array([10.0**k for k in range(23)])  # exact doubles
-_MINUS = np.uint8(45)  # "-"
+# A column with an exact cell in fewer than one row in _SPARSE of a block is
+# sparse: its cell is 3 bytes, room for nan and +-0, and its exact cells
+# are spliced into the text, as every column's fallback cells are.
+_SPARSE = 8
+
+
+def _split(a: np.ndarray):
+    """Veltkamp's split of each a into two halves of at most 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**k for k in 0..22 (exact doubles), and the two halves of each
+_POW10 = np.array([[10.0**k for k in range(23)], *zip(*(_split(10.0**k) for k in range(23)))])
+# Codes of the text table's rows: ((E - _E_MIN) * 18 + n) * 2 + s for an
+# exact cell of exponent E, n significant digits and sign bit s, then nan,
+# 0, -0 and an empty cell (every byte NUL)
+_NAN_CODE = (_E_MAX - _E_MIN + 1) * 36
+# Column m of row j keeps digits 1..m-1 of the 16 after a significand's
+# first in word j (digits 1-8, then 9-16), and makes the rest NUL.
+_DIGIT_MASK = np.array(
+    [[(1 << 8 * min(max(m - 1 - 8 * j, 0), 8)) - 1 for m in range(18)] for j in (0, 1)], dtype=np.uint64
+)
 
 
 @functools.lru_cache(maxsize=None)
 def _float_text_table() -> np.ndarray:
-    """Cell text per code (E - _E_MIN) * 18 + significant digit count, for
-    E in [_E_MIN, _E_MAX] and 1 to 17 digits; then the nan and zero codes.
-    A code's row holds the bytes its cells keep that the sign and digits do
-    not set: the "0." prefix and its zeros, the point and "e-0d". Every
-    other slot, the sign and digit slots included, is NUL. Built on first
-    use, so commands that write no CSV do not pay for it."""
+    """The widest cell's text per code. A code's row holds the bytes its
+    cells keep that the digits do not set: the sign, the "0." prefix and
+    its zeros, the point and "e-0d", and "0" in the first digit's slot, to
+    which the digit is added. Every other slot, the other digit slots
+    included, is NUL. Built on first use, so commands that write no CSV do
+    not pay for it."""
     e = np.arange(_E_MIN, _E_MAX + 1)[:, None, None]
     nz = np.arange(18)[None, :, None]
     pos = np.arange(_F_WIDTH)
@@ -145,57 +171,62 @@ def _float_text_table() -> np.ndarray:
     )
     prefix = (e < 0) & ~scientific & (pos >= 1) & (pos < 2 - e)  # "0." and -E-1 zeros
     exponent = scientific & (pos >= _F_WIDTH - 4)
-    const = np.frombuffer(b" 0.000" + b"\0." * 17 + b"e-0\0", np.uint8)
-    table = const * ((point | prefix | exponent) & (nz > 0))
-    table[: -4 - _E_MIN, 1:, -1] = 48 - e[: -4 - _E_MIN, :, 0]  # the d of "e-0d"
-    special = np.zeros((2, _F_WIDTH), dtype=np.uint8)
+    const = np.frombuffer(b"\0" + b"0.000" + b"0." + b"\0." * 16 + b"e-0\0", np.uint8)
+    unsigned = const * ((point | prefix | exponent | (pos == _F_DIGIT0)) & (nz > 0))
+    unsigned[: -4 - _E_MIN, 1:, -1] = 48 - e[: -4 - _E_MIN, :, 0]  # the d of "e-0d"
+    table = np.stack((unsigned, unsigned), axis=2)
+    table[:, 1:, 1, 0] = 45  # "-"
+    special = np.zeros((4, _F_WIDTH), dtype=np.uint8)  # nan, 0, -0, empty
     special[0, _F_DIGIT0 : _F_DIGIT0 + 6 : 2] = np.frombuffer(b"nan", np.uint8)
-    special[1, _F_DIGIT0] = 48  # "0"
+    special[1:3, _F_DIGIT0] = 48  # "0"
+    special[2, 0] = 45  # "-"
     return np.concatenate([table.reshape(-1, _F_WIDTH), special])
 
 
-_NAN_CODE = (_E_MAX - _E_MIN + 1) * 18
-_ZERO_CODE = _NAN_CODE + 1
-# Row m keeps digits 1..m-1 of the 16 after a significand's first, as masks
-# of the two little-endian words that hold them (digits 1-8 and 9-16), and
-# makes the rest NUL.
-_DIGIT_MASK = np.array(
-    [[(1 << 8 * min(max(m - 1 - 8 * j, 0), 8)) - 1 for j in (0, 1)] for m in range(18)], dtype=np.uint64
-)
-
-
 @functools.lru_cache(maxsize=None)
-def _float_layout(p: int) -> np.ndarray:
-    """The text table of a cell with point slots after digits 0..p only:
-    28 + p of the widest cell's slots."""
+def _float_layout(lo: Optional[int], p: int) -> tuple:
+    """The cell of a column whose exact cells have exponents from lo <= 0
+    (-5 for any below -4) to p >= 0, or p = -1 when every exponent is below
+    0 and none below -4, as the widest cell's slots it keeps: its width, the
+    slot of its first digit, its nan, 0, -0 and empty cells (a row each),
+    and per code either its first 8 bytes and, with an exponent, its last 4
+    as little-endian words (P <= 0), or its whole text (P >= 1), the rest
+    None. lo None is a sparse column's 3-byte cell."""
+    if lo is None:
+        return 3, 0, np.frombuffer(b"nan0\0\0-0\0\0\0\0", np.uint8).reshape(4, 3), None, None, None
+    width = 1 - max(lo, -4) if lo < 0 else 0  # of the prefix
     points = _F_DIGIT0 + 2 * p + 2
-    slots = np.r_[0:points, points : _F_DIGIT0 + 34 : 2, _F_WIDTH - 4 : _F_WIDTH]
-    return np.ascontiguousarray(_float_text_table()[:, slots])
-
-
-def _split(a: np.ndarray):
-    """Veltkamp's split of each a into two halves of at most 26 bits."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _split(_POW10)
+    exponent = _F_WIDTH - 4 if lo < -4 else _F_WIDTH
+    slots = [*range(1 + width), *range(_F_DIGIT0, points), *range(points, _F_DIGIT0 + 34, 2),
+             *range(exponent, _F_WIDTH)]
+    text = _float_text_table()
+    specials = np.ascontiguousarray(text[_NAN_CODE:][:, slots])
+    if p > 0:
+        return len(slots), 1 + width, specials, None, None, np.ascontiguousarray(text[:, slots])
+    head = np.ascontiguousarray(text[:, slots[:8]]).view(_little(8))[:, 0]
+    tail = np.ascontiguousarray(text[:, slots[-4:]]).view(_little(4))[:, 0] if lo < -4 else None
+    return len(slots), 1 + width, specials, head, tail, None
 
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The integer nearest a * 10**(16 - e), ties to even.
 
     Dekker's two-product gives a * b exactly as hi + lo from the halves of
-    a and of b = 10**(16 - e), whose split is taken once, above.
+    a and of b = 10**(16 - e), whose split is taken once, above, and
+    gathered with b.
     """
-    k = 16 - e
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-    hi = a * _POW10[k]
+    b, b_hi, b_lo = _POW10.take(16 - e, axis=1)
+    hi = a * b
     a_hi, a_lo = _split(a)
-    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    lo = a_hi * b_hi  # lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    lo -= hi
+    lo += a_hi * b_lo
+    lo += a_lo * b_hi
+    lo += a_lo * b_lo
     # hi is an even integer above 2**53, so adding rint(lo) rounds half to even
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    d = hi.astype(np.int64)
+    d += np.rint(lo, out=lo).astype(np.int64)
+    return d
 
 
 def _significands(a: np.ndarray):
@@ -212,139 +243,204 @@ def _significands(a: np.ndarray):
     np.maximum(e, _E_MIN, out=e)
     np.minimum(e, _E_MAX, out=e)
     d = _scaled(a, e)
-    fix = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    fix = ((d - 10**16).view(np.uint64) >= 9 * 10**16).nonzero()[0]  # D outside [10**16, 10**17)
     if fix.size:
         e[fix] += np.where(d[fix] < 10**16, -1, 1)
         d[fix] = _scaled(a[fix], e[fix])
     return e, d
 
 
-def _digits(v: np.ndarray, k: int, zeros: bool = True) -> np.ndarray:
-    """ASCII decimal digits of integers 0 <= v < 10**k, as an (n, k) view of
-    little-endian uint64 words; with zeros=False, leading zeros are NUL
-    (0 itself is "0").
+def _swar(w: np.ndarray, per: int = 8) -> np.ndarray:
+    """Each uint64 word of w, an integer below 10**per, into its decimal
+    digit values (0-9), in place, little-endian with the first digit in the
+    lowest byte.
 
-    Each group of 8 digits becomes its digits at once (SWAR): the word is
-    split into two 4-digit lanes of 32 bits, each lane into two 2-digit
-    lanes of 16 bits, each of those into two digit bytes, every split a
-    multiply-shift division that cannot carry across lanes. The first digit
-    lands in the lowest byte. A single group of at most 4, 2 or 1 digits
-    skips the splits it does not need.
+    Each word becomes its digits at once (SWAR): it is split into two
+    4-digit lanes of 32 bits, each lane into two 2-digit lanes of 16 bits,
+    each of those into two digit bytes, every split a multiply-shift
+    division that cannot carry across lanes. Words of at most 4, 2 or 1
+    digits skip the splits they do not need.
     """
-    groups = -(-k // 8)
-    per = 8 if groups > 1 or k > 4 else 4 if k > 2 else k  # digits per word
-    w = np.empty((len(v), groups), dtype=np.uint64)
-    for j in range(groups - 1, 0, -1):
-        q = v // 10**8
-        w[:, j] = v - q * 10**8
-        v = q
-    w[:, 0] = v
     # a split of lane x at 10**h into b-bit halves is q + ((x - q * 10**h) << b),
     # computed as (x << b) - q * (10**h * 2**b - 1)
     if per > 4:
         q = w // 10**4
         w <<= 32
-        w -= q * ((10**4 << 32) - 1)
+        q *= (10**4 << 32) - 1
+        w -= q
     if per > 2:
-        q = (w * 5243 >> 19) & 0x7F0000007F  # x // 100 in each lane x < 43699
+        q = w * 5243  # then x // 100 in each lane x < 43699
+        q >>= 19
+        q &= 0x7F0000007F
         w <<= 16
-        w -= q * ((100 << 16) - 1)
+        q *= (100 << 16) - 1
+        w -= q
     if per > 1:
-        q = (w * 103 >> 10) & 0x000F000F000F000F  # x // 10 in each lane x < 179
+        q = w * 103  # then x // 10 in each lane x < 179
+        q >>= 10
+        q &= 0x000F000F000F000F
         w <<= 8
-        w -= q * ((10 << 8) - 1)
-    if zeros:
-        w |= 0x3030303030303030  # "0" is 0x30
-    else:
-        # -w sets every bit from w's lowest set bit up, which a digit byte
-        # (0-9) holds below bit 4: "0" is ORed into the bytes from the first
-        # nonzero digit on, and into every byte after a nonzero word
-        lead = -w
-        if groups > 1:
-            lead[:, 1:][np.logical_or.accumulate(w[:, :-1] != 0, axis=1)] = ~np.uint64(0)
-        w |= lead & 0x3030303030303030
-        w[:, -1] |= 0x30 << 8 * (per - 1)
+        q *= (10 << 8) - 1
+        w -= q
+    return w
+
+
+def _int_digits(v: np.ndarray, k: int) -> np.ndarray:
+    """ASCII decimal digits of integers 0 <= v < 10**k, leading zeros NUL
+    (0 itself is "0"), as an (n, k) view whose rows are contiguous."""
+    groups = -(-k // 8)
+    per = 8 if groups > 1 or k > 4 else 4 if k > 2 else k  # digits in word 0
+    w = np.empty((groups, len(v)), dtype=np.uint64)  # word 0 the first per digits, then 8 each
+    w[-1] = v
+    for j in range(groups - 1, 0, -1):
+        np.floor_divide(w[j], 10**8, out=w[j - 1])
+        w[j] -= w[j - 1] * 10**8
+    _swar(w, per)
+    # -w sets every bit from w's lowest set bit up, which a digit byte (0-9)
+    # holds below bit 4: "0" is ORed into the bytes from the first nonzero
+    # digit on, and into every byte after a nonzero word
+    lead = -w
+    for j in range(1, groups):
+        lead[j, (w[:j] != 0).any(axis=0)] = ~np.uint64(0)
+    w |= lead & 0x3030303030303030  # "0" is 0x30
+    w[-1] |= 0x30 << 8 * (per - 1)
     stop = 8 * (groups - 1) + per
-    return w.astype("<u8", copy=False).view(np.uint8)[:, stop - k : stop]
+    return np.ascontiguousarray(w.T, dtype="<u8").view(np.uint8)[:, stop - k : stop]
+
+
+@functools.lru_cache(maxsize=None)
+def _void(width: int) -> np.dtype:
+    return np.dtype((np.void, width))
+
+
+@functools.lru_cache(maxsize=None)
+def _little(size: int) -> np.dtype:
+    return np.dtype(f"<u{size}")
 
 
 def _cells(a: np.ndarray) -> np.ndarray:
     """The rows of an (n, w) byte array whose rows are contiguous, as n items
     of w bytes, which numpy copies and gathers whole instead of byte by byte."""
-    return a.view(np.dtype((np.void, a.shape[1])))[:, 0]
+    return a.view(_void(a.shape[1]))[:, 0]
 
 
-def _significant_bytes(w: np.ndarray) -> np.ndarray:
-    """Bytes up to the last nonzero one of little-endian words of digit
-    values (0-9): the float exponent of the word's top bit, which rounding
-    to 53 bits cannot carry past bit 3 of its byte."""
-    return (np.frexp(w.astype(np.float64))[1] + 7) >> 3
+def _store(text: np.ndarray, at: int, words: np.ndarray) -> None:
+    """Words into each row of an (n, w) byte array, little-endian, from
+    byte at of the row on."""
+    text[:, at : at + words.itemsize].view(_little(words.itemsize))[:, 0] = words
 
 
-def _float_columns(xs: Sequence[np.ndarray]) -> List[tuple]:
-    """The float columns of a block, their exact cells found and converted
-    to digits in one pass over all of them.
+def _float_columns(xs: Sequence[np.ndarray], n: int) -> List[tuple]:
+    """The float columns of a block, the digits of all dense ones formed in
+    one pass over all their cells.
 
-    Per column, a tuple: x; P, the largest fixed-notation exponent among
-    its exact cells (at least 0); the exact-range mask; the exact rows, a
-    slice when every row is exact; and per exact row the first digit and
-    the other 16 in ASCII, NUL past the last one the cell keeps, and the
-    _float_text_table code.
+    Per column, a tuple: x as float64; the mask of the exact cells its
+    layout holds; its layout key (see _float_layout), (None, 0) for a sparse
+    column; and for a dense column, per row its _float_text_table code,
+    first digit (0-9, as uint64) and the two words of the other 16 in
+    ASCII, NUL past the last one the cell keeps, computed for a row outside
+    the exact range as if it held 1.0, whose exponent 0 can only add the
+    point slot after the first digit to the layout.
+    A dense column's scientific cells, when fewer than one in _SPARSE of its
+    exact cells, are left out of its layout and mask.
     """
-    n = len(xs[0])
-    a = np.concatenate(xs)
-    np.abs(a, out=a)
+    x = np.concatenate(xs, dtype=np.float64, casting="unsafe").reshape(len(xs), n)
+    a = np.abs(x)
     exact = (a > 1e-6) & (a < 1e17)
-    at = np.flatnonzero(exact)
-    e, d = _significands(a.take(at))
-    first = d // 10**16
-    digits = _digits(d - first * 10**16, 16)
-    words = digits.view("<u8")  # digits 1-8 and 9-16
-    values = words ^ 0x3030303030303030
-    low = values[:, 1] != 0
-    nz = np.where(low, 9, 1) + _significant_bytes(np.where(low, values[:, 1], values[:, 0]))
-    words &= np.take(_DIGIT_MASK, np.maximum(nz, e + 1), axis=0)  # a cell keeps digits 0..max(nz, E + 1) - 1
-    code = (e - _E_MIN) * 18 + nz
-    first += 48
-    ends = np.searchsorted(at, np.arange(len(xs) + 1) * n).tolist()
-    columns = []
-    for j, (x, lo, hi) in enumerate(zip(xs, ends[:-1], ends[1:])):
-        rows = slice(None) if hi - lo == n else at[lo:hi] - j * n
-        p = max(0, int(e[lo:hi].max())) if hi > lo else 0
-        columns.append((x, p, exact[j * n : (j + 1) * n], rows, first[lo:hi], digits[lo:hi], code[lo:hi]))
+    counts = [np.count_nonzero(column) for column in exact]
+    dense = [j for j, count in enumerate(counts) if _SPARSE * count >= n]
+    columns = [(x[j], exact[j], (None, 0), None) for j in range(len(xs))]
+    if not dense:
+        return columns
+    pick = dense[0] if len(dense) == 1 else dense  # one column stays a view
+    a, cells = a[pick], exact[pick]
+    if sum(counts[j] for j in dense) < len(dense) * n:
+        a = np.where(cells, a, 1.0)
+    e, d = _significands(a.reshape(-1))
+    del a, cells
+    d = d.view(np.uint64)
+    w = np.empty((2, len(d)), dtype=np.uint64)  # digits 0-8, then 9-16
+    np.floor_divide(d, 10**8, out=w[0])
+    np.subtract(d, w[0] * 10**8, out=w[1])
+    del d
+    first = w[0] // 10**8
+    w[0] -= first * 10**8  # digits 1-8
+    _swar(w)
+    low = w[1] != 0
+    # significant digits: 1, and 8 if digits 9-16 are not all 0, and the bytes
+    # of the other word up to its last nonzero one, from the float exponent
+    # of its top bit, which rounding to 53 bits cannot carry past bit 3 of
+    # its byte (a digit is at most 9)
+    nz = (np.frexp(np.where(low, w[1], w[0]).astype(np.float64))[1] + 15) >> 3
+    np.add(nz, 8, out=nz, where=low)
+    w |= 0x3030303030303030  # "0" is 0x30
+    w &= _DIGIT_MASK.take(np.maximum(nz, e + 1), axis=1)  # a cell keeps digits 0..max(nz, E + 1) - 1
+    code = ((e - _E_MIN) * 18 + nz) * 2 + np.signbit(x[pick]).reshape(-1)
+    e = e.reshape(-1, n)  # each dense column's exponent range, one pass each
+    keys = zip(e.min(axis=1).tolist(), e.max(axis=1).tolist())
+    for i, (j, (lo, hi)) in enumerate(zip(dense, keys)):
+        kept = exact[j]
+        if lo < -4:  # scientific cells, left to the splices when rare
+            scientific = e[i] < -4
+            if _SPARSE * np.count_nonzero(scientific) < counts[j]:
+                kept = kept & ~scientific
+                lo = int(np.where(scientific, 0, e[i]).min())
+        key = (max(min(lo, 0), -5), hi if hi >= 0 else 0 if lo < -4 else -1)
+        cells = slice(i * n, (i + 1) * n)
+        columns[j] = (x[j], kept, key, (code[cells], first[cells], w[0, cells], w[1, cells]))
     return columns
 
 
-def _put_floats(column: tuple, text: np.ndarray) -> None:
-    """A _float_columns column into an (n, 28 + P) view that holds the nan
-    cell: the exact cells, then zero cells, the signs and fallback cells."""
-    x, p, exact, rows, first, digits, code = column
-    table = _float_layout(p)
-    points = _F_DIGIT0 + 2 * p + 2
-    _cells(text)[rows] = np.take(_cells(table), code, mode="clip")
-    text[rows, _F_DIGIT0] = first
-    text[rows, _F_DIGIT0 + 2 : points : 2] = digits[:, :p]
-    if p < 16:
-        _cells(text[:, points : points + 16 - p])[rows] = _cells(digits[:, p:])
-    if isinstance(rows, slice):
-        np.multiply(np.signbit(x), _MINUS, out=text[:, 0])
+def _exact_text(key: tuple, code, first, w1, w2, text: np.ndarray) -> None:
+    """Cells of the layout key from their codes and digits into text, an
+    (n, w) byte array of one cell per row, the rows contiguous: as whole
+    words where no point slot lies among the digits (P <= 0), else gathered
+    and placed byte by byte."""
+    width, c0, _, head, tail, table = _float_layout(*key)
+    p = key[1]
+    if head is not None:
+        _store(text, 0, head.take(code) | first << 8 * c0)
+        _store(text, c0 + 2 + p, w1)
+        _store(text, c0 + 10 + p, w2)
+        if tail is not None:
+            _store(text, width - 4, tail.take(code))
         return
-    nan = np.isnan(x)
-    zero = np.flatnonzero(x == 0)
-    if zero.size:
-        _cells(text)[zero] = _cells(table)[_ZERO_CODE]
-    np.multiply(np.signbit(x) & ~nan, _MINUS, out=text[:, 0])
-    other = np.flatnonzero(~(exact | nan) & (x != 0))
-    if other.size:
-        w = text.shape[1]
-        cells = np.array([fmt_float(v) for v in x[other].tolist()], dtype=f"S{w}")
-        text[other] = cells.view(np.uint8).reshape(-1, w)  # NUL-padded
+    _cells(text)[:] = _cells(table).take(code)
+    text[:, c0] += first.astype(np.uint8)
+    slots = [c0 + 2 * i if i <= p else c0 + p + 1 + i for i in range(1, 17)]
+    text[:, slots] = np.stack((w1, w2), axis=1).astype("<u8", copy=False).view(np.uint8)
 
 
-def _int_layout(v: np.ndarray) -> Tuple[bool, int]:
-    """Whether an int64 column needs a sign slot, and its largest digit count."""
-    low, top = (int(v.min()), int(v.max())) if len(v) else (0, 0)
-    return low < 0, len(str(max(top, -low)))
+def _put_floats(column: tuple, text: np.ndarray, cell_at: int, splices: list) -> None:
+    """A _float_columns column into the text, its cells from byte cell_at
+    of each row on, where the row template holds the nan cell. A dense
+    column's digits go into every row, and the rows outside the exact range
+    are then written over. The cells left empty (a sparse column's numbers,
+    a dense one's rare scientific cells and every fallback cell) are
+    formatted by fmt_float and added to splices as (offsets, texts)."""
+    x, exact, key, digits = column
+    width, _, specials, *_ = _float_layout(*key)
+    cell = text[:, cell_at : cell_at + width]
+    if digits is not None:
+        _exact_text(key, *digits, cell)
+    other = ((x == x) if digits is None else ~exact).nonzero()[0]  # x == x is False for nan
+    if not other.size:
+        return
+    values = x[other]
+    zero = values == 0
+    code = np.where(zero, 1 + np.signbit(values), 3)  # rows of specials
+    spliced = ~zero
+    if digits is not None:  # nan cells, written over by the digits
+        nan = np.isnan(values)
+        code[nan] = 0
+        spliced &= ~nan
+    _cells(cell)[other] = _cells(specials).take(code)
+    if spliced.any():
+        texts = "\n".join(map(fmt_float, values[spliced].tolist())).encode("ascii")
+        splices.append((other[spliced] * text.shape[1] + cell_at, texts.split(b"\n")))
+
+
+_MINUS = np.uint8(45)  # "-"
 
 
 def _put_ints(v: np.ndarray, signed: bool, text: np.ndarray) -> None:
@@ -357,57 +453,68 @@ def _put_ints(v: np.ndarray, signed: bool, text: np.ndarray) -> None:
     if text.shape[1] == 1:  # 0 to 9
         np.add(v, 48, out=text[:, 0], casting="unsafe")  # "0" is 48
     else:
-        magnitude = v.astype(np.int64, copy=False).view(np.uint64)
-        _cells(text)[:] = _cells(_digits(magnitude, text.shape[1], zeros=False))
+        _cells(text)[:] = _cells(_int_digits(v.astype(np.int64, copy=False).view(np.uint64), text.shape[1]))
 
 
-@functools.lru_cache(maxsize=256)
-def _row_text(cells: Tuple[Tuple[int, int], ...]) -> bytes:
-    """One laid-out row of cells (width, P), P -1 for every cell but a float
-    one: each cell followed by "," (the last by a newline), a float cell
-    holding the nan cell, every other byte NUL."""
-    row = np.zeros(sum(w + 1 for w, _ in cells), dtype=np.uint8)
-    at = 0
-    for w, p in cells:
-        if p >= 0:
-            row[at : at + w] = _float_layout(p)[_NAN_CODE]
-        at += w + 1
-        row[at - 1] = 44  # ","
-    row[-1] = 10  # "\n"
-    return row.tobytes()
+def _int_layout(v: np.ndarray) -> Tuple[bool, int]:
+    """Whether an int column needs a sign slot, and its largest digit count."""
+    low, top = int(v.min()), int(v.max())
+    return low < 0, len(str(max(top, -low)))
 
 
-def _laid_out(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """csv_block's rows at fixed width, every byte it drops NUL. A step of
-    its own, so the float columns' digit arithmetic is freed before
-    csv_block copies the text to bytes."""
-    kinds = [c.dtype.kind for c in columns]
-    xs = [np.asarray(c, dtype=np.float64) for c, kind in zip(columns, kinds) if kind not in "biuS"]
-    floats = iter(_float_columns(xs) if xs else ())
-    layouts = [
-        col.itemsize if kind == "S" else _int_layout(col) if kind in "biu" else next(floats)
-        for col, kind in zip(columns, kinds)
-    ]
-    cells = tuple(
-        (lay, -1) if kind == "S" else (lay[0] + lay[1], -1) if kind in "biu" else (28 + lay[1], lay[1])
-        for kind, lay in zip(kinds, layouts)
-    )
-    row = _row_text(cells)
+def _laid_out(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, list]:
+    """csv_block's rows at fixed width, every byte it drops NUL, and the
+    cells to splice into them as (offsets, texts). A step of its own, so
+    the float columns' digit arithmetic is freed before csv_block copies
+    the text to bytes."""
     n = len(columns[0])
-    text = np.frombuffer(bytearray(row) * n, dtype=np.uint8).reshape(n, len(row))  # writable
-    at = 0
-    for col, kind, lay, (w, _) in zip(columns, kinds, layouts, cells):
-        cell = text[:, at : at + w]
-        at += w + 1
+    kinds = [c.dtype.kind for c in columns]
+    xs = [c for c, kind in zip(columns, kinds) if kind not in "biuS"]
+    floats = iter(_float_columns(xs, n) if xs else ())
+    layouts = [_int_layout(c) if kind in "biu" else None if kind == "S" else next(floats)
+               for c, kind in zip(columns, kinds)]
+    cells = []  # each cell's text in the row template
+    for col, kind, lay in zip(columns, kinds, layouts):
         if kind == "S":
-            cell[:] = np.ascontiguousarray(col).view(np.uint8).reshape(n, w)
-            cell *= np.logical_and.accumulate(cell != 0, axis=1)
+            cells.append(bytes(col.itemsize))
         elif kind in "biu":
-            _put_ints(col, lay[0], cell)
+            cells.append(bytes(lay[0] + lay[1]))
         else:
-            _put_floats(lay, cell)
-    text[-1:, -1] = 0  # the last row's newline
-    return text
+            cells.append(_float_layout(*lay[2])[2][0].tobytes())
+    row = b",".join(cells) + b"\n"
+    text = np.frombuffer(bytearray(row) * n, dtype=np.uint8).reshape(n, len(row))  # writable
+    splices = []
+    at = 0
+    for col, kind, lay, cell in zip(columns, kinds, layouts, cells):
+        w = len(cell)
+        if kind == "S":
+            view = text[:, at : at + w]
+            view[:] = np.ascontiguousarray(col).view(np.uint8).reshape(n, w)
+            view *= np.logical_and.accumulate(view != 0, axis=1)
+        elif kind in "biu":
+            _put_ints(col, lay[0], text[:, at : at + w])
+        else:
+            _put_floats(lay, text, at, splices)
+        at += w + 1
+    text[-1, -1] = 0  # the last row's newline
+    return text, splices
+
+
+def _joined(text: np.ndarray, splices: list) -> bytes:
+    """The laid-out text as bytes, each spliced cell inserted at its offset."""
+    if not splices:
+        return text.tobytes()
+    offsets = np.concatenate([o for o, _ in splices])
+    texts = [t for _, texts in splices for t in texts]
+    if len(splices) > 1:
+        order = np.argsort(offsets, kind="stable")
+        offsets, texts = offsets[order], [texts[i] for i in order.tolist()]
+    cuts = [0, *offsets.tolist(), text.size]
+    flat = memoryview(text.reshape(-1))
+    parts = [b""] * (2 * len(texts) + 1)
+    parts[::2] = [flat[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    parts[1::2] = texts
+    return b"".join(parts)
 
 
 def csv_block(columns: Sequence[np.ndarray]) -> bytes:
@@ -418,18 +525,23 @@ def csv_block(columns: Sequence[np.ndarray]) -> bytes:
     cell, and every other column as fmt_float renders its float values.
     Each row is laid out at fixed width, every cell followed by a separator,
     and every byte a cell does not use is written as NUL: a leading zero of
-    an integer, a float's unused prefix, point, digit and exponent slots, a
-    text cell's bytes from its first NUL on. bytes.translate then drops the
-    NULs; no other byte is NUL. A float cell is 28 + P bytes wide, P the
-    largest fixed-notation exponent among the column's exact cells in this
-    block (at least 0), so a runs CSV row (three small integers and two
-    floats below 10) is laid out in 68 bytes and keeps about 34. Returning
-    bytes lets a caller write each block to a binary file as soon as it is
-    rendered, with no decode or encode pass. The working memory is the
-    laid-out text and its copy as bytes, 136 B per row of tracemalloc peak
-    at 4096 rows of the runs CSV's columns, or the text and the float
-    columns' digit arithmetic where that is larger: 226 B per row when both
-    float columns are exact in every row. A caller bounds it by the rows it
-    passes.
+    an integer, a float's unused sign, prefix, point, digit and exponent
+    slots, a text cell's bytes from its first NUL on. A dense float column's
+    cell is as wide as its exact cells in this block need, from 18 bytes to
+    28 + P, P the largest fixed-notation exponent among them.
+    A sparse column's cell is 3 bytes, room for nan and +-0, and its exact
+    cells, like every column's fallback cells, are formatted one at a time
+    and spliced into the text as it is copied to bytes. bytes.translate then
+    drops the NULs; no other byte is NUL. A runs CSV row (three small
+    integers, a mostly nan x_sample and a noise value below 1) is laid out
+    in 38 bytes and keeps about 35. Returning bytes lets a caller write each
+    block to a binary file as soon as it is rendered, with no decode or
+    encode pass. The working memory is the dense columns' digit arithmetic
+    or the laid-out text beside its copy as bytes, whichever is larger: a
+    tracemalloc peak of 115 B per row at 4096 rows of the runs CSV's columns,
+    197 B when both float columns are exact in every row. A caller bounds it
+    by the rows it passes.
     """
-    return _laid_out(columns).tobytes().translate(None, b"\0")
+    if not len(columns[0]):
+        return b""
+    return _joined(*_laid_out(columns)).translate(None, b"\0")

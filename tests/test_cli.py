@@ -452,6 +452,21 @@ def test_protocol_first_order_mode(capsys):
     assert math.isclose(doc["success_prob"], 0.0101, rel_tol=0, abs_tol=1e-15)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--cutoff", "400"), ("--input", "coherent"), ("--source-eff", "0.5"),
+    ("--read-eff", "0.9"), ("--dark-count", "0.1"), ("--cutoff", "12"),
+])
+def test_protocol_first_order_refuses_exact_flags(flag, value, tmp_path, capsys):
+    # the first-order protocol reads --alpha and --t only: a flag of the
+    # exact protocol, even at its default, exits 2 naming it and writes nothing
+    out = tmp_path / "fo.json"
+    argv = ["protocol", "--alpha", "0.01", "--t", "0.1", "--mode", "first-order", "--out", str(out)]
+    assert main(argv + [flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0 and out.exists()
+
+
 def test_grid_parser():
     axes = parse_grid_file("t = 0.1:0.3:3\nalpha = 0, 0.01  # two points\n")
     assert axes["t"] == pytest.approx([0.1, 0.2, 0.3])
@@ -781,9 +796,16 @@ def _csv_row(values):
 
 def _recorded(cfg):
     """run_campaign with a sink that keeps every replica's arrays: the
-    summary and the replica-major records (heralded, x_sample, noise_value)."""
+    summary and the replica-major records (heralded, x_sample, noise_value),
+    x_sample NaN where an attempt did not herald."""
     runs = []
-    summary = run_campaign(cfg, lambda *record: runs.append(record))
+
+    def keep(heralded, samples, noise_value):
+        x_sample = np.full(len(heralded), np.nan)
+        x_sample[heralded != 0] = samples
+        runs.append((heralded, x_sample, noise_value))
+
+    summary = run_campaign(cfg, keep)
     return summary, tuple(np.concatenate(column) for column in zip(*runs))
 
 
@@ -857,12 +879,14 @@ def test_runs_csv_matches_per_row_csv_row(name, tmp_path, monkeypatch):
 
 def _run_lines(records, attempts):
     """The data lines of the runs CSV, as _RunsCsv renders replica-major
-    records handed to it replica by replica (without the manifest and header
-    chunk), and each block's line count."""
+    records (heralded, x_sample, noise_value) handed to it replica by replica
+    as a sink receives them, the x_sample of the heralded attempts only
+    (without the manifest and header chunk), and each block's line count."""
     chunks = []
     runs = _RunsCsv(attempts, "{}", chunks.append)
     for start in range(0, len(records[0]), attempts):
-        runs(*(column[start : start + attempts] for column in records))
+        heralded, x_sample, noise_value = (column[start : start + attempts] for column in records)
+        runs(heralded, x_sample[heralded != 0], noise_value)
     runs.flush()
     # each block is written as its lines, then as the newline after the last
     lines, newlines = chunks[1::2], chunks[2::2]
@@ -873,10 +897,11 @@ def _run_lines(records, attempts):
 
 
 def test_run_lines_special_values_match_csv_row():
-    # four replicas of six attempts, each with the same special values
+    # four replicas of six attempts, each with the same special values; the
+    # attempt that did not herald has x_sample nan
     x = np.tile([-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 0.1], 4)
     v = np.tile([0.0, -1e308, 2.5, -0.0, float("nan"), 1 / 3], 4)
-    records = (np.tile(np.array([1, 0, 1, 1, 0, 1], dtype=np.int8), 4), x, v)
+    records = (np.tile(np.array([1, 0, 1, 1, 1, 1], dtype=np.int8), 4), x, v)
     expected = [_csv_row(values) for values in _run_rows(records, 6)]
     text, _ = _run_lines(records, 6)
     assert text == ("\n".join(expected) + "\n").encode("ascii")
@@ -909,10 +934,13 @@ def _write_amplified_runs(tmp_path, attempts):
     summary, records = _recorded(parse_campaign_file(text))
     path = tmp_path / "runs.csv"
 
+    heralded, x_sample, noise_value = records
+    samples = x_sample[heralded != 0]
+
     def write():
         with open(path, "wb") as fh:
             runs = _RunsCsv(summary.attempts, "{}", fh.write)
-            runs(*records)
+            runs(heralded, samples, noise_value)
             runs.flush()
 
     _, peak = _peak_bytes(write)
@@ -922,16 +950,16 @@ def _write_amplified_runs(tmp_path, attempts):
 def test_runs_csv_writer_memory_is_flat(tmp_path):
     # the whole document (7 MB at 2e5 rows, 29 MB at 8e5) is far over the
     # bound; the writer holds one rendered block, a tracemalloc peak of
-    # 0.74-0.78 MB (180-190 B per row of the block) at both sizes, on one
-    # thread and on two. The bound leaves 1.7x of that
+    # 0.62-0.70 MB (151-170 B per row of the block) at both sizes, on one
+    # thread and on two. The bound leaves 1.9x of that
     bound = 320 * _ROW_CHUNK
     small_size, small_peak = _write_amplified_runs(tmp_path, 200_000)
     large_size, large_peak = _write_amplified_runs(tmp_path, 800_000)
     assert bound < small_size < large_size
     assert small_peak < bound and large_peak < bound
     # flat: four times the rows hold less than one more block's layout (a
-    # runs CSV row is laid out in 68 bytes, see csv_block)
-    assert large_peak - small_peak < 68 * _ROW_CHUNK
+    # runs CSV row is laid out in 38 bytes, see csv_block)
+    assert large_peak - small_peak < 38 * _ROW_CHUNK
 
 
 def test_runs_csv_to_stdout_matches_the_file(tmp_path, capsysbinary, monkeypatch):

@@ -207,12 +207,20 @@ DIRECT_NOISES = {
 DIRECT_COUNTS = (1, 2, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 7)
 
 
+def _x_sample(heralded, samples):
+    """The runs CSV's x_sample column of one replica: its samples at the
+    heralded attempts, NaN elsewhere."""
+    x_sample = np.full(len(heralded), np.nan)
+    x_sample[heralded != 0] = samples
+    return x_sample
+
+
 def _recorded(cfg):
     """run_campaign with a sink that keeps every replica's arrays: the
     summary and the records (heralded, x_sample, noise_value), replica-major,
     so attempt k of replica i is element i * attempts + k of each."""
     runs = []
-    summary = run_campaign(cfg, lambda *record: runs.append(record))
+    summary = run_campaign(cfg, lambda h, samples, v: runs.append((h, _x_sample(h, samples), v)))
     return summary, tuple(np.concatenate(column) for column in zip(*runs))
 
 
@@ -638,7 +646,7 @@ def test_replicas_without_a_herald_hold_nan_and_are_listed():
 
 
 def _replica_runs(cfg):
-    """The summary of a recorded run, and (replica, heralded, x_sample,
+    """The summary of a recorded run, and (replica, heralded, samples,
     noise_value) per replica, in the order the sink received them."""
     runs = []
     summary = run_campaign(cfg, lambda *record: runs.append(record))
@@ -651,13 +659,13 @@ def test_record_runs_alignment():
                          noise=NoiseModel(kind="white", sigma_tech=0.05),
                          seed=31, replicas=2, protocol=proto)
     s, runs = _replica_runs(cfg)
-    assert [a.shape for run in runs for a in run[1:]] == [(cfg.attempts,)] * 6
+    assert [a.shape for run in runs for a in run[1::2]] == [(cfg.attempts,)] * 4
     assert all(run[1].dtype == np.int8 for run in runs)
-    for replica, heralded, x_sample, _ in runs:
-        mask = heralded.astype(bool)
-        assert np.all(np.isnan(x_sample[~mask]))
-        assert np.all(np.isfinite(x_sample[mask]))
-        assert int(mask.sum()) == s.per_replica_successes[replica]
+    for replica, heralded, samples, _ in runs:
+        # one sample per heralded attempt
+        assert samples.shape == (int(heralded.sum()),)
+        assert np.all(np.isfinite(samples))
+        assert int(heralded.sum()) == s.per_replica_successes[replica]
 
 
 def test_recorded_runs_hold_no_records():
@@ -672,7 +680,7 @@ def test_recorded_runs_hold_no_records():
     assert cfg.attempts == 1
     received = [0]
 
-    def count(heralded, x_sample, noise_value):
+    def count(heralded, samples, noise_value):
         received[0] += len(heralded)
 
     def held(sink):
@@ -699,14 +707,14 @@ def test_replica_draw_order_contract():
                          noise=noise, seed=77, replicas=2, protocol=proto)
     s, runs = _replica_runs(cfg)
     res = run_exact(proto)
-    for replica, rec_heralded, x_sample, noise_value in runs:
+    for replica, rec_heralded, samples, noise_value in runs:
         rng = _replica_rng(77, replica)
         heralded = rng.random(cfg.attempts) < res.success_probability
         assert np.array_equal(heralded.astype(np.int8), rec_heralded)
         quad = sample_homodyne(res.conditional_state, 0.0, int(heralded.sum()), rng)
         w = noise_series(noise, cfg.attempts, rng)
         assert np.array_equal(w, noise_value)
-        assert np.allclose(x_sample[heralded], quad + w[heralded],
+        assert np.allclose(samples, quad + w[heralded],
                            rtol=0.0, atol=0.0, equal_nan=False)
 
 

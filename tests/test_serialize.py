@@ -216,9 +216,8 @@ def test_csv_block_matches_format_at_every_point_layout(p, data):
 
 def test_csv_block_working_memory():
     # one 4096-row block of the runs CSV's columns (replica, attempt_index,
-    # heralded, a mostly nan x_sample and a noise value): the laid-out text
-    # and its copy as bytes are 136 B per row of peak, where a keep mask
-    # beside the text took 315
+    # heralded, a mostly nan x_sample and a noise value): 115 B per row of
+    # peak, in the noise column's digit arithmetic; the bound leaves 1.3x
     rows = 4096
     rng = np.random.default_rng(11)
     replica, attempt_index = np.divmod(np.arange(rows) + 10**5, 1000)
@@ -233,4 +232,48 @@ def test_csv_block_working_memory():
     finally:
         tracemalloc.stop()
     assert text == expected
-    assert peak < 180 * rows
+    assert peak < 150 * rows
+
+
+def _heralded(pattern, rows, rng):
+    h = np.zeros(rows, dtype=np.int8)
+    if pattern == "first":
+        h[0] = 1
+    elif pattern == "last":
+        h[-1] = 1
+    elif pattern == "one-percent":
+        h[rng.random(rows) < 0.01] = 1
+    elif pattern == "adjacent":
+        h[100:103] = h[2000:2002] = 1
+    elif pattern == "every":
+        h[:] = 1
+    return h
+
+
+def _noise(kind, rows, rng):
+    # fixed-notation cells from E = -3 up, then, by kind, cells of E = -4,
+    # scientific cells (1e-6 < |x| < 1e-4) and fallback cells (|x| <= 1e-6)
+    v = rng.uniform(1e-3, 0.5, rows) * rng.choice([-1.0, 1.0], rows)
+    at = rng.choice(rows, 40, replace=False)
+    if kind in ("e-4", "scientific", "fallback"):
+        v[at[:10]] = rng.uniform(1e-4, 1e-3, 10)
+    if kind in ("scientific", "fallback"):
+        v[at[10:20]] = -rng.uniform(1e-6, 1e-4, 10)
+    if kind == "fallback":
+        v[at[20:26]] = [0.0, -0.0, 5e-324, 1e-6, -1e-7, 1e-300]
+    return v
+
+
+@pytest.mark.parametrize("noise", ["plain", "e-4", "scientific", "fallback"])
+@pytest.mark.parametrize("pattern", ["none", "first", "last", "one-percent", "adjacent", "every"])
+def test_csv_block_runs_layouts_at_block_size(pattern, noise):
+    # one 4096-row block of the runs CSV's columns: x_sample exact in no
+    # row, one row at either end, about 1% of rows, a few adjacent rows or
+    # every row (sparse and dense layouts), next to a noise column whose
+    # exponents do or do not reach E = -4, scientific and fallback cells
+    rows = 4096
+    rng = np.random.default_rng(list(f"{pattern}/{noise}".encode()))
+    replica, attempt_index = np.divmod(np.arange(rows) + 10**5 - 7, 10**5)
+    heralded = _heralded(pattern, rows, rng)
+    x_sample = np.where(heralded == 1, rng.normal(0.14, 0.7, rows), np.nan)
+    _assert_block(replica, attempt_index, heralded, x_sample, _noise(noise, rows, rng))
