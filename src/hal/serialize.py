@@ -20,7 +20,7 @@ their digits formed eight at a time in uint64 words (SWAR), as are the
 digits of integers. NaN and +-0 are rendered from fixed patterns. A sparse
 column's exact cells and every other float (infinities, |x| <= 1e-6
 including subnormals, |x| >= 1e17) are formatted by fmt_float's rule one
-cell at a time and spliced in with the rest.
+cell at a time, and laid out with the rest or, when few, spliced in.
 """
 
 from __future__ import annotations
@@ -117,19 +117,24 @@ def state_to_jsonable(state, cutoff: Optional[int] = None) -> Mapping[str, Any]:
 # significand digits each followed by a point slot, and the exponent "e-0d"
 # (in the exact range, scientific notation only occurs at E = -5 and -6).
 # A column's cell in a block keeps only the slots its exact cells there can
-# use (_float_layout): with their exponents from L to P, the point slots
-# after digits 0..P (none if every exponent is below 0), the prefix slots of
-# "0." and -L - 1 zeros (none for L >= 0, all five from L = -4 down) and the
-# exponent slots if L < -4: 18 + (P + 1) + 5 + 4 = 28 + P slots at most, 18
-# at least. Scientific cells (L < -4) that are rare in a column are spliced
-# in like fallback cells (_float_columns), so they widen no cell.
+# use (_float_layout): with their exponents from L to P <= 0, the point slot
+# after digit 0 if P = 0, the prefix slots of "0." and -L - 1 zeros (none
+# for L >= 0, all five from L = -4 down) and the exponent slots if L < -4,
+# 18 to 24 slots; with P >= 1, 28 + P slots, the point slots after digits
+# 0..P and every prefix and exponent slot. Scientific cells (L < -4) that
+# are rare in a column of P <= 0 are left to the other cells
+# (_other_cells), so they widen no cell.
 _F_WIDTH = 44
 _F_DIGIT0 = 6
 _E_MIN, _E_MAX = -6, 16
 # A column with an exact cell in fewer than one row in _SPARSE of a block is
-# sparse: its cell is 3 bytes, room for nan and +-0, and its exact cells
-# are spliced into the text, as every column's fallback cells are.
+# sparse: it has no digits, and its cell is 3 bytes, room for nan and +-0.
+# The numbers the digits leave (a sparse column's, infinities, |x| <= 1e-6,
+# |x| >= 1e17) are formatted one at a time: when they are at least one row
+# in _SPARSE, the cell is widened to _F_TEXT and they are laid out in it;
+# fewer are spliced into the text.
 _SPARSE = 8
+_F_TEXT = 24  # the longest text fmt_float gives, as in "-2.2250738585072014e-308"
 
 
 def _split(a: np.ndarray):
@@ -186,12 +191,14 @@ def _float_text_table() -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _float_layout(lo: Optional[int], p: int) -> tuple:
     """The cell of a column whose exact cells have exponents from lo <= 0
-    (-5 for any below -4) to p >= 0, or p = -1 when every exponent is below
-    0 and none below -4, as the widest cell's slots it keeps: its width, the
-    slot of its first digit, its nan, 0, -0 and empty cells (a row each),
-    and per code either its first 8 bytes and, with an exponent, its last 4
-    as little-endian words (P <= 0), or its whole text (P >= 1), the rest
-    None. lo None is a sparse column's 3-byte cell."""
+    (-5 for any below -4) to p, p = -1 when every exponent is below 0 and
+    none below -4, as the widest cell's slots it keeps: its width, the slot
+    of its first digit, its nan, 0, -0 and empty cells (a row each), and
+    per code of an exponent up to max(p, 0), the highest a block of the
+    layout reaches, either its first 8 bytes and, with an exponent, its
+    last 4 as little-endian words (p <= 0), or its whole text (p >= 1, when
+    lo is -5: every prefix and exponent slot), the rest None. lo None is a
+    sparse column's 3-byte cell."""
     if lo is None:
         return 3, 0, np.frombuffer(b"nan0\0\0-0\0\0\0\0", np.uint8).reshape(4, 3), None, None, None
     width = 1 - max(lo, -4) if lo < 0 else 0  # of the prefix
@@ -201,6 +208,7 @@ def _float_layout(lo: Optional[int], p: int) -> tuple:
              *range(exponent, _F_WIDTH)]
     text = _float_text_table()
     specials = np.ascontiguousarray(text[_NAN_CODE:][:, slots])
+    text = text[: (max(p, 0) - _E_MIN + 1) * 36]
     if p > 0:
         return len(slots), 1 + width, specials, None, None, np.ascontiguousarray(text[:, slots])
     head = np.ascontiguousarray(text[:, slots[:8]]).view(_little(8))[:, 0]
@@ -341,13 +349,13 @@ def _float_columns(xs: Sequence[np.ndarray], n: int) -> List[tuple]:
     ASCII, NUL past the last one the cell keeps, computed for a row outside
     the exact range as if it held 1.0, whose exponent 0 can only add the
     point slot after the first digit to the layout.
-    A dense column's scientific cells, when fewer than one in _SPARSE of its
-    exact cells, are left out of its layout and mask.
+    The scientific cells of a dense column of P <= 0, when fewer than one in
+    _SPARSE of its exact cells, are left out of its layout and mask.
     """
     x = np.concatenate(xs, dtype=np.float64, casting="unsafe").reshape(len(xs), n)
     a = np.abs(x)
     exact = (a > 1e-6) & (a < 1e17)
-    counts = [np.count_nonzero(column) for column in exact]
+    counts = np.count_nonzero(exact, axis=1).tolist()
     dense = [j for j, count in enumerate(counts) if _SPARSE * count >= n]
     columns = [(x[j], exact[j], (None, 0), None) for j in range(len(xs))]
     if not dense:
@@ -380,12 +388,15 @@ def _float_columns(xs: Sequence[np.ndarray], n: int) -> List[tuple]:
     keys = zip(e.min(axis=1).tolist(), e.max(axis=1).tolist())
     for i, (j, (lo, hi)) in enumerate(zip(dense, keys)):
         kept = exact[j]
-        if lo < -4:  # scientific cells, left to the splices when rare
-            scientific = e[i] < -4
-            if _SPARSE * np.count_nonzero(scientific) < counts[j]:
-                kept = kept & ~scientific
-                lo = int(np.where(scientific, 0, e[i]).min())
-        key = (max(min(lo, 0), -5), hi if hi >= 0 else 0 if lo < -4 else -1)
+        if hi > 0:  # one layout per P
+            key = (-5, hi)
+        else:
+            if lo < -4:  # scientific cells, left to the other cells when rare
+                scientific = e[i] < -4
+                if _SPARSE * np.count_nonzero(scientific) < counts[j]:
+                    kept = kept & ~scientific
+                    lo = int(np.where(scientific, 0, e[i]).min())
+            key = (max(lo, -5), 0 if hi == 0 or lo < -4 else -1)
         cells = slice(i * n, (i + 1) * n)
         columns[j] = (x[j], kept, key, (code[cells], first[cells], w[0, cells], w[1, cells]))
     return columns
@@ -395,7 +406,8 @@ def _exact_text(key: tuple, code, first, w1, w2, text: np.ndarray) -> None:
     """Cells of the layout key from their codes and digits into text, an
     (n, w) byte array of one cell per row, the rows contiguous: as whole
     words where no point slot lies among the digits (P <= 0), else gathered
-    and placed byte by byte."""
+    and placed byte by byte. The words render the bench's runs-CSV blocks
+    in 0.83-0.93 of the time the gather takes (one pinned CPU)."""
     width, c0, _, head, tail, table = _float_layout(*key)
     p = key[1]
     if head is not None:
@@ -411,33 +423,53 @@ def _exact_text(key: tuple, code, first, w1, w2, text: np.ndarray) -> None:
     text[:, slots] = np.stack((w1, w2), axis=1).astype("<u8", copy=False).view(np.uint8)
 
 
+def _other_cells(column: tuple, n: int) -> tuple:
+    """A _float_columns column's key, digits and cell width, and the cells
+    its digits leave: their rows (nan rows only in a dense column, whose
+    digits go into every row), each one's row of the layout's specials (nan,
+    0, -0, or the empty cell of a number), and the rows of the numbers among
+    them with their text by fmt_float. Numbers in at least one row in
+    _SPARSE of the block are laid out in the cell, widened to _F_TEXT, as
+    an S array; fewer are spliced into the text, as a list of bytes."""
+    x, kept, key, digits = column
+    width = _float_layout(*key)[0]
+    other = ((x == x) if digits is None else ~kept).nonzero()[0]  # x == x is False for nan
+    if not other.size:
+        return key, digits, width, other, None, other, []
+    values = x[other]
+    zero = values == 0
+    code = np.where(zero, 1 + np.signbit(values), 3)
+    numbers = ~zero
+    if digits is not None:  # nan cells, written over by the digits
+        nan = np.isnan(values)
+        code[nan] = 0
+        numbers &= ~nan
+    rows = other[numbers]
+    # fmt_float's text of each, formatted in one call
+    texts = ("%.17g\n" * rows.size % tuple(values[numbers].tolist())).encode("ascii").split()
+    if _SPARSE * rows.size >= n:
+        texts = np.array(texts, dtype=f"S{_F_TEXT}")
+        width = max(width, _F_TEXT)
+    return key, digits, width, other, code, rows, texts
+
+
 def _put_floats(column: tuple, text: np.ndarray, cell_at: int, splices: list) -> None:
-    """A _float_columns column into the text, its cells from byte cell_at
-    of each row on, where the row template holds the nan cell. A dense
-    column's digits go into every row, and the rows outside the exact range
-    are then written over. The cells left empty (a sparse column's numbers,
-    a dense one's rare scientific cells and every fallback cell) are
-    formatted by fmt_float and added to splices as (offsets, texts)."""
-    x, exact, key, digits = column
+    """An _other_cells column into the text, its cells from byte cell_at of
+    each row on, where the row template holds the nan cell, NUL past the
+    layout's width. A dense column's digits go into every row, and the rows
+    they leave are then written over; numbers to splice are added to
+    splices as (offsets, texts)."""
+    key, digits, _, other, code, rows, texts = column
     width, _, specials, *_ = _float_layout(*key)
     cell = text[:, cell_at : cell_at + width]
     if digits is not None:
         _exact_text(key, *digits, cell)
-    other = ((x == x) if digits is None else ~exact).nonzero()[0]  # x == x is False for nan
-    if not other.size:
-        return
-    values = x[other]
-    zero = values == 0
-    code = np.where(zero, 1 + np.signbit(values), 3)  # rows of specials
-    spliced = ~zero
-    if digits is not None:  # nan cells, written over by the digits
-        nan = np.isnan(values)
-        code[nan] = 0
-        spliced &= ~nan
-    _cells(cell)[other] = _cells(specials).take(code)
-    if spliced.any():
-        texts = "\n".join(map(fmt_float, values[spliced].tolist())).encode("ascii")
-        splices.append((other[spliced] * text.shape[1] + cell_at, texts.split(b"\n")))
+    if other.size:
+        _cells(cell)[other] = _cells(specials).take(code)
+    if isinstance(texts, np.ndarray):
+        text[rows, cell_at : cell_at + _F_TEXT] = texts.view(np.uint8).reshape(rows.size, _F_TEXT)
+    elif texts:
+        splices.append((rows * text.shape[1] + cell_at, texts))
 
 
 _MINUS = np.uint8(45)  # "-"
@@ -470,7 +502,7 @@ def _laid_out(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, list]:
     n = len(columns[0])
     kinds = [c.dtype.kind for c in columns]
     xs = [c for c, kind in zip(columns, kinds) if kind not in "biuS"]
-    floats = iter(_float_columns(xs, n) if xs else ())
+    floats = iter([_other_cells(column, n) for column in _float_columns(xs, n)] if xs else ())
     layouts = [_int_layout(c) if kind in "biu" else None if kind == "S" else next(floats)
                for c, kind in zip(columns, kinds)]
     cells = []  # each cell's text in the row template
@@ -480,7 +512,7 @@ def _laid_out(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, list]:
         elif kind in "biu":
             cells.append(bytes(lay[0] + lay[1]))
         else:
-            cells.append(_float_layout(*lay[2])[2][0].tobytes())
+            cells.append(_float_layout(*lay[0])[2][0].tobytes().ljust(lay[2], b"\0"))
     row = b",".join(cells) + b"\n"
     text = np.frombuffer(bytearray(row) * n, dtype=np.uint8).reshape(n, len(row))  # writable
     splices = []
@@ -527,20 +559,21 @@ def csv_block(columns: Sequence[np.ndarray]) -> bytes:
     and every byte a cell does not use is written as NUL: a leading zero of
     an integer, a float's unused sign, prefix, point, digit and exponent
     slots, a text cell's bytes from its first NUL on. A dense float column's
-    cell is as wide as its exact cells in this block need, from 18 bytes to
-    28 + P, P the largest fixed-notation exponent among them.
-    A sparse column's cell is 3 bytes, room for nan and +-0, and its exact
-    cells, like every column's fallback cells, are formatted one at a time
-    and spliced into the text as it is copied to bytes. bytes.translate then
-    drops the NULs; no other byte is NUL. A runs CSV row (three small
-    integers, a mostly nan x_sample and a noise value below 1) is laid out
-    in 38 bytes and keeps about 35. Returning bytes lets a caller write each
-    block to a binary file as soon as it is rendered, with no decode or
-    encode pass. The working memory is the dense columns' digit arithmetic
-    or the laid-out text beside its copy as bytes, whichever is larger: a
-    tracemalloc peak of 115 B per row at 4096 rows of the runs CSV's columns,
-    197 B when both float columns are exact in every row. A caller bounds it
-    by the rows it passes.
+    cell is as wide as its exact cells in this block need: 18 to 24 bytes
+    while their exponents are at most 0, else 28 + P, P the largest one.
+    A sparse column's cell is 3 bytes, room for nan and +-0. The numbers
+    left (a sparse column's exact cells, every column's fallback cells) are
+    formatted one at a time: laid out in the cell, widened to 24 bytes, if
+    they are in at least one row in 8, else spliced into the text as it is
+    copied to bytes. bytes.translate then drops the NULs; no other byte is
+    NUL. A runs CSV row (three small integers, a mostly nan x_sample and a
+    noise value below 1) is laid out in 38 bytes and keeps about 35.
+    Returning bytes lets a caller write each block to a binary file as soon
+    as it is rendered, with no decode or encode pass. The working memory is
+    the dense columns' digit arithmetic or the laid-out text beside its
+    copy as bytes, whichever is larger: a tracemalloc peak of 115 B per row
+    at 4096 rows of the runs CSV's columns, 197 B when both float columns
+    are exact in every row. A caller bounds it by the rows it passes.
     """
     if not len(columns[0]):
         return b""

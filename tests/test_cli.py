@@ -950,7 +950,7 @@ def _write_amplified_runs(tmp_path, attempts):
 def test_runs_csv_writer_memory_is_flat(tmp_path):
     # the whole document (7 MB at 2e5 rows, 29 MB at 8e5) is far over the
     # bound; the writer holds one rendered block, a tracemalloc peak of
-    # 0.62-0.70 MB (151-170 B per row of the block) at both sizes, on one
+    # 0.61-0.70 MB (150-170 B per row of the block) at both sizes, on one
     # thread and on two. The bound leaves 1.9x of that
     bound = 320 * _ROW_CHUNK
     small_size, small_peak = _write_amplified_runs(tmp_path, 200_000)

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hal import serialize
 from hal.fock_core import DensityOperator, coherent_state
 from hal.serialize import (
     csv_block,
@@ -252,7 +254,15 @@ def _heralded(pattern, rows, rng):
 
 def _noise(kind, rows, rng):
     # fixed-notation cells from E = -3 up, then, by kind, cells of E = -4,
-    # scientific cells (1e-6 < |x| < 1e-4) and fallback cells (|x| <= 1e-6)
+    # scientific cells (1e-6 < |x| < 1e-4) and fallback cells (|x| <= 1e-6);
+    # or fallback cells in every row (tiny), or in about two rows in three
+    # beside scientific ones, infinities and zeros (straddle)
+    if kind == "tiny":
+        return rng.normal(0.0, 1e-9, rows)
+    if kind == "straddle":
+        v = rng.normal(0.0, 1e-6, rows)
+        v[rng.choice(rows, 6, replace=False)] = [np.inf, -np.inf, 0.0, -0.0, np.nan, 5e-324]
+        return v
     v = rng.uniform(1e-3, 0.5, rows) * rng.choice([-1.0, 1.0], rows)
     at = rng.choice(rows, 40, replace=False)
     if kind in ("e-4", "scientific", "fallback"):
@@ -264,16 +274,35 @@ def _noise(kind, rows, rng):
     return v
 
 
-@pytest.mark.parametrize("noise", ["plain", "e-4", "scientific", "fallback"])
+@pytest.mark.parametrize("noise", ["plain", "e-4", "scientific", "fallback", "tiny", "straddle"])
 @pytest.mark.parametrize("pattern", ["none", "first", "last", "one-percent", "adjacent", "every"])
 def test_csv_block_runs_layouts_at_block_size(pattern, noise):
     # one 4096-row block of the runs CSV's columns: x_sample exact in no
     # row, one row at either end, about 1% of rows, a few adjacent rows or
     # every row (sparse and dense layouts), next to a noise column whose
-    # exponents do or do not reach E = -4, scientific and fallback cells
+    # exponents do or do not reach E = -4, scientific and fallback cells,
+    # or whose fallback cells are too many to splice
     rows = 4096
     rng = np.random.default_rng(list(f"{pattern}/{noise}".encode()))
     replica, attempt_index = np.divmod(np.arange(rows) + 10**5 - 7, 10**5)
     heralded = _heralded(pattern, rows, rng)
     x_sample = np.where(heralded == 1, rng.normal(0.14, 0.7, rows), np.nan)
     _assert_block(replica, attempt_index, heralded, x_sample, _noise(noise, rows, rng))
+
+
+def test_csv_block_lays_out_fallback_cells_when_many():
+    # a noise column of fallback cells only (a runs CSV with sigma_tech
+    # 1e-9) is laid out whole, not spliced cell by cell, so its block costs
+    # about what formatting its cells one by one does (0.9-1.0x measured;
+    # 1.3-1.5x when they were spliced)
+    rows = 4096
+    replica, attempt_index = np.divmod(np.arange(rows), 10**5)
+    noise = np.random.default_rng(11).normal(0.0, 1e-9, rows)
+    columns = (replica, attempt_index, np.zeros(rows, np.int8), np.full(rows, np.nan), noise)
+    assert not serialize._laid_out(columns)[1]  # nothing to splice
+    _assert_block(*columns)
+    render, formatting = [], []
+    for _ in range(9):
+        render.append(timeit.timeit(lambda: csv_block(columns), number=1))
+        formatting.append(timeit.timeit(lambda: [fmt_float(v) for v in noise.tolist()], number=1))
+    assert min(render) < 1.2 * min(formatting)
