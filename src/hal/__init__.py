@@ -13,7 +13,6 @@ from .errors import (
     GridError,
     HalError,
     ImpossibleOutcomeError,
-    NoSuccessError,
     ShapeError,
     TruncationError,
     ValidationError,
@@ -52,7 +51,6 @@ from .metrology import (
     CampaignSummary,
     NoiseModel,
     TimeBudget,
-    estimate_alpha,
     noise_series,
     quadrature_pdf,
     run_campaign,
@@ -66,7 +64,6 @@ __all__ = [
     "GridError",
     "HalError",
     "ImpossibleOutcomeError",
-    "NoSuccessError",
     "ShapeError",
     "TruncationError",
     "ValidationError",
@@ -97,7 +94,6 @@ __all__ = [
     "CampaignSummary",
     "NoiseModel",
     "TimeBudget",
-    "estimate_alpha",
     "noise_series",
     "quadrature_pdf",
     "run_campaign",

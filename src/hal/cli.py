@@ -4,11 +4,12 @@ Subcommands: protocol (single evaluation, JSON), sweep (grid evaluation,
 CSV), ensemble (collective-spin mapping report, JSON), campaign (Monte Carlo
 estimation, JSON summary plus optional per-run CSV), validate (oracle
 table). Every result document embeds a manifest describing the resolved
-parameters, so a rerun with an equal manifest is byte-identical.
+parameters, so a rerun with an equal manifest on the same host and numpy
+build is byte-identical.
 
 Exit codes: 0 success, 1 validate mismatch, 2 validation error (bad values,
-malformed grid or config file, impossible herald), 3 truncation error,
-64 usage error (unknown flag, missing required flag).
+malformed or non-UTF-8 grid or config file, impossible herald), 3
+truncation error, 64 usage error (unknown flag, missing required flag).
 
 The environment variable HAL_THREADS (integer >= 1, default 1, capped at
 the CPU count) sets worker threads inside sweep and amplified campaign; any
@@ -46,6 +47,7 @@ from .metrology import (
     CampaignSummary,
     NoiseModel,
     check_recording,
+    herald_table,
     run_campaign,
 )
 from .optics_ops import HeraldModel
@@ -213,6 +215,16 @@ def _manifest(subcommand: str, parameters, seed: Optional[int], outputs: List[st
     }
 
 
+def _read_input(path: str) -> str:
+    """An input file's text; bytes that are not UTF-8 are a ValidationError
+    naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: byte {exc.start} is not UTF-8") from None
+
+
 def _is_stdout(path: Optional[str]) -> bool:
     return path is None or path == "-"
 
@@ -299,8 +311,7 @@ def cmd_protocol(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _protocol_config(args)
-    with open(args.grid, "r", encoding="utf-8") as fh:
-        axes = parse_grid_file(fh.read())
+    axes = parse_grid_file(_read_input(args.grid))
     rows = sweep(base, axes)
     params = _protocol_params(base, "exact")
     params["axes"] = {name: values for name, values in axes.items()}
@@ -537,9 +548,9 @@ def _summary_doc(manifest, summary: CampaignSummary) -> Dict[str, object]:
 
 def cmd_campaign(args) -> int:
     seed_override = _parse_int(args.seed, "--seed") if args.seed is not None else None
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = parse_campaign_file(fh.read(), seed_override)
-    # every check of the input, and the herald, run before any output is opened
+    config = parse_campaign_file(_read_input(args.config), seed_override)
+    # every check of the input, the herald and its homodyne table run before
+    # any output is opened
     worker_count()
     record = args.runs_csv is not None
     outputs = [args.out or "-"]
@@ -550,7 +561,7 @@ def cmd_campaign(args) -> int:
             os.path.realpath(args.out) == os.path.realpath(args.runs_csv)
         ):
             raise ValidationError("--out and --runs-csv name the same file")
-    protocol_result = run_exact(config.protocol) if config.scheme == "amplified" else None
+    herald = herald_table(config.protocol) if config.scheme == "amplified" else None
     manifest = _manifest("campaign", _campaign_params(config), config.seed, outputs)
     with contextlib.ExitStack() as files:
         # both outputs are opened before the first replica runs, --out first
@@ -565,7 +576,7 @@ def cmd_campaign(args) -> int:
             else:
                 write = lambda chunk: _write_stdout((chunk,))
             runs = _RunsCsv(config.attempts, dumps(manifest), write)
-        summary = run_campaign(config, runs, protocol_result)
+        summary = run_campaign(config, runs, herald)
         if runs is not None:
             runs.flush()
         text = (dumps(_summary_doc(manifest, summary)) + "\n").encode("utf-8")
@@ -645,16 +656,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    # Each hal command is one short process, and what its imports made lives
-    # as long as it does. Frozen out of the collector's generations, it is
-    # not scanned again, by a collection in the command or by the one at
-    # exit, and the command starts with none of the import's allocations
-    # counted toward its next collection. Measured on one pinned CPU: hal
-    # protocol ran 141 -> 123 ms from spawn to exit, and hal sweep's 8 ms
-    # lost a 1 ms generation-1 collection that came and went with the size
-    # of the import.
+@functools.cache
+def _freeze_imports() -> None:
+    """Freeze what the process holds at its first command, and only then:
+    frozen at every call, the garbage made between calls would never be
+    collected.
+
+    Each hal command is one short process, and what its imports made lives
+    as long as it does. Frozen out of the collector's generations, it is not
+    scanned again, by a collection in the command or by the one at exit,
+    and the command starts with none of the import's allocations counted
+    toward its next collection. Measured on one pinned CPU: hal protocol ran
+    141 -> 123 ms from spawn to exit, and hal sweep's 8 ms lost a 1 ms
+    generation-1 collection that came and went with the size of the import.
+    """
     gc.freeze()
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    _freeze_imports()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

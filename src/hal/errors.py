@@ -53,10 +53,6 @@ class ImpossibleOutcomeError(HalError):
         self.probability = float(probability)
 
 
-class NoSuccessError(HalError):
-    """An estimator was given an empty set of heralded samples."""
-
-
 class GridError(ValidationError):
-    """A tabulation grid is too coarse (or otherwise unusable) for the
-    requested tolerance."""
+    """A grid cannot be used: a sweep grid file breaks its rules, or a
+    homodyne density reaches past the fixed tabulation grid."""

@@ -20,7 +20,7 @@ from .errors import ShapeError, TruncationError, ValidationError
 #: Default per-mode occupation cutoff.
 DEFAULT_CUTOFF = 12
 
-#: Default ceiling on probability mass lost to truncation.
+#: Ceiling on probability mass lost to truncation, everywhere in the package.
 TAIL_THRESHOLD = 1e-10
 
 _HERMITIAN_TOL = 1e-10
@@ -272,35 +272,31 @@ def _coherent_tail(alpha: complex, cutoff: int) -> float:
     return tail_beyond(cutoff, -mu, lambda j: mu / (j + 1.0)) if mu else 0.0
 
 
-def _checked_tail(tail: float, cutoff: int, tail_threshold: float = TAIL_THRESHOLD) -> float:
-    """A coherent tail past the cutoff, returned if it is at most tail_threshold.
+def _checked_tail(tail: float, cutoff: int) -> float:
+    """A coherent tail past the cutoff, returned if it is at most TAIL_THRESHOLD.
 
     Raises
     ------
     TruncationError
-        If the tail exceeds ``tail_threshold``.
+        If the tail exceeds TAIL_THRESHOLD.
     """
-    if tail > tail_threshold:
+    if tail > TAIL_THRESHOLD:
         raise TruncationError(
             f"coherent tail mass {tail:.3e} beyond cutoff {cutoff} exceeds "
-            f"threshold {tail_threshold:.1e}",
+            f"threshold {TAIL_THRESHOLD:.1e}",
             tail_mass=tail,
-            threshold=tail_threshold,
+            threshold=TAIL_THRESHOLD,
         )
     return tail
 
 
-def coherent_state(
-    alpha: complex,
-    cutoff: int = DEFAULT_CUTOFF,
-    tail_threshold: float = TAIL_THRESHOLD,
-) -> PureState:
+def coherent_state(alpha: complex, cutoff: int = DEFAULT_CUTOFF) -> PureState:
     """Truncated coherent state with amplitude alpha, renormalized.
 
     Amplitudes follow c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!) up to the
     cutoff. The discarded tail mass is the exact Poisson tail
     P(N > cutoff; |alpha|^2); construction fails if it exceeds
-    ``tail_threshold``.
+    TAIL_THRESHOLD.
 
     Raises
     ------
@@ -310,7 +306,7 @@ def coherent_state(
     a = _finite_amplitude(alpha, "alpha")
     if cutoff < 1:
         raise ValidationError("coherent_state requires cutoff >= 1")
-    _checked_tail(_coherent_tail(a, cutoff), cutoff, tail_threshold)
+    _checked_tail(_coherent_tail(a, cutoff), cutoff)
     mu = abs(a) ** 2
     n = np.arange(cutoff + 1)
     if a == 0:

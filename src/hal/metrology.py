@@ -40,18 +40,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from ._parallel import map_indexed
-from .errors import GridError, NoSuccessError, ValidationError
+from .errors import GridError, ValidationError
 from .fock_core import DensityOperator, PureState
-from .protocol import HeraldResult, ProtocolConfig, run_exact
+from .protocol import ProtocolConfig, run_exact
 
 State = Union[PureState, DensityOperator]
 
-#: Default homodyne tabulation grid: [-8, 8] in steps of 1e-3.
+#: The homodyne tabulation grid: [-8, 8] in steps of 1e-3.
 GRID_HALF_WIDTH = 8.0
 GRID_POINTS = 16001
 #: Largest error of a tabulated homodyne density's integral.
@@ -239,13 +239,11 @@ class CampaignSummary:
 
 @dataclass(frozen=True)
 class TimeBudget:
-    """Expected wall-model time to collect heralded points."""
+    """Expected wall-model time to collect one heralded point."""
 
     success_probability: float
     run_period: float
     expected_time_per_point: float
-    target_points: int
-    expected_total_time: float
 
 
 @dataclass(frozen=True)
@@ -302,40 +300,34 @@ def _last_nonzero(values: np.ndarray) -> int:
     return int(nonzero[-1]) if nonzero.size else 0
 
 
-def quadrature_pdf(
-    state: State,
-    phase: float = 0.0,
-    grid: Optional[np.ndarray] = None,
-) -> TabulatedDensity:
-    """Tabulate the homodyne outcome density of a single-mode state.
+def quadrature_pdf(state: State) -> TabulatedDensity:
+    """Tabulate the phase-zero homodyne outcome density of a single-mode
+    state on the grid of `default_grid`.
 
-    For a pure state, P(x) = |sum_n c_n e^{-i n phase} u_n(x)|^2; for a mixed
-    state the bilinear generalization over the density matrix. The tabulated
-    density must integrate to 1 within 1e-6 on the supplied grid.
+    For a pure state, P(x) = |sum_n c_n u_n(x)|^2; for a mixed state the
+    bilinear generalization over the density matrix. The tabulated density
+    must integrate to 1 within 1e-6.
 
     The Hermite functions u_n are real, so both are sums of real rows: the
     real and imaginary parts of the pure sum, and for a mixed state
-    P(x) = sum_m u_m(x) sum_n Re(rho_mn e^{-i (m - n) phase}) u_n(x), the
-    real part being all that survives of a Hermitian form. Rows past the
-    last nonzero coefficient are never computed.
+    P(x) = sum_m u_m(x) sum_n Re(rho_mn) u_n(x), the real part being all
+    that survives of a Hermitian form. Rows past the last nonzero
+    coefficient are never computed.
 
     Raises
     ------
     GridError
-        If the integral misses 1 by more than 1e-6 (grid too coarse or too
-        narrow for this state).
+        If the integral misses 1 by more than 1e-6: the state's density
+        reaches past the grid's ends.
     """
-    x = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 2 or not np.all(np.diff(x) > 0):
-        raise GridError("grid must be a strictly increasing 1-d array")
-    rot = np.exp(-1j * np.arange(state.cutoff + 1) * phase)
+    x = default_grid()
     if isinstance(state, PureState):
-        amp = state.amplitudes * rot / state.norm()
+        amp = state.amplitudes / state.norm()
         u = hermite_functions(_last_nonzero(amp), x)
         amp = amp[: len(u)]
         dens = _combine(amp.real, u) ** 2 + _combine(amp.imag, u) ** 2
     else:
-        form = (state.matrix * np.multiply.outer(rot, rot.conj())).real / state.trace()
+        form = state.matrix.real / state.trace()
         u = hermite_functions(_last_nonzero(form.any(axis=0)), x)
         dens = np.zeros_like(x)
         for m, row in enumerate(form[: len(u), : len(u)]):
@@ -347,23 +339,18 @@ def quadrature_pdf(
     if err > _PDF_TOLERANCE:
         raise GridError(
             f"tabulated density integrates to 1 with error {err:.3e}, "
-            f"above tolerance {_PDF_TOLERANCE:.1e}; refine or widen the grid"
+            f"above tolerance {_PDF_TOLERANCE:.1e}; the state's density reaches past the "
+            f"homodyne grid [-{GRID_HALF_WIDTH:g}, {GRID_HALF_WIDTH:g}]"
         )
     return result
 
 
-def sample_homodyne(
-    state: State,
-    phase: float,
-    count: int,
-    rng: np.random.Generator,
-    grid: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Draw homodyne samples by inverse-CDF lookup on the tabulated density."""
+def sample_homodyne(state: State, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw phase-zero homodyne samples by inverse-CDF lookup on the
+    tabulated density."""
     if count < 0:
         raise ValidationError("count must be non-negative")
-    table = _InverseCdf.of(quadrature_pdf(state, phase, grid))
-    return _sample_from_density(table, count, rng)
+    return _sample_from_density(_InverseCdf.of(quadrature_pdf(state)), count, rng)
 
 
 #: Uniforms drawn and inverted per step, bounding the sampler's temporaries.
@@ -537,24 +524,6 @@ def _sum_weights(lam: float, count: int) -> Union[float, np.ndarray]:
     return ((ones + ones[::-1]) / (1.0 - lam) - 1.0) / _ar1_sum_variance(lam, count)
 
 
-def estimate_alpha(samples: Sequence[float], scheme: str, t: Optional[float] = None) -> float:
-    """Point estimate of a real alpha from phase-zero homodyne samples.
-
-    direct: mean(x)/sqrt(2). amplified: t*mean(x)/sqrt(2), undoing the
-    nominal 1/t amplification; samples must be the heralded runs only.
-    """
-    s = np.asarray(samples, dtype=float)
-    if s.shape[0] == 0:
-        raise NoSuccessError("no heralded samples to estimate from")
-    if scheme == "direct":
-        return float(np.mean(s) / math.sqrt(2.0))
-    if scheme == "amplified":
-        if t is None or not (0.0 < t < 1.0):
-            raise ValidationError("amplified estimate requires the transmission amplitude t")
-        return float(t * np.mean(s) / math.sqrt(2.0))
-    raise ValidationError(f"scheme must be direct|amplified, got {scheme!r}")
-
-
 def _replica_rng(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
@@ -602,10 +571,18 @@ def check_recording(config: CampaignConfig) -> None:
         )
 
 
+def herald_table(protocol: ProtocolConfig) -> Tuple[float, _InverseCdf]:
+    """What an amplified replica draws from: the herald's success
+    probability and the inverse CDF of its conditional state's homodyne
+    density. Raises what run_exact and quadrature_pdf raise."""
+    result = run_exact(protocol)
+    return result.success_probability, _InverseCdf.of(quadrature_pdf(result.conditional_state))
+
+
 def run_campaign(
     config: CampaignConfig,
     sink: Optional[RunSink] = None,
-    protocol_result: Optional[HeraldResult] = None,
+    herald: Optional[Tuple[float, _InverseCdf]] = None,
 ) -> CampaignSummary:
     """Simulate the full campaign and aggregate per-replica estimates.
 
@@ -635,18 +612,19 @@ def run_campaign(
     MAX_RECORDED_ATTEMPTS attempts in all (`check_recording`). Estimates
     (NaN without a success) and success counts are allocated once, and each
     replica writes its own slots of them.
-    protocol_result, if given, is run_exact(config.protocol), evaluated by
-    the caller (the CLI does so before it opens any output).
+    herald, if given, is herald_table(config.protocol), evaluated by the
+    caller (the CLI does so before it opens any output).
+
+    An amplified replica with successes estimates t mean(samples)/sqrt(2),
+    undoing the nominal 1/t gain.
     """
     r_attempts = config.attempts
     if sink is not None:
         check_recording(config)
     model = config.noise
     if config.scheme == "amplified":
-        if protocol_result is None:
-            protocol_result = run_exact(config.protocol)
-        p_success = protocol_result.success_probability
-        table = _InverseCdf.of(quadrature_pdf(protocol_result.conditional_state, 0.0))
+        p_success, table = herald_table(config.protocol) if herald is None else herald
+        t = config.protocol.t
     else:
         quad_mean = math.sqrt(2.0) * config.true_alpha * r_attempts
         quad_sd = math.sqrt(r_attempts / 2.0)
@@ -675,7 +653,7 @@ def run_campaign(
         noise = noise_series(model, r_attempts, rng)
         samples = quad + noise[heralded]
         if n_success:
-            estimates[replica] = estimate_alpha(samples, "amplified", config.protocol.t)
+            estimates[replica] = t * np.mean(samples) / math.sqrt(2.0)
         successes[replica] = n_success
         if sink is not None:
             sink(heralded.view(np.int8), samples, noise)
@@ -704,20 +682,11 @@ def run_campaign(
     )
 
 
-def time_budget(
-    protocol: ProtocolConfig, run_period: float = 0.1, target_points: int = 1
-) -> TimeBudget:
-    """Expected model time to collect heralded points at this protocol."""
+def time_budget(protocol: ProtocolConfig, run_period: float = 0.1) -> TimeBudget:
+    """Expected model time to collect one heralded point at this protocol."""
     if not (run_period > 0 and np.isfinite(run_period)):
         raise ValidationError(f"run_period must be positive, got {run_period!r}")
-    if target_points < 1:
-        raise ValidationError("target_points must be at least 1")
     p = run_exact(protocol).success_probability
-    per_point = run_period / p
     return TimeBudget(
-        success_probability=p,
-        run_period=run_period,
-        expected_time_per_point=per_point,
-        target_points=int(target_points),
-        expected_total_time=per_point * target_points,
+        success_probability=p, run_period=run_period, expected_time_per_point=run_period / p
     )

@@ -444,11 +444,12 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
     field, so each axis value is checked once and a point is valid when all
     of its values are; a coherent signal's tail is computed and checked once
     per (alpha, cutoff) pair, and herald_click reads it from there. The
-    valid points of one cutoff are evaluated in batches whose temporaries
-    stay near SWEEP_BATCH_BYTES (one point at least): one herald_click call
-    and one pass of the figures routine run_exact uses per batch, which
-    writes its rows as one block of the table. So the sweep
-    holds 136 B per point plus a batch's temporaries per running thread.
+    points of one cutoff are evaluated in batches, lists of their row
+    indices, whose temporaries stay near SWEEP_BATCH_BYTES (one point at
+    least): one herald_click call and one pass of the figures routine
+    run_exact uses per batch, which writes its rows of the table. A row does
+    not depend on its batch. So the sweep holds 136 B per point, the batches'
+    indices 8 B per point, plus a batch's temporaries per running thread.
     map_indexed runs the batches.
     """
     for name in axes:
@@ -499,23 +500,17 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
     names = list(grids)
     shape = tuple(len(grids[name]) for name in names)
     rows = np.empty(math.prod(shape), dtype=_ROW_DTYPE)
-    # the table as (points before the cutoff axis, cutoff, points after it)
+    # each point's cutoff index: the cutoff axis varies once per `inner` points
     axis = names.index("cutoff") if "cutoff" in grids else len(names)
-    outer, inner = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
-    blocks = rows.reshape(outer, len(cutoffs), inner)
+    inner = math.prod(shape[axis + 1 :])
+    cutoff_of = np.arange(len(rows)) // inner % len(cutoffs)
     batches = []
     for c, cutoff in enumerate(cutoffs):
         levels = support_size(cutoff, coherent) if accepted["cutoff"][c] else 1
         cap = max(1, SWEEP_BATCH_BYTES // _point_bytes(levels))
-        if inner >= cap:
-            batches += [
-                (c, o, o + 1, i, min(i + cap, inner))
-                for o in range(outer)
-                for i in range(0, inner, cap)
-            ]
-        else:
-            step = cap // inner
-            batches += [(c, o, min(o + step, outer), 0, inner) for o in range(0, outer, step)]
+        points = np.flatnonzero(cutoff_of == c)
+        batches += [(c, points[i : i + cap]) for i in range(0, len(points), cap)]
+    del cutoff_of
     herald = base.herald
     swept = [name for name in SWEEP_AXES if name in grids and name != "cutoff"]
 
@@ -531,11 +526,9 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
         return weights[pair_of.reshape(-1)]
 
     def evaluate(batch) -> None:
-        c, o0, o1, i0, i1 = batch
-        block = blocks[o0:o1, c, i0:i1]
-        n = block.size
-        flat = (np.arange(o0, o1)[:, None] * len(cutoffs) + c) * inner + np.arange(i0, i1)
-        index = dict(zip(names, np.unravel_index(flat.ravel(), shape)))
+        c, points = batch
+        n = len(points)
+        index = dict(zip(names, np.unravel_index(points, shape)))
         # each axis's values at the batch's points: an array where swept, a scalar otherwise
         at = {
             name: column[index[name]] if name in index else column[0]
@@ -583,8 +576,8 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
             ("leading_gain", lead[..., 1]),
             ("error_code", code),
         ):
-            block[name] = np.reshape(column, block.shape) if np.ndim(column) else column
-        block["cutoff"] = cutoffs[c]
+            rows[name][points] = column
+        rows["cutoff"][points] = cutoffs[c]
 
     map_indexed(evaluate, batches)
     return rows

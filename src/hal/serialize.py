@@ -8,19 +8,19 @@ on wall-clock time, so equal inputs give byte-identical outputs.
 
 csv_block is the one CSV renderer, for the sweep CSV and the runs CSV
 alike: it lays out whole columns with numpy. Integers print in decimal,
-text columns as their ASCII bytes, and floats as fmt_float prints them,
-byte for byte. A float x with 1e-6 < |x| < 1e17 has a decimal exponent E
-in [-6, 16], so x * 10**(16 - E) needs a power of ten no larger than
-10**22, which is an exact double; Dekker's two-product (Numer. Math. 18,
-1971) gives that product exactly as hi + lo, and hi + rint(lo) is the
-correctly rounded (round-half-even) 17-digit significand that
-format(x, ".17g") prints. The significands of all dense float columns of
+text columns as their ASCII bytes, and floats as format(x, ".17g") prints
+them, byte for byte. A float x with 1e-6 < |x| < 1e17 has a decimal
+exponent E in [-6, 16], so x * 10**(16 - E) needs a power of ten no larger
+than 10**22, which is an exact double; Dekker's two-product (Numer. Math.
+18, 1971) gives that product exactly as hi + lo, and hi + rint(lo) is the
+correctly rounded (round-half-even) 17-digit significand that format
+prints. The significands of all dense float columns of
 a block (an exact cell in at least one row in 8) are found in one pass, and
 their digits formed eight at a time in uint64 words (SWAR), as are the
 digits of integers. NaN and +-0 are rendered from fixed patterns. A sparse
 column's exact cells and every other float (infinities, |x| <= 1e-6
-including subnormals, |x| >= 1e17) are formatted by fmt_float's rule one
-cell at a time, and laid out with the rest or, when few, spliced in.
+including subnormals, |x| >= 1e17) are formatted by that rule one cell at
+a time, and laid out with the rest or, when few, spliced in.
 """
 
 from __future__ import annotations
@@ -33,14 +33,6 @@ from typing import Any, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .fock_core import DensityOperator, PureState
-
-
-def fmt_float(x: float) -> str:
-    """Format one float with 17 significant digits (CSV cell form).
-
-    format() already spells the non-finite values "nan", "inf" and "-inf".
-    """
-    return format(float(x), ".17g")
 
 
 def _json_float(x: float) -> str:
@@ -134,7 +126,7 @@ _E_MIN, _E_MAX = -6, 16
 # in _SPARSE, the cell is widened to _F_TEXT and they are laid out in it;
 # fewer are spliced into the text.
 _SPARSE = 8
-_F_TEXT = 24  # the longest text fmt_float gives, as in "-2.2250738585072014e-308"
+_F_TEXT = 24  # the longest text of format(x, ".17g"), as in "-2.2250738585072014e-308"
 
 
 def _split(a: np.ndarray):
@@ -428,7 +420,7 @@ def _other_cells(column: tuple, n: int) -> tuple:
     its digits leave: their rows (nan rows only in a dense column, whose
     digits go into every row), each one's row of the layout's specials (nan,
     0, -0, or the empty cell of a number), and the rows of the numbers among
-    them with their text by fmt_float. Numbers in at least one row in
+    them with their text by format(x, ".17g"). Numbers in at least one row in
     _SPARSE of the block are laid out in the cell, widened to _F_TEXT, as
     an S array; fewer are spliced into the text, as a list of bytes."""
     x, kept, key, digits = column
@@ -445,7 +437,7 @@ def _other_cells(column: tuple, n: int) -> tuple:
         code[nan] = 0
         numbers &= ~nan
     rows = other[numbers]
-    # fmt_float's text of each, formatted in one call
+    # format(x, ".17g") of each, formatted in one call
     texts = ("%.17g\n" * rows.size % tuple(values[numbers].tolist())).encode("ascii").split()
     if _SPARSE * rows.size >= n:
         texts = np.array(texts, dtype=f"S{_F_TEXT}")
@@ -554,7 +546,8 @@ def csv_block(columns: Sequence[np.ndarray]) -> bytes:
 
     Integer and bool columns (int64 range) render as decimal integers, text
     columns (dtype S) as their bytes up to the first NUL, so b"" is an empty
-    cell, and every other column as fmt_float renders its float values.
+    cell, and every other column as format(x, ".17g") renders its float
+    values ("nan", "inf" and "-inf" for the non-finite ones).
     Each row is laid out at fixed width, every cell followed by a separator,
     and every byte a cell does not use is written as NUL: a leading zero of
     an integer, a float's unused sign, prefix, point, digit and exponent

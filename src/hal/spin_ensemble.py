@@ -103,18 +103,15 @@ class DickeState:
         return f"DickeState(N={self.N}, k_max={self.k_max})"
 
 
-def rotated_product_state(
-    spec: EnsembleSpec,
-    k_max: Optional[int] = None,
-    tail_threshold: float = TAIL_THRESHOLD,
-) -> DickeState:
+def rotated_product_state(spec: EnsembleSpec, k_max: Optional[int] = None) -> DickeState:
     """Collective state of N atoms each rotated by epsilon, exact to all orders.
 
     The symmetric-sector amplitudes are
     c_k = sqrt(C(N,k)) epsilon^k / (1 + |epsilon|^2)^(N/2), evaluated in the
     log domain so N up to 1e9 cannot overflow. The discarded mass beyond
     k_max is the exact binomial tail with success probability
-    |epsilon|^2 / (1 + |epsilon|^2).
+    |epsilon|^2 / (1 + |epsilon|^2); construction fails if it exceeds
+    TAIL_THRESHOLD.
     """
     if k_max is None:
         k_max = min(spec.N, DEFAULT_CUTOFF)
@@ -133,12 +130,12 @@ def rotated_product_state(
     tail = 0.0
     if k_max < spec.N:
         tail = tail_beyond(k_max, -n * math.log1p(odds), lambda j: (n - j) / (j + 1.0) * odds)
-    if tail > tail_threshold:
+    if tail > TAIL_THRESHOLD:
         raise TruncationError(
             f"Dicke tail mass {tail:.3e} beyond k_max {k_max} exceeds "
-            f"threshold {tail_threshold:.1e}",
+            f"threshold {TAIL_THRESHOLD:.1e}",
             tail_mass=tail,
-            threshold=tail_threshold,
+            threshold=TAIL_THRESHOLD,
         )
     k = np.arange(k_max + 1, dtype=float)
     # log C(N,k) as a short cumulative sum: gammaln differences at N ~ 1e9

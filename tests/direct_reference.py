@@ -8,6 +8,7 @@ mean(quad + noise)/sqrt(2). The engine streamed those two sums over chunks
 of 65536 draws; this unstreamed form matched it to 5e-15 per estimate.
 """
 
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -18,7 +19,6 @@ from hal.metrology import (
     _InverseCdf,
     _replica_rng,
     _sample_from_density,
-    estimate_alpha,
     noise_series,
     quadrature_pdf,
 )
@@ -30,13 +30,13 @@ Records = List[Tuple[np.ndarray, np.ndarray]]
 def reference_direct(config: CampaignConfig) -> Tuple[np.ndarray, Records]:
     """Per-replica estimates and (quad + noise, noise) records of a direct
     campaign, every attempt drawn."""
-    table = _InverseCdf.of(quadrature_pdf(coherent_state(config.true_alpha, DEFAULT_CUTOFF), 0.0))
+    table = _InverseCdf.of(quadrature_pdf(coherent_state(config.true_alpha, DEFAULT_CUTOFF)))
     estimates, records = [], []
     for replica in range(config.replicas):
         rng = _replica_rng(config.seed, replica)
         quad = _sample_from_density(table, config.attempts, rng)
         noise = noise_series(config.noise, config.attempts, rng)
         quad += noise
-        estimates.append(estimate_alpha(quad, "direct"))
+        estimates.append(float(np.mean(quad) / math.sqrt(2.0)))
         records.append((quad, noise))
     return np.array(estimates), records

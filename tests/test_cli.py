@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,8 +30,7 @@ from hal.cli import (
 from hal.errors import GridError, ValidationError
 from hal.metrology import MAX_RECORDED_ATTEMPTS, MAX_REPLICAS, run_campaign
 from hal.optics_ops import HeraldModel, herald_click
-from hal.protocol import MAX_CUTOFF, ROW_COLUMNS, ProtocolConfig, sweep
-from hal.serialize import fmt_float
+from hal.protocol import MAX_CUTOFF, ROW_COLUMNS, ProtocolConfig, RegimeWarning, sweep
 from hal.spin_ensemble import MAX_ENSEMBLE_CUTOFF
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -574,6 +575,22 @@ def test_sweep_missing_grid_file_exit_2(tmp_path):
     assert main(["sweep", "--grid", str(tmp_path / "nope.txt")]) == 2
 
 
+def test_sweep_grid_that_is_not_utf8_exit_2(tmp_path, capsys):
+    grid, out = tmp_path / "grid.txt", tmp_path / "sweep.csv"
+    grid.write_bytes(b"t = 0.1\xff\n")
+    assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 2
+    assert f"{grid}: byte 7 is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_campaign_file_that_is_not_utf8_exit_2(tmp_path, capsys):
+    cfg, out = tmp_path / "c.ini", tmp_path / "s.json"
+    cfg.write_bytes(DIRECT_CFG.replace("scheme = direct", "scheme = direct\xff").encode("latin-1"))
+    assert main(["campaign", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}: byte 26 is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ensemble_report(capsys):
     rc = main(["ensemble", "--n-atoms", "10000", "--epsilon", "0.001"])
     assert rc == 0
@@ -782,12 +799,12 @@ def test_version_flag(capsys):
 
 def _csv_cell(value):
     """The per-cell reference every CSV cell must match: integers in decimal,
-    floats by fmt_float, text as is."""
+    floats with 17 significant digits, text as is."""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return fmt_float(value)
+    return format(float(value), ".17g")
 
 
 def _csv_row(values):
@@ -1025,6 +1042,22 @@ def test_campaign_with_an_impossible_herald_touches_no_file(tmp_path, capsys):
     assert not out.exists() and not runs.exists()
 
 
+def test_campaign_whose_homodyne_table_fails_touches_no_file(tmp_path, capsys):
+    # the conditional state is tabulated before either output is opened: read
+    # in mode B, the unread mode holds a coherent alpha = 6 (mean X 8.5),
+    # whose density reaches past the homodyne grid's end at 8
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(AMPLIFIED_CFG.replace("true_alpha = 0.01", "true_alpha = 6")
+                   .replace("alpha = 0.01\nt = 0.1", "alpha = 6\nt = 0.1\ncutoff = 100\n"
+                            "input_kind = coherent\n\n[herald]\nmode = B"))
+    out, runs = tmp_path / "s.json", tmp_path / "runs.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        assert main(["campaign", str(cfg), "--out", str(out), "--runs-csv", str(runs)]) == 2
+    assert not out.exists() and not runs.exists()
+    assert "homodyne grid [-8, 8]" in capsys.readouterr().err
+
+
 def test_unwritable_summary_leaves_no_runs_csv(tmp_path, capsys):
     # --out is opened first, before the runs CSV and before any replica runs
     cfg = tmp_path / "c.ini"
@@ -1160,6 +1193,28 @@ def test_unrecorded_direct_campaign_runs_inline(tmp_path, monkeypatch, capsysbin
     assert started == []
     monkeypatch.setenv("HAL_THREADS", "many")
     assert main(["campaign", "c.ini"]) == 2
+
+
+def test_main_freezes_the_collector_once(tmp_path):
+    # the first call freezes what the process holds; garbage made between
+    # later calls stays collectable
+    argv = ["protocol", "--t", "0.1", "--mode", "first-order", "--out", str(tmp_path / "p.json")]
+    assert main(argv) == 0
+
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node  # a cycle: only the collector frees it
+    dead = weakref.ref(node)
+    del node
+    gc.disable()  # no collection before the next call can take the cycle
+    try:
+        assert main(argv) == 0
+    finally:
+        gc.enable()
+    gc.collect()
+    assert dead() is None
 
 
 def test_no_command_loads_scipy(tmp_path):

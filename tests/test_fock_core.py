@@ -8,6 +8,7 @@ from hal.fock_core import (
     TAIL_THRESHOLD,
     DensityOperator,
     PureState,
+    _coherent_tail,
     coherent_state,
     fidelity,
     number_state,
@@ -104,13 +105,14 @@ def test_coherent_tail_guard():
     coherent_state(3.0, 40)
 
 
-def _coherent_tail(alpha, cutoff, threshold=0.0):
-    """The tail coherent_state computes; threshold 0 makes any nonzero tail raise."""
+def _truncates(alpha, cutoff):
+    """Whether coherent_state refuses alpha at this cutoff."""
     try:
-        coherent_state(alpha, cutoff, tail_threshold=threshold)
+        coherent_state(alpha, cutoff)
     except TruncationError as exc:
-        return exc.tail_mass
-    return None
+        assert exc.tail_mass == _coherent_tail(alpha, cutoff) > exc.threshold == TAIL_THRESHOLD
+        return True
+    return False
 
 
 def _mp_poisson_tail(cutoff, mu):
@@ -133,26 +135,25 @@ def test_coherent_tail_matches_mpmath():
         for alpha in alphas:
             mu = abs(complex(alpha)) ** 2
             ref = _mp_poisson_tail(cutoff, mu)
-            got = _coherent_tail(alpha, cutoff)
+            got = _coherent_tail(complex(alpha), cutoff)
             if ref < 1e-300:
                 # below the tested range only underflow is allowed
-                assert got is None or got <= 1e-300, (cutoff, alpha, got)
+                assert 0.0 <= got <= 1e-300, (cutoff, alpha, got)
                 continue
-            assert got is not None, (cutoff, alpha)
+            assert got > 0.0, (cutoff, alpha)
             assert abs(got - ref) <= 2e-14 * ref, (cutoff, alpha, got, float(ref))
             if ref <= 1e-3:
                 assert abs(got - pdtrc(cutoff, mu)) <= 3e-13 * ref, (cutoff, alpha)
             seen.append(float(ref))
     assert min(seen) < 1e-250 and max(seen) > 0.99  # the grid spans 1e-300..1
 
-    # either side of TAIL_THRESHOLD at the default threshold
+    # coherent_state refuses a tail on the far side of TAIL_THRESHOLD
     for cutoff in (4, 12, 30):
         mu_star = brentq(
             lambda m: float(_mp_poisson_tail(cutoff, m)) - TAIL_THRESHOLD, 1e-6, 50.0, xtol=1e-15
         )
         for mu in (mu_star * (1 - 1e-9), mu_star * (1 + 1e-9)):
-            got = _coherent_tail(math.sqrt(mu), cutoff, TAIL_THRESHOLD)
-            assert (got is not None) == (_mp_poisson_tail(cutoff, mu) > TAIL_THRESHOLD)
+            assert _truncates(math.sqrt(mu), cutoff) == (_mp_poisson_tail(cutoff, mu) > TAIL_THRESHOLD)
 
 
 def test_coherent_tail_past_exp_underflow():
@@ -160,7 +161,7 @@ def test_coherent_tail_past_exp_underflow():
     # that path holds about 1e-16 * mu relative, not the 2e-14 above
     for cutoff, mu in ((1000, 800.0), (750, 720.0), (2000, 1500.0)):
         ref = _mp_poisson_tail(cutoff, mu)
-        got = _coherent_tail(math.sqrt(mu), cutoff)
+        got = _coherent_tail(complex(math.sqrt(mu)), cutoff)
         assert abs(got - ref) <= 1e-11 * ref, (cutoff, mu)
 
 

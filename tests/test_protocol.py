@@ -934,8 +934,7 @@ def test_result_path_makes_no_blas_call(monkeypatch):
                 state = run_exact(config).conditional_state
                 fidelity(_padded(state, config.cutoff),
                          _target_state(config.alpha, config.t, config.cutoff))
-                for phase in (0.0, 0.5):
-                    quadrature_pdf(state, phase)
+                quadrature_pdf(state)
         # the `hal ensemble` report
         for spec, cutoff in ((EnsembleSpec(10**9, 3e-6), 12), (EnsembleSpec(10**4, 1e-3), 12)):
             state = rotated_product_state(spec, k_max=min(spec.N, cutoff))

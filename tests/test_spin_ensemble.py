@@ -64,11 +64,13 @@ def test_tail_guard():
     assert state.tail_mass < 1e-10
 
 
-def _dicke_tail(spec, k_max, threshold=0.0):
-    """The tail rotated_product_state computes; threshold 0 makes any nonzero tail raise."""
+def _dicke_tail(spec, k_max):
+    """The tail rotated_product_state computes: its state's tail_mass, or
+    its TruncationError's past TAIL_THRESHOLD."""
     try:
-        return rotated_product_state(spec, k_max=k_max, tail_threshold=threshold).tail_mass
+        return rotated_product_state(spec, k_max=k_max).tail_mass
     except TruncationError as exc:
+        assert exc.tail_mass > exc.threshold == TAIL_THRESHOLD
         return exc.tail_mass
 
 
@@ -113,7 +115,7 @@ def test_dicke_tail_matches_mpmath():
                     seen.append(float(ref))
     assert min(seen) < 1e-250 and max(seen) > 0.99  # the grid spans 1e-300..1
 
-    # either side of TAIL_THRESHOLD at the default threshold
+    # either side of TAIL_THRESHOLD
     for n, k_max in ((1000, 12), (10**9, 12), (10**6, 20)):
         a_star = brentq(
             lambda a: float(_mp_binom_tail(n, a / math.sqrt(n), k_max)) - TAIL_THRESHOLD,
@@ -121,7 +123,7 @@ def test_dicke_tail_matches_mpmath():
         )
         for a in (a_star * (1 - 1e-9), a_star * (1 + 1e-9)):
             eps = a / math.sqrt(n)
-            got = _dicke_tail(EnsembleSpec(n, eps), k_max, TAIL_THRESHOLD)
+            got = _dicke_tail(EnsembleSpec(n, eps), k_max)
             expected = _mp_binom_tail(n, eps, k_max)
             assert abs(got - expected) <= 2e-14 * expected
             assert (got > TAIL_THRESHOLD) == (expected > TAIL_THRESHOLD)
