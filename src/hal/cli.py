@@ -7,9 +7,24 @@ table). Every result document embeds a manifest describing the resolved
 parameters, so a rerun with an equal manifest on the same host and numpy
 build is byte-identical.
 
+Command line: `hal [-h] [--version] SUBCOMMAND ...`, each subcommand's flags
+and positional as _COMMANDS lists them: `--name value` or `--name=value`; a
+flag by any unique prefix of its name; the last of a repeated flag wins;
+flags before or after the positional; `--` ends the options, and stands
+only right before or after the positional; `-h` or `--help` prints the
+usage and each flag's help. An unknown flag or extra argument is reported
+once the whole line is read, so a later `-h` still prints the help. The
+dash rule: a token after a flag that takes a value, or in place of the
+positional, is a value when it is `-` or starts with `-` and a digit or `-.`
+and a digit (`-0.5`, `-1e-3`, `-1,2`); any other token that starts with `-`
+is a flag. Every value stays a string until its handler parses it.
+
 Exit codes: 0 success, 1 validate mismatch, 2 validation error (bad values,
 malformed or non-UTF-8 grid or config file, impossible herald), 3
-truncation error, 64 usage error (unknown flag, missing required flag).
+truncation error, 64 usage error (an unknown subcommand or flag, a flag
+with no value, a missing required flag or positional, an invalid choice,
+an extra positional), after the usage line and `hal...: error: ...` on
+standard error.
 
 The environment variable HAL_THREADS (integer >= 1, default 1, capped at
 the CPU count) sets worker threads inside sweep and amplified campaign; any
@@ -19,7 +34,6 @@ the calling thread. Output never depends on it.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import contextlib
 import functools
@@ -28,6 +42,7 @@ import math
 import os
 import sys
 import tempfile
+import types
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -71,14 +86,6 @@ from .spin_ensemble import (
 from .validate import run_checks
 
 RUN_COLUMNS = ("replica", "attempt_index", "heralded", "x_sample", "noise_value")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant using exit code 64 for usage errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(64, f"{self.prog}: error: {message}\n")
 
 
 def _parse_amplitude(text: str) -> complex:
@@ -606,54 +613,147 @@ def cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
-def _add_protocol_flags(p: argparse.ArgumentParser, require_t: bool) -> None:
-    p.add_argument("--alpha", default="0", help="input amplitude RE or RE,IM (default 0)")
-    p.add_argument("--t", required=require_t, default=None if require_t else "0.1",
-                   help="beam-splitter transmission amplitude")
-    # defaults in _EXACT_FLAGS
-    p.add_argument("--cutoff", help="Fock cutoff per mode (default 12)")
-    p.add_argument("--input", choices=("truncated", "coherent"),
-                   help="signal form: |0>+alpha|1> (default) or the full coherent state")
-    p.add_argument("--source-eff", help="single-photon source efficiency p1 (default 1)")
-    p.add_argument("--read-eff", help="herald read efficiency (default 1)")
-    p.add_argument("--dark-count", help="herald dark-count probability (default 0)")
-    p.add_argument("--out", default=None, help="output path (default: standard output)")
+#: The flags of protocol and sweep: name -> (default, help, choices). The
+#: exact protocol's flags default to None; their values are in _EXACT_FLAGS.
+_PROTOCOL_FLAGS = {
+    "--alpha": ("0", "input amplitude RE or RE,IM (default 0)", None),
+    "--t": (None, "beam-splitter transmission amplitude", None),
+    "--cutoff": (None, "Fock cutoff per mode (default 12)", None),
+    "--input": (None, "signal form: |0>+alpha|1> (default) or the full coherent state",
+                ("truncated", "coherent")),
+    "--source-eff": (None, "single-photon source efficiency p1 (default 1)", None),
+    "--read-eff": (None, "herald read efficiency (default 1)", None),
+    "--dark-count": (None, "herald dark-count probability (default 0)", None),
+    "--out": (None, "output path (default: standard output)", None),
+}
+
+#: Each subcommand: its handler, its help, its required flags, its positional
+#: as (name, help) or (), and its flags as in _PROTOCOL_FLAGS.
+_COMMANDS = {
+    "protocol": (cmd_protocol, "evaluate one protocol point, print JSON", ("--t",), (), {
+        **_PROTOCOL_FLAGS,
+        "--mode": ("exact", "the exact protocol (default) or its first order",
+                   ("exact", "first-order")),
+    }),
+    "sweep": (cmd_sweep, "evaluate a parameter grid, print CSV", ("--grid",), (), {
+        **_PROTOCOL_FLAGS,
+        "--t": ("0.1", "beam-splitter transmission amplitude (default 0.1)", None),
+        "--grid": (None, "grid file: name = start:stop:count or comma list", None),
+    }),
+    "ensemble": (cmd_ensemble, "collective-spin to oscillator report, print JSON",
+                 ("--n-atoms", "--epsilon"), (), {
+        "--n-atoms": (None, "number of atoms N", None),
+        "--epsilon": (None, "per-atom rotation amplitude", None),
+        "--cutoff": ("12", "Fock cutoff for the mapped state (default 12)", None),
+        "--out": (None, "output path (default: standard output)", None),
+    }),
+    "campaign": (cmd_campaign, "run an estimation campaign from a config file", (),
+                 ("config", "campaign config file (key=value sections)"), {
+        "--seed": (None, "override the seed from the config file", None),
+        "--out": (None, "summary JSON path (default: standard output)", None),
+        "--runs-csv": (None, "also write per-run records to this CSV ('-': standard output)", None),
+    }),
+    "validate": (cmd_validate, "run the oracle suite, print the comparison table", (), (), {}),
+}
+
+def _is_value(token: str) -> bool:
+    """The dash rule: a token is a value (a flag's or a positional), not a
+    flag, unless it starts with "-"; "-" itself is a value, and so is "-"
+    followed by a digit or by "." and a digit."""
+    return not token.startswith("-") or token == "-" or token[1:].removeprefix(".")[:1].isdecimal()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hal", description="heralded-amplification simulation toolkit")
-    parser.add_argument("--version", action="version", version=f"hal {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    p = sub.add_parser("protocol", help="evaluate one protocol point, print JSON")
-    _add_protocol_flags(p, require_t=True)
-    p.add_argument("--mode", choices=("exact", "first-order"), default="exact")
-    p.set_defaults(func=cmd_protocol)
 
-    p = sub.add_parser("sweep", help="evaluate a parameter grid, print CSV")
-    _add_protocol_flags(p, require_t=False)
-    p.add_argument("--grid", required=True, help="grid file: name = start:stop:count or comma list")
-    p.set_defaults(func=cmd_sweep)
+def _flag_text(flag: str, choices) -> str:
+    return f"{flag} {{{','.join(choices)}}}" if choices else f"{flag} {_dest(flag).upper()}"
 
-    p = sub.add_parser("ensemble", help="collective-spin to oscillator report, print JSON")
-    p.add_argument("--n-atoms", required=True, help="number of atoms N")
-    p.add_argument("--epsilon", required=True, help="per-atom rotation amplitude")
-    p.add_argument("--cutoff", default="12", help="Fock cutoff for the mapped state")
-    p.add_argument("--out", default=None, help="output path (default: standard output)")
-    p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("campaign", help="run an estimation campaign from a config file")
-    p.add_argument("config", help="campaign config file (key=value sections)")
-    p.add_argument("--seed", default=None, help="override the seed from the config file")
-    p.add_argument("--out", default=None, help="summary JSON path (default: standard output)")
-    p.add_argument("--runs-csv", default=None,
-                   help="also write per-run records to this CSV ('-': standard output)")
-    p.set_defaults(func=cmd_campaign)
+def _help(command: Optional[str], full: bool = False) -> str:
+    """The usage line of hal (command None) or of a subcommand; when full,
+    then its description and one line per flag, positional or subcommand."""
+    if command is None:
+        usage = f"hal [-h] [--version] {{{','.join(_COMMANDS)}}} ..."
+        about = "heralded-amplification simulation toolkit"
+        rows = [("--version", "print the version and exit"),
+                *((name, spec[1]) for name, spec in _COMMANDS.items())]
+    else:
+        _, about, required, positional, flags = _COMMANDS[command]
+        usage = " ".join(["hal", command, "[-h]", *(_flag_text(f, flags[f][2]) for f in required),
+                          *(["[options]"] if flags else []), *positional[:1]])
+        rows = [(_flag_text(f, choices), text) for f, (_, text, choices) in flags.items()]
+        rows += [positional] if positional else []
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    width = max(len(name) for name, _ in rows) + 2
+    body = ["", about, "", *(f"  {name.ljust(width)}{text}" for name, text in rows)] if full else []
+    return "\n".join([f"usage: {usage}", *body]) + "\n"
 
-    p = sub.add_parser("validate", help="run the oracle suite, print the comparison table")
-    p.set_defaults(func=cmd_validate)
 
-    return parser
+def _usage_error(command: Optional[str], message: str):
+    prog = "hal" if command is None else f"hal {command}"
+    sys.stderr.write(f"{_help(command)}{prog}: error: {message}\n")
+    raise SystemExit(64)
+
+
+def _parse(argv: Sequence[str]) -> types.SimpleNamespace:
+    """Parse a command line by the grammar in the module docstring."""
+    args, command, flags = types.SimpleNamespace(), None, {"--version": None}
+    required, positional, stray = (), (), []
+    at, rest = None, False  # the positional's index; whether "--" came
+    tokens = enumerate(argv)
+    for i, token in tokens:
+        if token == "--" and not rest:
+            rest = True
+            if not positional or at not in (None, i - 1):
+                stray.append(token)
+            continue
+        if rest or _is_value(token):
+            if command is None:
+                if token not in _COMMANDS:
+                    _usage_error(None, f"invalid choice: {token!r} (choose from {', '.join(_COMMANDS)})")
+                command = args.subcommand = token
+                args.func, _, required, positional, flags = _COMMANDS[command]
+                vars(args).update((_dest(flag), spec[0]) for flag, spec in flags.items())
+            elif positional and at is None:
+                setattr(args, positional[0], token)
+                at = i
+            else:
+                stray.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        name, names = "--help" if name == "-h" else name, [*flags, "--help"]
+        match = [name] if name in names else [
+            n for n in names if name.startswith("--") and n.startswith(name)]
+        if len(match) != 1:
+            if match:
+                _usage_error(command, f"ambiguous option: {name} could match {', '.join(match)}")
+            stray.append(token)
+            continue
+        flag = match[0]
+        if flag in ("--help", "--version"):
+            if eq:
+                _usage_error(command, f"argument {flag}: ignored explicit argument {value!r}")
+            sys.stdout.write(_help(command, full=True) if flag == "--help" else f"hal {__version__}\n")
+            raise SystemExit(0)
+        if not eq:
+            _, value = next(tokens, (None, None))
+            if value is None or not _is_value(value):
+                _usage_error(command, f"argument {flag}: expected one argument")
+        choices = flags[flag][2]
+        if choices and value not in choices:
+            _usage_error(command, f"argument {flag}: invalid choice: {value!r} "
+                                  f"(choose from {', '.join(choices)})")
+        setattr(args, _dest(flag), value)
+    if stray:
+        _usage_error(command, f"unrecognized arguments: {' '.join(stray)}")
+    # a required flag has no default, so it is None until given
+    missing = [flag for flag in required if getattr(args, _dest(flag)) is None]
+    missing += positional[:1] if at is None else ()
+    if command is None or missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing) or 'subcommand'}")
+    return args
 
 
 @functools.cache
@@ -675,8 +775,7 @@ def _freeze_imports() -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _freeze_imports()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except TruncationError as exc:

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import gc
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,8 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hal import _parallel
+from cli_reference import build_parser
+from hal import _parallel, cli
 from hal.cli import (
     MAX_GRID_POINTS,
     RUN_COLUMNS,
@@ -100,16 +105,147 @@ seed = 8
 """ + AR1_NOISE
 
 
-def test_usage_errors_exit_64():
+def _exit_code(argv, capsys):
+    """The code main(argv) exits with, and what it wrote to stdout and stderr."""
     with pytest.raises(SystemExit) as exc:
-        main(["protocol", "--bogus"])
-    assert exc.value.code == 64
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_usage_errors_exit_64(capsys):
+    for argv in (
+        ["protocol", "--bogus"],
+        ["protocol"],  # --t is required
+        ["frobnicate"],
+        ["protocol", "--alpha", "0.01", "--t"],  # a flag with no value at the end
+        ["protocol", "--t", "0.1", "--input", "full"],
+        ["protocol", "--t", "0.1", "--mode", "second-order"],
+        ["campaign"],  # no config file
+        ["campaign", "a.ini", "b.ini"],
+        [],  # no subcommand
+    ):
+        code, out, err = _exit_code(argv, capsys)
+        assert code == 64, argv
+        usage, error = err.splitlines()
+        assert out == "" and usage.startswith("usage: hal") and error.startswith("hal"), argv
+        assert ": error: " in error, argv
+    code, out, _ = _exit_code(["--version"], capsys)
+    assert (code, out) == (0, "hal 1.0.0\n")
+    # each subcommand's help names every flag the reference parser gives it
+    subcommands = _subparsers(build_parser())
+    for name, parser in subcommands.items():
+        code, out, err = _exit_code([name, "-h"], capsys)
+        assert (code, err) == (0, ""), name
+        assert out.startswith(f"usage: hal {name} ")
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags == set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out)), name
+    assert set(subcommands) <= set(_exit_code(["--help"], capsys)[1].split())
+
+
+def test_negative_values_are_values(tmp_path):
+    # a token after a value-taking flag is its value when it is "-" or starts
+    # with "-" and a digit or "-." and a digit; argparse took -1e-3 and -1,2
+    # for flags and exited 64, though --alpha=-1,2 worked
+    out = str(tmp_path / "p.json")
+    for alpha, re_im in (("-1e-3", [-1e-3, 0]), ("-1,2", [-1, 2])):
+        docs = []
+        for flag in (["--alpha", alpha], [f"--alpha={alpha}"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)  # |alpha| = 2.2 lies outside it
+                assert main(["protocol", *flag, "--t", "0.1", "--out", out]) == 0
+            docs.append(Path(out).read_bytes())
+        params = json.loads(docs[0])["manifest"]["parameters"]
+        assert [params["alpha_re"], params["alpha_im"]] == re_im and docs[0] == docs[1]
     with pytest.raises(SystemExit) as exc:
-        main(["protocol"])  # --t is required
+        main(["protocol", "--t", "0.1", "--alpha", "-x"])
     assert exc.value.code == 64
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 64
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _reference_parse(argv):
+    parser = build_parser()
+    # argparse (3.10 to 3.13) reads -1e-3 and -1,2 as flags, so `--alpha
+    # -1e-3` is an error there; hal reads them as values (the dash rule). The
+    # reference gets hal's rule, so on such command lines the test asserts it.
+    for p in (parser, *_subparsers(parser).values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
+    return parser.parse_args(argv)
+
+
+def _outcome(parse, argv):
+    """A parse's namespace as a dict, or its exit code and the start of stdout."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue()[:6]  # "usage:" for help, "hal 1." for the version
+
+
+#: Command lines of the README, the CI workflow and these tests.
+KNOWN_LINES = (
+    ["protocol", "--alpha", "0.02", "--t", "0.2"],
+    ["protocol", "--alpha", "0.01", "--t", "0.1", "--mode", "first-order"],
+    ["protocol", "--alpha", "0.01", "--t", "0.1", "--cutoff", "400", "--source-eff", "0.9",
+     "--out", "protocol.json"],
+    ["protocol", "--alpha", "6", "--t", "0.1", "--input", "coherent"],
+    ["protocol", "--alpha", "0", "--t", "0.1", "--source-eff", "0", "--read-eff", "0.5",
+     "--dark-count", "0.01"],
+    ["sweep", "--alpha", "0", "--grid", "grid.txt", "--out", "sweep.csv"],
+    ["sweep", "--grid", "grid.txt"],
+    ["ensemble", "--n-atoms", "10000", "--epsilon", "0.001"],
+    ["ensemble", "--n-atoms", "100", "--epsilon", "0.01", "--cutoff", "3"],
+    ["campaign", "campaign.ini", "--seed", "7", "--out", "summary.json", "--runs-csv", "runs.csv"],
+    ["campaign", "c.ini", "--out", "-", "--runs-csv", "-"],
+    ["validate"],
+    ["--version"],
+)
+FLAG_VALUES = ("0", "0.1", "12", "-", "-0.5", "-1e-3", "-1,2", "-.5", "", "truncated", "coherent",
+               "exact", "first-order", "c.ini")
+OTHER_TOKENS = ("--bogus", "--bogus=1", "-x", "stray", "c.ini", "--", "-h", "--help", "-1e-3", "-")
+
+
+def _flag_forms(subcommands):
+    """Per subcommand (and "frobnicate"), each flag of any subcommand as
+    written in full and by its shortest unique prefix among the subcommand's."""
+    every = sorted({f for p in subcommands.values() for a in p._actions for f in a.option_strings
+                    if f.startswith("--") and f != "--help"})
+    forms = {"frobnicate": every}
+    for name, parser in subcommands.items():
+        own = [f for a in parser._actions for f in a.option_strings]
+        forms[name] = every + [
+            next(flag[:n] for n in range(3, len(flag) + 1) if sum(o.startswith(flag[:n]) for o in own) == 1)
+            for flag in every if flag in own
+        ]
+    return forms
+
+
+@st.composite
+def _command_lines(draw):
+    argv = list(draw(st.sampled_from(KNOWN_LINES) | st.sampled_from(
+        ("protocol", "sweep", "ensemble", "campaign", "validate", "frobnicate")).map(lambda s: [s])))
+    names = FLAG_FORMS.get(argv[0], FLAG_FORMS["frobnicate"])
+    for _ in range(draw(st.integers(0, 5))):
+        flag, value = draw(st.sampled_from(names)), draw(st.sampled_from(FLAG_VALUES))
+        token = draw(st.sampled_from(OTHER_TOKENS))
+        item = draw(st.sampled_from(([flag, value], [f"{flag}={value}"], [flag], [token])))
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = item
+    return argv
+
+
+FLAG_FORMS = _flag_forms(_subparsers(build_parser()))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_command_lines())
+def test_parser_agrees_with_argparse_reference(argv):
+    assert _outcome(cli._parse, argv) == _outcome(_reference_parse, argv)
 
 
 def test_bad_values_exit_2(capsys):
@@ -1139,6 +1275,18 @@ def test_import_skips_scipy_stats_and_signal():
         "print(','.join(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))\n"
     )
     assert _fresh_hal(code).stdout.strip() == ""
+
+
+def test_protocol_loads_no_argparse(tmp_path):
+    # the front end parses from its own table: argparse, the gettext it
+    # imports and the locale its first message lookup imports cost 2.4-3.7 ms
+    # of every command
+    code = (
+        "import sys, hal.cli\n"
+        "rc = hal.cli.main(['protocol', '--alpha', '0.01', '--t', '0.1', '--out', sys.argv[1]])\n"
+        "print(rc, *(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    )
+    assert _fresh_hal(code, [str(tmp_path / "p.json")]).stdout.split() == ["0"]
 
 
 def test_ar1_noise_series_leaves_scipy_signal_unloaded():
