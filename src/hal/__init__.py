@@ -41,7 +41,6 @@ from .protocol import (
     HeraldResult,
     LeadingOrder,
     ProtocolConfig,
-    RegimeWarning,
     run_exact,
     run_first_order,
     sweep,
@@ -86,7 +85,6 @@ __all__ = [
     "HeraldResult",
     "LeadingOrder",
     "ProtocolConfig",
-    "RegimeWarning",
     "run_exact",
     "run_first_order",
     "sweep",

@@ -305,6 +305,7 @@ def cmd_protocol(args) -> int:
         "fidelity": result.fidelity_to_target,
         "leading_p": result.leading_order.p,
         "leading_gain": result.leading_order.gain,
+        "in_recommended_regime": config.in_recommended_regime,
         "leakage": result.leakage,
         # run_exact's state is its support block at the config's cutoff; the
         # first-order state is its own two-level truncation, cutoff 1
@@ -534,7 +535,7 @@ class _RunsCsv:
         self._written, self._held = stop, 0
 
 
-def _summary_doc(manifest, summary: CampaignSummary) -> Dict[str, object]:
+def _summary_doc(manifest, summary: CampaignSummary, protocol) -> Dict[str, object]:
     return {
         "manifest": manifest,
         "attempts": summary.attempts,
@@ -544,6 +545,7 @@ def _summary_doc(manifest, summary: CampaignSummary) -> Dict[str, object]:
         "bias": summary.bias,
         "variance": summary.variance,
         "rmse": summary.rmse,
+        "in_recommended_regime": None if protocol is None else protocol.in_recommended_regime,
         "per_replica_estimates": [  # None prints null like NaN and is one shared object
             None if math.isnan(e) else e for e in summary.per_replica_estimates.tolist()
         ],
@@ -586,7 +588,7 @@ def cmd_campaign(args) -> int:
         summary = run_campaign(config, runs, herald)
         if runs is not None:
             runs.flush()
-        text = (dumps(_summary_doc(manifest, summary)) + "\n").encode("utf-8")
+        text = (dumps(_summary_doc(manifest, summary, config.protocol)) + "\n").encode("utf-8")
         if out is None:
             _write_stdout((text,))
         else:

@@ -16,7 +16,7 @@ class ValidationError(HalError):
 
 
 class ShapeError(ValidationError):
-    """States passed to an operation have incompatible bases or mode counts."""
+    """An array does not fit its cutoff, or two states do not share a basis."""
 
 
 class TruncationError(HalError):
@@ -25,7 +25,8 @@ class TruncationError(HalError):
     Attributes
     ----------
     tail_mass : float
-        The offending probability mass (truncated tail or sector leakage).
+        The offending probability mass: a coherent or Dicke tail past the
+        cutoff, or the beam splitter's leakage weighted over the source terms.
     threshold : float
         The limit that was exceeded.
     """

@@ -6,10 +6,11 @@ variance 1/2. Estimators therefore divide sample means by sqrt(2), and the
 amplified scheme additionally multiplies by t to undo the nominal 1/t gain.
 
 Campaign time model: a budget of total_time seconds at run_period seconds per
-attempt gives R = floor(total_time / run_period) attempts. Technical noise is
-a process over the attempt timeline; its clock advances on every attempt,
-including failed heralds, so the amplified scheme samples the process
-sparsely. Estimation is restricted to real alpha at phase zero.
+attempt gives R attempts, the number of whole run periods in the budget,
+counted through the rounding of the inputs (2.3 s at 0.1 s is 23). Technical
+noise is a process over the attempt timeline; its clock advances on every
+attempt, including failed heralds, so the amplified scheme samples the
+process sparsely. Estimation is restricted to real alpha at phase zero.
 
 Randomness: one 64-bit seed; replica i draws from a counter-based Philox
 stream keyed by SeedSequence(seed, spawn_key=(i,)), so replicas are
@@ -211,7 +212,12 @@ class CampaignConfig:
 
     @property
     def attempts(self) -> int:
-        return int(math.floor(self.total_time / self.run_period))
+        """Whole run periods in the budget. A budget of n periods, up to the
+        rounding of its two inputs (2.3 / 0.1 is 22.999999999999996), holds n:
+        the quotient is floored 4 ulp up. The step is at most half a period,
+        so the largest finite quotient stays finite."""
+        q = self.total_time / self.run_period
+        return int(math.floor(q + min(4 * math.ulp(q), 0.5)))
 
 
 @dataclass(frozen=True)

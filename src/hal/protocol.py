@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence, Tuple, Union
 
@@ -85,10 +84,6 @@ REGIME_T_MAX = 0.3
 MAX_CUTOFF = 400
 
 
-class RegimeWarning(UserWarning):
-    """The requested parameters sit outside |alpha| << t << 1."""
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Full parameter set for one protocol evaluation.
@@ -135,7 +130,12 @@ class ProtocolConfig:
 
     @property
     def in_recommended_regime(self) -> bool:
-        """True when |alpha| <= 0.2 t and t <= 0.3 (the working regime)."""
+        """True when |alpha| <= 0.2 t and t <= 0.3 (the working regime).
+
+        The exact results hold either way; the flag says how far the
+        leading-order figures (p ~ t^2, gain ~ 1/t) and an amplified
+        estimate's division by the nominal gain can be trusted. hal protocol
+        and hal campaign write it into their documents."""
         return abs(self.alpha) <= REGIME_ALPHA_FRACTION * self.t and self.t <= REGIME_T_MAX
 
 
@@ -171,17 +171,6 @@ class HeraldResult:
     leakage: float
 
 
-def _warn_if_out_of_regime(config: ProtocolConfig) -> None:
-    if not config.in_recommended_regime:
-        warnings.warn(
-            f"parameters |alpha|={abs(config.alpha):.4g}, t={config.t:.4g} are outside "
-            f"the working regime |alpha| <= {REGIME_ALPHA_FRACTION} t <= {REGIME_T_MAX}; "
-            "results are exact but the leading-order picture degrades",
-            RegimeWarning,
-            stacklevel=3,
-        )
-
-
 def run_first_order(alpha, t: float) -> HeraldResult:
     """Closed-form dominant-terms evaluation (ideal source and herald).
 
@@ -192,7 +181,6 @@ def run_first_order(alpha, t: float) -> HeraldResult:
     """
     config = ProtocolConfig(alpha=alpha, t=t, cutoff=1)
     a = config.alpha
-    _warn_if_out_of_regime(config)
     p = t * t + abs(a) ** 2
     conditional = PureState(np.array([t, a], dtype=np.complex128), 1).normalized()
     return HeraldResult(
@@ -322,7 +310,6 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
         If the target's alpha / t overflows, or, at alpha != 0, the
         unnormalized rho_11 is below sys.float_info.min (see _figures).
     """
-    _warn_if_out_of_regime(config)
     cutoff = config.cutoff
     coherent = config.input_kind == "coherent"
     tail = _checked_tail(_coherent_tail(config.alpha, cutoff), cutoff) if coherent else 0.0
@@ -364,7 +351,7 @@ def run_exact(config: ProtocolConfig) -> HeraldResult:
         conditional_state=conditional,
         gain=float(gain[0]),
         fidelity_to_target=float(fid[0]),
-        leading_order=LeadingOrder(p=config.t ** 2, gain=1.0 / config.t),
+        leading_order=LeadingOrder(p=config.t * config.t, gain=1.0 / config.t),
         leakage=leak,
     )
 
@@ -482,7 +469,7 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
         for name in ("alpha", "t", "p1", "eta_r", "p_d")
     }
     leading = np.array([
-        (t ** 2, 1.0 / t) if ok else (math.nan, math.nan)
+        (t * t, 1.0 / t) if ok else (math.nan, math.nan)
         for t, ok in zip(values["t"], accepted["t"])
     ])
     cutoffs = values["cutoff"]
@@ -512,7 +499,6 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
         batches += [(c, points[i : i + cap]) for i in range(0, len(points), cap)]
     del cutoff_of
     herald = base.herald
-    swept = [name for name in SWEEP_AXES if name in grids and name != "cutoff"]
 
     def weights_at(levels: int, eta: np.ndarray, pd: np.ndarray) -> np.ndarray:
         """Click weights at each point, made once per distinct (eta_r, p_d) pair."""
@@ -528,39 +514,32 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
     def evaluate(batch) -> None:
         c, points = batch
         n = len(points)
-        index = dict(zip(names, np.unravel_index(points, shape)))
-        # each axis's values at the batch's points: an array where swept, a scalar otherwise
-        at = {
-            name: column[index[name]] if name in index else column[0]
-            for name, column in numbers.items()
-        }
+        # each axis's value index at the batch's points, 0 where the grid does not sweep it
+        index = dict.fromkeys(SWEEP_AXES, np.zeros(n, dtype=np.intp))
+        index.update(zip(names, np.unravel_index(points, shape)))
+        at = {name: column[index[name]] for name, column in numbers.items()}
         code = np.full(n, "", dtype=_ROW_DTYPE["error_code"])
-        valid = np.full(n, bool(accepted["cutoff"][c]))
-        for name in swept:
-            valid &= accepted[name][index[name]]
+        valid = np.all([accepted[name][index[name]] for name in SWEEP_AXES], axis=0)
         code[~valid] = "validation"
-        tail = np.zeros(n)
-        if c in tails:
-            tail = np.broadcast_to(tails[c][index["alpha"] if "alpha" in index else 0], n)
-            code[valid & (tail > TAIL_THRESHOLD)] = "truncation"
-            valid &= tail <= TAIL_THRESHOLD
+        tail = tails[c][index["alpha"]] if c in tails else np.zeros(n)
+        code[valid & (tail > TAIL_THRESHOLD)] = "truncation"
+        valid &= tail <= TAIL_THRESHOLD
         outcome = np.full((3, n), math.nan)
         k = np.flatnonzero(valid)
         if len(k):
             levels = support_size(cutoffs[c], coherent)
-            if "eta_r" in index or "p_d" in index:
-                zero = np.zeros(n, dtype=np.intp)
-                weights = weights_at(levels, index.get("eta_r", zero)[k], index.get("p_d", zero)[k])
+            if "eta_r" in grids or "p_d" in grids:
+                weights = weights_at(levels, index["eta_r"][k], index["p_d"][k])
             else:
                 weights = np.broadcast_to(herald.click_weights(levels - 1), (len(k), levels))
-            alpha, t, p1 = (np.broadcast_to(at[name], n)[k] for name in ("alpha", "t", "p1"))
+            alpha, t, p1 = (at[name][k] for name in ("alpha", "t", "p1"))
             heralded = herald_click(
                 alpha, tail[k], t, cutoffs[c], coherent, p1, weights, herald.mode
             )
             figures = _figures(*heralded, alpha, t, p1, weights, not coherent or cutoffs[c] == 1)
             outcome[:, k], code[k] = figures[:3], figures[3]
             outcome[0, k[code[k] != ""]] = math.nan
-        lead = leading[index["t"]] if "t" in index else leading[0]
+        lead = leading[index["t"]]
         # ROW_COLUMNS: alpha split in two, the other axes in SWEEP_AXES order, the outcome
         for name, column in (
             ("alpha_re", at["alpha"].real),
@@ -572,8 +551,8 @@ def sweep(base: ProtocolConfig, axes: Mapping[str, Sequence[float]]) -> np.ndarr
             ("success_prob", outcome[0]),
             ("gain", outcome[1]),
             ("fidelity", outcome[2]),
-            ("leading_p", lead[..., 0]),
-            ("leading_gain", lead[..., 1]),
+            ("leading_p", lead[:, 0]),
+            ("leading_gain", lead[:, 1]),
             ("error_code", code),
         ):
             rows[name][points] = column

@@ -155,7 +155,6 @@ def test_criterion_07_systematic_bias_suppression():
     assert abs(ratio - 0.1) <= 0.05 * 0.1
 
 
-@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 def test_criterion_08_correlated_noise_plateau():
     # Correlation time 1000 run periods >> one campaign, so technical noise
     # barely averages and both schemes hit an R-independent error floor;

@@ -35,7 +35,7 @@ from hal.cli import (
 from hal.errors import GridError, ValidationError
 from hal.metrology import MAX_RECORDED_ATTEMPTS, MAX_REPLICAS, run_campaign
 from hal.optics_ops import HeraldModel, herald_click
-from hal.protocol import MAX_CUTOFF, ROW_COLUMNS, ProtocolConfig, RegimeWarning, sweep
+from hal.protocol import MAX_CUTOFF, ROW_COLUMNS, ProtocolConfig, sweep
 from hal.spin_ensemble import MAX_ENSEMBLE_CUTOFF
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -151,9 +151,7 @@ def test_negative_values_are_values(tmp_path):
     for alpha, re_im in (("-1e-3", [-1e-3, 0]), ("-1,2", [-1, 2])):
         docs = []
         for flag in (["--alpha", alpha], [f"--alpha={alpha}"]):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RegimeWarning)  # |alpha| = 2.2 lies outside it
-                assert main(["protocol", *flag, "--t", "0.1", "--out", out]) == 0
+            assert main(["protocol", *flag, "--t", "0.1", "--out", out]) == 0
             docs.append(Path(out).read_bytes())
         params = json.loads(docs[0])["manifest"]["parameters"]
         assert [params["alpha_re"], params["alpha_im"]] == re_im and docs[0] == docs[1]
@@ -264,7 +262,6 @@ def test_bad_values_exit_2(capsys):
         (["protocol", "--alpha", "0.5", "--t", "1e-200"], 0),
     ],
 )
-@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_amplitudes_exit_cleanly(argv, rc, capsys):
     # |alpha|^2 overflows, or alpha / t does in the target state: no numpy
@@ -286,7 +283,6 @@ def test_huge_amplitudes_exit_cleanly(argv, rc, capsys):
         ("1e10", "3e-308", "amplitudes must be finite"),
     ],
 )
-@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 def test_tiny_t_exits_2_without_a_numpy_warning(alpha, t, message, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -295,7 +291,6 @@ def test_tiny_t_exits_2_without_a_numpy_warning(alpha, t, message, capsys):
     assert err.count("\n") == 1 and message in err
 
 
-@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 def test_subnormal_alpha_squared_exits_2_without_a_numpy_warning(capsys):
     # |alpha|^2 below the smallest normal double: rho_11, proportional to
     # it, is subnormal or zero and the mixed gain reads 0.0 at 1e-162
@@ -333,7 +328,6 @@ def test_subnormal_alpha_squared_exits_2_without_a_numpy_warning(capsys):
         (1e-22, "1e-250", 0),
     ],
 )
-@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 def test_subnormal_one_excitation_population_exits_2(alpha, read_eff, rc, capsys):
     args = ["protocol", "--alpha", repr(alpha), "--t", "0.1", "--source-eff", "0.9",
             "--read-eff", read_eff]
@@ -480,6 +474,12 @@ def test_campaign_attempt_count_overflow_exit_2(tmp_path, capsys):
     assert main(["campaign", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
     assert "total_time / run_period overflows" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+    # the largest finite quotient is a count, over the limit
+    cfg.write_text(DIRECT_CFG.replace("total_time = 10",
+                                      "total_time = 1.7976931348623157e308\nrun_period = 1"))
+    assert main(["campaign", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err.endswith(" attempts per replica exceed the limit of 10000000\n")
+    assert not (tmp_path / "s.json").exists()
 
 
 def _direct_cfg(true_alpha: str, noise: str) -> str:
@@ -532,7 +532,6 @@ def test_impossible_outcome_exit_2(capsys):
     assert "impossible" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 def test_truncation_exit_3(capsys):
     assert main(["protocol", "--alpha", "6", "--t", "0.1", "--input", "coherent"]) == 3
     assert "truncation" in capsys.readouterr().err
@@ -602,6 +601,37 @@ def test_protocol_first_order_refuses_exact_flags(flag, value, tmp_path, capsys)
     assert flag in capsys.readouterr().err
     assert not out.exists()
     assert main(argv) == 0 and out.exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "first-order"])
+def test_protocol_writes_the_regime_flag(mode, capsys):
+    # |alpha| <= 0.2 t and t <= 0.3: a key after leading_gain, not a warning
+    for alpha, flag in (("0.01", True), ("0.05", False)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["protocol", "--alpha", alpha, "--t", "0.1", "--mode", mode]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["in_recommended_regime"] is flag and err == ""
+        keys = list(doc)
+        assert keys[keys.index("leading_gain") + 1] == "in_recommended_regime"
+
+
+def test_campaign_summary_carries_the_regime_flag(tmp_path, capsys):
+    # an amplified summary holds its protocol's flag after rmse; a direct
+    # campaign has no protocol and holds null
+    cfg = tmp_path / "c.ini"
+    for text, flag in ((AMPLIFIED_CFG, True), (AMPLIFIED_CFG.replace("0.01", "0.05"), False),
+                       (DIRECT_CFG, None)):
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["campaign", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["in_recommended_regime"] is flag and err == ""
+        keys = list(doc)
+        assert keys[keys.index("rmse") + 1] == "in_recommended_regime"
 
 
 def test_grid_parser():
@@ -1187,9 +1217,7 @@ def test_campaign_whose_homodyne_table_fails_touches_no_file(tmp_path, capsys):
                    .replace("alpha = 0.01\nt = 0.1", "alpha = 6\nt = 0.1\ncutoff = 100\n"
                             "input_kind = coherent\n\n[herald]\nmode = B"))
     out, runs = tmp_path / "s.json", tmp_path / "runs.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        assert main(["campaign", str(cfg), "--out", str(out), "--runs-csv", str(runs)]) == 2
+    assert main(["campaign", str(cfg), "--out", str(out), "--runs-csv", str(runs)]) == 2
     assert not out.exists() and not runs.exists()
     assert "homodyne grid [-8, 8]" in capsys.readouterr().err
 

@@ -539,6 +539,21 @@ def test_campaign_config_validation():
     assert cfg.attempts == 100  # floor of 10.05 / 0.1
 
 
+@pytest.mark.parametrize("periods_per_second, offset", [(10, 0.0), (100, 0.0), (10, 0.05)])
+def test_budget_of_k_periods_holds_k_attempts(periods_per_second, offset):
+    # 2.3 / 0.1 is 22.999999999999996: a budget of k run periods, up to the
+    # rounding of its decimal inputs, holds k attempts; half a period more
+    # still holds k
+    run_period = 1 / periods_per_second
+    wrong = [
+        k for k in range(1, 20001)
+        if CampaignConfig(scheme="direct", true_alpha=0.01, noise=NoiseModel(), seed=1,
+                          replicas=1, total_time=k / periods_per_second + offset,
+                          run_period=run_period).attempts != k
+    ]
+    assert wrong == []
+
+
 def test_amplified_protocol_alpha_must_equal_true_alpha():
     # bias is reported against true_alpha, so the amplified protocol must
     # carry that same amplitude, including a zero imaginary part

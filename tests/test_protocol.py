@@ -30,7 +30,6 @@ from hal.protocol import (
     ProtocolConfig,
     ROW_COLUMNS,
     SWEEP_BATCH_BYTES,
-    RegimeWarning,
     _target,
     run_exact,
     run_first_order,
@@ -79,13 +78,15 @@ def test_config_validation():
 
 
 def test_regime_warning():
-    with pytest.warns(RegimeWarning):
-        run_first_order(0.09, 0.1)
-    with pytest.warns(RegimeWarning):
-        run_exact(ProtocolConfig(alpha=0.002, t=0.5))
+    # the regime is the config's flag, not a warning: run_exact and
+    # run_first_order stay silent in and out of it
+    assert not ProtocolConfig(alpha=0.002, t=0.5).in_recommended_regime
+    assert ProtocolConfig(alpha=0.001, t=0.1).in_recommended_regime
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run_first_order(0.01, 0.1)  # in regime: must stay silent
+        run_exact(ProtocolConfig(alpha=0.002, t=0.5))
+        run_first_order(0.09, 0.1)
+        run_first_order(0.01, 0.1)
 
 
 def test_first_order_closed_form():
@@ -311,9 +312,21 @@ def test_sweep_herald_axes():
     assert rows[2]["success_prob"] < rows[0]["success_prob"]
 
 
-def test_sweep_is_quiet(recwarn):
-    sweep(ProtocolConfig(alpha=0.0, t=0.1), {"t": [0.5, 0.6]})
-    assert not [w for w in recwarn.list if issubclass(w.category, RegimeWarning)]
+def test_sweep_is_quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = sweep(ProtocolConfig(alpha=0.0, t=0.1), {"t": [0.5, 0.6]})
+    assert not rows["error_code"].any()
+
+
+def test_leading_p_is_t_times_t_in_every_mode():
+    # t * t is correctly rounded; libm's pow(t, 2) is not always (at
+    # t = 0.0588 glibc's gives 0.0034574399999999996, one ulp below)
+    t = 0.0588
+    exact = run_exact(ProtocolConfig(alpha=0.01, t=t)).leading_order.p
+    first_order = run_first_order(0.01, t).leading_order.p
+    row = sweep(ProtocolConfig(alpha=0.01, t=0.1), {"t": [t]})[0]
+    assert exact == first_order == row["leading_p"] == t * t
 
 
 def test_sweep_holds_one_table_row_per_point():
@@ -432,7 +445,6 @@ def _mp_figures(config):
         (1e5 + 1e5j, 1e-150, 3, "truncated", 0.9, HeraldModel(read_efficiency=0.9)),
     ],
 )
-@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 def test_figures_match_mpmath(alpha, t, cutoff, input_kind, p1, herald):
     # gain and fidelity against _mp_figures; at (1e5, 1e-150) |alpha / t|^2
     # overflows, so the target's norm is taken rescaled (a double-precision
@@ -473,30 +485,28 @@ def test_sweep_rows_are_run_exact_bit_for_bit(coherent, mode, resolving):
     unswept = {name: values for name, values in axes.items() if name not in ("alpha", "p_d")}
     grids.append((unswept, sweep(base, unswept)))
     codes = set()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        for grid, rows in grids:
-            for row in rows:
-                t = float(row["t"])
-                leading = (t ** 2, 1.0 / t) if sys.float_info.min <= t < 1.0 else (math.nan, math.nan)
-                assert _same(row["leading_p"], leading[0]) and _same(row["leading_gain"], leading[1])
-                try:
-                    result = run_exact(_point(base, row, grid))
-                except (TruncationError, ImpossibleOutcomeError, ValidationError) as exc:
-                    code = next(c for cls, c in _RUN_EXACT_CODES if isinstance(exc, cls))
-                    assert row["error_code"] == code, (row, exc)
-                    assert all(math.isnan(row[name]) for name in ("success_prob", "gain", "fidelity"))
-                    codes.add(code)
-                    continue
-                assert row["error_code"] == "", row
-                for name, value in (
-                    ("success_prob", result.success_probability),
-                    ("gain", result.gain),
-                    ("fidelity", result.fidelity_to_target),
-                    ("leading_p", result.leading_order.p),
-                    ("leading_gain", result.leading_order.gain),
-                ):
-                    assert _same(row[name], value), (name, row, value)
+    for grid, rows in grids:
+        for row in rows:
+            t = float(row["t"])
+            leading = (t * t, 1.0 / t) if sys.float_info.min <= t < 1.0 else (math.nan, math.nan)
+            assert _same(row["leading_p"], leading[0]) and _same(row["leading_gain"], leading[1])
+            try:
+                result = run_exact(_point(base, row, grid))
+            except (TruncationError, ImpossibleOutcomeError, ValidationError) as exc:
+                code = next(c for cls, c in _RUN_EXACT_CODES if isinstance(exc, cls))
+                assert row["error_code"] == code, (row, exc)
+                assert all(math.isnan(row[name]) for name in ("success_prob", "gain", "fidelity"))
+                codes.add(code)
+                continue
+            assert row["error_code"] == "", row
+            for name, value in (
+                ("success_prob", result.success_probability),
+                ("gain", result.gain),
+                ("fidelity", result.fidelity_to_target),
+                ("leading_p", result.leading_order.p),
+                ("leading_gain", result.leading_order.gain),
+            ):
+                assert _same(row[name], value), (name, row, value)
     assert codes == {"validation", "truncation", "impossible"}
 
 
@@ -518,7 +528,6 @@ def test_sweep_checks_each_axis_value_once(monkeypatch):
     assert [r["error_code"] for r in rows[-30:]] == ["validation"] * 30
 
 
-@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 def test_coherent_sweep_takes_one_tail_per_alpha_and_cutoff(monkeypatch):
     # the sweep computes each (alpha, cutoff) pair's Poisson tail once and
     # hands it to herald_click, which computes none of its own
@@ -568,27 +577,27 @@ def test_coherent_sweep_batches_by_bytes(monkeypatch):
     assert not rows["error_code"].any()
 
 
-def test_threaded_sweep_leaves_the_warning_filters_alone(recwarn, monkeypatch):
-    # catch_warnings is not thread-safe: entered in each worker, two workers
-    # that interleave restore each other's filters, which can leave an
-    # "ignore RegimeWarning" behind or let one through. A tiny switch
-    # interval makes the workers interleave on nearly every point.
-    regime = [w for w in recwarn.list if issubclass(w.category, RegimeWarning)]
+def test_threaded_sweep_leaves_the_warning_filters_alone(monkeypatch):
+    # the regime is a field of the documents, never a warning: a threaded
+    # sweep out of it stays silent and leaves the warning filters as it found
+    # them (catch_warnings is not thread-safe, so a worker entering it could
+    # leave a filter behind; a tiny switch interval makes the workers
+    # interleave on nearly every point)
     monkeypatch.setenv("HAL_THREADS", "2")
-    before = list(warnings.filters)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # 400 points, every one out of the regime (t > 0.3)
-        axes = {"alpha": np.linspace(0.0, 0.4, 20).tolist(),
-                "t": np.linspace(0.4, 0.9, 20).tolist()}
-        sweep(ProtocolConfig(alpha=0.0, t=0.5, cutoff=4), axes)
-    finally:
-        sys.setswitchinterval(interval)
-    assert warnings.filters == before
-    assert [w for w in recwarn.list if issubclass(w.category, RegimeWarning)] == regime
-    run_exact(ProtocolConfig(alpha=0.002, t=0.5))  # out of regime: must still warn
-    assert len([w for w in recwarn.list if issubclass(w.category, RegimeWarning)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        before = list(warnings.filters)
+        sys.setswitchinterval(1e-6)
+        try:
+            # 400 points, every one out of the regime (t > 0.3)
+            axes = {"alpha": np.linspace(0.0, 0.4, 20).tolist(),
+                    "t": np.linspace(0.4, 0.9, 20).tolist()}
+            rows = sweep(ProtocolConfig(alpha=0.0, t=0.5, cutoff=4), axes)
+        finally:
+            sys.setswitchinterval(interval)
+        assert warnings.filters == before
+    assert len(rows) == 400
 
 
 def _oracle_bs(cutoff, t):
@@ -646,7 +655,6 @@ def _oracle(config, u):
     return p, gain, fid, cond
 
 
-@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 def test_run_exact_matches_dense_kron_oracle():
     heralds = [
         HeraldModel(read_efficiency=eta, dark_count=pd, mode=mode, resolving=resolving)
@@ -732,7 +740,6 @@ def test_vacuum_source_one_excitation_population(alpha):
         assert rows["error_code"].tolist() == ["", "validation"]
 
 
-@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 def test_truncation_threshold_applies_to_weighted_leakage():
     base = ProtocolConfig(alpha=0.3, t=0.2, cutoff=6, input_kind="coherent")
     # the entries a cutoff-6 splitter drops: the same input run at cutoff 7,
@@ -775,7 +782,6 @@ def _mp_photon_leakage(alpha, t, cutoff):
         return float(top * (image[0] ** 2 + image[-1] ** 2))
 
 
-@pytest.mark.filterwarnings("ignore::hal.protocol.RegimeWarning")
 @pytest.mark.parametrize("alpha, t, cutoff", [(0.5, 0.2, 12), (2.0, 0.5, 40), (0.01, 0.1, 3)])
 def test_leakage_matches_mpmath(alpha, t, cutoff):
     # the dropped entries' probability, not the norm deficit, whose rounding
@@ -863,9 +869,7 @@ def test_tiny_click_probability_matches_mpmath():
     config = ProtocolConfig(
         alpha=alpha, t=t, cutoff=cutoff, input_kind="coherent", source_efficiency=p1, herald=herald
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        got = run_exact(config).success_probability
+    got = run_exact(config).success_probability
     want = _mp_click_probability(alpha, t, cutoff, p1, eta, pd)
     assert abs(got - want) <= 1e-12 * want
 
@@ -879,9 +883,7 @@ def test_cutoff_400_point_memory_is_bounded():
     )
     tracemalloc.start()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            run_exact(config)
+        run_exact(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -928,13 +930,11 @@ def test_result_path_makes_no_blas_call(monkeypatch):
     ]
 
     def run():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            for config in configs:
-                state = run_exact(config).conditional_state
-                fidelity(_padded(state, config.cutoff),
-                         _target_state(config.alpha, config.t, config.cutoff))
-                quadrature_pdf(state)
+        for config in configs:
+            state = run_exact(config).conditional_state
+            fidelity(_padded(state, config.cutoff),
+                     _target_state(config.alpha, config.t, config.cutoff))
+            quadrature_pdf(state)
         # the `hal ensemble` report
         for spec, cutoff in ((EnsembleSpec(10**9, 3e-6), 12), (EnsembleSpec(10**4, 1e-3), 12)):
             state = rotated_product_state(spec, k_max=min(spec.N, cutoff))
