@@ -5,6 +5,9 @@ optics, the heralded amplification protocol with imperfections, the mapping
 from a collectively rotated spin ensemble onto an oscillator mode, and Monte
 Carlo homodyne-estimation campaigns comparing the direct and amplified
 measurement schemes under white, correlated, and systematic noise.
+
+Validated inputs are frozen dataclasses, so `dataclasses.replace` checks a
+changed copy again; results are named tuples, read by field name.
 """
 
 __version__ = "1.0.0"

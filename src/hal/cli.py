@@ -34,7 +34,6 @@ the calling thread. Output never depends on it.
 
 from __future__ import annotations
 
-import configparser
 import contextlib
 import functools
 import gc
@@ -429,6 +428,8 @@ def parse_campaign_file(text: str, seed_override: Optional[int] = None) -> Campa
     the library types. A missing required field, or an unknown section or
     field, is a validation error naming it as section.name.
     """
+    import configparser  # 1.6-2.6 ms that no other command needs
+
     # no section is the parser's defaults section (an empty name, which no
     # header can spell), so a [DEFAULT] section is unknown like any other
     cp = configparser.ConfigParser(

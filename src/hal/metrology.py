@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -220,8 +220,7 @@ class CampaignConfig:
         return int(math.floor(q + min(4 * math.ulp(q), 0.5)))
 
 
-@dataclass(frozen=True)
-class CampaignSummary:
+class CampaignSummary(NamedTuple):
     """Aggregated estimator statistics of a campaign.
 
     rmse is sqrt(bias^2 + variance) where variance is the population variance
@@ -243,8 +242,7 @@ class CampaignSummary:
     elapsed_model_time: float
 
 
-@dataclass(frozen=True)
-class TimeBudget:
+class TimeBudget(NamedTuple):
     """Expected wall-model time to collect one heralded point."""
 
     success_probability: float
@@ -252,8 +250,7 @@ class TimeBudget:
     expected_time_per_point: float
 
 
-@dataclass(frozen=True)
-class TabulatedDensity:
+class TabulatedDensity(NamedTuple):
     """A quadrature density tabulated on a strictly increasing grid."""
 
     x: np.ndarray
@@ -274,30 +271,42 @@ def default_grid() -> np.ndarray:
     return np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, GRID_POINTS)
 
 
-def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Hermite functions u_0..u_n_max on x via the stable recurrence.
+def _hermite_rows(n_max: int, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Hermite functions u_0..u_n_max on x via the stable recurrence, one row
+    at a time, holding two.
 
     u_0 = pi^(-1/4) exp(-x^2/2), u_1 = sqrt(2) x u_0,
     u_{n+1} = sqrt(2/(n+1)) x u_n - sqrt(n/(n+1)) u_{n-1}.
     """
-    u = np.empty((n_max + 1, x.shape[0]))
-    u[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    yield prev
     if n_max >= 1:
-        u[1] = math.sqrt(2.0) * x * u[0]
-    for n in range(1, n_max):
-        u[n + 1] = math.sqrt(2.0 / (n + 1)) * x * u[n] - math.sqrt(n / (n + 1.0)) * u[n - 1]
+        row = math.sqrt(2.0) * x * prev
+        yield row
+        for n in range(1, n_max):
+            prev, row = row, math.sqrt(2.0 / (n + 1)) * x * row - math.sqrt(n / (n + 1.0)) * prev
+            yield row
+
+
+def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
+    """The table of u_0..u_n_max on x, one row per function (`_hermite_rows`)."""
+    u = np.empty((n_max + 1, x.shape[0]))
+    for n, row in enumerate(_hermite_rows(n_max, x)):
+        u[n] = row
     return u
 
 
-def _combine(coefficients: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_n c_n u_n over the rows of u for real c, as axpy passes that skip
-    zero coefficients (no BLAS)."""
-    out = np.zeros(u.shape[1])
-    term = np.empty(u.shape[1])
-    for c, row in zip(coefficients.tolist(), u):
-        if c:
-            np.multiply(row, c, out=term)
-            out += term
+def _combine(coefficients: np.ndarray, rows: Iterable[np.ndarray], width: int) -> np.ndarray:
+    """sum_n c_kn u_n for each row c_k of the real (K, n) coefficients, over
+    the rows u_n as they come, as axpy passes that skip zero coefficients (no
+    BLAS)."""
+    out = np.zeros((coefficients.shape[0], width))
+    term = np.empty(width)
+    for column, row in zip(coefficients.T.tolist(), rows):
+        for c, total in zip(column, out):
+            if c:
+                np.multiply(row, c, out=term)
+                total += term
     return out
 
 
@@ -318,7 +327,8 @@ def quadrature_pdf(state: State) -> TabulatedDensity:
     real and imaginary parts of the pure sum, and for a mixed state
     P(x) = sum_m u_m(x) sum_n Re(rho_mn) u_n(x), the real part being all
     that survives of a Hermitian form. Rows past the last nonzero
-    coefficient are never computed.
+    coefficient are never computed. The pure sums are taken as the
+    recurrence runs, so a pure state holds two rows, not the table.
 
     Raises
     ------
@@ -329,16 +339,16 @@ def quadrature_pdf(state: State) -> TabulatedDensity:
     x = default_grid()
     if isinstance(state, PureState):
         amp = state.amplitudes / state.norm()
-        u = hermite_functions(_last_nonzero(amp), x)
-        amp = amp[: len(u)]
-        dens = _combine(amp.real, u) ** 2 + _combine(amp.imag, u) ** 2
+        rows = _hermite_rows(_last_nonzero(amp), x)
+        re, im = _combine(np.stack([amp.real, amp.imag]), rows, x.shape[0])
+        dens = re ** 2 + im ** 2
     else:
         form = state.matrix.real / state.trace()
         u = hermite_functions(_last_nonzero(form.any(axis=0)), x)
         dens = np.zeros_like(x)
         for m, row in enumerate(form[: len(u), : len(u)]):
             if row.any():
-                dens += u[m] * _combine(row, u)
+                dens += u[m] * _combine(row[np.newaxis], u, x.shape[0])[0]
         dens = np.maximum(dens, 0.0)
     result = TabulatedDensity(x=x, density=dens)
     err = abs(result.integral() - 1.0)
@@ -363,8 +373,7 @@ def sample_homodyne(state: State, count: int, rng: np.random.Generator) -> np.nd
 _SAMPLE_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class _InverseCdf:
+class _InverseCdf(NamedTuple):
     """The piecewise-linear inverse CDF of a tabulated density.
 
     A draw u in [0, 1) maps to slopes[j] * (u - cdf[j]) + x[j], where j is the

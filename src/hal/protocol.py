@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Mapping, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -139,16 +139,14 @@ class ProtocolConfig:
         return abs(self.alpha) <= REGIME_ALPHA_FRACTION * self.t and self.t <= REGIME_T_MAX
 
 
-@dataclass(frozen=True)
-class LeadingOrder:
+class LeadingOrder(NamedTuple):
     """The closed-form leading-order prediction p ~ t^2, gain ~ 1/t."""
 
     p: float
     gain: float
 
 
-@dataclass(frozen=True)
-class HeraldResult:
+class HeraldResult(NamedTuple):
     """Outcome of one protocol evaluation.
 
     conditional_state lives on the signal's support, occupations 0..d-1

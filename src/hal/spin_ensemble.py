@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -162,8 +162,7 @@ def embed_as_fock(state: DickeState, cutoff: int = DEFAULT_CUTOFF) -> PureState:
     return PureState(amp, cutoff)
 
 
-@dataclass(frozen=True)
-class CollectiveExpectations:
+class CollectiveExpectations(NamedTuple):
     """Exact symmetric-sector expectations of a Dicke state.
 
     commutator_xp is the operator identity value <[X, P]> = i <J_x> / (N/2);

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +40,7 @@ _HERALD_T = 0.3
 _HERALD_ALPHA = 0.25 - 0.1j
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One oracle comparison: measured deviation against its tolerance."""
 
     name: str

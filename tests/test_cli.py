@@ -1308,13 +1308,23 @@ def test_import_skips_scipy_stats_and_signal():
 def test_protocol_loads_no_argparse(tmp_path):
     # the front end parses from its own table: argparse, the gettext it
     # imports and the locale its first message lookup imports cost 2.4-3.7 ms
-    # of every command
+    # of every command; configparser (1.6-2.6 ms) loads for campaigns alone
+    (tmp_path / "grid.txt").write_text("alpha = 0, 0.01\nt = 0.1\n")
+    (tmp_path / "c.ini").write_text(DIRECT_CFG)
     code = (
-        "import sys, hal.cli\n"
-        "rc = hal.cli.main(['protocol', '--alpha', '0.01', '--t', '0.1', '--out', sys.argv[1]])\n"
-        "print(rc, *(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        "import os, sys, hal.cli\n"
+        "os.chdir(sys.argv[1])\n"
+        "for argv in (['protocol', '--alpha', '0.01', '--t', '0.1', '--out', 'p.json'],\n"
+        "             ['sweep', '--grid', 'grid.txt', '--out', 's.csv'],\n"
+        "             ['ensemble', '--n-atoms', '100', '--epsilon', '0.01', '--out', 'e.json'],\n"
+        "             ['validate'], ['campaign', 'c.ini', '--out', 'c.json']):\n"
+        "    with open(os.devnull, 'w') as sys.stdout:\n"
+        "        rc = hal.cli.main(argv)\n"
+        "    loaded = [m for m in ('argparse', 'gettext', 'locale', 'configparser') if m in sys.modules]\n"
+        "    print(argv[0], rc, *loaded, file=sys.stderr)\n"
     )
-    assert _fresh_hal(code, [str(tmp_path / "p.json")]).stdout.split() == ["0"]
+    lines = _fresh_hal(code, [str(tmp_path)]).stderr.splitlines()
+    assert lines == ["protocol 0", "sweep 0", "ensemble 0", "validate 0", "campaign 0 configparser"]
 
 
 def test_ar1_noise_series_leaves_scipy_signal_unloaded():

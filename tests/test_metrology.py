@@ -50,6 +50,23 @@ def test_hermite_orthonormality():
     assert np.max(np.abs(gram - np.eye(13))) < 1e-8
 
 
+def test_pure_state_density_holds_two_hermite_rows():
+    # the 201-row Hermite table of this state is 26 MB; the pure sums are
+    # taken as the recurrence runs, so a few grid rows bound the peak
+    state = coherent_state(2.0, 200)
+    x = default_grid()
+    tracemalloc.start()
+    try:
+        pdf = quadrature_pdf(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * x.nbytes
+    amp = state.amplitudes / state.norm()
+    want = np.abs(amp @ hermite_functions(200, x)) ** 2
+    assert np.max(np.abs(pdf.density - want)) < 1e-12
+
+
 def test_vacuum_pdf_closed_form():
     pdf = quadrature_pdf(number_state(0, 8))
     want = np.exp(-pdf.x ** 2) / math.sqrt(math.pi)
