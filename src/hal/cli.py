@@ -260,12 +260,13 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 #: Rows rendered per csv_block call. A block is written before the next is
-#: rendered, so this bounds the writer's memory whatever the row count: 115 B
-#: per row of peak in csv_block for a runs CSV block, 0.47 MB at 4096 rows
-#: (197 B, 0.81 MB, when both float columns are dense). It is also the
-#: fastest size: the bench's 4e5-row runs CSV rendered in 325 / 241 / 173 /
-#: 195 / 227 / 200 ns per row at 1024 / 2048 / 4096 / 8192 / 16384 / 65536
-#: rows per block (medians of three runs, one pinned CPU of a 2-vCPU VM).
+#: rendered, so this bounds the writer's memory whatever the row count:
+#: 104-112 B per row of peak in csv_block for a runs CSV block, 0.46 MB at
+#: 4096 rows (201 B, 0.82 MB, when both float columns are dense). Larger
+#: blocks are faster but hold more: the bench's 4e5-row runs CSV was
+#: rendered and written in 334 / 261 / 247 / 214 / 199 / 197 ns per row at
+#: 1024 / 2048 / 4096 / 8192 / 16384 / 65536 rows per block (medians of
+#: five runs, one pinned CPU of a 2-vCPU VM).
 _ROW_CHUNK = 1 << 12
 
 
@@ -488,10 +489,12 @@ class _RunsCsv:
 
     Row r is attempt r % attempts of replica r // attempts, so blocks are
     the same whatever the replicas' length: a block may end one replica and
-    start the next, and 1e5 one-attempt replicas take 25 blocks. Rows are
-    copied into one block of buffers, the x_sample column NaN but where an
-    attempt heralded, so no replica's arrays outlive its call. flush()
-    writes what is left after the last replica.
+    start the next, and 1e5 one-attempt replicas take 25 blocks. A block
+    inside one replica renders from views of its heralded and noise_value
+    arrays; the rows of a block that spans replicas are copied into one
+    block of buffers, so no replica's arrays outlive its call. The x_sample
+    column is NaN but where an attempt heralded. flush() writes what is left
+    after the last replica.
     """
 
     def __init__(self, attempts: int, manifest_json: str, write: Callable[[bytes], object]):
@@ -506,9 +509,16 @@ class _RunsCsv:
         at, count, sampled = 0, len(heralded), 0
         while count - at >= _ROW_CHUNK - self._held:  # enough rows to fill the block
             take = _ROW_CHUNK - self._held
-            sampled = self._hold(heralded, samples, noise_value, at, take, sampled)
+            if self._held:
+                sampled = self._hold(heralded, samples, noise_value, at, take, sampled)
+                self.flush()
+            else:
+                flags, x = heralded[at : at + take], self._buffers[1]
+                sampled = _x_sample(x, flags, samples, sampled)
+                replica, first = divmod(self._written, self._attempts)
+                self._render((np.full(take, replica), np.arange(first, first + take), flags, x,
+                              noise_value[at : at + take]))
             at += take
-            self.flush()
         self._hold(heralded, samples, noise_value, at, count - at, sampled)  # the rest waits
 
     def _hold(self, heralded, samples, noise_value, at: int, take: int, sampled: int) -> int:
@@ -518,22 +528,30 @@ class _RunsCsv:
         flags, x, noise = (buffer[rows] for buffer in self._buffers)
         flags[:] = heralded[at : at + take]
         noise[:] = noise_value[at : at + take]
-        x.fill(np.nan)
-        hits = flags.nonzero()[0]
-        x[hits] = samples[sampled : sampled + hits.size]
         self._held += take
-        return sampled + hits.size
+        return _x_sample(x, flags, samples, sampled)
+
+    def _render(self, columns: tuple) -> None:
+        self._write(csv_block(columns))
+        self._write(b"\n")
+        self._written += len(columns[0])
 
     def flush(self) -> None:
         """Render and write the rows held, if any."""
         if not self._held:
             return
-        stop = self._written + self._held
-        replica, attempt_index = np.divmod(np.arange(self._written, stop), self._attempts)
-        record = (buffer[: self._held] for buffer in self._buffers)
-        self._write(csv_block((replica, attempt_index, *record)))
-        self._write(b"\n")
-        self._written, self._held = stop, 0
+        replica, attempt_index = np.divmod(np.arange(self._written, self._written + self._held), self._attempts)
+        self._render((replica, attempt_index, *(buffer[: self._held] for buffer in self._buffers)))
+        self._held = 0
+
+
+def _x_sample(x: np.ndarray, flags: np.ndarray, samples: np.ndarray, sampled: int) -> int:
+    """x NaN but where flags is set, there samples from sampled on; returns
+    the index of the first sample left."""
+    x.fill(np.nan)
+    hits = flags.nonzero()[0]
+    x[hits] = samples[sampled : sampled + hits.size]
+    return sampled + hits.size
 
 
 def _summary_doc(manifest, summary: CampaignSummary, protocol) -> Dict[str, object]:

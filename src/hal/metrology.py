@@ -83,11 +83,11 @@ _PDF_TOLERANCE = 1e-6
 #: A recorded campaign hands each replica's arrays to its sink and keeps
 #: none, and the runs CSV is written in blocks of 4096 rows as they are
 #: rendered, so memory does not grow with recorded attempts. What a recorded
-#: row still costs is its rendering and its bytes, about 0.2-0.3 us in all
+#: row still costs is its rendering and its bytes, about 0.17-0.28 us in all
 #: and 35-37 B of CSV (bench protocol, white noise, one thread): 1.25e6
-#: attempts x 4 replicas took 1.3-1.8 s to a file, 1.2-1.3 s to /dev/null
-#: (0.3 s unrecorded), and 49 MB ru_maxrss (57 MB unrecorded) for 182 MB of
-#: CSV; 1e7 x 5 took 11 s to /dev/null (1.7 s unrecorded) and 128 MB
+#: attempts x 4 replicas took 1.2-1.8 s to a file, 1.14-1.28 s to /dev/null
+#: (0.30-0.39 s unrecorded), and 48.5 MB ru_maxrss (47.8 MB unrecorded) for
+#: 182 MB of CSV; 1e7 x 5 took 11 s to /dev/null (1.7 s unrecorded) and 128 MB
 #: ru_maxrss, the replica's own arrays, for 1.86 GB. MAX_RECORDED_ATTEMPTS,
 #: 5e7, keeps a recorded campaign near a quarter of a minute and 2 GB of
 #: disk.

@@ -1107,6 +1107,23 @@ def test_run_lines_blocks_span_short_replicas(monkeypatch):
     assert expected[7] == _csv_row((1, 2) + tuple(v[7] for v in records))
 
 
+def test_run_lines_blocks_inside_long_replicas(monkeypatch):
+    # a block inside one replica renders from views of its arrays, the rest
+    # from the buffers: 3 replicas of 17 attempts give blocks 0-6, 7-13
+    # (views), 14-20 (across replicas 0 and 1), ...
+    monkeypatch.setattr("hal.cli._ROW_CHUNK", 7)
+    rng = np.random.default_rng(5)
+    rows = 3 * 17
+    heralded = (rng.random(rows) < 0.5).astype(np.int8)
+    records = (heralded, np.where(heralded == 1, rng.normal(size=rows), np.nan),
+               rng.normal(scale=0.1, size=rows))
+    expected = [_csv_row(values) for values in _run_rows(records, 17)]
+    text, lines = _run_lines(records, 17)
+    assert lines == [7] * 7 + [2]
+    assert text == ("\n".join(expected) + "\n").encode("ascii")
+    assert expected[20] == _csv_row((1, 3) + tuple(v[20] for v in records))
+
+
 def _write_amplified_runs(tmp_path, attempts):
     """Record one amplified replica of `attempts`, then write its runs CSV
     under tracemalloc: the file's size and the write step's peak."""

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import re
 import struct
+import subprocess
+import sys
 import timeit
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +112,7 @@ def test_csv_block_matches_fmt_float_near_the_exact_range(xs):
     _assert_block(x, -x)
 
 
-def test_csv_block_round_half_even_ties():
+def _ties():
     # x = odd / 2**(17 - E) in decade E puts x * 10**(16 - E) exactly halfway
     # between two integers: the 17th digit must round to even
     rng = np.random.default_rng(3)
@@ -119,12 +124,16 @@ def test_csv_block_round_half_even_ties():
         odd = rng.integers(lo, hi, size=200) * 2 + 1
         x = odd * scale
         ties.append(x[(x >= 10.0**e) & (x < 10.0 ** (e + 1))])
-    x = np.concatenate(ties)
+    return np.concatenate(ties)
+
+
+def test_csv_block_round_half_even_ties():
+    x = _ties()
     assert len(x) > 3000
     _assert_block(x, -x)
 
 
-def test_csv_block_power_of_ten_boundaries():
+def _powers_of_ten():
     values = []
     for k in range(-8, 19):
         p = 10.0**k
@@ -132,7 +141,11 @@ def test_csv_block_power_of_ten_boundaries():
     for p in (1e-6, 1e-4, 1e16, 1e17):  # the range ends and the notation switches
         below, above = np.nextafter(p, 0.0), np.nextafter(p, np.inf)
         values += [np.nextafter(below, 0.0), np.nextafter(above, np.inf)]
-    x = np.array(values)
+    return np.array(values)
+
+
+def test_csv_block_power_of_ten_boundaries():
+    x = _powers_of_ten()
     _assert_block(x, -x)
 
 
@@ -170,6 +183,58 @@ def test_csv_block_text_columns():
     assert csv_block(cells) == b"truncation,7,1,0,0.25,nan"
     # a cell is its bytes up to the first NUL
     assert csv_block((np.array([b"a\x00b", b"cd"]), np.array([1, 2]))) == b"a,1\ncd,2"
+
+
+@pytest.mark.parametrize("column", [
+    np.array([1 + 2j, 3.5 - 1j]),
+    np.array([1, "a"], dtype=object),
+    np.array(["a", "b"]),
+    np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),
+    np.array([1, 2], dtype="timedelta64[s]"),
+    np.zeros(2, dtype="V4"),
+])
+def test_csv_block_refuses_columns_it_cannot_render(column):
+    # only kinds b, i, u, f and S render; a complex column would lose its
+    # imaginary part and a datetime64 one print its day count
+    with pytest.raises(TypeError, match=re.escape(f"column 1 of dtype {column.dtype}")):
+        csv_block((np.arange(2), column))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+RUNS = ("replica", "attempt_index", "heralded", "x_sample", "noise_value")
+_RENDER = f"""
+import sys
+import numpy as np
+from hal.serialize import csv_block
+b = np.load(sys.argv[1])
+runs = csv_block([b[name] for name in {RUNS!r}])
+sys.stdout.buffer.write(runs + b"\\n\\n" + csv_block([b["x"], -b["x"]]))
+"""
+
+
+def test_csv_block_bytes_do_not_depend_on_the_cpu_features_numpy_dispatches_to(tmp_path):
+    # numpy picks its loops at run time (np.log10's bits differ between its
+    # AVX-512 and AVX2 loops): render a bench-like runs block and edge cases
+    # with every dispatched target this host has, with the lowest one only
+    # (on numpy 2.4 x86-64: AVX2, no AVX-512) and with none
+    from numpy._core import _multiarray_umath as umath
+
+    have = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    levels = list(dict.fromkeys(["", " ".join(have[1:]), " ".join(have)]))
+    rows, rng = 4096, np.random.default_rng(30)
+    replica, attempt_index = np.divmod(np.arange(rows) + 5 * 10**4, 10**5)
+    heralded = (rng.random(rows) < 0.01).astype(np.int8)
+    x_sample = np.where(heralded == 1, rng.normal(0.14, 0.7, rows), np.nan)
+    runs = (replica, attempt_index, heralded, x_sample, rng.normal(0.0, 0.1, rows))
+    subnormal = np.array([5e-324, 2.2250738585072009e-308, *rng.random(20) * 2.2e-308])
+    x = np.concatenate([_powers_of_ten(), _ties(), subnormal, [1e-6, 1e17]])
+    np.savez(tmp_path / "blocks.npz", x=x, **dict(zip(RUNS, runs)))
+    expected = (_reference_block(*runs) + "\n\n" + _reference_block(x, -x)).encode("ascii")
+    for level in levels:
+        env = {**os.environ, "PYTHONPATH": str(SRC), "NPY_DISABLE_CPU_FEATURES": level}
+        out = subprocess.run([sys.executable, "-c", _RENDER, str(tmp_path / "blocks.npz")], env=env,
+                             capture_output=True, timeout=120, check=True).stdout
+        assert out == expected, f"NPY_DISABLE_CPU_FEATURES={level!r}"
 
 
 RAW_DOUBLES = st.integers(min_value=0, max_value=2**64 - 1).map(
