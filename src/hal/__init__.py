@@ -7,7 +7,9 @@ Carlo homodyne-estimation campaigns comparing the direct and amplified
 measurement schemes under white, correlated, and systematic noise.
 
 Validated inputs are frozen dataclasses, so `dataclasses.replace` checks a
-changed copy again; results are named tuples, read by field name.
+changed copy again; results are named tuples, read by field name. The
+validated configs are the CLI's only schema: it reads campaign files and
+writes manifests from their fields.
 """
 
 __version__ = "1.0.0"

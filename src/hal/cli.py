@@ -3,9 +3,12 @@
 Subcommands: protocol (single evaluation, JSON), sweep (grid evaluation,
 CSV), ensemble (collective-spin mapping report, JSON), campaign (Monte Carlo
 estimation, JSON summary plus optional per-run CSV), validate (oracle
-table). Every result document embeds a manifest describing the resolved
-parameters, so a rerun with an equal manifest on the same host and numpy
-build is byte-identical.
+table). Every result document embeds a manifest: the subcommand, the
+parameters, the version and the output paths. The parameters are the
+resolved configs written field by field, a nested config nested, so a rerun
+with an equal manifest on the same host and numpy build is byte-identical.
+The configs are the only schema: a campaign file's keys, parsers and
+defaults are their fields', and each protocol flag sets one field.
 
 Command line: `hal [-h] [--version] SUBCOMMAND ...`, each subcommand's flags
 and positional as _COMMANDS lists them: `--name value` or `--name=value`; a
@@ -35,6 +38,7 @@ the calling thread. Output never depends on it.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import gc
 import math
@@ -87,7 +91,7 @@ from .validate import run_checks
 RUN_COLUMNS = ("replica", "attempt_index", "heralded", "x_sample", "noise_value")
 
 
-def _parse_amplitude(text: str) -> complex:
+def _parse_amplitude(text: str, where: str) -> complex:
     parts = text.split(",")
     if len(parts) not in (1, 2):
         raise ValidationError(f"amplitude must be RE or RE,IM, got {text!r}")
@@ -111,6 +115,19 @@ def _parse_int(text: str, flag: str) -> int:
         return int(text)
     except ValueError:
         raise ValidationError(f"cannot parse {flag} value {text!r}") from None
+
+
+def _parse_bool(text: str, where: str) -> bool:
+    low = text.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValidationError(f"cannot parse boolean {where} value {text!r}")
+
+
+def _parse_word(text: str, where: str) -> str:
+    return text.strip()
 
 
 #: Most points a grid file may declare, per range and in total over its axes.
@@ -174,48 +191,73 @@ def parse_grid_file(text: str) -> Dict[str, List[float]]:
     return axes
 
 
-#: Defaults of the protocol flags that only the exact protocol reads. The
-#: parser leaves them None, so that a flag given explicitly shows.
-_EXACT_FLAGS = {"cutoff": "12", "input": "truncated", "source_eff": "1", "read_eff": "1", "dark_count": "0"}
+#: The parser of each field type of the configs: (text, where) -> value,
+#: where naming the flag or campaign-file field in an error.
+_PARSERS = {"str": _parse_word, "float": _parse_float, "int": _parse_int,
+            "complex": _parse_amplitude, "bool": _parse_bool}
+
+#: The campaign file's sections, each the config its keys are the fields of.
+#: A field of a config that is named after a section is that section's config.
+_SECTIONS = {"campaign": CampaignConfig, "noise": NoiseModel, "protocol": ProtocolConfig,
+             "herald": HeraldModel}
 
 
-def _protocol_config(args) -> ProtocolConfig:
-    flags = {name: default if getattr(args, name) is None else getattr(args, name)
-             for name, default in _EXACT_FLAGS.items()}
-    herald = HeraldModel(
-        read_efficiency=_parse_float(flags["read_eff"], "--read-eff"),
-        dark_count=_parse_float(flags["dark_count"], "--dark-count"),
-    )
-    return ProtocolConfig(
-        alpha=_parse_amplitude(args.alpha),
-        t=_parse_float(args.t, "--t"),
-        cutoff=_parse_int(flags["cutoff"], "--cutoff"),
-        input_kind=flags["input"],
-        source_efficiency=_parse_float(flags["source_eff"], "--source-eff"),
-        herald=herald,
-    )
+def _key(name: str) -> str:
+    """A field's key in a campaign file and a manifest: NoiseModel.lam is "lambda"."""
+    return "lambda" if name == "lam" else name
 
 
-def _protocol_params(config: ProtocolConfig, mode: str) -> Dict[str, object]:
-    return {
-        "mode": mode,
-        "alpha_re": config.alpha.real,
-        "alpha_im": config.alpha.imag,
-        "t": config.t,
-        "cutoff": config.cutoff,
-        "input": config.input_kind,
-        "source_eff": config.source_efficiency,
-        "read_eff": config.herald.read_efficiency,
-        "dark_count": config.herald.dark_count,
-        "resolving": config.herald.resolving,
-    }
+def _fields(cls, section: str, given, **values) -> Dict[str, object]:
+    """Keyword arguments of cls: values, and each other field that given,
+    {(section, field name): (text, where)}, holds, parsed by the field's
+    declared type. A field named after a section is the caller's; any other
+    without a default that is in neither is missing."""
+    for f in dataclasses.fields(cls):
+        if f.name in values or f.name in _SECTIONS:
+            continue
+        if (section, f.name) in given:
+            text, where = given[section, f.name]
+            values[f.name] = _PARSERS[f.type](text, where)
+        elif f.default is dataclasses.MISSING is f.default_factory:
+            raise ValidationError(f"missing field: {section}.{_key(f.name)}")
+    return values
 
 
-def _manifest(subcommand: str, parameters, seed: Optional[int], outputs: List[str]):
+def _protocol(given) -> ProtocolConfig:
+    """The ProtocolConfig, with its HeraldModel, that given sets (see _fields)."""
+    herald = HeraldModel(**_fields(HeraldModel, "herald", given))
+    return ProtocolConfig(herald=herald, **_fields(ProtocolConfig, "protocol", given))
+
+
+#: The protocol and sweep flags, each to the field it sets, as in _fields. A
+#: flag not given leaves its field at the library's default.
+_FLAG_FIELDS = {
+    "--alpha": ("protocol", "alpha"),
+    "--t": ("protocol", "t"),
+    "--cutoff": ("protocol", "cutoff"),
+    "--input": ("protocol", "input_kind"),
+    "--source-eff": ("protocol", "source_efficiency"),
+    "--read-eff": ("herald", "read_efficiency"),
+    "--dark-count": ("herald", "dark_count"),
+}
+
+
+def _given_flags(args) -> Dict[tuple, tuple]:
+    """The protocol flags given, as _fields reads them."""
+    return {field: (text, flag) for flag, field in _FLAG_FIELDS.items()
+            if (text := getattr(args, _dest(flag))) is not None}
+
+
+def _params(config) -> Dict[str, object]:
+    """A config's fields by key in declaration order, a config among them nested."""
+    return {_key(f.name): _params(value) if dataclasses.is_dataclass(value) else value
+            for f in dataclasses.fields(config) for value in (getattr(config, f.name),)}
+
+
+def _manifest(subcommand: str, parameters, outputs: List[str]):
     return {
         "subcommand": subcommand,
         "parameters": parameters,
-        "seed": seed,
         "version": __version__,
         "outputs": outputs,
     }
@@ -289,15 +331,13 @@ def _sweep_csv(rows: np.ndarray, manifest_json: str):
 
 def cmd_protocol(args) -> int:
     exact = args.mode == "exact"
-    given = [name for name in _EXACT_FLAGS if getattr(args, name) is not None]
-    if given and not exact:
-        flags = ", ".join("--" + name.replace("_", "-") for name in given)
-        raise ValidationError(f"--mode first-order reads only --alpha and --t, not {flags}")
-    config = _protocol_config(args)
+    given = _given_flags(args)
+    flags = [flag for _, flag in given.values() if flag not in ("--alpha", "--t")]
+    if flags and not exact:
+        raise ValidationError(f"--mode first-order reads only --alpha and --t, not {', '.join(flags)}")
+    config = _protocol(given)
     result = run_exact(config) if exact else run_first_order(config.alpha, config.t)
-    manifest = _manifest(
-        "protocol", _protocol_params(config, args.mode), None, [args.out or "-"]
-    )
+    manifest = _manifest("protocol", {"mode": args.mode, **_params(config)}, [args.out or "-"])
     doc = {
         "manifest": manifest,
         "success_prob": result.success_probability,
@@ -318,12 +358,10 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = _protocol_config(args)
+    base = _protocol(_given_flags(args))
     axes = parse_grid_file(_read_input(args.grid))
     rows = sweep(base, axes)
-    params = _protocol_params(base, "exact")
-    params["axes"] = {name: values for name, values in axes.items()}
-    manifest = _manifest("sweep", params, None, [args.out or "-"])
+    manifest = _manifest("sweep", {**_params(base), "axes": axes}, [args.out or "-"])
     _write_chunks(_sweep_csv(rows, dumps(manifest)), args.out)
     return 0
 
@@ -336,18 +374,11 @@ def cmd_ensemble(args) -> int:
         raise ValidationError(f"cutoff must be a positive integer, got {cutoff!r}")
     if cutoff > MAX_ENSEMBLE_CUTOFF:
         raise ValidationError(f"cutoff {cutoff} exceeds the limit of {MAX_ENSEMBLE_CUTOFF}")
-    k_max = min(spec.N, cutoff)
-    state = rotated_product_state(spec, k_max=k_max)
+    state = rotated_product_state(spec, k_max=min(spec.N, cutoff))
     expect = collective_expectations(state)
     fid = fidelity(embed_as_fock(state, cutoff), oscillator_approximation(spec, cutoff))
-    manifest = _manifest(
-        "ensemble",
-        {"n_atoms": spec.N, "epsilon": epsilon, "cutoff": cutoff, "k_max": k_max},
-        None,
-        [args.out or "-"],
-    )
     doc = {
-        "manifest": manifest,
+        "manifest": _manifest("ensemble", {**_params(spec), "cutoff": cutoff}, [args.out or "-"]),
         "n_atoms": spec.N,
         "epsilon": epsilon,
         "alpha": epsilon * math.sqrt(spec.N),
@@ -361,73 +392,17 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def _parse_bool(text: str, where: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"cannot parse boolean {where} value {text!r}")
-
-
-def _parse_word(text: str, where: str) -> str:
-    return text.strip()
-
-
-#: The campaign file's sections and, per section in parse order, each field's
-#: keyword argument of the library type and its parser. No other section or
-#: field is accepted; an absent field keeps the library type's default.
-_CAMPAIGN_FIELDS = {
-    "campaign": {
-        "scheme": ("scheme", _parse_word),
-        "true_alpha": ("true_alpha", _parse_float),
-        "total_time": ("total_time", _parse_float),
-        "replicas": ("replicas", _parse_int),
-        "run_period": ("run_period", _parse_float),
-        "seed": ("seed", _parse_int),
-    },
-    "noise": {
-        "kind": ("kind", _parse_word),
-        "sigma_tech": ("sigma_tech", _parse_float),
-        "lambda": ("lam", _parse_float),
-        "offset": ("offset", _parse_float),
-    },
-    "protocol": {
-        "alpha": ("alpha", lambda text, where: _parse_amplitude(text)),
-        "t": ("t", _parse_float),
-        "cutoff": ("cutoff", _parse_int),
-        "input_kind": ("input_kind", _parse_word),
-        "source_efficiency": ("source_efficiency", _parse_float),
-    },
-    "herald": {
-        "read_efficiency": ("read_efficiency", _parse_float),
-        "dark_count": ("dark_count", _parse_float),
-        "mode": ("mode", _parse_word),
-        "resolving": ("resolving", _parse_bool),
-    },
-}
-
-
-def _fields(cp: configparser.ConfigParser, section: str, required: Sequence[str] = ()):
-    """One section's fields as keyword arguments; an absent section has none."""
-    kwargs = {}
-    for key, (keyword, parse) in _CAMPAIGN_FIELDS[section].items():
-        if cp.has_option(section, key):
-            kwargs[keyword] = parse(cp.get(section, key), f"{section}.{key}")
-        elif key in required:
-            raise ValidationError(f"missing field: {section}.{key}")
-    return kwargs
-
-
 def parse_campaign_file(text: str, seed_override: Optional[int] = None) -> CampaignConfig:
     """Build a CampaignConfig from key=value sections.
 
-    Sections: [campaign] scheme, true_alpha, total_time, replicas, seed,
-    run_period; [noise] kind, sigma_tech, lambda, offset; [protocol] (for the
-    amplified scheme) alpha, t, cutoff, input_kind, source_efficiency;
-    [herald] read_efficiency, dark_count, mode, resolving. Field names match
-    the library types. A missing required field, or an unknown section or
-    field, is a validation error naming it as section.name.
+    Each section's keys are the field names of its config in _SECTIONS,
+    lambda standing for NoiseModel.lam: [campaign] a CampaignConfig, [noise]
+    its NoiseModel, [protocol] its ProtocolConfig (required by the amplified
+    scheme), [herald] that protocol's HeraldModel. A field that is another
+    section's config is no key. Fields without a library default are
+    required, and so is noise.kind; an absent field keeps its default. A
+    missing field, or an unknown section or field, is a validation error
+    naming it as section.name; so is a [herald] without a protocol.
     """
     import configparser  # 1.6-2.6 ms that no other command needs
 
@@ -440,46 +415,29 @@ def parse_campaign_file(text: str, seed_override: Optional[int] = None) -> Campa
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValidationError(f"malformed campaign config: {exc}") from None
+    given = {}
     for section in cp.sections():
-        if section not in _CAMPAIGN_FIELDS:
+        if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
+        fields = {_key(f.name): f.name for f in dataclasses.fields(_SECTIONS[section])
+                  if f.name not in _SECTIONS}
         for key in cp.options(section):
-            if key not in _CAMPAIGN_FIELDS[section]:
+            if key not in fields:
                 raise ValidationError(f"unknown field: {section}.{key}")
-    required = ("scheme", "true_alpha", "total_time", "replicas")
-    if seed_override is None:
-        required += ("seed",)
-    elif cp.has_section("campaign"):
-        cp.remove_option("campaign", "seed")  # the override replaces it, unparsed
-    campaign = {"seed": seed_override, **_fields(cp, "campaign", required)}
-    noise = NoiseModel(**_fields(cp, "noise", ("kind",)))
+            given[section, fields[key]] = cp.get(section, key), f"{section}.{key}"
+    # the override replaces the file's seed, unparsed
+    campaign = _fields(CampaignConfig, "campaign", given,
+                       **({} if seed_override is None else {"seed": seed_override}))
+    if ("noise", "kind") not in given:
+        raise ValidationError("missing field: noise.kind")
+    noise = NoiseModel(**_fields(NoiseModel, "noise", given))
     protocol = None
     if campaign["scheme"] == "amplified" or cp.has_section("protocol"):
-        if not cp.has_section("protocol"):
-            raise ValidationError("missing field: protocol.alpha")
-        herald = HeraldModel(**_fields(cp, "herald"))
-        protocol = ProtocolConfig(herald=herald, **_fields(cp, "protocol", ("alpha", "t")))
-    return CampaignConfig(noise=noise, protocol=protocol, **campaign)
-
-
-def _campaign_params(config: CampaignConfig) -> Dict[str, object]:
-    params: Dict[str, object] = {
-        "scheme": config.scheme,
-        "true_alpha": config.true_alpha,
-        "total_time": config.total_time,
-        "run_period": config.run_period,
-        "replicas": config.replicas,
-        "attempts": config.attempts,
-        "noise": {
-            "kind": config.noise.kind,
-            "sigma_tech": config.noise.sigma_tech,
-            "lambda": config.noise.lam,
-            "offset": config.noise.offset,
-        },
-    }
-    if config.protocol is not None:
-        params["protocol"] = _protocol_params(config.protocol, "exact")
-    return params
+        protocol = _protocol(given)
+    config = CampaignConfig(noise=noise, protocol=protocol, **campaign)
+    if protocol is None and cp.has_section("herald"):
+        raise ValidationError("direct scheme takes no herald")
+    return config
 
 
 class _RunsCsv:
@@ -590,7 +548,7 @@ def cmd_campaign(args) -> int:
         ):
             raise ValidationError("--out and --runs-csv name the same file")
     herald = herald_table(config.protocol) if config.scheme == "amplified" else None
-    manifest = _manifest("campaign", _campaign_params(config), config.seed, outputs)
+    manifest = _manifest("campaign", _params(config), outputs)
     with contextlib.ExitStack() as files:
         # both outputs are opened before the first replica runs, --out first
         out = None if _is_stdout(args.out) else files.enter_context(open(args.out, "wb"))
@@ -635,7 +593,8 @@ def cmd_validate(args) -> int:
 
 
 #: The flags of protocol and sweep: name -> (default, help, choices). The
-#: exact protocol's flags default to None; their values are in _EXACT_FLAGS.
+#: exact protocol's flags default to None: not given, their fields keep the
+#: library's defaults (see _FLAG_FIELDS).
 _PROTOCOL_FLAGS = {
     "--alpha": ("0", "input amplitude RE or RE,IM (default 0)", None),
     "--t": (None, "beam-splitter transmission amplitude", None),

@@ -25,7 +25,7 @@ def _add_protocol_flags(p: argparse.ArgumentParser, require_t: bool) -> None:
     p.add_argument("--alpha", default="0", help="input amplitude RE or RE,IM (default 0)")
     p.add_argument("--t", required=require_t, default=None if require_t else "0.1",
                    help="beam-splitter transmission amplitude")
-    # defaults in _EXACT_FLAGS
+    # not given, each leaves its field at the library's default (hal.cli._FLAG_FIELDS)
     p.add_argument("--cutoff", help="Fock cutoff per mode (default 12)")
     p.add_argument("--input", choices=("truncated", "coherent"),
                    help="signal form: |0>+alpha|1> (default) or the full coherent state")

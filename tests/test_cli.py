@@ -12,7 +12,7 @@ import threading
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +33,16 @@ from hal.cli import (
     parse_grid_file,
 )
 from hal.errors import GridError, ValidationError
-from hal.metrology import MAX_RECORDED_ATTEMPTS, MAX_REPLICAS, run_campaign
+from hal.metrology import (
+    MAX_RECORDED_ATTEMPTS,
+    MAX_REPLICAS,
+    CampaignConfig,
+    NoiseModel,
+    run_campaign,
+)
 from hal.optics_ops import HeraldModel, herald_click
 from hal.protocol import MAX_CUTOFF, ROW_COLUMNS, ProtocolConfig, sweep
-from hal.spin_ensemble import MAX_ENSEMBLE_CUTOFF
+from hal.spin_ensemble import MAX_ENSEMBLE_CUTOFF, EnsembleSpec
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -154,7 +160,7 @@ def test_negative_values_are_values(tmp_path):
             assert main(["protocol", *flag, "--t", "0.1", "--out", out]) == 0
             docs.append(Path(out).read_bytes())
         params = json.loads(docs[0])["manifest"]["parameters"]
-        assert [params["alpha_re"], params["alpha_im"]] == re_im and docs[0] == docs[1]
+        assert [params["alpha"]["re"], params["alpha"]["im"]] == re_im and docs[0] == docs[1]
     with pytest.raises(SystemExit) as exc:
         main(["protocol", "--t", "0.1", "--alpha", "-x"])
     assert exc.value.code == 64
@@ -866,15 +872,133 @@ def test_campaign_run_and_seed_override(tmp_path, capsys):
     rc = main(["campaign", str(cfg)])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["manifest"]["seed"] == 11
+    assert doc["manifest"]["parameters"]["seed"] == 11
     assert doc["attempts"] == 100
     assert doc["replicas"] == 3
     assert doc["successes"] == 300
     rc = main(["campaign", str(cfg), "--seed", "99"])
     assert rc == 0
     doc2 = json.loads(capsys.readouterr().out)
-    assert doc2["manifest"]["seed"] == 99
+    assert doc2["manifest"]["parameters"]["seed"] == 99
     assert doc2["estimate_mean"] != doc["estimate_mean"]
+
+
+def test_direct_campaign_refuses_a_herald_section(tmp_path, capsys):
+    # a [herald] is read by a protocol, which a direct campaign has not:
+    # refused like a [protocol], before either output is opened
+    for herald in ("read_efficiency = 5\n", "mode = B\n"):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(DIRECT_CFG + "\n[herald]\n" + herald)
+        out, runs = tmp_path / "s.json", tmp_path / "runs.csv"
+        assert main(["campaign", str(cfg), "--out", str(out), "--runs-csv", str(runs)]) == 2
+        assert "hal: error: direct scheme takes no herald\n" == capsys.readouterr().err
+        assert not out.exists() and not runs.exists()
+
+
+def _keys(cls) -> list:
+    """A config's fields as a campaign file and a manifest name them."""
+    return ["lambda" if f.name == "lam" else f.name for f in fields(cls)]
+
+
+def _manifest_parameters(argv, capsys) -> dict:
+    """The manifest parameters of what main(argv) writes to stdout."""
+    assert main(argv) == 0
+    first = capsys.readouterr().out.split("\n", 1)[0]
+    if first.startswith("# manifest: "):  # a CSV
+        return json.loads(first[len("# manifest: "):])["parameters"]
+    return json.loads(first)["manifest"]["parameters"]
+
+
+def test_manifests_record_every_config_field(tmp_path, capsys):
+    # each command's manifest holds every field of the configs it ran, in
+    # declaration order, a config among them nested
+    params = _manifest_parameters(
+        ["protocol", "--alpha", "0.01,0.002", "--t", "0.2", "--cutoff", "20", "--input", "coherent",
+         "--source-eff", "0.9", "--read-eff", "0.8", "--dark-count", "1e-3"], capsys)
+    assert list(params) == ["mode", *_keys(ProtocolConfig)]
+    assert list(params["herald"]) == _keys(HeraldModel)
+    assert params == {"mode": "exact", "alpha": {"re": 0.01, "im": 0.002}, "t": 0.2, "cutoff": 20,
+                      "input_kind": "coherent", "source_efficiency": 0.9,
+                      "herald": {"read_efficiency": 0.8, "dark_count": 1e-3, "mode": "A",
+                                 "resolving": True}}
+    grid = tmp_path / "grid.txt"
+    grid.write_text("t = 0.1, 0.2\n")
+    params = _manifest_parameters(["sweep", "--grid", str(grid), "--read-eff", "0.5"], capsys)
+    assert list(params) == [*_keys(ProtocolConfig), "axes"]
+    assert params["herald"]["read_efficiency"] == 0.5 and params["axes"] == {"t": [0.1, 0.2]}
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(AMPLIFIED_CFG)
+    params = _manifest_parameters(["campaign", str(cfg)], capsys)
+    assert list(params) == _keys(CampaignConfig)
+    assert list(params["noise"]) == _keys(NoiseModel)
+    assert list(params["protocol"]) == _keys(ProtocolConfig)
+    assert list(params["protocol"]["herald"]) == _keys(HeraldModel)
+    cfg.write_text(AR1_DIRECT_CFG)
+    params = _manifest_parameters(["campaign", str(cfg)], capsys)
+    assert params["protocol"] is None and params["noise"]["lambda"] == 0.9
+    params = _manifest_parameters(["ensemble", "--n-atoms", "100", "--epsilon", "0.01"], capsys)
+    assert params == {"N": 100, "epsilon": {"re": 0.01, "im": 0}, "cutoff": 12}
+    assert list(params) == [*_keys(EnsembleSpec), "cutoff"]
+
+
+def _as_campaign_file(params) -> str:
+    """A campaign manifest's parameters written back as a campaign file."""
+    sections = {"campaign": params, "noise": params["noise"]}
+    if params["protocol"] is not None:
+        sections.update(protocol=params["protocol"], herald=params["protocol"]["herald"])
+    lines = []
+    for name, values in sections.items():
+        lines.append(f"[{name}]")
+        for key, value in values.items():
+            if key == "alpha":
+                value = f"{value['re']},{value['im']}"
+            if key not in ("noise", "protocol", "herald"):
+                lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    AMPLIFIED_CFG.replace("total_time = 200", "total_time = 200\nrun_period = 0.5")
+    .replace("sigma_tech = 0", "sigma_tech = 0.05")
+    .replace("t = 0.1\n", "t = 0.1\ncutoff = 8\nsource_efficiency = 0.9\n")
+    + "\n[herald]\nread_efficiency = 0.9\ndark_count = 1e-4\nmode = B\nresolving = false\n",
+    AR1_DIRECT_CFG,
+], ids=["amplified", "direct-ar1"])
+def test_campaign_manifest_round_trips(text, tmp_path, capsys):
+    # the manifest's parameters, written back as a campaign file, are the
+    # campaign's config: an equal manifest reruns the same campaign
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text)
+    params = _manifest_parameters(["campaign", str(cfg)], capsys)
+    config = parse_campaign_file(text)
+    assert parse_campaign_file(_as_campaign_file(params)) == config
+    if config.protocol is not None:
+        assert config.protocol.herald == HeraldModel(0.9, 1e-4, "B", False)
+
+
+def test_campaign_manifest_records_the_read_mode(tmp_path, capsys):
+    # mode A and mode B herald 41 and 3578 times in 2 x 2000 attempts, so
+    # their manifests differ
+    text = AR1_AMPLIFIED_CFG.replace(AR1_NOISE, "[noise]\nkind = white\nsigma_tech = 0.05\n")
+    docs = []
+    for mode in ("A", "B"):
+        cfg = tmp_path / f"{mode}.ini"
+        cfg.write_text(text + f"\n[herald]\nmode = {mode}\n")
+        assert main(["campaign", str(cfg)]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert [doc["successes"] for doc in docs] == [41, 3578]
+    assert [doc["manifest"]["parameters"]["protocol"]["herald"]["mode"] for doc in docs] == ["A", "B"]
+
+
+def test_every_config_field_has_a_parser():
+    # each field of a section's config is parsed by its declared type, or is
+    # the config of another section; each protocol flag sets one such field
+    assert set(cli._SECTIONS.values()) == {CampaignConfig, NoiseModel, ProtocolConfig, HeraldModel}
+    for cls in cli._SECTIONS.values():
+        for f in fields(cls):
+            assert f.name in cli._SECTIONS or f.type in cli._PARSERS, (cls.__name__, f.name, f.type)
+    for flag, (section, name) in cli._FLAG_FIELDS.items():
+        assert name in [f.name for f in fields(cli._SECTIONS[section])], flag
 
 
 def test_campaign_without_a_herald_prints_null(tmp_path, capsys):

@@ -354,16 +354,18 @@ def test_csv_block_runs_layouts_at_block_size(pattern, noise):
 def test_csv_block_lays_out_fallback_cells_when_many():
     # a noise column of fallback cells only (a runs CSV with sigma_tech
     # 1e-9) is laid out whole, not spliced cell by cell, so its block costs
-    # about what formatting its cells one by one does (0.9-1.0x measured;
-    # 1.3-1.5x when they were spliced)
+    # about what formatting its cells one by one does (a median ratio of
+    # 1.04-1.10 measured on a 2-vCPU Xeon VM; 1.3-1.5 when they were
+    # spliced). The ratio is taken in each round, render and formatting
+    # back to back, and its median decides, so that neither one fast sample
+    # nor the host's drift between rounds can
     rows = 4096
     replica, attempt_index = np.divmod(np.arange(rows), 10**5)
     noise = np.random.default_rng(11).normal(0.0, 1e-9, rows)
     columns = (replica, attempt_index, np.zeros(rows, np.int8), np.full(rows, np.nan), noise)
     assert not serialize._laid_out(columns)[1]  # nothing to splice
     _assert_block(*columns)
-    render, formatting = [], []
-    for _ in range(9):
-        render.append(timeit.timeit(lambda: csv_block(columns), number=1))
-        formatting.append(timeit.timeit(lambda: [_float_cell(v) for v in noise.tolist()], number=1))
-    assert min(render) < 1.2 * min(formatting)
+    ratios = [timeit.timeit(lambda: csv_block(columns), number=1)
+              / timeit.timeit(lambda: [_float_cell(v) for v in noise.tolist()], number=1)
+              for _ in range(21)]
+    assert np.median(ratios) < 1.2
